@@ -18,7 +18,6 @@ from .core import (
     winner_set_utility,
 )
 from .models import (
-    AuConfig,
     DecisionContext,
     Family,
     ModelDescriptor,
@@ -54,7 +53,6 @@ from .behavior import (
     classify_scenario,
     find_inconsistent,
     is_unjustified,
-    relabel,
     scenario_or_none,
     voter_type,
 )
@@ -69,7 +67,6 @@ from .data import (
     generate_synthetic,
     load_dataset,
     parse_action,
-    sample_actual_scores,
     save_dataset,
 )
 from .evaluation import (
@@ -78,7 +75,6 @@ from .evaluation import (
     Metrics,
     ParameterGrid,
     error_breakdown,
-    fit_parameters,
     loo_evaluate,
     metrics_from_confusion,
     parameter_distribution,

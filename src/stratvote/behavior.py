@@ -232,32 +232,3 @@ def build_profile(
         unjustified_actions=unjustified_count(records),
         inconsistent_records=frozenset(find_inconsistent(records)),
     )
-
-
-@dataclass(frozen=True)
-class RelabeledRecord:
-    """A record mapped into preference space (0 = Q, 1 = Q', ...)."""
-
-    voter_id: str
-    round: int
-    scenario: str
-    preference_order: tuple[int, ...]
-    poll_by_rank: tuple[int, ...]
-    action_rank: int
-    n: int
-
-
-def relabel(record: "VoteRecord") -> RelabeledRecord:
-    """Express a record's poll and action in preference ranks."""
-    prefs = _strict_preferences(record.utilities)
-    rank_of = {c: rank for rank, c in enumerate(prefs)}
-    scenario = scenario_or_none(record.utilities, record.poll) or UNCLASSIFIED
-    return RelabeledRecord(
-        voter_id=record.voter_id,
-        round=record.round,
-        scenario=scenario,
-        preference_order=prefs,
-        poll_by_rank=tuple(record.poll.scores[c] for c in prefs),
-        action_rank=rank_of[record.action],
-        n=record.poll.n,
-    )

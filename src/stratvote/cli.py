@@ -233,6 +233,8 @@ def _params_table(report: EvaluationReport) -> tuple[list[str], list[list]]:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     seed = _resolve_seed(args.seed, required=False, command="evaluate")
     families = _parse_families(args.families)
     dataset = load_dataset(args.data)
@@ -246,8 +248,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     reports: dict[str, EvaluationReport] = {}
     for family in families:
         grid = ParameterGrid.default(family, cv_etas=cv_etas if family is Family.CV else None)
-        report = runner(family, grid, dataset, jobs=args.jobs, seed=seed)
-        reports[family.value] = report
+        try:
+            reports[family.value] = runner(family, grid, dataset, jobs=args.jobs, seed=seed)
+        except ValueError as exc:
+            raise DataError(f"cannot apply {family.value} to this dataset: {exc}")
 
     mode = args.mode
     for name, report in reports.items():

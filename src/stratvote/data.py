@@ -199,15 +199,13 @@ def _infer_m(header: list[str]) -> int:
     return m
 
 
-def load_dataset(path: str | Path, format: str = "csv") -> Dataset:
+def load_dataset(path: str | Path) -> Dataset:
     """Load and validate a dataset.
 
     ``path`` may be the CSV file or a directory containing ``dataset.csv``;
     a sibling ``manifest.json`` is picked up when present.  All invalid rows
     are reported together, numbered from 1 after the header.
     """
-    if format != "csv":
-        raise DataError(f"unsupported format {format!r}")
     p = Path(path)
     if p.is_dir():
         p = p / "dataset.csv"
@@ -594,15 +592,3 @@ def generate_synthetic(config: GeneratorConfig) -> Dataset:
         "noisy_rounds": noisy_rounds,
     }
     return Dataset(records=records, manifest=manifest)
-
-
-def sample_actual_scores(poll: Poll, seed: int) -> Poll:
-    """One realization of the election: ``n`` ballots at the poll's shares."""
-    total = sum(poll.scores)
-    if total == 0:
-        p = np.full(poll.m, 1.0 / poll.m)
-    else:
-        p = np.asarray(poll.scores, dtype=float) / total
-    rng = np.random.default_rng(seed)
-    draw = rng.multinomial(poll.n, p)
-    return Poll(scores=tuple(int(v) for v in draw), n=poll.n)

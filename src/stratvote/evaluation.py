@@ -6,10 +6,12 @@ candidate labelings.  Rows are the actual action, columns the predicted
 one.
 
 Fitting is a grid argmax of training-set 0/1 accuracy; ties resolve to the
-earliest grid point, which makes refits reproducible.  Leave-one-out uses
-the match-matrix identity: with per-point match counts over all rounds,
-each fold's training score is the total minus that fold's column, so one
-decision matrix per voter serves every fold.
+earliest grid point, which makes refits reproducible.  Each voter's
+decision matrix (grid point x record) is built one record at a time from
+:func:`models.decide_grid`, the single decision path of every family.
+Leave-one-out uses the match-matrix identity: with per-point match counts
+over all rounds, each fold's training score is the total minus that fold's
+column, so one decision matrix per voter serves every fold.
 """
 
 from __future__ import annotations
@@ -146,33 +148,19 @@ _DEFAULT_BETAS = tuple(range(51)) + tuple(range(60, 101, 10))
 class ParameterGrid:
     """Ordered candidate parameter points for one family.
 
-    ``au_axes`` marks grids that are the full alpha x beta product in
-    (alpha-major) order, unlocking the vectorized AU scorer; leave it None
-    for hand-rolled point lists.
+    Every point is validated as a :class:`ModelDescriptor`.  The whole tuple
+    is handed to :func:`models.decide_grid`, which returns one decision per
+    point in this order; fitting ties resolve to the earliest point.
     """
 
     family: Family
     points: tuple[dict, ...]
-    au_axes: tuple[tuple[float, ...], tuple[float, ...]] | None = None
 
     def __post_init__(self) -> None:
         if not self.points:
             raise ValueError("parameter grid is empty")
         for point in self.points:
             ModelDescriptor(family=self.family, **point)  # validates
-        if self.au_axes is not None:
-            alphas, betas = self.au_axes
-            want = tuple(
-                {"alpha": a, "beta": b} for a in alphas for b in betas
-            )
-            if want != self.points:
-                raise ValueError("au_axes do not match the point order")
-
-    def descriptors(self) -> list[ModelDescriptor]:
-        return [ModelDescriptor(family=self.family, **p) for p in self.points]
-
-    def param_names(self) -> tuple[str, ...]:
-        return tuple(sorted(self.points[0].keys()))
 
     @classmethod
     def default(
@@ -180,8 +168,6 @@ class ParameterGrid:
         family: Family,
         *,
         cv_etas: Sequence | None = None,
-        au_alphas: Sequence[float] | None = None,
-        au_betas: Sequence[float] | None = None,
     ) -> "ParameterGrid":
         family = Family(family)
         if family is Family.PRAG:
@@ -192,10 +178,10 @@ class ParameterGrid:
             etas = tuple(cv_etas) if cv_etas is not None else _DEFAULT_CV_ETAS
             return cls(family, tuple({"eta": e} for e in etas))
         if family is Family.AU:
-            alphas = tuple(au_alphas) if au_alphas is not None else _DEFAULT_ALPHAS
-            betas = tuple(au_betas) if au_betas is not None else _DEFAULT_BETAS
-            points = tuple({"alpha": a, "beta": b} for a in alphas for b in betas)
-            return cls(family, points, au_axes=(alphas, betas))
+            return cls(
+                family,
+                tuple({"alpha": a, "beta": b} for a in _DEFAULT_ALPHAS for b in _DEFAULT_BETAS),
+            )
         if family is Family.TMG:
             return cls(family, tuple({"voter_type": t} for t in ("TRT", "CMP", "LB")))
         if family in (Family.TRUTH, Family.BR, Family.NN):
@@ -213,75 +199,32 @@ def _decision_matrix(
     pivot_cache: dict,
 ) -> np.ndarray:
     """Decisions for every (grid point, record), shape (G, R)."""
-    R = len(records)
-    if grid.au_axes is not None:
-        alphas, betas = grid.au_axes
-        cols = []
-        for rec in records:
-            dec = models.au_decisions_grid(rec.utilities, rec.poll, alphas, betas)
-            cols.append(dec.reshape(-1))
-        return np.stack(cols, axis=1)
-    descriptors = grid.descriptors()
-    D = np.empty((len(descriptors), R), dtype=np.int64)
-    for j, rec in enumerate(records):
+    columns = []
+    for rec in records:
         ctx = DecisionContext(
-            master_seed=seed,
-            voter_id=rec.voter_id,
-            round=rec.round,
-            pivot_cache=pivot_cache,
+            master_seed=seed, voter_id=rec.voter_id, round=rec.round, pivot_cache=pivot_cache
         )
-        for i, desc in enumerate(descriptors):
-            D[i, j] = models.decide(desc, rec.utilities, rec.poll, ctx)
-    return D
-
-
-def fit_parameters(
-    family: Family,
-    grid: ParameterGrid,
-    records: Sequence[VoteRecord],
-    *,
-    seed: int = 0,
-) -> dict:
-    """First grid point maximizing exact-match count on ``records``."""
-    if Family(family) is not grid.family:
-        raise ValueError(f"grid is for {grid.family}, not {family}")
-    if not records:
-        raise ValueError("cannot fit on zero records")
-    D = _decision_matrix(grid, records, seed, {})
-    actual = np.array([rec.action for rec in records])
-    matches = (D == actual[None, :]).sum(axis=1)
-    return dict(grid.points[int(np.argmax(matches))])
-
-
-def _nn_hyper(seed: int, overrides: Mapping | None) -> nn_mod.Hyperparams:
-    kwargs = {"seed": seed}
-    if overrides:
-        kwargs.update(overrides)
-        kwargs["seed"] = seed
-    return nn_mod.Hyperparams(**kwargs)
+        columns.append(models.decide_grid(grid.family, grid.points, rec.utilities, rec.poll, ctx))
+    return np.stack(columns, axis=1)
 
 
 def _evaluate_voter_nn(
-    vid: str,
-    records: list[VoteRecord],
-    mode: str,
-    seed: int,
-    nn_overrides: Mapping | None,
-) -> tuple[list[tuple[int, int]], dict, bool]:
+    vid: str, records: list[VoteRecord], mode: str, seed: int
+) -> tuple[list[tuple[int, int]], bool]:
     predictions: list[tuple[int, int]] = []
     if mode == "upper":
         net, profile = nn_mod.fit_network(
-            records, _nn_hyper(derive_seed(seed, "nn", vid, "all"), nn_overrides)
+            records, nn_mod.Hyperparams(seed=derive_seed(seed, "nn", vid, "all"))
         )
         for rec in records:
             predictions.append((rec.round, nn_mod.predict_record(net, profile, rec)))
-        return predictions, {}, False
+        return predictions, False
     defaulted = False
     for i, rec in enumerate(records):
         train = records[:i] + records[i + 1 :]
         fold_seed = derive_seed(seed, "nn", vid, rec.round)
         if train:
-            net, profile = nn_mod.fit_network(train, _nn_hyper(fold_seed, nn_overrides))
+            net, profile = nn_mod.fit_network(train, nn_mod.Hyperparams(seed=fold_seed))
         else:
             # Single-record voter: nothing to train on; the seeded initial
             # network plays the role of the default grid point.
@@ -289,39 +232,32 @@ def _evaluate_voter_nn(
             profile = build_profile(vid, [])
             defaulted = True
         predictions.append((rec.round, nn_mod.predict_record(net, profile, rec)))
-    return predictions, {}, defaulted
+    return predictions, defaulted
 
 
 def _evaluate_voter(task: tuple) -> dict:
     """Fit and predict one voter; pure function of its arguments."""
-    vid, records, grid, mode, seed, nn_overrides = task
+    vid, records, grid, mode, seed = task
     records = sorted(records, key=lambda r: r.round)
     if grid.family is Family.NN:
-        preds, fitted, defaulted = _evaluate_voter_nn(
-            vid, records, mode, seed, nn_overrides
-        )
-        return {"voter_id": vid, "predictions": preds, "fitted": fitted, "defaulted": defaulted}
+        preds, defaulted = _evaluate_voter_nn(vid, records, mode, seed)
+        return {"voter_id": vid, "predictions": preds, "fitted": {}, "defaulted": defaulted}
 
-    pivot_cache: dict = {}
-    D = _decision_matrix(grid, records, seed, pivot_cache)
-    actual = np.array([rec.action for rec in records])
-    M = D == actual[None, :]
+    D = _decision_matrix(grid, records, seed, {})
+    M = D == np.array([rec.action for rec in records])[None, :]
     totals = M.sum(axis=1)
     fit_index = int(np.argmax(totals))
-    fitted = dict(grid.points[fit_index])
-    defaulted = False
-    preds: list[tuple[int, int]] = []
     if mode == "upper":
-        for j, rec in enumerate(records):
-            preds.append((rec.round, int(D[fit_index, j])))
+        picks = [fit_index] * len(records)
     else:
-        for j, rec in enumerate(records):
-            fold_counts = totals - M[:, j]
-            best = int(np.argmax(fold_counts))
-            if len(records) == 1:
-                defaulted = True
-            preds.append((rec.round, int(D[best, j])))
-    return {"voter_id": vid, "predictions": preds, "fitted": fitted, "defaulted": defaulted}
+        picks = [int(np.argmax(totals - M[:, j])) for j in range(len(records))]
+    preds = [(rec.round, int(D[i, j])) for j, (rec, i) in enumerate(zip(records, picks))]
+    return {
+        "voter_id": vid,
+        "predictions": preds,
+        "fitted": dict(grid.points[fit_index]),
+        "defaulted": mode != "upper" and len(records) == 1,
+    }
 
 
 # --- reports -----------------------------------------------------------------
@@ -537,17 +473,13 @@ def _run(
     *,
     jobs: int = 1,
     seed: int = 0,
-    nn_overrides: Mapping | None = None,
 ) -> EvaluationReport:
     family = Family(family)
     if grid.family is not family:
         raise ValueError(f"grid is for {grid.family}, not {family}")
     if not dataset.records:
         raise ValueError("cannot evaluate an empty dataset")
-    by_voter = dataset.by_voter()
-    tasks = [
-        (vid, recs, grid, mode, seed, nn_overrides) for vid, recs in by_voter.items()
-    ]
+    tasks = [(vid, recs, grid, mode, seed) for vid, recs in dataset.by_voter().items()]
     if jobs > 1 and len(tasks) > 1:
         with get_context("fork").Pool(processes=jobs) as pool:
             results = pool.map(_evaluate_voter, tasks)
@@ -563,10 +495,9 @@ def loo_evaluate(
     *,
     jobs: int = 1,
     seed: int = 0,
-    nn_overrides: Mapping | None = None,
 ) -> EvaluationReport:
     """Per voter, fit on every other round and predict the held-out one."""
-    return _run(family, grid, dataset, "loo", jobs=jobs, seed=seed, nn_overrides=nn_overrides)
+    return _run(family, grid, dataset, "loo", jobs=jobs, seed=seed)
 
 
 def upper_bound_evaluate(
@@ -576,10 +507,9 @@ def upper_bound_evaluate(
     *,
     jobs: int = 1,
     seed: int = 0,
-    nn_overrides: Mapping | None = None,
 ) -> EvaluationReport:
     """Fit and score on all records per voter: in-sample ceiling."""
-    return _run(family, grid, dataset, "upper", jobs=jobs, seed=seed, nn_overrides=nn_overrides)
+    return _run(family, grid, dataset, "upper", jobs=jobs, seed=seed)
 
 
 def parameter_distribution(report: EvaluationReport) -> list[dict]:

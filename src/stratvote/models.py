@@ -12,13 +12,19 @@ TMG     fixed voter types: truthful / compromiser / leader-biased (m=3).
 AU      multiplicative utility-attainability trade-off.
 NN      learned baseline (see ``nn``); requires a trained network.
 
+Every family has one decision path, :func:`decide_grid`, which decides a
+whole parameter grid for one (utilities, poll) pair; :func:`decide` is its
+one-point case.  LD and LDLB settle an ``r`` grid with one threshold
+comparison and AU scores every (alpha, beta) point in one array pass; the
+other families call their scalar decider once per point.
+
 All deciders are deterministic; tie-breaking conventions are documented per
 function and are part of the model semantics.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -30,7 +36,6 @@ from .core import (
     Poll,
     UtilityFunction,
     outcome_with_vote,
-    plurality_winners,
     poll_ranking,
     preference_order,
     winner_set_utility,
@@ -52,18 +57,8 @@ class Family(str, Enum):
     NN = "NN"
 
 
-@dataclass(frozen=True)
-class AuConfig:
-    """Smoothing constant added to both utility and attainability factors."""
-
-    epsilon: float = 0.001
-
-    def __post_init__(self) -> None:
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
-
-
-DEFAULT_AU_CONFIG = AuConfig()
+# Smoothing constant added to both AU utility and attainability factors.
+AU_EPSILON = 0.001
 
 _FAMILY_PARAMS = {
     Family.TRUTH: (),
@@ -145,15 +140,12 @@ class DecisionContext:
     ``master_seed``/``voter_id``/``round`` feed the derived seed for CV
     Monte-Carlo fallback so results do not depend on evaluation order.
     ``network``/``profile`` carry the trained NN baseline and the voter's
-    behavioral profile.
+    behavioral profile; ``pivot_cache`` shares CV pivot tables across calls.
     """
 
     master_seed: int = 0
     voter_id: str = ""
     round: int = 0
-    mc_samples: int = 1_000_000
-    composition_budget: int = pivot_mod.DEFAULT_COMPOSITION_BUDGET
-    au: AuConfig = field(default_factory=AuConfig)
     network: object | None = None
     profile: object | None = None
     pivot_cache: dict | None = None
@@ -221,6 +213,15 @@ def decide_tmg(u: UtilityFunction, s: Poll, voter_type: str) -> Candidate:
     return q_second if ranking[-1] == q else q
 
 
+def _possible_winners(s: Poll, radii: Sequence[float]) -> np.ndarray:
+    """``possible[i, c]``: ``s(c) >= max(s) - 2*r_i*n``, shape (len(radii), m)."""
+    for r in radii:
+        if not 0.0 <= r <= 1.0:
+            raise ValueError(f"r must lie in [0, 1], got {r}")
+    threshold = max(s.scores) - 2.0 * np.asarray(radii, dtype=float) * s.n
+    return np.asarray(s.scores)[None, :] >= threshold[:, None]
+
+
 def undominated_set(u: UtilityFunction, s: Poll, r: float) -> frozenset:
     """Candidates not locally dominated at uncertainty radius ``r``.
 
@@ -228,23 +229,39 @@ def undominated_set(u: UtilityFunction, s: Poll, r: float) -> frozenset:
     two or more possible winners every W member except the least preferred
     is undominated (least-preferred ties break toward the higher index, so
     exactly one is removed); with a single possible winner no vote can
-    matter and every candidate is undominated.
+    matter and every candidate is undominated.  The LD grid decider votes
+    the most preferred member of this set.
     """
     _check_shapes(u, s)
-    if not 0.0 <= r <= 1.0:
-        raise ValueError(f"r must lie in [0, 1], got {r}")
-    top = max(s.scores)
-    threshold = top - 2.0 * r * s.n
-    possible = [c for c in range(s.m) if s.scores[c] >= threshold]
+    possible = [int(c) for c in np.flatnonzero(_possible_winners(s, (r,))[0])]
     if len(possible) == 1:
         return frozenset(range(s.m))
     dropped = min(possible, key=lambda c: (u[c], -c))
     return frozenset(c for c in possible if c != dropped)
 
 
+def _local_dominance_grid(
+    family: Family, u: UtilityFunction, s: Poll, radii: Sequence[float]
+) -> np.ndarray:
+    """LD or LDLB decisions, one per radius.
+
+    Both vote the most preferred possible winner, except that LD votes
+    truthfully when only one candidate can win (with two or more it drops
+    just the least preferred of them).  Preference ties break toward the
+    lower index.
+    """
+    _check_shapes(u, s)
+    order = np.asarray(preference_order(u.values))
+    possible = _possible_winners(s, radii)[:, order]
+    vote = order[np.argmax(possible, axis=1)]
+    if family is Family.LD:
+        vote = np.where(possible.sum(axis=1) >= 2, vote, order[0])
+    return vote
+
+
 def decide_ld(u: UtilityFunction, s: Poll, r: float) -> Candidate:
     """Most preferred undominated candidate; ties toward the lowest index."""
-    return max(undominated_set(u, s, r), key=lambda c: (u[c], -c))
+    return int(decide_grid(Family.LD, ({"r": r},), u, s)[0])
 
 
 def decide_ld_lb(u: UtilityFunction, s: Poll, r: float) -> Candidate:
@@ -254,15 +271,7 @@ def decide_ld_lb(u: UtilityFunction, s: Poll, r: float) -> Candidate:
     win; when the possible-winner set is a singleton, votes its single
     member (the presumed winner) instead of the truthful choice.
     """
-    _check_shapes(u, s)
-    if not 0.0 <= r <= 1.0:
-        raise ValueError(f"r must lie in [0, 1], got {r}")
-    top = max(s.scores)
-    threshold = top - 2.0 * r * s.n
-    possible = [c for c in range(s.m) if s.scores[c] >= threshold]
-    if len(possible) == 1:
-        return possible[0]
-    return decide_ld(u, s, r)
+    return int(decide_grid(Family.LDLB, ({"r": r},), u, s)[0])
 
 
 def _shares(s: Poll) -> np.ndarray:
@@ -273,7 +282,7 @@ def _shares(s: Poll) -> np.ndarray:
     return np.asarray(s.scores, dtype=float) / float(s.n)
 
 
-def _attainability_vector(s: Poll, beta: float) -> np.ndarray:
+def _attainability_vector(s: Poll, beta: float | np.ndarray) -> np.ndarray:
     margin = _shares(s) - 1.0 / s.m
     with np.errstate(over="ignore"):
         return 1.0 / (1.0 + np.exp(-beta * margin))
@@ -291,36 +300,30 @@ def attainability(c: Candidate, s: Poll, beta: float) -> float:
     return float(_attainability_vector(s, beta)[c])
 
 
+def _au_scores(
+    u: UtilityFunction, s: Poll, alphas: Sequence[float], betas: Sequence[float]
+) -> np.ndarray:
+    """Scores ``(eps+u)^alpha * (eps+a)^(2-alpha)`` per point, shape (P, m)."""
+    _check_shapes(u, s)
+    al = np.asarray(alphas, dtype=float)[:, None]
+    be = np.asarray(betas, dtype=float)[:, None]
+    bad = ~((al >= 0.0) & (al <= 2.0))
+    if bad.any():
+        raise ValueError(f"alpha must lie in [0, 2], got {al[bad][0]}")
+    bad = ~(be >= 0.0)
+    if bad.any():
+        raise ValueError(f"beta must be non-negative, got {be[bad][0]}")
+    eu = AU_EPSILON + np.asarray(u.values)
+    ea = AU_EPSILON + _attainability_vector(s, be)
+    return np.power(eu[None, :], al) * np.power(ea, 2.0 - al)
+
+
 def au_score(
-    u: UtilityFunction,
-    s: Poll,
-    c: Candidate,
-    alpha: float,
-    beta: float,
-    config: AuConfig = DEFAULT_AU_CONFIG,
+    u: UtilityFunction, s: Poll, c: Candidate, alpha: float, beta: float
 ) -> float:
     """Attainability-utility score ``(eps+u)^alpha * (eps+a)^(2-alpha)``."""
-    _check_shapes(u, s)
     s._check_candidate(c)
-    if not 0.0 <= alpha <= 2.0:
-        raise ValueError(f"alpha must lie in [0, 2], got {alpha}")
-    grid = _au_score_grid(u, s, (alpha,), (beta,), config)
-    return float(grid[0, 0, c])
-
-
-def _au_score_grid(
-    u: UtilityFunction,
-    s: Poll,
-    alphas: Sequence[float],
-    betas: Sequence[float],
-    config: AuConfig,
-) -> np.ndarray:
-    """Scores for an alpha x beta grid, shape (len(alphas), len(betas), m)."""
-    eps = config.epsilon
-    eu = eps + np.asarray(u.values)  # (m,)
-    ea = eps + np.stack([_attainability_vector(s, b) for b in betas])  # (B, m)
-    al = np.asarray(alphas, dtype=float)[:, None, None]  # (A, 1, 1)
-    return np.power(eu[None, None, :], al) * np.power(ea[None, :, :], 2.0 - al)
+    return float(_au_scores(u, s, (alpha,), (beta,))[0, c])
 
 
 def au_decisions_grid(
@@ -328,36 +331,78 @@ def au_decisions_grid(
     s: Poll,
     alphas: Sequence[float],
     betas: Sequence[float],
-    config: AuConfig = DEFAULT_AU_CONFIG,
 ) -> np.ndarray:
-    """Vectorized AU decisions over a parameter grid, shape (A, B).
+    """AU decisions for the points ``(alphas[i], betas[i])``, shape (P,).
 
-    Tie-breaking matches :func:`decide_au`: higher utility, then lower index.
+    Maximizes the attainability-utility score.  ``alpha=2`` reduces to the
+    truthful vote and ``alpha=0`` to voting the poll leader (up to the
+    shared epsilon smoothing).  Ties break toward the higher-utility
+    candidate, then the lower index.
     """
-    _check_shapes(u, s)
     order = np.asarray(preference_order(u.values))
-    scores = _au_score_grid(u, s, alphas, betas, config)[:, :, order]
-    return order[np.argmax(scores, axis=2)]
+    scores = _au_scores(u, s, alphas, betas)[:, order]
+    return order[np.argmax(scores, axis=1)]
 
 
-def decide_au(
+def decide_au(u: UtilityFunction, s: Poll, alpha: float, beta: float) -> Candidate:
+    """One-point case of :func:`au_decisions_grid`."""
+    return int(au_decisions_grid(u, s, (alpha,), (beta,))[0])
+
+
+def _decide_cv(
+    u: UtilityFunction, s: Poll, etas: Sequence, ctx: DecisionContext
+) -> list[Candidate]:
+    mc = pivot_mod.McConfig(seed=derive_seed(ctx.master_seed, ctx.voter_id, ctx.round))
+    return [
+        pivot_mod.decide_cv(u, s, s.n if eta == "n" else eta, mc=mc, cache=ctx.pivot_cache)
+        for eta in etas
+    ]
+
+
+def _decide_nn(u: UtilityFunction, s: Poll, ctx: DecisionContext) -> Candidate:
+    if ctx.network is None:
+        raise ValueError("NN descriptors require a trained network in the context")
+    from . import nn as nn_mod
+
+    features = nn_mod.features_from_parts(u, s, ctx.profile)
+    rank = nn_mod.predict(ctx.network, features)
+    return preference_order(u.values)[rank]
+
+
+def decide_grid(
+    family: Family,
+    points: Sequence[dict],
     u: UtilityFunction,
     s: Poll,
-    alpha: float,
-    beta: float,
-    config: AuConfig = DEFAULT_AU_CONFIG,
-) -> Candidate:
-    """Maximize the attainability-utility score.
+    context: DecisionContext | None = None,
+) -> np.ndarray:
+    """Decisions of ``family`` at every parameter point, int64 shape (P,).
 
-    ``alpha=2`` reduces to the truthful vote and ``alpha=0`` to voting the
-    poll leader (up to the shared epsilon smoothing).  Ties break toward the
-    higher-utility candidate, then the lower index.
+    ``points`` are parameter dicts as in :meth:`ModelDescriptor.params`.  CV
+    resolves ``eta="n"`` against the poll and falls back to seeded
+    Monte-Carlo when exact enumeration exceeds the composition budget; NN
+    requires ``context.network`` (and uses ``context.profile`` if set).
     """
-    if not 0.0 <= alpha <= 2.0:
-        raise ValueError(f"alpha must lie in [0, 2], got {alpha}")
-    if beta < 0:
-        raise ValueError(f"beta must be non-negative, got {beta}")
-    return int(au_decisions_grid(u, s, (alpha,), (beta,), config)[0, 0])
+    ctx = context if context is not None else DecisionContext()
+    family = Family(family)
+    if family in (Family.LD, Family.LDLB):
+        return _local_dominance_grid(family, u, s, [p["r"] for p in points])
+    if family is Family.AU:
+        alphas = [p["alpha"] for p in points]
+        return au_decisions_grid(u, s, alphas, [p["beta"] for p in points])
+    if family is Family.CV:
+        votes = _decide_cv(u, s, [p["eta"] for p in points], ctx)
+    elif family is Family.TRUTH:
+        votes = [decide_truth(u, s) for _ in points]
+    elif family is Family.BR:
+        votes = [decide_best_response(u, s) for _ in points]
+    elif family is Family.PRAG:
+        votes = [decide_pragmatist(u, s, p["k"]) for p in points]
+    elif family is Family.TMG:
+        votes = [decide_tmg(u, s, p["voter_type"]) for p in points]
+    else:  # Family.NN
+        votes = [_decide_nn(u, s, ctx) for _ in points]
+    return np.array(votes, dtype=np.int64)
 
 
 def decide(
@@ -366,43 +411,5 @@ def decide(
     s: Poll,
     context: DecisionContext | None = None,
 ) -> Candidate:
-    """Dispatch to the descriptor's family decider.
-
-    CV resolves ``eta="n"`` against the poll and falls back to seeded
-    Monte-Carlo when exact enumeration exceeds the composition budget; NN
-    requires ``context.network`` (and uses ``context.profile`` if set).
-    """
-    ctx = context if context is not None else DecisionContext()
-    family = descriptor.family
-    if family is Family.TRUTH:
-        return decide_truth(u, s)
-    if family is Family.BR:
-        return decide_best_response(u, s)
-    if family is Family.PRAG:
-        return decide_pragmatist(u, s, descriptor.k)
-    if family is Family.LD:
-        return decide_ld(u, s, descriptor.r)
-    if family is Family.LDLB:
-        return decide_ld_lb(u, s, descriptor.r)
-    if family is Family.TMG:
-        return decide_tmg(u, s, descriptor.voter_type)
-    if family is Family.AU:
-        return decide_au(u, s, descriptor.alpha, descriptor.beta, ctx.au)
-    if family is Family.CV:
-        eta = s.n if descriptor.eta == "n" else descriptor.eta
-        mc = pivot_mod.McConfig(
-            samples=ctx.mc_samples,
-            seed=derive_seed(ctx.master_seed, ctx.voter_id, ctx.round),
-        )
-        return pivot_mod.decide_cv(
-            u, s, eta, mc=mc, budget=ctx.composition_budget, cache=ctx.pivot_cache
-        )
-    if family is Family.NN:
-        if ctx.network is None:
-            raise ValueError("NN descriptors require a trained network in the context")
-        from . import nn as nn_mod
-
-        features = nn_mod.features_from_parts(u, s, ctx.profile)
-        rank = nn_mod.predict(ctx.network, features)
-        return preference_order(u.values)[rank]
-    raise ValueError(f"unknown family {family!r}")
+    """The descriptor's decision: the one-point case of :func:`decide_grid`."""
+    return int(decide_grid(descriptor.family, (descriptor.params(),), u, s, context)[0])

@@ -116,34 +116,14 @@ def _composition_blocks(total: int, parts: int) -> Iterator[np.ndarray]:
             yield block
 
 
-def _pivot_event_mask(block: np.ndarray, x: Candidate, y: Candidate) -> np.ndarray:
-    """Rows of ``block`` where a single extra ballot for ``y`` is pivotal vs ``x``.
-
-    Literal implementation of the two clauses: sole winner {x} becomes the
-    tie {x, y}, or the tie {x, y} becomes the sole winner {y}.  Kept as the
-    reference the fast paths are tested against.
-    """
-    top = block.max(axis=1)
-    top_count = (block == top[:, None]).sum(axis=1)
-    plus = block.copy()
-    plus[:, y] += 1
-    top2 = plus.max(axis=1)
-    top2_count = (plus == top2[:, None]).sum(axis=1)
-
-    x_alone = (block[:, x] == top) & (top_count == 1)
-    xy_tie_after = (plus[:, x] == top2) & (plus[:, y] == top2) & (top2_count == 2)
-    xy_tie_before = (block[:, x] == top) & (block[:, y] == top) & (top_count == 2)
-    y_alone_after = (plus[:, y] == top2) & (top2_count == 1)
-    return (x_alone & xy_tie_after) | (xy_tie_before & y_alone_after)
-
-
 def _pair_event_weights(block: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Sum ``weights`` over pivot events for every ordered pair at once.
 
     The two clauses reduce to row statistics: a sole leader x with y exactly
     one ballot behind (the extra ballot creates the {x, y} tie), or an exact
     two-way {x, y} tie (the extra ballot elects y outright).  Equivalence
-    with :func:`_pivot_event_mask` is covered by tests.
+    with a literal two-clause event mask is checked by
+    ``tests/test_pivot.py::TestPairEventWeights``.
     """
     m = block.shape[1]
     top = block.max(axis=1)

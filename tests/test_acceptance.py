@@ -30,7 +30,6 @@ from stratvote.evaluation import (
     metrics_from_confusion,
 )
 from stratvote.models import (
-    AuConfig,
     DecisionContext,
     Family,
     ModelDescriptor,
@@ -171,7 +170,6 @@ def test_criterion_1_decision_table_rows():
 
 
 def test_criterion_2_weighted_heuristic_table():
-    cfg = AuConfig(epsilon=0.001)
     # Printed per-candidate scores; None marks entries that are unreadable
     # at table precision (u=0 column, and values printed as ~0).
     table = {
@@ -189,7 +187,7 @@ def test_criterion_2_weighted_heuristic_table():
         for c, value in enumerate(printed):
             if value is None:
                 continue
-            h = au_score(U1, S1, c, alpha, beta, cfg)
+            h = au_score(U1, S1, c, alpha, beta)
             checked += 1
             if abs(h - value) / value > 0.02:
                 problems.append(f"H(q{c + 1};{alpha},{beta})={h:.4g} vs printed {value}")

@@ -3,13 +3,11 @@ from hypothesis import given, strategies as st
 
 from stratvote.behavior import (
     SCENARIOS,
-    UNCLASSIFIED,
     action_ratios,
     build_profile,
     classify_scenario,
     find_inconsistent,
     is_unjustified,
-    relabel,
     scenario_or_none,
     voter_type,
 )
@@ -178,33 +176,3 @@ class TestProfile:
         assert prof.voter_id == "v9"
         assert prof.voter_type == "TRT"
         assert prof.a_ratios["TRT"] == 1.0
-
-
-class TestRelabel:
-    def test_maps_action_and_poll_to_preference_ranks(self):
-        u = UtilityFunction((0.0, 10.0, 5.0))
-        r = relabel(rec((50, 30, 80), 1, u=u))
-        assert r.preference_order == (1, 2, 0)
-        assert r.poll_by_rank == (30, 80, 50)
-        assert r.action_rank == 0
-        assert r.scenario == "E"
-        assert r.n == 160
-
-    def test_tied_poll_is_unclassified(self):
-        r = relabel(rec((50, 50, 30), 0))
-        assert r.scenario == UNCLASSIFIED
-
-    @given(strict_u3, strict_s3, st.data())
-    def test_invariant_under_candidate_permutation(self, u, s, data):
-        perm = data.draw(st.permutations(range(3)))
-        action = data.draw(st.integers(min_value=0, max_value=2))
-        base = rec(s.scores, action, u=u)
-        permuted = rec(
-            tuple(s.scores[perm.index(c)] for c in range(3)),
-            perm[action],
-            u=UtilityFunction(tuple(u.values[perm.index(c)] for c in range(3))),
-        )
-        a, b = relabel(base), relabel(permuted)
-        assert a.scenario == b.scenario
-        assert a.poll_by_rank == b.poll_by_rank
-        assert a.action_rank == b.action_rank

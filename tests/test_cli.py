@@ -154,6 +154,35 @@ class TestEvaluate:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("family", ["TMG", "NN"])
+    def test_three_candidate_family_on_four_candidates_is_a_data_error(
+        self, tmp_path, family, capsys
+    ):
+        header = "voter_id,round,n," + ",".join(
+            [f"s_{i}" for i in range(1, 5)] + [f"u_{i}" for i in range(1, 5)]
+        ) + ",action\n"
+        data = write_rows(
+            tmp_path,
+            "v1,0,100,40,30,20,10,30,20,10,0,q1\nv1,1,100,10,40,30,20,30,20,10,0,q2\n",
+            header=header,
+        )
+        code = main(
+            ["evaluate", "--data", str(data), "--families", family, "--out", str(tmp_path / "r")]
+        )
+        assert code == 2
+        assert f"cannot apply {family}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_non_positive_jobs_is_a_usage_error(self, tmp_path, small_dataset, jobs, capsys):
+        code = main(
+            [
+                "evaluate", "--data", str(small_dataset), "--families", "TRUTH",
+                "--jobs", jobs, "--out", str(tmp_path / "r"),
+            ]
+        )
+        assert code == 1
+        assert "--jobs" in capsys.readouterr().err
+
     def test_jobs_do_not_change_report_bytes(self, tmp_path, small_dataset):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         base = [

@@ -14,7 +14,6 @@ from stratvote.data import (
     generate_synthetic,
     load_dataset,
     parse_action,
-    sample_actual_scores,
     save_dataset,
 )
 from stratvote.models import DecisionContext, Family, ModelDescriptor, decide
@@ -321,30 +320,3 @@ class TestGenerate:
         ds = generate_synthetic(config)
         sizes = {rec.poll.n for rec in ds.records}
         assert sizes == {8, 100}
-
-
-class TestSampleActualScores:
-    def test_point_mass(self):
-        poll = Poll.from_scores((295, 0, 0))
-        for seed in range(5):
-            assert sample_actual_scores(poll, seed) == poll
-
-    def test_preserves_total(self):
-        poll = Poll.from_scores((25, 70, 20, 100, 80))
-        for seed in range(20):
-            drawn = sample_actual_scores(poll, seed)
-            assert sum(drawn.scores) == 295
-            assert drawn.n == 295
-
-    def test_deterministic_per_seed(self):
-        poll = Poll.from_scores((25, 70, 20, 100, 80))
-        assert sample_actual_scores(poll, 9) == sample_actual_scores(poll, 9)
-
-    def test_mean_tracks_poll_shares(self):
-        poll = Poll.from_scores((25, 70, 20, 100, 80))
-        draws = np.array(
-            [sample_actual_scores(poll, seed).scores for seed in range(30000)]
-        )
-        mean = draws.mean(axis=0)
-        scores = np.array(poll.scores, dtype=float)
-        assert np.all(np.abs(mean - scores) < 0.01 * scores)

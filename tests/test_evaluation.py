@@ -16,14 +16,13 @@ from stratvote.evaluation import (
     ConfusionMatrix,
     ParameterGrid,
     error_breakdown,
-    fit_parameters,
     loo_evaluate,
     metrics_from_confusion,
     parameter_distribution,
     poll_size_bucket,
     upper_bound_evaluate,
 )
-from stratvote.models import AuConfig, DecisionContext, Family, ModelDescriptor, decide, decide_au
+from stratvote.models import DecisionContext, Family, ModelDescriptor, decide, decide_au
 
 WORKED_COUNTS = [[5409, 441, 132], [32, 2538, 90], [117, 188, 373]]
 
@@ -181,6 +180,10 @@ class TestFitParameters:
             action=action,
         )
 
+    def fit(self, family, grid, records):
+        report = upper_bound_evaluate(family, grid, Dataset(records=list(records)))
+        return report.fitted_params["v1"]
+
     def test_truthful_voter_is_perfectly_representable(self):
         # Scenario F rounds force utility weight; leader-following points fail.
         records = [
@@ -190,10 +193,9 @@ class TestFitParameters:
             self.rec((30, 80, 50), 0, 3),
         ]
         grid = ParameterGrid.default(Family.AU)
-        fitted = fit_parameters(Family.AU, grid, records)
-        cfg = AuConfig()
+        fitted = self.fit(Family.AU, grid, records)
         for r in records:
-            got = decide_au(r.utilities, r.poll, fitted["alpha"], fitted["beta"], cfg)
+            got = decide_au(r.utilities, r.poll, fitted["alpha"], fitted["beta"])
             assert got == r.action
 
     def test_generated_voter_recovered_on_diverse_rounds(self):
@@ -203,35 +205,30 @@ class TestFitParameters:
             scores = tuple(int(v) for v in rng.permutation([30, 50, 80]))
             poll = Poll.from_scores(scores)
             u = UtilityFunction((10.0, 5.0, 0.0))
-            records.append(
-                self.rec(scores, decide_au(u, poll, 0.2, 10.0, AuConfig()), i)
-            )
-        fitted = fit_parameters(Family.AU, ParameterGrid.default(Family.AU), records)
-        cfg = AuConfig()
+            records.append(self.rec(scores, decide_au(u, poll, 0.2, 10.0), i))
+        fitted = self.fit(Family.AU, ParameterGrid.default(Family.AU), records)
         hits = sum(
-            decide_au(r.utilities, r.poll, fitted["alpha"], fitted["beta"], cfg) == r.action
+            decide_au(r.utilities, r.poll, fitted["alpha"], fitted["beta"]) == r.action
             for r in records
         )
         assert hits >= 19
 
     def test_single_record_takes_the_first_matching_point(self):
         leader_vote = self.rec((30, 80, 50), 1, 0)
-        fitted = fit_parameters(Family.PRAG, ParameterGrid.default(Family.PRAG), [leader_vote])
+        fitted = self.fit(Family.PRAG, ParameterGrid.default(Family.PRAG), [leader_vote])
         assert fitted == {"k": 1}
 
     def test_refit_is_deterministic(self):
         records = [self.rec((80, 50, 30), 0, 0), self.rec((30, 50, 80), 1, 1)]
         grid = ParameterGrid.default(Family.LD)
-        assert fit_parameters(Family.LD, grid, records) == fit_parameters(
-            Family.LD, grid, records
-        )
+        assert self.fit(Family.LD, grid, records) == self.fit(Family.LD, grid, records)
 
     def test_family_mismatch_and_empty_records(self):
         grid = ParameterGrid.default(Family.LD)
         with pytest.raises(ValueError):
-            fit_parameters(Family.AU, grid, [self.rec((80, 50, 30), 0, 0)])
+            self.fit(Family.AU, grid, [self.rec((80, 50, 30), 0, 0)])
         with pytest.raises(ValueError):
-            fit_parameters(Family.LD, grid, [])
+            self.fit(Family.LD, grid, [])
 
 
 class TestEvaluate:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,14 +13,17 @@ from stratvote.core import (
     winner_set_utility,
 )
 from stratvote.models import (
-    AuConfig,
+    AU_EPSILON,
+    DecisionContext,
     Family,
     ModelDescriptor,
     attainability,
+    au_decisions_grid,
     au_score,
     decide,
     decide_au,
     decide_best_response,
+    decide_grid,
     decide_ld,
     decide_ld_lb,
     decide_pragmatist,
@@ -203,37 +207,35 @@ class TestAttainability:
 
 
 class TestAuHeuristic:
-    cfg = AuConfig()
-
     def test_default_epsilon(self):
-        assert self.cfg.epsilon == 0.001
+        assert AU_EPSILON == 0.001
 
     def test_score_matches_printed_values(self):
-        h_q2 = au_score(U1, S1, 1, 1.8, 30.0, self.cfg)
+        h_q2 = au_score(U1, S1, 1, 1.8, 30.0)
         assert abs(h_q2 - 433.3) / 433.3 < 0.02
-        h_q4 = au_score(U1, S1, 3, 0.2, 10.0, self.cfg)
+        h_q4 = au_score(U1, S1, 3, 0.2, 10.0)
         assert abs(h_q4 - 1.06) / 1.06 < 0.02
 
     def test_alpha_two_ignores_poll(self):
         for c in range(5):
-            want = (self.cfg.epsilon + U1[c]) ** 2
-            assert au_score(U1, S1, c, 2.0, 30.0, self.cfg) == pytest.approx(want)
+            want = (AU_EPSILON + U1[c]) ** 2
+            assert au_score(U1, S1, c, 2.0, 30.0) == pytest.approx(want)
 
     def test_decisions_across_parameter_rows(self):
-        assert decide_au(U1, S1, 1.8, 30.0, self.cfg) == 1
-        assert decide_au(U1, S1, 1.8, 10.0, self.cfg) == 0
-        assert decide_au(U1, S1, 0.2, 30.0, self.cfg) == 3
-        assert decide_au(U1, S1, 0.2, 10.0, self.cfg) == 3
+        assert decide_au(U1, S1, 1.8, 30.0) == 1
+        assert decide_au(U1, S1, 1.8, 10.0) == 0
+        assert decide_au(U1, S1, 0.2, 30.0) == 3
+        assert decide_au(U1, S1, 0.2, 10.0) == 3
 
     def test_alpha_two_is_truthful(self):
-        assert decide_au(U1, S1, 2.0, 30.0, self.cfg) == 0
+        assert decide_au(U1, S1, 2.0, 30.0) == 0
 
     def test_alpha_zero_follows_the_leader(self):
-        assert decide_au(U1, S1, 0.0, 30.0, self.cfg) == 3
+        assert decide_au(U1, S1, 0.0, 30.0) == 3
 
     def test_tie_breaks_by_index(self):
         u = UtilityFunction((10, 10, 0))
-        assert decide_au(u, Poll.from_scores((5, 5, 2)), 1.0, 10.0, self.cfg) == 0
+        assert decide_au(u, Poll.from_scores((5, 5, 2)), 1.0, 10.0) == 0
 
     @given(
         u3,
@@ -242,15 +244,15 @@ class TestAuHeuristic:
         st.floats(min_value=0, max_value=60, allow_nan=False),
     )
     def test_never_picks_a_dominated_candidate(self, u, s, alpha, beta):
-        a = decide_au(u, s, alpha, beta, self.cfg)
+        a = decide_au(u, s, alpha, beta)
         for c in range(s.m):
             assert not (u[c] > u[a] and s.scores[c] > s.scores[a])
 
     @given(strict_u3, s3, st.floats(min_value=0.5, max_value=60, allow_nan=False))
     def test_alpha_limits_match_reference_deciders(self, u, s, beta):
         if len(set(s.scores)) == s.m:
-            assert decide_au(u, s, 0.0, beta, self.cfg) in plurality_winners(s)
-        assert decide_au(u, s, 2.0, beta, self.cfg) == decide_truth(u, s)
+            assert decide_au(u, s, 0.0, beta) in plurality_winners(s)
+        assert decide_au(u, s, 2.0, beta) == decide_truth(u, s)
 
 
 class TestDescriptorAndDispatch:
@@ -304,3 +306,105 @@ class TestDescriptorAndDispatch:
     def test_deciders_are_pure(self, u, s):
         desc = ModelDescriptor(Family.AU, alpha=0.7, beta=12.0)
         assert decide(desc, u, s) == decide(desc, u, s)
+
+
+def _utilities_and_poll(m):
+    return st.tuples(
+        st.lists(st.floats(min_value=0, max_value=100, allow_nan=False), min_size=m, max_size=m),
+        st.lists(st.integers(min_value=0, max_value=60), min_size=m, max_size=m),
+    ).map(lambda pair: (UtilityFunction(tuple(pair[0])), Poll.from_scores(tuple(pair[1]))))
+
+
+any_m_instance = st.integers(min_value=2, max_value=5).flatmap(_utilities_and_poll)
+radius_grids = st.lists(rs, min_size=1, max_size=12)
+
+
+def possible_winners(s, r):
+    top = max(s.scores)
+    return [c for c in range(s.m) if s.scores[c] >= top - 2.0 * r * s.n]
+
+
+class TestDecideGrid:
+    @given(any_m_instance, radius_grids)
+    def test_ld_grid_votes_most_preferred_undominated(self, instance, radii):
+        u, s = instance
+        got = decide_grid(Family.LD, [{"r": r} for r in radii], u, s)
+        want = [max(undominated_set(u, s, r), key=lambda c: (u[c], -c)) for r in radii]
+        assert got.dtype == np.int64
+        assert got.tolist() == want
+
+    @given(any_m_instance, radius_grids)
+    def test_ldlb_grid_votes_sole_possible_winner(self, instance, radii):
+        u, s = instance
+        points = [{"r": r} for r in radii]
+        ld = decide_grid(Family.LD, points, u, s)
+        lb = decide_grid(Family.LDLB, points, u, s)
+        for i, r in enumerate(radii):
+            w = possible_winners(s, r)
+            assert lb[i] == (w[0] if len(w) == 1 else ld[i])
+
+    @given(
+        any_m_instance,
+        st.lists(
+            st.tuples(
+                st.floats(min_value=0, max_value=2, allow_nan=False),
+                st.floats(min_value=0, max_value=60, allow_nan=False),
+            ),
+            min_size=1,
+            max_size=10,
+        ),
+    )
+    def test_au_grid_matches_each_point(self, instance, points):
+        u, s = instance
+        alphas, betas = zip(*points)
+        got = au_decisions_grid(u, s, alphas, betas)
+        assert got.tolist() == [decide_au(u, s, a, b) for a, b in points]
+
+    def test_decide_is_the_one_point_grid(self):
+        ctx = DecisionContext(master_seed=0, voter_id="example", round=0, pivot_cache={})
+        for desc in (
+            ModelDescriptor(Family.TRUTH),
+            ModelDescriptor(Family.BR),
+            ModelDescriptor(Family.PRAG, k=2),
+            ModelDescriptor(Family.CV, eta=8),
+            ModelDescriptor(Family.CV, eta="n"),
+            ModelDescriptor(Family.LD, r=0.08),
+            ModelDescriptor(Family.LDLB, r=0.01),
+            ModelDescriptor(Family.AU, alpha=1.8, beta=30.0),
+        ):
+            grid = decide_grid(desc.family, (desc.params(),), U1, S1, ctx)
+            assert grid.shape == (1,) and grid.dtype == np.int64
+            assert decide(desc, U1, S1, ctx) == grid[0]
+
+    def test_grid_follows_point_order(self):
+        points = [{"k": k} for k in (1, 4, 2)]
+        assert decide_grid(Family.PRAG, points, U1, S1).tolist() == [3, 0, 3]
+        radii = [{"r": r} for r in (0.08, 0.01, 1.0)]
+        assert decide_grid(Family.LD, radii, U1, S1).tolist() == [1, 0, 0]
+        assert decide_grid(Family.LDLB, radii, U1, S1).tolist() == [1, 3, 0]
+
+    def test_scalar_errors_are_still_raised(self):
+        three = UtilityFunction((10, 5, 0))
+        with pytest.raises(ValueError, match="r must lie"):
+            decide_grid(Family.LD, [{"r": 0.1}, {"r": 1.5}], U1, S1)
+        with pytest.raises(ValueError, match="r must lie"):
+            decide_ld_lb(U1, S1, -0.1)
+        with pytest.raises(ValueError, match="k must lie"):
+            decide_grid(Family.PRAG, [{"k": 2}, {"k": 6}], U1, S1)
+        with pytest.raises(ValueError, match="three candidates"):
+            decide_grid(Family.TMG, [{"voter_type": "TRT"}], U1, S1)
+        with pytest.raises(ValueError, match="alpha must lie"):
+            decide_au(U1, S1, 2.5, 10.0)
+        with pytest.raises(ValueError, match="beta must be non-negative"):
+            decide_au(U1, S1, 1.0, -1.0)
+        for desc in (
+            ModelDescriptor(Family.TRUTH),
+            ModelDescriptor(Family.BR),
+            ModelDescriptor(Family.PRAG, k=1),
+            ModelDescriptor(Family.CV, eta=4),
+            ModelDescriptor(Family.LD, r=0.1),
+            ModelDescriptor(Family.LDLB, r=0.1),
+            ModelDescriptor(Family.AU, alpha=1.0, beta=10.0),
+        ):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                decide_grid(desc.family, (desc.params(),), three, S1)

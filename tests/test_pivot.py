@@ -13,6 +13,8 @@ from stratvote.pivot import (
     BeliefModel,
     BudgetExceededError,
     McConfig,
+    _composition_blocks,
+    _pair_event_weights,
     composition_count,
     cv_gain_scores,
     decide_cv,
@@ -221,3 +223,42 @@ class TestDecideCv:
             if gains[c] > gains[want]:
                 want = c
         assert decide_cv(u, poll, eta) == want
+
+
+def _pivot_event_mask(block, x, y):
+    """Rows of ``block`` where a single extra ballot for ``y`` is pivotal vs ``x``.
+
+    Literal implementation of the two clauses: sole winner {x} becomes the
+    tie {x, y}, or the tie {x, y} becomes the sole winner {y}.  Kept as the
+    reference the fast paths are tested against.
+    """
+    top = block.max(axis=1)
+    top_count = (block == top[:, None]).sum(axis=1)
+    plus = block.copy()
+    plus[:, y] += 1
+    top2 = plus.max(axis=1)
+    top2_count = (plus == top2[:, None]).sum(axis=1)
+
+    x_alone = (block[:, x] == top) & (top_count == 1)
+    xy_tie_after = (plus[:, x] == top2) & (plus[:, y] == top2) & (top2_count == 2)
+    xy_tie_before = (block[:, x] == top) & (block[:, y] == top) & (top_count == 2)
+    y_alone_after = (plus[:, y] == top2) & (top2_count == 1)
+    return (x_alone & xy_tie_after) | (xy_tie_before & y_alone_after)
+
+
+class TestPairEventWeights:
+    @given(
+        st.integers(min_value=2, max_value=5),
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_matches_the_literal_event_mask(self, m, eta, seed):
+        block = np.concatenate(list(_composition_blocks(eta, m)))
+        weights = np.random.default_rng(seed).random(block.shape[0])
+        got = _pair_event_weights(block, weights)
+        for x in range(m):
+            assert got[x, x] == 0.0
+            for y in range(m):
+                if x != y:
+                    want = weights[_pivot_event_mask(block, x, y)].sum()
+                    assert abs(got[x, y] - want) <= 1e-12
