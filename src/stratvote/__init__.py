@@ -41,8 +41,6 @@ from .pivot import (
     composition_count,
     cv_gain_scores,
     decide_cv,
-    pivot_prob_exact,
-    pivot_prob_mc,
     pivot_table_exact,
     pivot_table_mc,
 )

@@ -5,9 +5,10 @@ Canonical CSV layout (header required)::
     voter_id,round,n,s_1..s_m,u_1..u_m,action
 
 Actions are serialized as 1-based candidate labels ("q2"); bare 1-based
-integers are accepted on input.  A JSON manifest rides alongside the CSV
-with provenance (source tag, seed, per-voter model assignments for
-synthetic data).
+integers are accepted on input.  The loader rejects a row whose poll size
+``n`` is below 1 or whose utilities tie, naming the row.  A JSON manifest
+rides alongside the CSV with provenance (source tag, seed, per-voter model
+assignments for synthetic data).
 """
 
 from __future__ import annotations
@@ -161,6 +162,8 @@ def _parse_row(row: list[str], m: int, row_num: int) -> VoteRecord:
         n = int(row[2])
     except ValueError:
         raise ValueError(f"non-integer n {row[2]!r}") from None
+    if n < 1:
+        raise ValueError(f"poll size n must be positive, got {n}")
     scores = []
     for text in row[3 : 3 + m]:
         try:
@@ -173,6 +176,8 @@ def _parse_row(row: list[str], m: int, row_num: int) -> VoteRecord:
             utilities.append(float(text))
         except ValueError:
             raise ValueError(f"non-numeric utility {text!r}") from None
+    if len(set(utilities)) != m:
+        raise ValueError(f"tied utilities {tuple(utilities)}; preferences must be strict")
     action = parse_action(row[3 + 2 * m], m)
     return VoteRecord(
         voter_id=voter_id,

@@ -137,8 +137,9 @@ class ModelDescriptor:
 class DecisionContext:
     """Runtime inputs some families need beyond (u, s).
 
-    ``master_seed``/``voter_id``/``round`` feed the derived seed for CV
-    Monte-Carlo fallback so results do not depend on evaluation order.
+    ``master_seed``/``voter_id``/``round`` feed the derived seed for the CV
+    Monte-Carlo fallback (m >= 4 only; m <= 3 is always exact), so results
+    do not depend on evaluation order.
     ``network``/``profile`` carry the trained NN baseline and the voter's
     behavioral profile; ``pivot_cache`` shares CV pivot tables across calls.
     """
@@ -379,9 +380,10 @@ def decide_grid(
     """Decisions of ``family`` at every parameter point, int64 shape (P,).
 
     ``points`` are parameter dicts as in :meth:`ModelDescriptor.params`.  CV
-    resolves ``eta="n"`` against the poll and falls back to seeded
-    Monte-Carlo when exact enumeration exceeds the composition budget; NN
-    requires ``context.network`` (and uses ``context.profile`` if set).
+    resolves ``eta="n"`` against the poll; its pivot tables are exact in
+    closed form for m <= 3 at any eta, and for m >= 4 come from enumeration,
+    then seeded Monte-Carlo when enumeration exceeds the composition budget.
+    NN requires ``context.network`` (and uses ``context.profile`` if set).
     """
     ctx = context if context is not None else DecisionContext()
     family = Family(family)

@@ -6,9 +6,11 @@ that one extra ballot for ``y`` either breaks x's sole lead into an {x, y}
 tie or turns an existing {x, y} tie into a win for ``y``.  Only these
 two-way events count; richer ties are deliberately ignored.
 
-Exact tables enumerate every score composition (rejected above a budget);
-the Monte-Carlo path estimates the same events from seeded multinomial
-draws.
+For m <= 3 the exact table is a closed form: each pivot event fixes the
+top two counts, so ``P(x, y)`` is a one-dimensional sum of multinomial
+probabilities, O(eta) at any eta.  For m >= 4 the exact table enumerates
+every score composition (rejected above a budget), and the Monte-Carlo
+path estimates the same events from seeded multinomial draws.
 """
 
 from __future__ import annotations
@@ -164,35 +166,60 @@ def _check_eta(eta: int) -> int:
     return int(eta)
 
 
+def _closed_form_pair_probs(poll: Poll, eta: int) -> np.ndarray:
+    """Exact ``P(x, y)`` for m <= 3 as a sum over the leader's count ``t``.
+
+    With z the third candidate, y's extra ballot is pivotal against x on a
+    sole lead (x = t, y = t-1, z = eta-2t+1) or on a two-way tie
+    (x = y = t, z = eta-2t), with 0 <= z <= t-1 in both.  An m = 2 poll gets
+    a phantom third candidate of probability zero; ``xlogy`` gives its
+    nonzero counts probability zero.  Each entry is computed from its own
+    pair's probabilities in (x, y, z) order, never in candidate order, so
+    relabeling the poll permutes the table bit for bit.
+    """
+    p = np.append(_belief_probabilities(poll), np.zeros(3 - poll.m))
+    x, y = np.array([(x, y) for x in range(poll.m) for y in range(poll.m) if x != y]).T
+    z = 3 - x - y
+    # lead = 1 is the sole-lead family, lead = 0 the tie family.
+    t = [np.arange((eta + lead + 3) // 3, (eta + lead) // 2 + 1) for lead in (1, 0)]
+    top = np.concatenate(t)
+    near = np.concatenate([t[0] - 1, t[1]])
+    rest = eta - top - near
+    log_pmf = (
+        gammaln(eta + 1.0)
+        - gammaln(top + 1.0)
+        - gammaln(near + 1.0)
+        - gammaln(rest + 1.0)
+        + xlogy(top, p[x, None])
+        + xlogy(near, p[y, None])
+        + xlogy(rest, p[z, None])
+    )
+    out = np.zeros((poll.m, poll.m))
+    out[x, y] = np.exp(log_pmf).sum(axis=1)
+    return out
+
+
 def pivot_table_exact(
     poll: Poll, eta: int, *, budget: int = DEFAULT_COMPOSITION_BUDGET
 ) -> PivotTable:
     """Exact pivot probabilities for every ordered pair.
 
-    Raises :class:`BudgetExceededError` when the composition count
+    For m <= 3 the closed form :func:`_closed_form_pair_probs` serves any
+    eta and ``budget`` is not consulted.  For m >= 4 every composition is
+    enumerated, and :class:`BudgetExceededError` is raised when the count
     ``C(eta+m-1, m-1)`` exceeds ``budget``; callers fall back to Monte-Carlo.
     """
     eta = _check_eta(eta)
-    count = composition_count(eta, poll.m)
-    if count > budget:
-        raise BudgetExceededError(
-            f"{count} compositions exceed the budget of {budget}; use Monte-Carlo"
-        )
-    entries = np.clip(_exact_pair_probs(poll, eta), 0.0, 1.0)
-    return PivotTable(entries=entries, method="exact", eta=eta)
-
-
-def pivot_prob_exact(
-    poll: Poll, eta: int, x: Candidate, y: Candidate, *, budget: int = DEFAULT_COMPOSITION_BUDGET
-) -> float:
-    """Exact ``P(x, y)`` for one ordered pair (same budget rule as the table)."""
-    _check_pair(poll.m, x, y)
-    return float(pivot_table_exact(poll, eta, budget=budget).entries[x, y])
-
-
-def _check_pair(m: int, x: Candidate, y: Candidate) -> None:
-    if x == y or not (0 <= x < m and 0 <= y < m):
-        raise ValueError(f"invalid candidate pair ({x}, {y}) for m={m}")
+    if poll.m <= 3:
+        probs = _closed_form_pair_probs(poll, eta)
+    else:
+        count = composition_count(eta, poll.m)
+        if count > budget:
+            raise BudgetExceededError(
+                f"{count} compositions exceed the budget of {budget}; use Monte-Carlo"
+            )
+        probs = _exact_pair_probs(poll, eta)
+    return PivotTable(entries=np.clip(probs, 0.0, 1.0), method="exact", eta=eta)
 
 
 def _mc_draws(poll: Poll, eta: int, samples: int, seed: int) -> Iterator[np.ndarray]:
@@ -210,8 +237,8 @@ def _mc_draws(poll: Poll, eta: int, samples: int, seed: int) -> Iterator[np.ndar
 def pivot_table_mc(poll: Poll, eta: int, samples: int, seed: int) -> PivotTable:
     """Monte-Carlo pivot probabilities for every ordered pair.
 
-    Deterministic for fixed ``(poll, eta, samples, seed)``.  The same draws
-    serve every pair, so the scalar and table estimators agree exactly.
+    Deterministic for fixed ``(poll, eta, samples, seed)``; the same draws
+    serve every pair.
     """
     eta = _check_eta(eta)
     hits = np.zeros((poll.m, poll.m))
@@ -220,14 +247,6 @@ def pivot_table_mc(poll: Poll, eta: int, samples: int, seed: int) -> PivotTable:
     return PivotTable(
         entries=hits / samples, method="monte_carlo", eta=eta, samples=samples, seed=seed
     )
-
-
-def pivot_prob_mc(
-    poll: Poll, eta: int, x: Candidate, y: Candidate, samples: int, seed: int
-) -> float:
-    """Monte-Carlo ``P(x, y)``; equals the matching :func:`pivot_table_mc` entry."""
-    _check_pair(poll.m, x, y)
-    return float(pivot_table_mc(poll, eta, samples, seed).entries[x, y])
 
 
 def cv_gain_scores(
@@ -241,8 +260,9 @@ def cv_gain_scores(
     """Expected-gain score per candidate: ``sum_x P(x, c) * (u(c) - u(x))``.
 
     Accepts a precomputed table; otherwise computes the exact table for the
-    belief (propagating the budget rejection).  Gains only involve utility
-    differences, so they are invariant to shifting all utilities.
+    belief (for m >= 4 propagating the budget rejection).  Gains only
+    involve utility differences, so they are invariant to shifting all
+    utilities.
     """
     if u.m != s.m:
         raise ValueError(f"utility/poll dimension mismatch: {u.m} vs {s.m}")
@@ -266,17 +286,18 @@ def decide_cv(
 ) -> Candidate:
     """Vote maximizing the pivot-weighted expected gain.
 
-    Uses the exact table when the composition count fits the budget, else
-    Monte-Carlo with a seed derived from ``mc.seed`` and the instance, so
-    repeated calls are reproducible.  Ties break toward the higher poll
-    score, then higher utility, then the lower index; in particular a voter
-    whose belief shows no reachable tie at all follows the poll leader.
+    Uses the exact table for m <= 3 at any eta, and for m >= 4 when the
+    composition count fits the budget; otherwise Monte-Carlo with a seed
+    derived from ``mc.seed`` and the instance, so repeated calls are
+    reproducible.  Ties break toward the higher poll score, then higher
+    utility, then the lower index; in particular a voter whose belief shows
+    no reachable tie at all follows the poll leader.
     """
     eta = _check_eta(eta)
     if u.m != s.m:
         raise ValueError(f"utility/poll dimension mismatch: {u.m} vs {s.m}")
     mc = mc if mc is not None else McConfig()
-    exact = composition_count(eta, s.m) <= budget
+    exact = s.m <= 3 or composition_count(eta, s.m) <= budget
     if exact:
         key = ("exact", s.scores, s.n, eta)
     else:

@@ -1,14 +1,20 @@
-"""Every function the benchmark tracer wraps must still exist in the package.
+"""Every package function the benchmark calls or wraps must still fit it.
 
 ``perfbench/tracer.py`` replaces each ``stratvote.<module>.<name>`` listed in
 its ``LAYERS`` table by a timing wrapper; a missing name would break
 ``perfbench/run.py --trace 1``.  The table is read from the source, not
-imported, so the tracer module stays untouched.
+imported, so the tracer module stays untouched.  The pivot kernels are also
+called directly, with fixed argument shapes, by ``perfbench/kernels.py`` and
+by the tracer's work counters.
 """
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
+
+from stratvote import pivot
+from stratvote.core import Poll
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -35,3 +41,14 @@ def test_every_traced_function_resolves():
             if not callable(getattr(module, name, None))
         ]
     assert not missing, f"traced names no longer exist: {missing}"
+
+
+def test_pivot_call_shapes_still_bind():
+    poll = Poll.from_scores((45, 35, 20))
+    # kernels.py: pivot_table_exact(poll, eta) and pivot_table_mc(poll, eta, samples, seed).
+    exact = inspect.signature(pivot.pivot_table_exact).bind(poll, 8)
+    mc = inspect.signature(pivot.pivot_table_mc).bind(poll, 8, 100, 0)
+    # tracer.py reads these arguments by name and counts compositions.
+    assert {"poll", "eta"} <= exact.arguments.keys()
+    assert {"poll", "eta", "samples"} <= mc.arguments.keys()
+    inspect.signature(pivot.composition_count).bind(8, poll.m)

@@ -172,6 +172,24 @@ class TestEvaluate:
         assert code == 2
         assert f"cannot apply {family}" in capsys.readouterr().err
 
+    def test_tied_utilities_are_a_data_error_naming_the_row(self, tmp_path, capsys):
+        data = write_rows(
+            tmp_path, "v1,0,100,50,30,20,10,5,0,q1\nv1,1,100,50,30,20,10,10,0,q1\n"
+        )
+        code = main(
+            ["evaluate", "--data", str(data), "--families", "TRUTH", "--out", str(tmp_path / "r")]
+        )
+        assert code == 2
+        assert "row 2: tied utilities" in capsys.readouterr().err
+
+    def test_empty_poll_is_a_data_error_naming_the_row(self, tmp_path, capsys):
+        data = write_rows(tmp_path, "v1,0,0,0,0,0,10,5,0,q1\nv1,1,100,50,30,20,10,5,0,q1\n")
+        code = main(
+            ["evaluate", "--data", str(data), "--families", "TRUTH", "--out", str(tmp_path / "r")]
+        )
+        assert code == 2
+        assert "row 1: poll size n must be positive" in capsys.readouterr().err
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_non_positive_jobs_is_a_usage_error(self, tmp_path, small_dataset, jobs, capsys):
         code = main(

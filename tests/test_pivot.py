@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -13,13 +14,14 @@ from stratvote.pivot import (
     BeliefModel,
     BudgetExceededError,
     McConfig,
+    _closed_form_pair_probs,
     _composition_blocks,
+    _exact_pair_probs,
+    _mc_draws,
     _pair_event_weights,
     composition_count,
     cv_gain_scores,
     decide_cv,
-    pivot_prob_exact,
-    pivot_prob_mc,
     pivot_table_exact,
     pivot_table_mc,
 )
@@ -73,18 +75,18 @@ small_polls = st.lists(st.integers(min_value=0, max_value=12), min_size=3, max_s
 
 class TestExact:
     def test_even_race_single_extra_ballot(self):
-        assert pivot_prob_exact(Poll.from_scores((1, 1, 0)), 2, 0, 1) == pytest.approx(0.5)
+        assert pivot_table_exact(Poll.from_scores((1, 1, 0)), 2).entries[0, 1] == pytest.approx(0.5)
 
     def test_certain_leader_one_ballot_back(self):
         # The lone sampled ballot lands on the leader; the voter's own ballot
         # for the runner-up then manufactures the two-way tie.
-        assert pivot_prob_exact(Poll.from_scores((2, 0, 0)), 1, 0, 1) == pytest.approx(1.0)
+        assert pivot_table_exact(Poll.from_scores((2, 0, 0)), 1).entries[0, 1] == pytest.approx(1.0)
 
     def test_unreachable_gap_is_impossible(self):
-        assert pivot_prob_exact(Poll.from_scores((3, 0, 0)), 3, 0, 1) == pytest.approx(0.0)
+        assert pivot_table_exact(Poll.from_scores((3, 0, 0)), 3).entries[0, 1] == pytest.approx(0.0)
 
     def test_zero_support_candidate_never_pivots(self):
-        assert pivot_prob_exact(Poll.from_scores((4, 3, 0)), 4, 0, 2) == pytest.approx(0.0)
+        assert pivot_table_exact(Poll.from_scores((4, 3, 0)), 4).entries[0, 2] == pytest.approx(0.0)
 
     def test_budget_rejection(self):
         with pytest.raises(BudgetExceededError):
@@ -94,16 +96,12 @@ class TestExact:
         assert composition_count(8, 5) == 495
         assert composition_count(2, 3) == 6
 
-    def test_diagonal_pair_rejected(self):
-        with pytest.raises(ValueError):
-            pivot_prob_exact(Poll.from_scores((1, 1, 0)), 2, 1, 1)
-
     @given(small_polls, st.integers(min_value=1, max_value=6), st.data())
     @settings(max_examples=60, deadline=None)
     def test_matches_rational_enumerator(self, poll, eta, data):
         x = data.draw(st.integers(min_value=0, max_value=2))
         y = data.draw(st.integers(min_value=0, max_value=2).filter(lambda c: c != x))
-        got = pivot_prob_exact(poll, eta, x, y)
+        got = pivot_table_exact(poll, eta).entries[x, y]
         want = float(exact_pivot_fraction(poll, eta, x, y))
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -115,9 +113,11 @@ class TestExact:
         assert np.all(t.entries >= 0) and np.all(t.entries <= 1)
         assert np.all(np.diag(t.entries) == 0)
 
-    @given(small_polls, st.integers(min_value=1, max_value=5), st.data())
+    @given(small_polls, st.integers(min_value=1, max_value=300), st.data())
     @settings(max_examples=40, deadline=None)
     def test_candidate_relabeling_permutes_the_table(self, poll, eta, data):
+        # Bit for bit, not approximately: equal gains must stay equal under
+        # relabeling so that decide_cv breaks ties equivariantly.
         perm = data.draw(st.permutations(range(3)))
         permuted = Poll.from_scores(tuple(poll.scores[perm.index(c)] for c in range(3)))
         t = pivot_table_exact(poll, eta).entries
@@ -125,27 +125,59 @@ class TestExact:
         for x in range(3):
             for y in range(3):
                 if x != y:
-                    assert tp[perm[x], perm[y]] == pytest.approx(t[x, y], abs=1e-12)
+                    assert tp[perm[x], perm[y]] == t[x, y]
+
+
+class TestClosedForm:
+    @given(
+        st.integers(min_value=2, max_value=3).flatmap(
+            lambda m: st.lists(st.integers(min_value=0, max_value=50), min_size=m, max_size=m)
+        ),
+        st.integers(min_value=1, max_value=200),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_enumerator(self, scores, eta):
+        poll = Poll.from_scores(tuple(scores))
+        got = _closed_form_pair_probs(poll, eta)
+        want = _exact_pair_probs(poll, eta)
+        assert np.abs(got - want).max() <= 1e-14
+
+    def test_huge_electorate_is_fast_and_bounded(self):
+        start = time.perf_counter()
+        t = pivot_table_exact(Poll.from_scores((34, 33, 33)), 10**6)
+        assert time.perf_counter() - start < 2.0
+        assert t.method == "exact"
+        assert np.all(t.entries >= 0) and np.all(t.entries <= 1)
+        assert t.entries[0, 1] > 0
+
+    def test_decide_cv_never_samples_three_candidates(self):
+        cache = {}
+        u = UtilityFunction((10.0, 5.0, 0.0))
+        decide_cv(u, Poll.from_scores((45, 35, 20)), 10000, budget=100, cache=cache)
+        assert [table.method for table in cache.values()] == ["exact"]
 
 
 class TestMonteCarlo:
     def test_even_race_estimate(self):
-        got = pivot_prob_mc(Poll.from_scores((1, 1, 0)), 2, 0, 1, 10**6, seed=0)
+        got = pivot_table_mc(Poll.from_scores((1, 1, 0)), 2, 10**6, seed=0).entries[0, 1]
         assert abs(got - 0.5) < 0.002
         assert got == pytest.approx(0.500593, abs=1e-9)
 
     def test_deterministic_per_seed(self):
-        args = (Poll.from_scores((1, 1, 0)), 2, 0, 1, 10**5)
-        assert pivot_prob_mc(*args, seed=7) == pivot_prob_mc(*args, seed=7)
-        assert pivot_prob_mc(*args, seed=7) != pivot_prob_mc(*args, seed=8)
+        args = (Poll.from_scores((1, 1, 0)), 2, 10**5)
+        seven = pivot_table_mc(*args, seed=7).entries[0, 1]
+        assert seven == pivot_table_mc(*args, seed=7).entries[0, 1]
+        assert seven != pivot_table_mc(*args, seed=8).entries[0, 1]
 
     def test_impossible_event_is_exactly_zero(self):
-        assert pivot_prob_mc(Poll.from_scores((4, 3, 0)), 4, 0, 2, 10**4, seed=1) == 0.0
+        assert pivot_table_mc(Poll.from_scores((4, 3, 0)), 4, 10**4, seed=1).entries[0, 2] == 0.0
 
-    def test_scalar_matches_table_entry(self):
-        t = pivot_table_mc(Poll.from_scores((3, 2, 1)), 4, 10**4, seed=3)
-        got = pivot_prob_mc(Poll.from_scores((3, 2, 1)), 4, 0, 1, 10**4, seed=3)
-        assert got == t.entries[0, 1]
+    def test_table_counts_the_literal_events_in_its_draws(self):
+        poll = Poll.from_scores((3, 2, 1))
+        t = pivot_table_mc(poll, 4, 10**4, seed=3)
+        draws = np.concatenate(list(_mc_draws(poll, 4, 10**4, 3)))
+        for x, y in itertools.permutations(range(3), 2):
+            assert t.entries[x, y] == _pivot_event_mask(draws, x, y).sum() / 10**4
 
     @given(small_polls, st.integers(min_value=1, max_value=6), st.data())
     @settings(max_examples=15, deadline=None)
@@ -153,8 +185,8 @@ class TestMonteCarlo:
         x = data.draw(st.integers(min_value=0, max_value=2))
         y = data.draw(st.integers(min_value=0, max_value=2).filter(lambda c: c != x))
         samples = 10**5
-        exact = pivot_prob_exact(poll, eta, x, y)
-        mc = pivot_prob_mc(poll, eta, x, y, samples, seed=42)
+        exact = pivot_table_exact(poll, eta).entries[x, y]
+        mc = pivot_table_mc(poll, eta, samples, seed=42).entries[x, y]
         sigma = math.sqrt(exact * (1 - exact) / samples)
         assert abs(mc - exact) <= 4 * sigma + 1e-9
 
