@@ -34,9 +34,7 @@ from .models import (
     undominated_set,
 )
 from .pivot import (
-    BeliefModel,
     BudgetExceededError,
-    McConfig,
     PivotTable,
     composition_count,
     cv_gain_scores,

@@ -1,7 +1,8 @@
 """Command line front end: simulate datasets, evaluate families, predict.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.
-``STRATVOTE_SEED`` is consulted when --seed is omitted.
+``STRATVOTE_SEED`` is consulted when --seed is omitted from simulate or
+evaluate.
 """
 
 from __future__ import annotations
@@ -96,9 +97,12 @@ def _parse_etas(raw: str) -> tuple:
             etas.append("n")
             continue
         try:
-            etas.append(int(token))
+            eta = int(token)
         except ValueError:
             raise UsageError(f"--cv-etas entries must be integers or 'n', got {token!r}")
+        if eta < 1:
+            raise UsageError(f"--cv-etas entries must be positive, got {eta}")
+        etas.append(eta)
     if not etas:
         raise UsageError("--cv-etas must name at least one sample size")
     return tuple(etas)
@@ -247,8 +251,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     runner = loo_evaluate if args.mode == "loo" else upper_bound_evaluate
     reports: dict[str, EvaluationReport] = {}
     for family in families:
-        grid = ParameterGrid.default(family, cv_etas=cv_etas if family is Family.CV else None)
         try:
+            grid = ParameterGrid.default(
+                family, m=dataset.m, cv_etas=cv_etas if family is Family.CV else None
+            )
             reports[family.value] = runner(family, grid, dataset, jobs=args.jobs, seed=seed)
         except ValueError as exc:
             raise DataError(f"cannot apply {family.value} to this dataset: {exc}")
@@ -325,7 +331,6 @@ def _descriptor_from_params(spec: dict, voter_id: str) -> ModelDescriptor:
 def cmd_predict(args: argparse.Namespace) -> int:
     if bool(args.model) == bool(args.params):
         raise UsageError("predict needs exactly one of --model or --params")
-    seed = _resolve_seed(args.seed, required=False, command="predict")
     dataset = load_dataset(args.data)
     if not dataset.records:
         raise DataError(f"dataset {args.data} holds no records")
@@ -354,9 +359,6 @@ def cmd_predict(args: argparse.Namespace) -> int:
     for rec in sorted(dataset.records, key=lambda r: (r.voter_id, r.round)):
         desc = descriptor if descriptor is not None else _descriptor_from_params(params_spec, rec.voter_id)
         ctx = DecisionContext(
-            master_seed=seed,
-            voter_id=rec.voter_id,
-            round=rec.round,
             network=network,
             profile=profiles.get(rec.voter_id),
             pivot_cache=pivot_cache,
@@ -411,7 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
     pred.add_argument("--alpha", type=float, default=None)
     pred.add_argument("--beta", type=float, default=None)
     pred.add_argument("--network", default=None, help="trained network JSON (NN only)")
-    pred.add_argument("--seed", type=int, default=None)
     pred.set_defaults(func=cmd_predict)
     return parser
 

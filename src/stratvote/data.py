@@ -528,7 +528,7 @@ def generate_synthetic(config: GeneratorConfig) -> Dataset:
     model's action is replaced by a uniformly random one with probability
     ``noise``.
     """
-    pivot_cache: dict = {}
+    ctx = DecisionContext(pivot_cache={})
     records: list[VoteRecord] = []
     assignments: dict[str, dict] = {}
     noisy_rounds: dict[str, list[int]] = {}
@@ -566,12 +566,6 @@ def generate_synthetic(config: GeneratorConfig) -> Dataset:
                 int(rng.integers(len(config.poll_concentrations)))
             ]
             poll = _scenario_poll(rng, scenarios[k], poll_size, prefs, conc)
-            ctx = DecisionContext(
-                master_seed=config.master_seed,
-                voter_id=vid,
-                round=k * config.repeats,
-                pivot_cache=pivot_cache,
-            )
             model_action = models.decide(descriptor, u, poll, ctx)
             for r in range(
                 k * config.repeats,

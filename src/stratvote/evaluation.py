@@ -167,11 +167,16 @@ class ParameterGrid:
         cls,
         family: Family,
         *,
+        m: int = 3,
         cv_etas: Sequence | None = None,
     ) -> "ParameterGrid":
+        """The family's default grid for ``m``-candidate data.
+
+        ``m`` only caps the ``PRAG`` grid, k in {1, 2, 3}, at k <= m.
+        """
         family = Family(family)
         if family is Family.PRAG:
-            return cls(family, tuple({"k": k} for k in (1, 2, 3)))
+            return cls(family, tuple({"k": k} for k in (1, 2, 3) if k <= m))
         if family in (Family.LD, Family.LDLB):
             return cls(family, tuple({"r": round(0.01 * i, 2)} for i in range(101)))
         if family is Family.CV:
@@ -192,19 +197,13 @@ class ParameterGrid:
 # --- per-voter evaluation ----------------------------------------------------
 
 
-def _decision_matrix(
-    grid: ParameterGrid,
-    records: Sequence[VoteRecord],
-    seed: int,
-    pivot_cache: dict,
-) -> np.ndarray:
+def _decision_matrix(grid: ParameterGrid, records: Sequence[VoteRecord]) -> np.ndarray:
     """Decisions for every (grid point, record), shape (G, R)."""
-    columns = []
-    for rec in records:
-        ctx = DecisionContext(
-            master_seed=seed, voter_id=rec.voter_id, round=rec.round, pivot_cache=pivot_cache
-        )
-        columns.append(models.decide_grid(grid.family, grid.points, rec.utilities, rec.poll, ctx))
+    ctx = DecisionContext(pivot_cache={})
+    columns = [
+        models.decide_grid(grid.family, grid.points, rec.utilities, rec.poll, ctx)
+        for rec in records
+    ]
     return np.stack(columns, axis=1)
 
 
@@ -243,7 +242,7 @@ def _evaluate_voter(task: tuple) -> dict:
         preds, defaulted = _evaluate_voter_nn(vid, records, mode, seed)
         return {"voter_id": vid, "predictions": preds, "fitted": {}, "defaulted": defaulted}
 
-    D = _decision_matrix(grid, records, seed, {})
+    D = _decision_matrix(grid, records)
     M = D == np.array([rec.action for rec in records])[None, :]
     totals = M.sum(axis=1)
     fit_index = int(np.argmax(totals))

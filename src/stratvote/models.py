@@ -18,7 +18,9 @@ one-point case.  LD and LDLB settle an ``r`` grid with one threshold
 comparison and AU scores every (alpha, beta) point in one array pass; the
 other families call their scalar decider once per point.
 
-All deciders are deterministic; tie-breaking conventions are documented per
+All deciders are deterministic functions of their inputs and parameters:
+CV too, since its pivot tables (Monte-Carlo ones included) depend only on
+the poll's scores and eta.  Tie-breaking conventions are documented per
 function and are part of the model semantics.
 """
 
@@ -40,7 +42,6 @@ from .core import (
     preference_order,
     winner_set_utility,
 )
-from .seeding import derive_seed
 
 TMG_TYPES = ("TRT", "CMP", "LB")
 
@@ -137,16 +138,12 @@ class ModelDescriptor:
 class DecisionContext:
     """Runtime inputs some families need beyond (u, s).
 
-    ``master_seed``/``voter_id``/``round`` feed the derived seed for the CV
-    Monte-Carlo fallback (m >= 4 only; m <= 3 is always exact), so results
-    do not depend on evaluation order.
     ``network``/``profile`` carry the trained NN baseline and the voter's
-    behavioral profile; ``pivot_cache`` shares CV pivot tables across calls.
+    behavioral profile; ``pivot_cache`` shares CV pivot tables across calls
+    (a table depends only on the poll's scores and eta, so any calls may
+    share one cache).
     """
 
-    master_seed: int = 0
-    voter_id: str = ""
-    round: int = 0
     network: object | None = None
     profile: object | None = None
     pivot_cache: dict | None = None
@@ -350,16 +347,6 @@ def decide_au(u: UtilityFunction, s: Poll, alpha: float, beta: float) -> Candida
     return int(au_decisions_grid(u, s, (alpha,), (beta,))[0])
 
 
-def _decide_cv(
-    u: UtilityFunction, s: Poll, etas: Sequence, ctx: DecisionContext
-) -> list[Candidate]:
-    mc = pivot_mod.McConfig(seed=derive_seed(ctx.master_seed, ctx.voter_id, ctx.round))
-    return [
-        pivot_mod.decide_cv(u, s, s.n if eta == "n" else eta, mc=mc, cache=ctx.pivot_cache)
-        for eta in etas
-    ]
-
-
 def _decide_nn(u: UtilityFunction, s: Poll, ctx: DecisionContext) -> Candidate:
     if ctx.network is None:
         raise ValueError("NN descriptors require a trained network in the context")
@@ -380,10 +367,10 @@ def decide_grid(
     """Decisions of ``family`` at every parameter point, int64 shape (P,).
 
     ``points`` are parameter dicts as in :meth:`ModelDescriptor.params`.  CV
-    resolves ``eta="n"`` against the poll; its pivot tables are exact in
-    closed form for m <= 3 at any eta, and for m >= 4 come from enumeration,
-    then seeded Monte-Carlo when enumeration exceeds the composition budget.
-    NN requires ``context.network`` (and uses ``context.profile`` if set).
+    resolves ``eta="n"`` against the poll and decides through
+    :func:`pivot.decide_cv`, a pure function of (u, s, eta) whose tables are
+    shared through ``context.pivot_cache``.  NN requires ``context.network``
+    (and uses ``context.profile`` if set).
     """
     ctx = context if context is not None else DecisionContext()
     family = Family(family)
@@ -393,7 +380,12 @@ def decide_grid(
         alphas = [p["alpha"] for p in points]
         return au_decisions_grid(u, s, alphas, [p["beta"] for p in points])
     if family is Family.CV:
-        votes = _decide_cv(u, s, [p["eta"] for p in points], ctx)
+        votes = [
+            pivot_mod.decide_cv(
+                u, s, s.n if p["eta"] == "n" else p["eta"], cache=ctx.pivot_cache
+            )
+            for p in points
+        ]
     elif family is Family.TRUTH:
         votes = [decide_truth(u, s) for _ in points]
     elif family is Family.BR:

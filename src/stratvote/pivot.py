@@ -9,8 +9,14 @@ two-way events count; richer ties are deliberately ignored.
 For m <= 3 the exact table is a closed form: each pivot event fixes the
 top two counts, so ``P(x, y)`` is a one-dimensional sum of multinomial
 probabilities, O(eta) at any eta.  For m >= 4 the exact table enumerates
-every score composition (rejected above a budget), and the Monte-Carlo
-path estimates the same events from seeded multinomial draws.
+every score composition (rejected above ``COMPOSITION_BUDGET``), and the
+Monte-Carlo path estimates the same events from seeded multinomial draws.
+
+A table depends on the poll's scores and ``eta`` only, never on its
+reported size ``n``.  :func:`decide_cv` is a pure function of (utilities,
+poll, eta): where enumeration is over budget it estimates the table from
+``MC_SAMPLES`` draws seeded from the scores and ``eta``, so every voter who
+sees the same poll gets the same table.
 """
 
 from __future__ import annotations
@@ -25,33 +31,15 @@ from scipy.special import gammaln, xlogy
 from .core import Candidate, Poll, UtilityFunction
 from .seeding import derive_seed
 
-DEFAULT_COMPOSITION_BUDGET = 10_000_000
+# Largest composition count the m >= 4 enumerator takes on.
+COMPOSITION_BUDGET = 10_000_000
+# Draws behind a Monte-Carlo table in decide_cv.
+MC_SAMPLES = 1_000_000
 _MC_CHUNK = 1_000_000
 
 
 class BudgetExceededError(ValueError):
     """Exact enumeration would exceed the composition budget."""
-
-
-@dataclass(frozen=True)
-class BeliefModel:
-    """Multinomial ballot belief: ``eta`` draws with the poll's vote shares."""
-
-    eta: int
-    probabilities: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if int(self.eta) != self.eta or self.eta < 1:
-            raise ValueError(f"eta must be a positive integer, got {self.eta!r}")
-        object.__setattr__(self, "eta", int(self.eta))
-        probs = tuple(float(p) for p in self.probabilities)
-        if any(p < 0 for p in probs) or abs(sum(probs) - 1.0) > 1e-12:
-            raise ValueError("probabilities must be non-negative and sum to 1")
-        object.__setattr__(self, "probabilities", probs)
-
-    @classmethod
-    def from_poll(cls, poll: Poll, eta: int) -> "BeliefModel":
-        return cls(eta=eta, probabilities=tuple(_belief_probabilities(poll)))
 
 
 def _belief_probabilities(poll: Poll) -> np.ndarray:
@@ -62,18 +50,6 @@ def _belief_probabilities(poll: Poll) -> np.ndarray:
     if total == 0:
         return np.full(poll.m, 1.0 / poll.m)
     return np.asarray(poll.scores, dtype=float) / float(total)
-
-
-@dataclass(frozen=True)
-class McConfig:
-    """Monte-Carlo fallback configuration for :func:`decide_cv`."""
-
-    samples: int = 1_000_000
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.samples < 1:
-            raise ValueError("samples must be positive")
 
 
 @dataclass(frozen=True)
@@ -199,24 +175,23 @@ def _closed_form_pair_probs(poll: Poll, eta: int) -> np.ndarray:
     return out
 
 
-def pivot_table_exact(
-    poll: Poll, eta: int, *, budget: int = DEFAULT_COMPOSITION_BUDGET
-) -> PivotTable:
+def pivot_table_exact(poll: Poll, eta: int) -> PivotTable:
     """Exact pivot probabilities for every ordered pair.
 
     For m <= 3 the closed form :func:`_closed_form_pair_probs` serves any
-    eta and ``budget`` is not consulted.  For m >= 4 every composition is
-    enumerated, and :class:`BudgetExceededError` is raised when the count
-    ``C(eta+m-1, m-1)`` exceeds ``budget``; callers fall back to Monte-Carlo.
+    eta.  For m >= 4 every composition is enumerated, and
+    :class:`BudgetExceededError` is raised when the count ``C(eta+m-1, m-1)``
+    exceeds ``COMPOSITION_BUDGET``.
     """
     eta = _check_eta(eta)
     if poll.m <= 3:
         probs = _closed_form_pair_probs(poll, eta)
     else:
         count = composition_count(eta, poll.m)
-        if count > budget:
+        if count > COMPOSITION_BUDGET:
             raise BudgetExceededError(
-                f"{count} compositions exceed the budget of {budget}; use Monte-Carlo"
+                f"{count} compositions exceed the budget of {COMPOSITION_BUDGET}; "
+                "use Monte-Carlo"
             )
         probs = _exact_pair_probs(poll, eta)
     return PivotTable(entries=np.clip(probs, 0.0, 1.0), method="exact", eta=eta)
@@ -249,69 +224,54 @@ def pivot_table_mc(poll: Poll, eta: int, samples: int, seed: int) -> PivotTable:
     )
 
 
-def cv_gain_scores(
-    u: UtilityFunction,
-    s: Poll,
-    belief: BeliefModel | None = None,
-    *,
-    table: PivotTable | None = None,
-    budget: int = DEFAULT_COMPOSITION_BUDGET,
-) -> np.ndarray:
+def cv_gain_scores(u: UtilityFunction, table: PivotTable) -> np.ndarray:
     """Expected-gain score per candidate: ``sum_x P(x, c) * (u(c) - u(x))``.
 
-    Accepts a precomputed table; otherwise computes the exact table for the
-    belief (for m >= 4 propagating the budget rejection).  Gains only
-    involve utility differences, so they are invariant to shifting all
-    utilities.
+    Gains only involve utility differences, so they are invariant to
+    shifting all utilities.
     """
-    if u.m != s.m:
-        raise ValueError(f"utility/poll dimension mismatch: {u.m} vs {s.m}")
-    if table is None:
-        if belief is None:
-            raise ValueError("need either a belief or a precomputed table")
-        table = pivot_table_exact(s, belief.eta, budget=budget)
     entries = table.entries
+    if u.m != entries.shape[0]:
+        raise ValueError(f"utility/table dimension mismatch: {u.m} vs {entries.shape[0]}")
     uvec = np.asarray(u.values)
     return (entries * (uvec[None, :] - uvec[:, None])).sum(axis=0)
 
 
+def _cv_table(poll: Poll, eta: int) -> PivotTable:
+    """The table :func:`decide_cv` uses, a function of ``(poll.scores, eta)``.
+
+    Exact when it can be (always for m <= 3), else ``MC_SAMPLES`` draws
+    seeded from the scores and ``eta``.
+    """
+    if poll.m <= 3 or composition_count(eta, poll.m) <= COMPOSITION_BUDGET:
+        return pivot_table_exact(poll, eta)
+    seed = derive_seed(0, "cv-pivot", eta, *poll.scores)
+    return pivot_table_mc(poll, eta, MC_SAMPLES, seed)
+
+
 def decide_cv(
-    u: UtilityFunction,
-    s: Poll,
-    eta: int,
-    mc: McConfig | None = None,
-    *,
-    budget: int = DEFAULT_COMPOSITION_BUDGET,
-    cache: dict | None = None,
+    u: UtilityFunction, s: Poll, eta: int, *, cache: dict | None = None
 ) -> Candidate:
     """Vote maximizing the pivot-weighted expected gain.
 
-    Uses the exact table for m <= 3 at any eta, and for m >= 4 when the
-    composition count fits the budget; otherwise Monte-Carlo with a seed
-    derived from ``mc.seed`` and the instance, so repeated calls are
-    reproducible.  Ties break toward the higher poll score, then higher
-    utility, then the lower index; in particular a voter whose belief shows
-    no reachable tie at all follows the poll leader.
+    The pivot table is exact for m <= 3 at any eta, and for m >= 4 when the
+    composition count fits ``COMPOSITION_BUDGET``; otherwise it is a
+    Monte-Carlo estimate seeded from ``(s.scores, eta)``.  ``cache`` maps
+    ``(scores, eta)`` to tables and may be shared by any calls.  Ties break
+    toward the higher poll score, then higher utility, then the lower
+    index; in particular a voter whose belief shows no reachable tie at all
+    follows the poll leader.
     """
     eta = _check_eta(eta)
     if u.m != s.m:
         raise ValueError(f"utility/poll dimension mismatch: {u.m} vs {s.m}")
-    mc = mc if mc is not None else McConfig()
-    exact = s.m <= 3 or composition_count(eta, s.m) <= budget
-    if exact:
-        key = ("exact", s.scores, s.n, eta)
-    else:
-        seed = derive_seed(mc.seed, "cv-pivot", eta, s.n, *s.scores)
-        key = ("mc", s.scores, s.n, eta, mc.samples, seed)
+    key = (s.scores, eta)
     table = cache.get(key) if cache is not None else None
     if table is None:
-        if exact:
-            table = pivot_table_exact(s, eta, budget=budget)
-        else:
-            table = pivot_table_mc(s, eta, mc.samples, seed)
+        table = _cv_table(s, eta)
         if cache is not None:
             cache[key] = table
-    gains = cv_gain_scores(u, s, table=table)
+    gains = cv_gain_scores(u, table)
     order = sorted(range(s.m), key=lambda c: (-s.scores[c], -u[c], c))
     best = order[0]
     for c in order[1:]:

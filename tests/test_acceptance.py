@@ -157,7 +157,7 @@ def test_criterion_1_decision_table_rows():
         (ModelDescriptor(Family.LDLB, r=0.08), 1),
     ]
     start = time.monotonic()
-    ctx = DecisionContext(master_seed=0, voter_id="example", round=0, pivot_cache={})
+    ctx = DecisionContext(pivot_cache={})
     got = [(desc, decide(desc, U1, S1, ctx)) for desc, _ in rows]
     elapsed = time.monotonic() - start
     mismatches = [

@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from stratvote.cli import main
 from stratvote.data import GeneratorConfig, load_dataset
@@ -153,6 +158,29 @@ class TestEvaluate:
             ]
         )
         assert code == 1
+
+    @pytest.mark.parametrize("etas", ["0", "-3", "1,0"])
+    def test_non_positive_cv_eta_is_a_usage_error(self, tmp_path, small_dataset, etas, capsys):
+        code = main(
+            [
+                "evaluate", "--data", str(small_dataset), "--families", "CV",
+                "--cv-etas", etas, "--out", str(tmp_path / "r"),
+            ]
+        )
+        assert code == 1
+        assert "--cv-etas entries must be positive" in capsys.readouterr().err
+
+    def test_prag_on_two_candidates(self, tmp_path):
+        data = write_rows(
+            tmp_path,
+            "v1,0,100,60,40,10,0,q1\nv1,1,100,40,60,10,0,q2\nv1,2,100,30,70,10,0,q2\n",
+            header="voter_id,round,n,s_1,s_2,u_1,u_2,action\n",
+        )
+        out = tmp_path / "r"
+        code = main(["evaluate", "--data", str(data), "--families", "PRAG", "--out", str(out)])
+        assert code == 0
+        fitted = json.loads((out / "loo_PRAG_report.json").read_text())["fitted_params"]
+        assert fitted == {"v1": {"k": 1}}
 
     @pytest.mark.parametrize("family", ["TMG", "NN"])
     def test_three_candidate_family_on_four_candidates_is_a_data_error(
@@ -330,3 +358,48 @@ class TestExitCodes:
         )
         assert code == 3
         assert "internal error" in capsys.readouterr().err
+
+
+@st.composite
+def accepted_csvs(draw):
+    """CSV text the loader accepts: m in {2, 3, 4}, n <= 30, strict utilities."""
+    m = draw(st.integers(min_value=2, max_value=4))
+    header = "voter_id,round,n," + ",".join(
+        [f"s_{i}" for i in range(1, m + 1)] + [f"u_{i}" for i in range(1, m + 1)]
+    ) + ",action\n"
+    rows = []
+    for voter in range(draw(st.integers(min_value=1, max_value=3))):
+        for rnd in range(draw(st.integers(min_value=1, max_value=4))):
+            n = draw(st.integers(min_value=1, max_value=30))
+            scores = draw(st.lists(st.integers(min_value=0, max_value=n), min_size=m, max_size=m))
+            utilities = draw(
+                st.lists(st.integers(min_value=0, max_value=100), min_size=m, max_size=m, unique=True)
+            )
+            action = draw(st.integers(min_value=1, max_value=m))
+            rows.append(",".join(map(str, [f"v{voter}", rnd, n, *scores, *utilities, f"q{action}"])))
+    return header + "\n".join(rows) + "\n"
+
+
+class TestFuzz:
+    @given(accepted_csvs())
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_accepted_inputs_never_end_in_an_internal_error(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            data = Path(tmp) / "fuzz.csv"
+            data.write_text(text, encoding="utf-8")
+            load_dataset(data)
+            runs = [
+                ["evaluate", "--data", str(data), "--families", family.value,
+                 "--cv-etas", "1,4,n", "--out", str(Path(tmp) / "r")]
+                for family in Family
+            ]
+            runs.append(
+                ["predict", "--data", str(data), "--model", "PRAG", "--k", "1",
+                 "--out", str(Path(tmp) / "p.csv")]
+            )
+            for argv in runs:
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    code = main(argv)
+                assert code in (0, 1, 2), (argv[4], code, err.getvalue())
+                assert "internal error" not in err.getvalue()

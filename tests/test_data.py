@@ -16,7 +16,7 @@ from stratvote.data import (
     parse_action,
     save_dataset,
 )
-from stratvote.models import DecisionContext, Family, ModelDescriptor, decide
+from stratvote.models import Family, ModelDescriptor, decide
 
 HEADER = "voter_id,round,n,s_1,s_2,s_3,u_1,u_2,u_3,action\n"
 
@@ -268,10 +268,7 @@ class TestGenerate:
                 **assignments[vid]["params"],
             )
             for rec in recs:
-                ctx = DecisionContext(
-                    master_seed=config.master_seed, voter_id=vid, round=rec.round
-                )
-                assert decide(desc, rec.utilities, rec.poll, ctx) == rec.action
+                assert decide(desc, rec.utilities, rec.poll) == rec.action
 
     def test_noisy_rounds_are_bookkept(self):
         ds = generate_synthetic(truth_config(num_voters=20, noise=0.3, master_seed=3))

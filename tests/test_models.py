@@ -361,7 +361,7 @@ class TestDecideGrid:
         assert got.tolist() == [decide_au(u, s, a, b) for a, b in points]
 
     def test_decide_is_the_one_point_grid(self):
-        ctx = DecisionContext(master_seed=0, voter_id="example", round=0, pivot_cache={})
+        ctx = DecisionContext(pivot_cache={})
         for desc in (
             ModelDescriptor(Family.TRUTH),
             ModelDescriptor(Family.BR),

@@ -11,9 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 from stratvote.core import Poll, UtilityFunction, plurality_winners
 from stratvote.pivot import (
-    BeliefModel,
+    COMPOSITION_BUDGET,
+    MC_SAMPLES,
     BudgetExceededError,
-    McConfig,
     _closed_form_pair_probs,
     _composition_blocks,
     _exact_pair_probs,
@@ -90,7 +90,7 @@ class TestExact:
 
     def test_budget_rejection(self):
         with pytest.raises(BudgetExceededError):
-            pivot_table_exact(S1, 10000, budget=10**6)
+            pivot_table_exact(S1, 10000)
 
     def test_composition_count(self):
         assert composition_count(8, 5) == 495
@@ -153,7 +153,7 @@ class TestClosedForm:
     def test_decide_cv_never_samples_three_candidates(self):
         cache = {}
         u = UtilityFunction((10.0, 5.0, 0.0))
-        decide_cv(u, Poll.from_scores((45, 35, 20)), 10000, budget=100, cache=cache)
+        decide_cv(u, Poll.from_scores((45, 35, 20)), 10000, cache=cache)
         assert [table.method for table in cache.values()] == ["exact"]
 
 
@@ -193,23 +193,28 @@ class TestMonteCarlo:
 
 class TestGains:
     def test_no_reachable_tie_means_no_gain(self):
-        belief = BeliefModel.from_poll(Poll.from_scores((5, 0, 0)), eta=2)
-        gains = cv_gain_scores(UtilityFunction((10, 5, 0)), Poll.from_scores((5, 0, 0)), belief)
+        table = pivot_table_exact(Poll.from_scores((5, 0, 0)), 2)
+        gains = cv_gain_scores(UtilityFunction((10, 5, 0)), table)
         assert np.all(gains == 0)
 
     def test_even_race_gains(self):
-        belief = BeliefModel.from_poll(Poll.from_scores((1, 1, 0)), eta=2)
-        gains = cv_gain_scores(UtilityFunction((10, 5, 0)), Poll.from_scores((1, 1, 0)), belief)
+        table = pivot_table_exact(Poll.from_scores((1, 1, 0)), 2)
+        gains = cv_gain_scores(UtilityFunction((10, 5, 0)), table)
         assert gains == pytest.approx([2.5, -2.5, 0.0], abs=1e-12)
+
+    def test_dimension_mismatch_is_rejected(self):
+        table = pivot_table_exact(Poll.from_scores((1, 1, 0)), 2)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            cv_gain_scores(UtilityFunction((10, 5, 0, 1)), table)
 
     @given(small_polls, st.integers(min_value=1, max_value=5), st.floats(0, 50))
     @settings(max_examples=30, deadline=None)
     def test_invariant_to_utility_shift(self, poll, eta, shift):
         u = UtilityFunction((10.0, 5.0, 0.0))
         shifted = UtilityFunction(tuple(v + shift for v in u.values))
-        belief = BeliefModel.from_poll(poll, eta=eta)
-        a = cv_gain_scores(u, poll, belief)
-        b = cv_gain_scores(shifted, poll, belief)
+        table = pivot_table_exact(poll, eta)
+        a = cv_gain_scores(u, table)
+        b = cv_gain_scores(shifted, table)
         assert a == pytest.approx(b, abs=1e-9)
 
 
@@ -221,9 +226,24 @@ class TestDecideCv:
         assert decide_cv(U1, S1, 10000) == 3
 
     def test_mc_path_is_reproducible(self):
-        mc = McConfig(samples=10**5, seed=11)
-        first = decide_cv(U1, S1, 10000, mc, budget=100)
-        assert decide_cv(U1, S1, 10000, mc, budget=100) == first
+        assert composition_count(10000, S1.m) > COMPOSITION_BUDGET
+        first = decide_cv(U1, S1, 10000)
+        assert decide_cv(U1, S1, 10000) == first
+
+    def test_mc_tables_are_a_function_of_scores_and_eta(self):
+        a, b = {}, {}
+        decide_cv(U1, S1, 10000, cache=a)
+        decide_cv(UtilityFunction((0, 10, 20, 30, 40)), S1, 10000, cache=b)
+        (key, table), = a.items()
+        assert table.method == "monte_carlo" and table.samples == MC_SAMPLES
+        assert np.array_equal(table.entries, b[key].entries)
+        assert table.seed == b[key].seed
+
+    def test_polls_differing_only_in_n_share_one_table(self):
+        cache = {}
+        decide_cv(U1, S1, 8, cache=cache)
+        decide_cv(U1, Poll(S1.scores, n=S1.n + 5), 8, cache=cache)
+        assert len(cache) == 1
 
     def test_cache_does_not_change_results(self):
         cache = {}
