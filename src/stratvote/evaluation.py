@@ -11,7 +11,11 @@ decision matrix (grid point x record) is built one record at a time from
 :func:`models.decide_grid`, the single decision path of every family.
 Leave-one-out uses the match-matrix identity: with per-point match counts
 over all rounds, each fold's training score is the total minus that fold's
-column, so one decision matrix per voter serves every fold.
+column, so one decision matrix per voter serves every fold.  The ``NN``
+baseline has no grid: each of a voter's folds trains its own network on
+the other rounds (profile included), and all of them train as one stacked
+network (:func:`nn.fit_folds`) whose per-fold weights equal separate
+training bit for bit.
 """
 
 from __future__ import annotations
@@ -210,27 +214,28 @@ def _decision_matrix(grid: ParameterGrid, records: Sequence[VoteRecord]) -> np.n
 def _evaluate_voter_nn(
     vid: str, records: list[VoteRecord], mode: str, seed: int
 ) -> tuple[list[tuple[int, int]], bool]:
-    predictions: list[tuple[int, int]] = []
+    """Predict each record; under LOO, with a network trained on the other rounds."""
+    defaulted = mode != "upper" and len(records) == 1
     if mode == "upper":
-        net, profile = nn_mod.fit_network(
-            records, nn_mod.Hyperparams(seed=derive_seed(seed, "nn", vid, "all"))
+        hyper = nn_mod.Hyperparams(seed=derive_seed(seed, "nn", vid, "all"))
+        fitted = [nn_mod.fit_network(records, hyper)] * len(records)
+    elif defaulted:
+        # Single-record voter: nothing to train on; the seeded initial
+        # network plays the role of the default grid point.
+        net = nn_mod.init_network(
+            nn_mod.FEATURE_DIM, seed=derive_seed(seed, "nn", vid, records[0].round)
         )
-        for rec in records:
-            predictions.append((rec.round, nn_mod.predict_record(net, profile, rec)))
-        return predictions, False
-    defaulted = False
-    for i, rec in enumerate(records):
-        train = records[:i] + records[i + 1 :]
-        fold_seed = derive_seed(seed, "nn", vid, rec.round)
-        if train:
-            net, profile = nn_mod.fit_network(train, nn_mod.Hyperparams(seed=fold_seed))
-        else:
-            # Single-record voter: nothing to train on; the seeded initial
-            # network plays the role of the default grid point.
-            net = nn_mod.init_network(nn_mod.FEATURE_DIM, seed=fold_seed)
-            profile = build_profile(vid, [])
-            defaulted = True
-        predictions.append((rec.round, nn_mod.predict_record(net, profile, rec)))
+        fitted = [(net, build_profile(vid, []))]
+    else:
+        folds = [records[:i] + records[i + 1 :] for i in range(len(records))]
+        hypers = [
+            nn_mod.Hyperparams(seed=derive_seed(seed, "nn", vid, rec.round)) for rec in records
+        ]
+        fitted = nn_mod.fit_folds(folds, hypers)
+    predictions = [
+        (rec.round, nn_mod.predict_record(net, profile, rec))
+        for rec, (net, profile) in zip(records, fitted)
+    ]
     return predictions, defaulted
 
 

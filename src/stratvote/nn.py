@@ -15,6 +15,15 @@ network serves any candidate labeling.  Features, in order:
 All features lie in [-1, 1].  Hidden layer: 3 logistic units; output:
 softmax over the 3 ranks; training: full-batch gradient descent on
 cross-entropy with L2 weight decay.
+
+Training has one path, :func:`train_stack`, which trains F networks of
+equal-sized training sets at once: weights of shape (F, h, d), (F, h),
+(F, c, h) and (F, c), every forward, backward and update step batched over
+the fold axis.  Each step is elementwise, a reduction within one fold, or
+one matrix product per fold, so every network ends with the same weights,
+bit for bit, as one trained alone.  :func:`train` and
+:func:`loss_and_grads` are its one-network case, and :func:`fit_folds`
+trains a voter's leave-one-out folds with it in one call.
 """
 
 from __future__ import annotations
@@ -32,6 +41,7 @@ NUM_CLASSES = 3
 HIDDEN_SIZE = 3
 
 _RATIO_KEYS = ("TRT", "CMP", "LB")
+_PARAM_NAMES = ("w1", "b1", "w2", "b2")
 
 
 def features_from_parts(
@@ -146,28 +156,37 @@ def init_network(
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
 
 
-def _forward(net: Network, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    hidden = _sigmoid(X @ net.w1.T + net.b1)
-    logits = hidden @ net.w2.T + net.b2
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+def _forward(
+    params: dict[str, np.ndarray], X: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Hidden activations and log-probabilities of a stack of F networks.
+
+    ``params`` holds w1 (F, h, d), b1 (F, h), w2 (F, c, h), b2 (F, c) and
+    ``X`` is (F, n, d); network f sees only X[f].
+    """
+    hidden = _sigmoid(X @ params["w1"].transpose(0, 2, 1) + params["b1"][:, None, :])
+    logits = hidden @ params["w2"].transpose(0, 2, 1) + params["b2"][:, None, :]
+    shifted = logits - logits.max(axis=2, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=2, keepdims=True))
     return hidden, log_probs
+
+
+def _params(net: Network) -> dict[str, np.ndarray]:
+    """One network as a stack of one."""
+    return {name: getattr(net, name)[None] for name in _PARAM_NAMES}
 
 
 def predict_proba(net: Network, X: np.ndarray) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != net.input_dim:
         raise ValueError(f"expected {net.input_dim} features, got {X.shape[1]}")
-    _, log_probs = _forward(net, X)
-    return np.exp(log_probs)
+    _, log_probs = _forward(_params(net), X[None])
+    return np.exp(log_probs[0])
 
 
 def predict(net: Network, features: np.ndarray) -> int:
@@ -176,30 +195,94 @@ def predict(net: Network, features: np.ndarray) -> int:
     return int(np.argmax(probs[0]))
 
 
+def _stack_loss_and_grads(
+    params: dict[str, np.ndarray], X: np.ndarray, target: np.ndarray, l2: float
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Per-fold loss, shape (F,), and gradients of a stack of F networks.
+
+    ``target`` is the boolean one-hot mask (F, n, c) of the class indices.
+    """
+    F, n = X.shape[:2]
+    hidden, log_probs = _forward(params, X)
+    ce = -log_probs[target].reshape(F, n).mean(axis=1)
+    w1, w2 = params["w1"], params["w2"]
+    penalty = (w1 ** 2).sum(axis=(1, 2)) + (w2 ** 2).sum(axis=(1, 2))
+    loss = ce + 0.5 * l2 * penalty
+
+    # p - 1 at the target and p - 0 == p elsewhere, as one subtraction.
+    d_logits = (np.exp(log_probs) - target) / n
+    dw2 = d_logits.transpose(0, 2, 1) @ hidden + l2 * w2
+    db2 = d_logits.sum(axis=1)
+    d_hidden = d_logits @ w2
+    d_pre = d_hidden * hidden * (1.0 - hidden)
+    dw1 = d_pre.transpose(0, 2, 1) @ X + l2 * w1
+    db1 = d_pre.sum(axis=1)
+    return loss, {"w1": dw1, "b1": db1, "w2": dw2, "b2": db2}
+
+
 def loss_and_grads(
     net: Network, X: np.ndarray, y: np.ndarray, l2: float = 1e-4
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean cross-entropy plus L2 penalty, and its exact gradients.
 
     The L2 term is 0.5 * l2 * (|w1|^2 + |w2|^2); biases are not decayed.
+    This is the one-network case of the stacked computation that
+    :func:`train_stack` runs.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
-    n = X.shape[0]
-    hidden, log_probs = _forward(net, X)
-    ce = -log_probs[np.arange(n), y].mean()
-    loss = ce + 0.5 * l2 * (float((net.w1 ** 2).sum()) + float((net.w2 ** 2).sum()))
+    target = np.arange(net.b2.shape[0]) == y[None, :, None]
+    loss, grads = _stack_loss_and_grads(_params(net), X[None], target, l2)
+    return float(loss[0]), {name: g[0] for name, g in grads.items()}
 
-    probs = np.exp(log_probs)
-    probs[np.arange(n), y] -= 1.0
-    d_logits = probs / n
-    dw2 = d_logits.T @ hidden + l2 * net.w2
-    db2 = d_logits.sum(axis=0)
-    d_hidden = d_logits @ net.w2
-    d_pre = d_hidden * hidden * (1.0 - hidden)
-    dw1 = d_pre.T @ X + l2 * net.w1
-    db1 = d_pre.sum(axis=0)
-    return float(loss), {"w1": dw1, "b1": db1, "w2": dw2, "b2": db2}
+
+def train_stack(
+    X: np.ndarray,
+    y: np.ndarray,
+    hypers: Sequence[Hyperparams],
+    hidden: int = HIDDEN_SIZE,
+    classes: int = NUM_CLASSES,
+) -> list[Network]:
+    """Train F networks at once, network f on (X[f], y[f]) with hypers[f].
+
+    ``X`` is (F, n, d) and ``y`` is (F, n).  Each network starts from
+    ``init_network`` with its own seed; the folds must agree on epochs,
+    learning rate and L2.  Every network ends with the same weights, bit
+    for bit, as if it were trained alone.  The loss of every fold is
+    checked on every epoch; the first non-finite one aborts the whole
+    stack, naming the epoch and that fold's seed.
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=int)
+    if X.ndim != 3 or X.shape[0] == 0 or X.shape[1] == 0:
+        raise ValueError("need a non-empty stack of non-empty 2-d feature matrices")
+    if y.shape != X.shape[:2] or y.min() < 0 or y.max() >= classes:
+        raise ValueError("targets must be class indices aligned with X")
+    if len(hypers) != X.shape[0]:
+        raise ValueError(f"need one Hyperparams per fold, got {len(hypers)} for {X.shape[0]}")
+    shared = {(h.epochs, h.learning_rate, h.l2) for h in hypers}
+    if len(shared) != 1:
+        raise ValueError("folds must share epochs, learning_rate and l2; only seeds may differ")
+    ((epochs, rate, l2),) = shared
+
+    target = np.arange(classes) == y[..., None]
+    nets = [init_network(X.shape[2], seed=h.seed, hidden=hidden, classes=classes) for h in hypers]
+    params = {name: np.stack([getattr(net, name) for net in nets]) for name in _PARAM_NAMES}
+    for epoch in range(epochs):
+        loss, grads = _stack_loss_and_grads(params, X, target, l2)
+        finite = np.isfinite(loss)
+        if not finite.all():
+            fold = int(np.argmin(finite))
+            raise ArithmeticError(
+                f"non-finite loss {loss[fold]} at epoch {epoch} in the fold with "
+                f"seed {hypers[fold].seed}; lr={rate}, l2={l2}"
+            )
+        for name in _PARAM_NAMES:
+            params[name] -= rate * grads[name]
+    for f, net in enumerate(nets):
+        for name in _PARAM_NAMES:
+            setattr(net, name, params[name][f].copy())
+    return nets
 
 
 def train(
@@ -209,26 +292,20 @@ def train(
     hidden: int = HIDDEN_SIZE,
     classes: int = NUM_CLASSES,
 ) -> Network:
-    """Full-batch gradient descent; deterministic for a fixed seed."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=int)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise ValueError("need a non-empty 2-d feature matrix")
-    if y.shape != (X.shape[0],) or y.min() < 0 or y.max() >= classes:
-        raise ValueError("targets must be class indices aligned with X")
-    net = init_network(X.shape[1], seed=hyper.seed, hidden=hidden, classes=classes)
-    for epoch in range(hyper.epochs):
-        loss, grads = loss_and_grads(net, X, y, hyper.l2)
-        if not np.isfinite(loss):
-            raise ArithmeticError(
-                f"non-finite loss {loss} at epoch {epoch}; "
-                f"lr={hyper.learning_rate}, l2={hyper.l2}"
-            )
-        net.w1 -= hyper.learning_rate * grads["w1"]
-        net.b1 -= hyper.learning_rate * grads["b1"]
-        net.w2 -= hyper.learning_rate * grads["w2"]
-        net.b2 -= hyper.learning_rate * grads["b2"]
+    """Full-batch gradient descent; deterministic for a fixed seed.
+
+    The one-network case of :func:`train_stack`.
+    """
+    (net,) = train_stack(np.asarray(X)[None], np.asarray(y)[None], [hyper], hidden, classes)
     return net
+
+
+def _training_set(records: Sequence) -> tuple[np.ndarray, np.ndarray, VoterProfile]:
+    """Features, rank targets and profile of one voter's training records."""
+    profile = build_profile(records[0].voter_id, records)
+    X = np.stack([extract_features(rec, profile) for rec in records])
+    y = np.array([action_rank(rec) for rec in records], dtype=int)
+    return X, y, profile
 
 
 def fit_network(
@@ -237,11 +314,25 @@ def fit_network(
     """Train on one voter's records; the profile comes from the same records."""
     if not records:
         raise ValueError("cannot fit a network on zero records")
-    profile = build_profile(records[0].voter_id, records)
-    X = np.stack([extract_features(rec, profile) for rec in records])
-    y = np.array([action_rank(rec) for rec in records], dtype=int)
-    net = train(X, y, hyper)
-    return net, profile
+    X, y, profile = _training_set(records)
+    return train(X, y, hyper), profile
+
+
+def fit_folds(
+    folds: Sequence[Sequence], hypers: Sequence[Hyperparams]
+) -> list[tuple[Network, VoterProfile]]:
+    """:func:`fit_network` on each fold, trained as one :func:`train_stack`.
+
+    The folds must hold equally many records; fold f trains with
+    ``hypers[f]``, and its profile comes from its own records.
+    """
+    if not folds or not all(folds):
+        raise ValueError("cannot fit a network on zero records")
+    sets = [_training_set(fold) for fold in folds]
+    nets = train_stack(
+        np.stack([X for X, _, _ in sets]), np.stack([y for _, y, _ in sets]), hypers
+    )
+    return [(net, profile) for net, (_, _, profile) in zip(nets, sets)]
 
 
 def predict_record(net: Network, profile: VoterProfile, record) -> int:

@@ -240,6 +240,17 @@ class TestEvaluate:
         for path1 in sorted(out1.iterdir()):
             assert path1.read_bytes() == (out2 / path1.name).read_bytes()
 
+    @pytest.mark.parametrize("mode", ["loo", "upper"])
+    def test_jobs_do_not_change_nn_report_bytes(self, tmp_path, small_dataset, mode):
+        out1, out3 = tmp_path / "r1", tmp_path / "r3"
+        base = ["evaluate", "--data", str(small_dataset), "--families", "NN", "--mode", mode]
+        assert main(base + ["--jobs", "1", "--out", str(out1)]) == 0
+        assert main(base + ["--jobs", "3", "--out", str(out3)]) == 0
+        names = sorted(path.name for path in out1.iterdir())
+        assert names == sorted(path.name for path in out3.iterdir())
+        for name in names:
+            assert (out1 / name).read_bytes() == (out3 / name).read_bytes()
+
     def test_rerun_is_byte_identical(self, tmp_path, small_dataset):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         base = ["evaluate", "--data", str(small_dataset), "--families", "NN,TMG"]

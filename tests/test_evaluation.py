@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from stratvote.behavior import build_profile
 from stratvote.core import Poll, UtilityFunction
 from stratvote.data import (
     Dataset,
@@ -23,6 +24,8 @@ from stratvote.evaluation import (
     upper_bound_evaluate,
 )
 from stratvote.models import DecisionContext, Family, ModelDescriptor, decide, decide_au
+from stratvote.nn import FEATURE_DIM, init_network, predict_record
+from stratvote.seeding import derive_seed
 
 WORKED_COUNTS = [[5409, 441, 132], [32, 2538, 90], [117, 188, 373]]
 
@@ -295,6 +298,26 @@ class TestEvaluate:
         rep = loo_evaluate(Family.PRAG, ParameterGrid.default(Family.PRAG), trimmed)
         assert rep.defaulted_voters == ("v001",)
         assert rep.fitted_params["v001"] == {"k": 1}
+
+    def test_single_record_nn_voter_predicts_with_its_initial_network(self):
+        ds = au_population()
+        keep = [r for r in ds.records if r.voter_id != "v001" or r.round == 0]
+        rep = loo_evaluate(
+            Family.NN, ParameterGrid.default(Family.NN), Dataset(records=keep, manifest={})
+        )
+        assert rep.defaulted_voters == ("v001",)
+        # Every voter keeps one record, each from a different round, so the
+        # fold seed must name the voter and the round.
+        voters = sorted({r.voter_id for r in ds.records})
+        keep = [r for r in ds.records if r.round == voters.index(r.voter_id)]
+        rep = loo_evaluate(
+            Family.NN, ParameterGrid.default(Family.NN), Dataset(records=keep, manifest={}), seed=5
+        )
+        assert rep.defaulted_voters == tuple(voters)
+        predicted = {row.voter_id: row.predicted for row in rep.rows}
+        for r in keep:
+            net = init_network(FEATURE_DIM, seed=derive_seed(5, "nn", r.voter_id, r.round))
+            assert predicted[r.voter_id] == predict_record(net, build_profile(r.voter_id, []), r)
 
     def test_per_voter_f_covers_every_voter(self):
         ds = au_population()

@@ -12,6 +12,7 @@ from stratvote.nn import (
     action_rank,
     extract_features,
     features_from_parts,
+    fit_folds,
     fit_network,
     init_network,
     loss_and_grads,
@@ -19,6 +20,7 @@ from stratvote.nn import (
     predict_proba,
     predict_record,
     train,
+    train_stack,
 )
 
 U = UtilityFunction((10.0, 5.0, 0.0))
@@ -49,6 +51,64 @@ def toy_problem(seed=12):
     )
     y = (np.arange(100) >= 50).astype(int)
     return X, y
+
+
+# --- oracle: one network trained on its own, as before folds were stacked ---
+
+
+def _oracle_sigmoid(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _oracle_forward(net, X):
+    hidden = _oracle_sigmoid(X @ net.w1.T + net.b1)
+    logits = hidden @ net.w2.T + net.b2
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return hidden, log_probs
+
+
+def oracle_loss_and_grads(net, X, y, l2=1e-4):
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=int)
+    n = X.shape[0]
+    hidden, log_probs = _oracle_forward(net, X)
+    ce = -log_probs[np.arange(n), y].mean()
+    loss = ce + 0.5 * l2 * (float((net.w1 ** 2).sum()) + float((net.w2 ** 2).sum()))
+
+    probs = np.exp(log_probs)
+    probs[np.arange(n), y] -= 1.0
+    d_logits = probs / n
+    dw2 = d_logits.T @ hidden + l2 * net.w2
+    db2 = d_logits.sum(axis=0)
+    d_hidden = d_logits @ net.w2
+    d_pre = d_hidden * hidden * (1.0 - hidden)
+    dw1 = d_pre.T @ X + l2 * net.w1
+    db1 = d_pre.sum(axis=0)
+    return float(loss), {"w1": dw1, "b1": db1, "w2": dw2, "b2": db2}
+
+
+def oracle_train(X, y, hyper):
+    net = init_network(X.shape[1], seed=hyper.seed)
+    for epoch in range(hyper.epochs):
+        loss, grads = oracle_loss_and_grads(net, X, y, hyper.l2)
+        if not np.isfinite(loss):
+            raise ArithmeticError(f"non-finite loss {loss} at epoch {epoch}")
+        net.w1 -= hyper.learning_rate * grads["w1"]
+        net.b1 -= hyper.learning_rate * grads["b1"]
+        net.w2 -= hyper.learning_rate * grads["w2"]
+        net.b2 -= hyper.learning_rate * grads["b2"]
+    return net
+
+
+def assert_same_weights(a, b):
+    for name in ("w1", "b1", "w2", "b2"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
 def numeric_grads(net, X, y, l2, eps=1e-6):
@@ -268,6 +328,86 @@ class TestGradients:
             assert np.all(err / scale < 1e-5)
 
 
+SEEDS = st.integers(min_value=0, max_value=2**63 - 1)
+
+
+@st.composite
+def fold_stacks(draw):
+    """(X, y, hypers) for F >= 1 folds of n >= 1 records each."""
+    F = draw(st.integers(min_value=1, max_value=6))
+    n = draw(st.integers(min_value=1, max_value=12))
+    d = draw(st.sampled_from([1, 4, FEATURE_DIM]))
+    epochs = draw(st.integers(min_value=0, max_value=40))
+    rng = np.random.default_rng(draw(SEEDS))
+    X = rng.uniform(-1, 1, size=(F, n, d))
+    y = rng.integers(0, 3, size=(F, n))
+    seeds = draw(st.lists(SEEDS, min_size=F, max_size=F))
+    return X, y, [Hyperparams(epochs=epochs, seed=seed) for seed in seeds]
+
+
+class TestStackedTraining:
+    @given(fold_stacks())
+    @settings(max_examples=60, deadline=None)
+    def test_stack_equals_separate_training_bit_for_bit(self, stack):
+        X, y, hypers = stack
+        nets = train_stack(X, y, hypers)
+        assert len(nets) == len(hypers)
+        for f, net in enumerate(nets):
+            assert_same_weights(net, oracle_train(X[f], y[f], hypers[f]))
+
+    @given(fold_stacks())
+    @settings(max_examples=30, deadline=None)
+    def test_one_network_case_equals_oracle(self, stack):
+        X, y, hypers = stack
+        assert_same_weights(train(X[0], y[0], hypers[0]), oracle_train(X[0], y[0], hypers[0]))
+        net = init_network(X.shape[2], seed=hypers[0].seed)
+        loss, grads = loss_and_grads(net, X[0], y[0], 1e-4)
+        want_loss, want = oracle_loss_and_grads(net, X[0], y[0], 1e-4)
+        assert loss == want_loss
+        for name in ("w1", "b1", "w2", "b2"):
+            assert np.array_equal(grads[name], want[name]), name
+        assert np.array_equal(predict_proba(net, X[0]), np.exp(_oracle_forward(net, X[0])[1]))
+
+    def test_each_fold_uses_its_own_seed(self):
+        X, y = toy_problem()
+        hypers = [Hyperparams(epochs=20, seed=s) for s in (3, 4)]
+        a, b = train_stack(np.stack([X, X]), np.stack([y, y]), hypers)
+        assert_same_weights(a, train(X, y, hypers[0]))
+        assert_same_weights(b, train(X, y, hypers[1]))
+        assert not np.array_equal(a.w1, b.w1)
+
+    def test_folds_must_share_everything_but_the_seed(self):
+        X, y = toy_problem()
+        for other in (
+            Hyperparams(epochs=3, seed=1),
+            Hyperparams(learning_rate=0.2, seed=1),
+            Hyperparams(l2=0.0, seed=1),
+        ):
+            with pytest.raises(ValueError, match="only seeds may differ"):
+                train_stack(np.stack([X, X]), np.stack([y, y]), [Hyperparams(), other])
+
+    def test_one_hyperparams_per_fold(self):
+        X, y = toy_problem()
+        with pytest.raises(ValueError, match="one Hyperparams per fold"):
+            train_stack(np.stack([X, X]), np.stack([y, y]), [Hyperparams()])
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_one_diverging_fold_aborts_naming_its_epoch_and_seed(self):
+        X, y = toy_problem()
+        overflowed = X.copy()
+        overflowed[7, 2] = np.float64(1e308) * 10
+        hypers = [Hyperparams(epochs=50, seed=s) for s in (101, 202, 303)]
+        for f in (0, 2):
+            train(X, y, hypers[f])
+        with pytest.raises(ArithmeticError, match="at epoch 1 ") as alone:
+            train(overflowed, y, hypers[1])
+        assert "seed 202" in str(alone.value)
+        with pytest.raises(ArithmeticError) as stacked:
+            train_stack(np.stack([X, overflowed, X]), np.stack([y, y, y]), hypers)
+        assert str(stacked.value) == str(alone.value)
+        assert str(stacked.value).startswith("non-finite loss nan at epoch 1 ")
+
+
 class TestVoterPipeline:
     def test_truthful_voter_predicted_truthful(self):
         rows = []
@@ -285,3 +425,18 @@ class TestVoterPipeline:
     def test_fit_rejects_empty(self):
         with pytest.raises(ValueError):
             fit_network([])
+
+    def test_fit_folds_equals_fit_network_per_fold(self):
+        rows = [rec(s, a, round=i) for i, (s, a) in enumerate(
+            [((80, 50, 30), 0), ((50, 80, 30), 1), ((30, 50, 80), 0), ((80, 30, 50), 2)]
+        )]
+        folds = [rows[:i] + rows[i + 1 :] for i in range(len(rows))]
+        hypers = [Hyperparams(epochs=60, seed=10 + i) for i in range(len(rows))]
+        for (net, profile), fold, hyper in zip(fit_folds(folds, hypers), folds, hypers):
+            want_net, want_profile = fit_network(fold, hyper)
+            assert_same_weights(net, want_net)
+            assert profile == want_profile
+
+    def test_fit_folds_rejects_an_empty_fold(self):
+        with pytest.raises(ValueError):
+            fit_folds([[rec((80, 50, 30), 0)], []], [Hyperparams(), Hyperparams()])
