@@ -31,6 +31,7 @@ from .evaluation import (
     ConfusionMatrix,
     EvaluationReport,
     ParameterGrid,
+    RecordTable,
     loo_evaluate,
     metrics_from_confusion,
     parameter_distribution,
@@ -249,13 +250,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     runner = loo_evaluate if args.mode == "loo" else upper_bound_evaluate
+    table = RecordTable.from_dataset(dataset)
     reports: dict[str, EvaluationReport] = {}
     for family in families:
         try:
             grid = ParameterGrid.default(
                 family, m=dataset.m, cv_etas=cv_etas if family is Family.CV else None
             )
-            reports[family.value] = runner(family, grid, dataset, jobs=args.jobs, seed=seed)
+            reports[family.value] = runner(family, grid, table, jobs=args.jobs, seed=seed)
         except ValueError as exc:
             raise DataError(f"cannot apply {family.value} to this dataset: {exc}")
 

@@ -6,9 +6,12 @@ candidate labelings.  Rows are the actual action, columns the predicted
 one.
 
 Fitting is a grid argmax of training-set 0/1 accuracy; ties resolve to the
-earliest grid point, which makes refits reproducible.  Each voter's
-decision matrix (grid point x record) is built one record at a time from
-:func:`models.decide_grid`, the single decision path of every family.
+earliest grid point, which makes refits reproducible.  A
+:class:`RecordTable` annotates the dataset once for every family: arrays of
+utilities, scores, preference ranks, scenario, poll-size bucket, and
+unjustified and inconsistent actions.  Each voter's decision matrix (grid
+point x record) is one call of :func:`models.decide_matrix` on the voter's
+rows, and the reports are counted from the table's arrays.
 Leave-one-out uses the match-matrix identity: with per-point match counts
 over all rounds, each fold's training score is the total minus that fold's
 column, so one decision matrix per voter serves every fold.  The ``NN``
@@ -20,8 +23,7 @@ training bit for bit.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from multiprocessing import get_context
 from typing import Mapping, Sequence
 
@@ -33,9 +35,9 @@ from .behavior import (
     UNCLASSIFIED,
     VoterProfile,
     build_profile,
+    is_unjustified,
     scenario_or_none,
 )
-from .core import preference_order
 from .data import Dataset, VoteRecord
 from .models import DecisionContext, Family, ModelDescriptor
 from .seeding import derive_seed
@@ -198,28 +200,123 @@ class ParameterGrid:
         raise ValueError(f"no default grid for family {family!r}")
 
 
+# --- the record table --------------------------------------------------------
+
+SCENARIO_LABELS = (*SCENARIOS, UNCLASSIFIED)
+
+
+@dataclass(frozen=True)
+class RecordTable:
+    """A dataset's records as read-only columns, annotated once for every family.
+
+    Rows run voter by voter (``voter_ids``, sorted) and by round within a
+    voter, the order of :meth:`Dataset.by_voter`; ``voter`` indexes
+    ``voter_ids``.  ``U`` and ``S`` have shape (R, m), every other array
+    one entry per row.  ``order[j]`` is the record's preference order and
+    ``rank[j, c]`` the position of candidate c in it.  ``scenario`` indexes
+    ``SCENARIO_LABELS`` and ``bucket`` ``POLL_BUCKETS``.  ``unjustified``
+    flags a dominated actual action (:func:`behavior.is_unjustified`) and
+    ``inconsistent`` a record its voter's profile names as contradicted by
+    another of their records.
+    """
+
+    voter_ids: tuple[str, ...]
+    records: tuple[VoteRecord, ...]
+    voter: np.ndarray
+    round: np.ndarray
+    n: np.ndarray
+    U: np.ndarray
+    S: np.ndarray
+    action: np.ndarray
+    order: np.ndarray
+    rank: np.ndarray
+    scenario: np.ndarray
+    bucket: np.ndarray
+    unjustified: np.ndarray
+    inconsistent: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name in self._row_fields():
+            getattr(self, name).setflags(write=False)
+
+    @classmethod
+    def _row_fields(cls) -> list[str]:
+        return [f.name for f in fields(cls) if f.name not in ("voter_ids", "records")]
+
+    @classmethod
+    def from_dataset(
+        cls, dataset: Dataset, profiles: Mapping[str, VoterProfile] | None = None
+    ) -> "RecordTable":
+        """Annotate ``dataset``, building each voter's profile unless given."""
+        by_voter = dataset.by_voter()
+        if not by_voter:
+            raise ValueError("cannot evaluate an empty dataset")
+        if profiles is None:
+            profiles = {vid: build_profile(vid, recs) for vid, recs in by_voter.items()}
+        records = tuple(rec for recs in by_voter.values() for rec in recs)
+        annotations = [
+            (
+                SCENARIO_LABELS.index(scenario_or_none(rec.utilities, rec.poll) or UNCLASSIFIED),
+                POLL_BUCKETS.index(poll_size_bucket(rec.poll.n)),
+                is_unjustified(rec.utilities, rec.poll, rec.action),
+                i in profiles[vid].inconsistent_records,
+            )
+            for vid, recs in by_voter.items()
+            for i, rec in enumerate(recs)
+        ]
+        scenario, bucket, unjustified, inconsistent = (np.array(col) for col in zip(*annotations))
+        U = np.array([rec.utilities.values for rec in records], dtype=float)
+        order = np.argsort(-U, axis=1, kind="stable")
+        return cls(
+            voter_ids=tuple(by_voter),
+            records=records,
+            voter=np.repeat(np.arange(len(by_voter)), [len(recs) for recs in by_voter.values()]),
+            round=np.array([rec.round for rec in records]),
+            n=np.array([rec.poll.n for rec in records]),
+            U=U,
+            S=np.array([rec.poll.scores for rec in records], dtype=np.int64),
+            action=np.array([rec.action for rec in records]),
+            order=order,
+            rank=np.argsort(order, axis=1),
+            scenario=scenario,
+            bucket=bucket,
+            unjustified=unjustified,
+            inconsistent=inconsistent,
+        )
+
+    @property
+    def m(self) -> int:
+        return self.U.shape[1]
+
+    def voter_rows(self) -> list[slice]:
+        """Each voter's rows, in ``voter_ids`` order."""
+        ends = np.cumsum(np.bincount(self.voter, minlength=len(self.voter_ids))).tolist()
+        return [slice(start, end) for start, end in zip([0, *ends], ends)]
+
+    def select(self, rows: slice) -> "RecordTable":
+        """The table of ``rows`` alone; ``voter`` still indexes all ``voter_ids``."""
+        return RecordTable(
+            voter_ids=self.voter_ids,
+            records=self.records[rows],
+            **{name: getattr(self, name)[rows] for name in self._row_fields()},
+        )
+
+
 # --- per-voter evaluation ----------------------------------------------------
 
 
-def _decision_matrix(grid: ParameterGrid, records: Sequence[VoteRecord]) -> np.ndarray:
-    """Decisions for every (grid point, record), shape (G, R)."""
+def _decision_matrix(grid: ParameterGrid, block: RecordTable) -> np.ndarray:
+    """Decisions for every (grid point, row of ``block``), shape (G, R)."""
     ctx = DecisionContext(pivot_cache={})
-    columns = [
-        models.decide_grid(grid.family, grid.points, rec.utilities, rec.poll, ctx)
-        for rec in records
-    ]
-    return np.stack(columns, axis=1)
+    return models.decide_matrix(grid.family, grid.points, block.U, block.S, block.n, ctx)
 
 
-def _evaluate_voter_nn(
-    vid: str, records: list[VoteRecord], mode: str, seed: int
-) -> tuple[list[tuple[int, int]], bool]:
+def _predict_voter_nn(vid: str, records: list[VoteRecord], mode: str, seed: int) -> list[int]:
     """Predict each record; under LOO, with a network trained on the other rounds."""
-    defaulted = mode != "upper" and len(records) == 1
     if mode == "upper":
         hyper = nn_mod.Hyperparams(seed=derive_seed(seed, "nn", vid, "all"))
         fitted = [nn_mod.fit_network(records, hyper)] * len(records)
-    elif defaulted:
+    elif len(records) == 1:
         # Single-record voter: nothing to train on; the seeded initial
         # network plays the role of the default grid point.
         net = nn_mod.init_network(
@@ -232,35 +329,29 @@ def _evaluate_voter_nn(
             nn_mod.Hyperparams(seed=derive_seed(seed, "nn", vid, rec.round)) for rec in records
         ]
         fitted = nn_mod.fit_folds(folds, hypers)
-    predictions = [
-        (rec.round, nn_mod.predict_record(net, profile, rec))
-        for rec, (net, profile) in zip(records, fitted)
-    ]
-    return predictions, defaulted
+    return [nn_mod.predict_record(net, profile, rec) for rec, (net, profile) in zip(records, fitted)]
 
 
 def _evaluate_voter(task: tuple) -> dict:
-    """Fit and predict one voter; pure function of its arguments."""
-    vid, records, grid, mode, seed = task
-    records = sorted(records, key=lambda r: r.round)
+    """Fit and predict one voter's rows; pure function of its arguments."""
+    vid, block, grid, mode, seed = task
+    defaulted = mode != "upper" and len(block.records) == 1
     if grid.family is Family.NN:
-        preds, defaulted = _evaluate_voter_nn(vid, records, mode, seed)
-        return {"voter_id": vid, "predictions": preds, "fitted": {}, "defaulted": defaulted}
+        predicted = _predict_voter_nn(vid, list(block.records), mode, seed)
+        return {"predicted": predicted, "fitted": {}, "defaulted": defaulted}
 
-    D = _decision_matrix(grid, records)
-    M = D == np.array([rec.action for rec in records])[None, :]
+    D = _decision_matrix(grid, block)
+    M = D == block.action[None, :]
     totals = M.sum(axis=1)
     fit_index = int(np.argmax(totals))
     if mode == "upper":
-        picks = [fit_index] * len(records)
+        picks = np.full(D.shape[1], fit_index)
     else:
-        picks = [int(np.argmax(totals - M[:, j])) for j in range(len(records))]
-    preds = [(rec.round, int(D[i, j])) for j, (rec, i) in enumerate(zip(records, picks))]
+        picks = np.argmax(totals[:, None] - M, axis=0)
     return {
-        "voter_id": vid,
-        "predictions": preds,
+        "predicted": D[picks, np.arange(D.shape[1])],
         "fitted": dict(grid.points[fit_index]),
-        "defaulted": mode != "upper" and len(records) == 1,
+        "defaulted": defaulted,
     }
 
 
@@ -347,7 +438,7 @@ ERROR_CLASSES = ("correct", "unjustified", "inconsistent", "unexplained")
 
 
 def error_breakdown(
-    dataset: Dataset,
+    dataset: Dataset | RecordTable,
     predictions: Mapping[tuple[str, int], int],
     profiles: Mapping[str, VoterProfile] | None = None,
 ) -> dict[str, dict[str, int]]:
@@ -356,123 +447,105 @@ def error_breakdown(
     Mispredictions are attributed to the actual action being unjustified
     (dominated), else to it being inconsistent with the voter's other
     records, else left unexplained.  Keys: scenarios plus "total".
+    ``predictions`` maps (voter id, round) to the predicted action.
+    ``profiles`` spares building each voter's profile from a ``Dataset``; a
+    :class:`RecordTable` already holds the annotations.
     """
-    from .behavior import is_unjustified
-
-    if profiles is None:
-        profiles = {
-            vid: build_profile(vid, recs) for vid, recs in dataset.by_voter().items()
-        }
-    out: dict[str, dict[str, int]] = {
-        label: {cls: 0 for cls in ERROR_CLASSES}
-        for label in list(SCENARIOS) + [UNCLASSIFIED, "total"]
+    table = (
+        dataset if isinstance(dataset, RecordTable) else RecordTable.from_dataset(dataset, profiles)
+    )
+    predicted = []
+    for rec in table.records:
+        key = (rec.voter_id, rec.round)
+        if key not in predictions:
+            raise ValueError(f"missing prediction for {key}")
+        predicted.append(predictions[key])
+    error_class = np.select(
+        [np.array(predicted) == table.action, table.unjustified, table.inconsistent],
+        [0, 1, 2],
+        default=3,
+    )
+    counts = np.zeros((len(SCENARIO_LABELS) + 1, len(ERROR_CLASSES)), dtype=np.int64)
+    np.add.at(counts, (table.scenario, error_class), 1)
+    counts[-1] = counts[:-1].sum(axis=0)
+    return {
+        label: dict(zip(ERROR_CLASSES, row))
+        for label, row in zip([*SCENARIO_LABELS, "total"], counts.tolist())
     }
-    by_voter = dataset.by_voter()
-    for vid, recs in by_voter.items():
-        inconsistent = profiles[vid].inconsistent_records
-        for idx, rec in enumerate(recs):
-            key = (vid, rec.round)
-            if key not in predictions:
-                raise ValueError(f"missing prediction for {key}")
-            scenario = scenario_or_none(rec.utilities, rec.poll) or UNCLASSIFIED
-            if predictions[key] == rec.action:
-                cls = "correct"
-            elif is_unjustified(rec.utilities, rec.poll, rec.action):
-                cls = "unjustified"
-            elif idx in inconsistent:
-                cls = "inconsistent"
-            else:
-                cls = "unexplained"
-            out[scenario][cls] += 1
-            out["total"][cls] += 1
-    return out
 
 
 def _aggregate(
     family: Family,
     mode: str,
     seed: int,
-    dataset: Dataset,
+    table: RecordTable,
     results: Sequence[dict],
 ) -> EvaluationReport:
-    by_voter = dataset.by_voter()
-    m = dataset.m
-    overall = np.zeros((m, m), dtype=np.int64)
-    per_scenario = {
-        label: np.zeros((m, m), dtype=np.int64) for label in list(SCENARIOS) + [UNCLASSIFIED]
-    }
-    per_bucket = {label: np.zeros((m, m), dtype=np.int64) for label in POLL_BUCKETS}
-    per_voter_f: dict[str, float] = {}
-    per_voter_records: dict[str, int] = {}
-    fitted: dict[str, dict] = {}
-    voter_bucket: dict[str, str] = {}
-    defaulted: list[str] = []
-    rows: list[PredictionRow] = []
-    predictions_map: dict[tuple[str, int], int] = {}
+    m, num_voters = table.m, len(table.voter_ids)
+    predicted = np.concatenate([np.asarray(r["predicted"], dtype=np.int64) for r in results])
+    rows = np.arange(len(table.records))
+    actual_rank = table.rank[rows, table.action]
+    predicted_rank = table.rank[rows, predicted]
 
-    for result in results:
-        vid = result["voter_id"]
-        recs = by_voter[vid]
-        preds = dict(result["predictions"])
-        fitted[vid] = result["fitted"]
-        if result["defaulted"]:
-            defaulted.append(vid)
-        voter_counts = np.zeros((m, m), dtype=np.int64)
-        bucket_tally: Counter = Counter()
-        for rec in recs:
-            predicted = preds[rec.round]
-            prefs = preference_order(rec.utilities.values)
-            rank_of = {c: i for i, c in enumerate(prefs)}
-            a_rank, p_rank = rank_of[rec.action], rank_of[predicted]
-            scenario = scenario_or_none(rec.utilities, rec.poll) or UNCLASSIFIED
-            bucket = poll_size_bucket(rec.poll.n)
-            overall[a_rank, p_rank] += 1
-            per_scenario[scenario][a_rank, p_rank] += 1
-            per_bucket[bucket][a_rank, p_rank] += 1
-            voter_counts[a_rank, p_rank] += 1
-            bucket_tally[bucket] += 1
-            predictions_map[(vid, rec.round)] = predicted
-            rows.append(
-                PredictionRow(
-                    voter_id=vid,
-                    round=rec.round,
-                    scenario=scenario,
-                    bucket=bucket,
-                    actual=rec.action,
-                    predicted=predicted,
-                    actual_rank=a_rank,
-                    predicted_rank=p_rank,
-                )
-            )
-        per_voter_f[vid] = metrics_from_confusion(ConfusionMatrix(voter_counts)).weighted_f
-        per_voter_records[vid] = len(recs)
-        voter_bucket[vid] = max(
-            POLL_BUCKETS, key=lambda b: (bucket_tally.get(b, 0), -POLL_BUCKETS.index(b))
+    def confusions(groups: np.ndarray, size: int) -> np.ndarray:
+        counts = np.zeros((size, m, m), dtype=np.int64)
+        np.add.at(counts, (groups, actual_rank, predicted_rank), 1)
+        return counts
+
+    per_scenario = confusions(table.scenario, len(SCENARIO_LABELS))
+    per_bucket = confusions(table.bucket, len(POLL_BUCKETS))
+    per_voter = confusions(table.voter, num_voters)
+    bucket_tally = np.zeros((num_voters, len(POLL_BUCKETS)), dtype=np.int64)
+    np.add.at(bucket_tally, (table.voter, table.bucket), 1)
+    prediction_rows = tuple(
+        PredictionRow(
+            voter_id=rec.voter_id,
+            round=rec.round,
+            scenario=SCENARIO_LABELS[scenario],
+            bucket=POLL_BUCKETS[bucket],
+            actual=rec.action,
+            predicted=guess,
+            actual_rank=a_rank,
+            predicted_rank=p_rank,
         )
-
-    breakdown = error_breakdown(dataset, predictions_map)
+        for rec, scenario, bucket, guess, a_rank, p_rank in zip(
+            table.records,
+            table.scenario.tolist(),
+            table.bucket.tolist(),
+            predicted.tolist(),
+            actual_rank.tolist(),
+            predicted_rank.tolist(),
+        )
+    )
+    predictions = {(row.voter_id, row.round): row.predicted for row in prediction_rows}
     return EvaluationReport(
         family=family.value,
         mode=mode,
         seed=seed,
-        num_voters=len(by_voter),
-        overall=ConfusionMatrix(overall),
-        per_scenario={k: ConfusionMatrix(v) for k, v in per_scenario.items()},
-        per_bucket={k: ConfusionMatrix(v) for k, v in per_bucket.items()},
-        per_voter_f=per_voter_f,
-        per_voter_records=per_voter_records,
-        fitted_params=fitted,
-        voter_bucket=voter_bucket,
-        defaulted_voters=tuple(defaulted),
-        rows=tuple(rows),
-        error_breakdown=breakdown,
+        num_voters=num_voters,
+        overall=ConfusionMatrix(per_bucket.sum(axis=0)),
+        per_scenario={k: ConfusionMatrix(v) for k, v in zip(SCENARIO_LABELS, per_scenario)},
+        per_bucket={k: ConfusionMatrix(v) for k, v in zip(POLL_BUCKETS, per_bucket)},
+        per_voter_f={
+            vid: metrics_from_confusion(ConfusionMatrix(counts)).weighted_f
+            for vid, counts in zip(table.voter_ids, per_voter)
+        },
+        per_voter_records=dict(zip(table.voter_ids, per_voter.sum(axis=(1, 2)).tolist())),
+        fitted_params={vid: r["fitted"] for vid, r in zip(table.voter_ids, results)},
+        # The bucket holding most of the voter's records, ties to the earlier one.
+        voter_bucket={
+            vid: POLL_BUCKETS[b] for vid, b in zip(table.voter_ids, bucket_tally.argmax(axis=1))
+        },
+        defaulted_voters=tuple(vid for vid, r in zip(table.voter_ids, results) if r["defaulted"]),
+        rows=prediction_rows,
+        error_breakdown=error_breakdown(table, predictions),
     )
 
 
 def _run(
     family: Family,
     grid: ParameterGrid,
-    dataset: Dataset,
+    dataset: Dataset | RecordTable,
     mode: str,
     *,
     jobs: int = 1,
@@ -481,33 +554,43 @@ def _run(
     family = Family(family)
     if grid.family is not family:
         raise ValueError(f"grid is for {grid.family}, not {family}")
-    if not dataset.records:
-        raise ValueError("cannot evaluate an empty dataset")
-    tasks = [(vid, recs, grid, mode, seed) for vid, recs in dataset.by_voter().items()]
-    if jobs > 1 and len(tasks) > 1:
-        with get_context("fork").Pool(processes=jobs) as pool:
+    table = dataset if isinstance(dataset, RecordTable) else RecordTable.from_dataset(dataset)
+    tasks = [
+        (vid, table.select(rows), grid, mode, seed)
+        for vid, rows in zip(table.voter_ids, table.voter_rows())
+    ]
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        if family is Family.CV:
+            # Load the pivot kernels' scipy once here, not in every worker.
+            import scipy.special  # noqa: F401
+        with get_context("fork").Pool(processes=workers) as pool:
             results = pool.map(_evaluate_voter, tasks)
     else:
         results = [_evaluate_voter(task) for task in tasks]
-    return _aggregate(family, mode, seed, dataset, results)
+    return _aggregate(family, mode, seed, table, results)
 
 
 def loo_evaluate(
     family: Family,
     grid: ParameterGrid,
-    dataset: Dataset,
+    dataset: Dataset | RecordTable,
     *,
     jobs: int = 1,
     seed: int = 0,
 ) -> EvaluationReport:
-    """Per voter, fit on every other round and predict the held-out one."""
+    """Per voter, fit on every other round and predict the held-out one.
+
+    Pass a :class:`RecordTable` to annotate a dataset once for several
+    families.
+    """
     return _run(family, grid, dataset, "loo", jobs=jobs, seed=seed)
 
 
 def upper_bound_evaluate(
     family: Family,
     grid: ParameterGrid,
-    dataset: Dataset,
+    dataset: Dataset | RecordTable,
     *,
     jobs: int = 1,
     seed: int = 0,

@@ -12,11 +12,15 @@ TMG     fixed voter types: truthful / compromiser / leader-biased (m=3).
 AU      multiplicative utility-attainability trade-off.
 NN      learned baseline (see ``nn``); requires a trained network.
 
-Every family has one decision path, :func:`decide_grid`, which decides a
-whole parameter grid for one (utilities, poll) pair; :func:`decide` is its
-one-point case.  LD and LDLB settle an ``r`` grid with one threshold
-comparison and AU scores every (alpha, beta) point in one array pass; the
-other families call their scalar decider once per point.
+Every family has one decision path, :func:`decide_matrix`, which decides a
+whole parameter grid over a batch of records (utilities and poll scores as
+(R, m) arrays); :func:`decide_grid` is its one-record case and
+:func:`decide` the one-point case of that.  TRUTH, BR, PRAG, TMG, LD, LDLB
+and AU decide in array operations, which reproduce their scalar deciders
+(:func:`decide_truth`, :func:`decide_best_response`,
+:func:`decide_pragmatist`, :func:`decide_tmg`, :func:`decide_ld`,
+:func:`decide_ld_lb` and :func:`decide_au`) exactly; the scalar deciders
+are the definitions.  CV and NN decide record by record.
 
 All deciders are deterministic functions of their inputs and parameters:
 CV too, since its pivot tables (Monte-Carlo ones included) depend only on
@@ -28,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -211,13 +215,30 @@ def decide_tmg(u: UtilityFunction, s: Poll, voter_type: str) -> Candidate:
     return q_second if ranking[-1] == q else q
 
 
-def _possible_winners(s: Poll, radii: Sequence[float]) -> np.ndarray:
-    """``possible[i, c]``: ``s(c) >= max(s) - 2*r_i*n``, shape (len(radii), m)."""
+def _as_rows(u: UtilityFunction, s: Poll) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One (u, s) as the ``U``, ``S`` and ``n`` arrays of :func:`decide_matrix`."""
+    _check_shapes(u, s)
+    return np.array([u.values], dtype=float), np.array([s.scores], dtype=np.int64), np.array([s.n])
+
+
+def _poll_positions(S: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Poll position (0 leads, ties to the lower index) of each preference rank, shape (R, m)."""
+    ranking = np.argsort(-S, axis=1, kind="stable")
+    return np.argsort(ranking, axis=1)[np.arange(len(order))[:, None], order]
+
+
+def _possible_winners(S: np.ndarray, n: np.ndarray, radii: Sequence[float]) -> np.ndarray:
+    """``possible[i, j, c]``: ``S[j, c] >= max(S[j]) - 2*r_i*n[j]``, shape (len(radii), R, m)."""
     for r in radii:
         if not 0.0 <= r <= 1.0:
             raise ValueError(f"r must lie in [0, 1], got {r}")
-    threshold = max(s.scores) - 2.0 * np.asarray(radii, dtype=float) * s.n
-    return np.asarray(s.scores)[None, :] >= threshold[:, None]
+    threshold = S.max(axis=1)[None, :] - 2.0 * np.asarray(radii, dtype=float)[:, None] * n[None, :]
+    return S[None, :, :] >= threshold[:, :, None]
+
+
+def _possible_winner_list(u: UtilityFunction, s: Poll, r: float) -> list[int]:
+    _, S, n = _as_rows(u, s)
+    return [int(c) for c in np.flatnonzero(_possible_winners(S, n, (r,))[0, 0])]
 
 
 def undominated_set(u: UtilityFunction, s: Poll, r: float) -> frozenset:
@@ -227,39 +248,18 @@ def undominated_set(u: UtilityFunction, s: Poll, r: float) -> frozenset:
     two or more possible winners every W member except the least preferred
     is undominated (least-preferred ties break toward the higher index, so
     exactly one is removed); with a single possible winner no vote can
-    matter and every candidate is undominated.  The LD grid decider votes
-    the most preferred member of this set.
+    matter and every candidate is undominated.
     """
-    _check_shapes(u, s)
-    possible = [int(c) for c in np.flatnonzero(_possible_winners(s, (r,))[0])]
+    possible = _possible_winner_list(u, s, r)
     if len(possible) == 1:
         return frozenset(range(s.m))
     dropped = min(possible, key=lambda c: (u[c], -c))
     return frozenset(c for c in possible if c != dropped)
 
 
-def _local_dominance_grid(
-    family: Family, u: UtilityFunction, s: Poll, radii: Sequence[float]
-) -> np.ndarray:
-    """LD or LDLB decisions, one per radius.
-
-    Both vote the most preferred possible winner, except that LD votes
-    truthfully when only one candidate can win (with two or more it drops
-    just the least preferred of them).  Preference ties break toward the
-    lower index.
-    """
-    _check_shapes(u, s)
-    order = np.asarray(preference_order(u.values))
-    possible = _possible_winners(s, radii)[:, order]
-    vote = order[np.argmax(possible, axis=1)]
-    if family is Family.LD:
-        vote = np.where(possible.sum(axis=1) >= 2, vote, order[0])
-    return vote
-
-
 def decide_ld(u: UtilityFunction, s: Poll, r: float) -> Candidate:
     """Most preferred undominated candidate; ties toward the lowest index."""
-    return int(decide_grid(Family.LD, ({"r": r},), u, s)[0])
+    return max(undominated_set(u, s, r), key=lambda c: (u[c], -c))
 
 
 def decide_ld_lb(u: UtilityFunction, s: Poll, r: float) -> Candidate:
@@ -269,21 +269,19 @@ def decide_ld_lb(u: UtilityFunction, s: Poll, r: float) -> Candidate:
     win; when the possible-winner set is a singleton, votes its single
     member (the presumed winner) instead of the truthful choice.
     """
-    return int(decide_grid(Family.LDLB, ({"r": r},), u, s)[0])
+    possible = _possible_winner_list(u, s, r)
+    return possible[0] if len(possible) == 1 else decide_ld(u, s, r)
 
 
-def _shares(s: Poll) -> np.ndarray:
+def _attainability(S: np.ndarray, n: np.ndarray, betas: Sequence[float]) -> np.ndarray:
+    """Logistic attainability per (beta, record, candidate), shape (B, R, m)."""
+    m = S.shape[1]
     # A zero-participant poll carries no standing information; fall back to
     # the neutral share 1/m so the logistic sits at its midpoint.
-    if s.n == 0:
-        return np.full(s.m, 1.0 / s.m)
-    return np.asarray(s.scores, dtype=float) / float(s.n)
-
-
-def _attainability_vector(s: Poll, beta: float | np.ndarray) -> np.ndarray:
-    margin = _shares(s) - 1.0 / s.m
+    shares = np.where(n[:, None] == 0, 1.0 / m, S / np.maximum(n, 1)[:, None])
+    margin = shares - 1.0 / m
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-beta * margin))
+        return 1.0 / (1.0 + np.exp(-np.asarray(betas, dtype=float)[:, None, None] * margin))
 
 
 def attainability(c: Candidate, s: Poll, beta: float) -> float:
@@ -295,25 +293,49 @@ def attainability(c: Candidate, s: Poll, beta: float) -> float:
     if beta < 0:
         raise ValueError(f"beta must be non-negative, got {beta}")
     s._check_candidate(c)
-    return float(_attainability_vector(s, beta)[c])
+    return float(_attainability(np.array([s.scores]), np.array([s.n]), (beta,))[0, 0, c])
+
+
+# Score elements per block of AU points, which keeps each block's
+# temporaries in cache and bounds memory whatever the record count.
+_AU_BLOCK = 1 << 15
 
 
 def _au_scores(
-    u: UtilityFunction, s: Poll, alphas: Sequence[float], betas: Sequence[float]
-) -> np.ndarray:
-    """Scores ``(eps+u)^alpha * (eps+a)^(2-alpha)`` per point, shape (P, m)."""
-    _check_shapes(u, s)
-    al = np.asarray(alphas, dtype=float)[:, None]
-    be = np.asarray(betas, dtype=float)[:, None]
+    U: np.ndarray,
+    S: np.ndarray,
+    n: np.ndarray,
+    alphas: Sequence[float],
+    betas: Sequence[float],
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """Scores ``(eps+u)^alpha * (eps+a)^(2-alpha)`` in blocks of points.
+
+    Point i is ``(alphas[i], betas[i])``; each yielded ``(points, scores)``
+    has scores of shape (len(points), R, m).  The first power and the
+    attainability are computed once per distinct alpha and beta.  The
+    attainability operand of the second power is a contiguous copy and its
+    exponent varies along the point axis only: numpy's float64 ``power``
+    can round differently when the operands are laid out otherwise, and the
+    scores must not depend on how many records or points are scored
+    together.
+    """
+    al = np.asarray(alphas, dtype=float)
+    be = np.asarray(betas, dtype=float)
     bad = ~((al >= 0.0) & (al <= 2.0))
     if bad.any():
         raise ValueError(f"alpha must lie in [0, 2], got {al[bad][0]}")
     bad = ~(be >= 0.0)
     if bad.any():
         raise ValueError(f"beta must be non-negative, got {be[bad][0]}")
-    eu = AU_EPSILON + np.asarray(u.values)
-    ea = AU_EPSILON + _attainability_vector(s, be)
-    return np.power(eu[None, :], al) * np.power(ea, 2.0 - al)
+    alpha_values, alpha_index = np.unique(al, return_inverse=True)
+    beta_values, beta_index = np.unique(be, return_inverse=True)
+    eu = np.power(AU_EPSILON + U, alpha_values[:, None, None])
+    ea = AU_EPSILON + _attainability(S, n, beta_values)
+    step = max(1, _AU_BLOCK // U.size)
+    for start in range(0, len(al), step):
+        block = slice(start, start + step)
+        exponent = (2.0 - al[block])[:, None, None]
+        yield block, eu[alpha_index[block]] * np.power(ea[beta_index[block]], exponent)
 
 
 def au_score(
@@ -321,7 +343,18 @@ def au_score(
 ) -> float:
     """Attainability-utility score ``(eps+u)^alpha * (eps+a)^(2-alpha)``."""
     s._check_candidate(c)
-    return float(_au_scores(u, s, (alpha,), (beta,))[0, c])
+    _, scores = next(_au_scores(*_as_rows(u, s), (alpha,), (beta,)))
+    return float(scores[0, 0, c])
+
+
+def decide_au(u: UtilityFunction, s: Poll, alpha: float, beta: float) -> Candidate:
+    """Vote maximizing :func:`au_score`.
+
+    ``alpha=2`` reduces to the truthful vote and ``alpha=0`` to voting the
+    poll leader (up to the shared epsilon smoothing).  Ties break toward the
+    higher-utility candidate, then the lower index.
+    """
+    return max(range(s.m), key=lambda c: (au_score(u, s, c, alpha, beta), u[c], -c))
 
 
 def au_decisions_grid(
@@ -330,21 +363,21 @@ def au_decisions_grid(
     alphas: Sequence[float],
     betas: Sequence[float],
 ) -> np.ndarray:
-    """AU decisions for the points ``(alphas[i], betas[i])``, shape (P,).
-
-    Maximizes the attainability-utility score.  ``alpha=2`` reduces to the
-    truthful vote and ``alpha=0`` to voting the poll leader (up to the
-    shared epsilon smoothing).  Ties break toward the higher-utility
-    candidate, then the lower index.
-    """
-    order = np.asarray(preference_order(u.values))
-    scores = _au_scores(u, s, alphas, betas)[:, order]
-    return order[np.argmax(scores, axis=1)]
+    """AU decisions for the points ``(alphas[i], betas[i])``, shape (P,)."""
+    points = [{"alpha": a, "beta": b} for a, b in zip(alphas, betas, strict=True)]
+    return decide_grid(Family.AU, points, u, s)
 
 
-def decide_au(u: UtilityFunction, s: Poll, alpha: float, beta: float) -> Candidate:
-    """One-point case of :func:`au_decisions_grid`."""
-    return int(au_decisions_grid(u, s, (alpha,), (beta,))[0])
+def _best_response_values(U: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """Winner-set utility after a vote for each candidate, shape (R, m)."""
+    R, m = U.shape
+    after = S[:, None, :] + np.eye(m, dtype=np.int64)  # after[j, c]: poll j plus a vote for c
+    won = after == after.max(axis=2, keepdims=True)
+    # Summed in candidate order from zero, as winner_set_utility sums.
+    total = np.zeros((R, m))
+    for d in range(m):
+        total = total + np.where(won[:, :, d], U[:, d, None], 0.0)
+    return total / won.sum(axis=2)
 
 
 def _decide_nn(u: UtilityFunction, s: Poll, ctx: DecisionContext) -> Candidate:
@@ -357,6 +390,95 @@ def _decide_nn(u: UtilityFunction, s: Poll, ctx: DecisionContext) -> Candidate:
     return preference_order(u.values)[rank]
 
 
+def decide_matrix(
+    family: Family,
+    points: Sequence[dict],
+    U: np.ndarray,
+    S: np.ndarray,
+    n: np.ndarray,
+    context: DecisionContext | None = None,
+) -> np.ndarray:
+    """Decisions of ``family`` at every (parameter point, record), int64 shape (P, R).
+
+    Record j has utilities ``U[j]`` and poll scores ``S[j]`` (both (R, m))
+    from a poll of reported size ``n[j]``.  ``points`` are parameter dicts
+    as in :meth:`ModelDescriptor.params`.  TRUTH, BR, PRAG, TMG, LD, LDLB
+    and AU decide every point and record in array operations that equal
+    their scalar deciders (:func:`decide_truth` and so on) exactly.  CV and
+    NN decide record by record: CV resolves ``eta="n"`` against each poll
+    and decides through :func:`pivot.decide_cv`, a pure function of (u, s,
+    eta) whose tables are shared through ``context.pivot_cache``; NN
+    requires ``context.network`` (and uses ``context.profile`` if set).
+    """
+    ctx = context if context is not None else DecisionContext()
+    family = Family(family)
+    U = np.asarray(U, dtype=float)
+    S = np.asarray(S, dtype=np.int64)
+    n = np.asarray(n, dtype=np.int64)
+    R, m = U.shape
+    if family in (Family.CV, Family.NN):
+        votes = np.empty((len(points), R), dtype=np.int64)
+        for j in range(R):
+            u, s = UtilityFunction(tuple(U[j])), Poll(tuple(S[j]), int(n[j]))
+            for i, p in enumerate(points):
+                if family is Family.NN:
+                    votes[i, j] = _decide_nn(u, s, ctx)
+                else:
+                    eta = s.n if p["eta"] == "n" else p["eta"]
+                    votes[i, j] = pivot_mod.decide_cv(u, s, eta, cache=ctx.pivot_cache)
+        return votes
+    # Each array family picks a preference rank per (point, record): 0 is
+    # the most preferred candidate.  Columns are put in preference order
+    # first, so an argmax breaks ties toward the more preferred candidate.
+    order = np.argsort(-U, axis=1, kind="stable")
+    by_preference = (np.arange(R)[:, None], order)
+    if family in (Family.LD, Family.LDLB):
+        possible = _possible_winners(S[by_preference], n, [p["r"] for p in points])
+        rank = np.argmax(possible, axis=-1)
+        if family is Family.LD:
+            rank = np.where(possible.sum(axis=-1) >= 2, rank, 0)
+    elif family is Family.AU:
+        alphas, betas = [p["alpha"] for p in points], [p["beta"] for p in points]
+        rank = np.empty((len(points), R), dtype=np.int64)
+        for block, scores in _au_scores(U[by_preference], S[by_preference], n, alphas, betas):
+            rank[block] = np.argmax(scores, axis=-1)
+    elif family is Family.BR:
+        values = _best_response_values(U, S)[by_preference]
+        rank = np.broadcast_to(np.argmax(values, axis=-1), (len(points), R))
+    elif family is Family.TRUTH:
+        rank = np.zeros((len(points), R), dtype=np.int64)
+    elif family is Family.PRAG:
+        rank = _pragmatist_ranks([p["k"] for p in points], _poll_positions(S, order))
+    else:  # Family.TMG
+        rank = _tmg_ranks([p["voter_type"] for p in points], _poll_positions(S, order))
+    return order[np.arange(R), rank].astype(np.int64, copy=False)
+
+
+def _pragmatist_ranks(ks: Sequence[int], position: np.ndarray) -> np.ndarray:
+    """PRAG preference ranks, shape (P, R): the first rank polled in the top k."""
+    for k in ks:
+        if not 1 <= k <= position.shape[1]:
+            raise ValueError(f"k must lie in [1, m], got {k}")
+    return np.argmax(position[None] < np.array(ks)[:, None, None], axis=-1)
+
+
+def _tmg_ranks(voter_types: Sequence[str], position: np.ndarray) -> np.ndarray:
+    """TMG preference ranks, shape (P, R), as :func:`decide_tmg` picks them."""
+    R, m = position.shape
+    if m != 3:
+        raise ValueError("TMG types are defined for exactly three candidates")
+    for voter_type in voter_types:
+        if voter_type not in TMG_TYPES:
+            raise ValueError(f"voter_type must be one of {TMG_TYPES}, got {voter_type!r}")
+    compromise = (position[:, 0] == m - 1).astype(np.int64)
+    ranks = {
+        "TRT": np.zeros(R, dtype=np.int64),
+        "CMP": compromise,
+        "LB": np.where(position[:, 1] == 0, 1, compromise),
+    }
+    return np.array([ranks[t] for t in voter_types], dtype=np.int64).reshape(len(voter_types), R)
+
+
 def decide_grid(
     family: Family,
     points: Sequence[dict],
@@ -364,39 +486,11 @@ def decide_grid(
     s: Poll,
     context: DecisionContext | None = None,
 ) -> np.ndarray:
-    """Decisions of ``family`` at every parameter point, int64 shape (P,).
+    """Decisions of ``family`` at every parameter point for one (u, s), int64 shape (P,).
 
-    ``points`` are parameter dicts as in :meth:`ModelDescriptor.params`.  CV
-    resolves ``eta="n"`` against the poll and decides through
-    :func:`pivot.decide_cv`, a pure function of (u, s, eta) whose tables are
-    shared through ``context.pivot_cache``.  NN requires ``context.network``
-    (and uses ``context.profile`` if set).
+    The one-record case of :func:`decide_matrix`.
     """
-    ctx = context if context is not None else DecisionContext()
-    family = Family(family)
-    if family in (Family.LD, Family.LDLB):
-        return _local_dominance_grid(family, u, s, [p["r"] for p in points])
-    if family is Family.AU:
-        alphas = [p["alpha"] for p in points]
-        return au_decisions_grid(u, s, alphas, [p["beta"] for p in points])
-    if family is Family.CV:
-        votes = [
-            pivot_mod.decide_cv(
-                u, s, s.n if p["eta"] == "n" else p["eta"], cache=ctx.pivot_cache
-            )
-            for p in points
-        ]
-    elif family is Family.TRUTH:
-        votes = [decide_truth(u, s) for _ in points]
-    elif family is Family.BR:
-        votes = [decide_best_response(u, s) for _ in points]
-    elif family is Family.PRAG:
-        votes = [decide_pragmatist(u, s, p["k"]) for p in points]
-    elif family is Family.TMG:
-        votes = [decide_tmg(u, s, p["voter_type"]) for p in points]
-    else:  # Family.NN
-        votes = [_decide_nn(u, s, ctx) for _ in points]
-    return np.array(votes, dtype=np.int64)
+    return decide_matrix(family, points, *_as_rows(u, s), context)[:, 0]
 
 
 def decide(

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
 from .core import Candidate, Poll, UtilityFunction
 from .seeding import derive_seed
@@ -124,6 +123,8 @@ def _pair_event_weights(block: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def _exact_pair_probs(poll: Poll, eta: int) -> np.ndarray:
+    from scipy.special import gammaln, xlogy
+
     p = _belief_probabilities(poll)
     log_fact = gammaln(np.arange(eta + 1) + 1.0)
     log_total = log_fact[eta]
@@ -153,6 +154,8 @@ def _closed_form_pair_probs(poll: Poll, eta: int) -> np.ndarray:
     pair's probabilities in (x, y, z) order, never in candidate order, so
     relabeling the poll permutes the table bit for bit.
     """
+    from scipy.special import gammaln, xlogy
+
     p = np.append(_belief_probabilities(poll), np.zeros(3 - poll.m))
     x, y = np.array([(x, y) for x in range(poll.m) for y in range(poll.m) if x != y]).T
     z = 3 - x - y

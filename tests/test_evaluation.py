@@ -1,10 +1,18 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from stratvote.behavior import build_profile
-from stratvote.core import Poll, UtilityFunction
+from stratvote import cli, evaluation
+from stratvote.behavior import (
+    SCENARIOS,
+    UNCLASSIFIED,
+    build_profile,
+    is_unjustified,
+    scenario_or_none,
+)
+from stratvote.core import Poll, UtilityFunction, preference_order
 from stratvote.data import (
     Dataset,
     GeneratorConfig,
@@ -12,10 +20,16 @@ from stratvote.data import (
     PopulationGroup,
     VoteRecord,
     generate_synthetic,
+    save_dataset,
 )
 from stratvote.evaluation import (
+    ERROR_CLASSES,
+    POLL_BUCKETS,
     ConfusionMatrix,
+    EvaluationReport,
     ParameterGrid,
+    PredictionRow,
+    RecordTable,
     error_breakdown,
     loo_evaluate,
     metrics_from_confusion,
@@ -389,3 +403,251 @@ class TestParameterDistribution:
         a = parameter_distribution(loo_evaluate(Family.AU, grid, ds, jobs=2))
         b = parameter_distribution(loo_evaluate(Family.AU, grid, ds, jobs=2))
         assert a == b
+
+
+# --- the per-record aggregation the record table replaced, kept as the oracle
+
+
+def oracle_error_breakdown(dataset, predictions):
+    profiles = {vid: build_profile(vid, recs) for vid, recs in dataset.by_voter().items()}
+    out = {
+        label: {cls: 0 for cls in ERROR_CLASSES}
+        for label in list(SCENARIOS) + [UNCLASSIFIED, "total"]
+    }
+    for vid, recs in dataset.by_voter().items():
+        inconsistent = profiles[vid].inconsistent_records
+        for idx, rec in enumerate(recs):
+            scenario = scenario_or_none(rec.utilities, rec.poll) or UNCLASSIFIED
+            if predictions[(vid, rec.round)] == rec.action:
+                cls = "correct"
+            elif is_unjustified(rec.utilities, rec.poll, rec.action):
+                cls = "unjustified"
+            elif idx in inconsistent:
+                cls = "inconsistent"
+            else:
+                cls = "unexplained"
+            out[scenario][cls] += 1
+            out["total"][cls] += 1
+    return out
+
+
+def oracle_report(family, mode, seed, dataset, predictions, fitted, defaulted):
+    by_voter = dataset.by_voter()
+    m = dataset.m
+    overall = np.zeros((m, m), dtype=np.int64)
+    per_scenario = {
+        label: np.zeros((m, m), dtype=np.int64) for label in list(SCENARIOS) + [UNCLASSIFIED]
+    }
+    per_bucket = {label: np.zeros((m, m), dtype=np.int64) for label in POLL_BUCKETS}
+    per_voter_f, per_voter_records, voter_bucket, rows = {}, {}, {}, []
+    for vid, recs in by_voter.items():
+        voter_counts = np.zeros((m, m), dtype=np.int64)
+        bucket_tally = Counter()
+        for rec in recs:
+            predicted = predictions[(vid, rec.round)]
+            rank_of = {c: i for i, c in enumerate(preference_order(rec.utilities.values))}
+            a_rank, p_rank = rank_of[rec.action], rank_of[predicted]
+            scenario = scenario_or_none(rec.utilities, rec.poll) or UNCLASSIFIED
+            bucket = poll_size_bucket(rec.poll.n)
+            for counts in (overall, per_scenario[scenario], per_bucket[bucket], voter_counts):
+                counts[a_rank, p_rank] += 1
+            bucket_tally[bucket] += 1
+            rows.append(
+                PredictionRow(vid, rec.round, scenario, bucket, rec.action, predicted, a_rank, p_rank)
+            )
+        per_voter_f[vid] = metrics_from_confusion(ConfusionMatrix(voter_counts)).weighted_f
+        per_voter_records[vid] = len(recs)
+        voter_bucket[vid] = max(
+            POLL_BUCKETS, key=lambda b: (bucket_tally.get(b, 0), -POLL_BUCKETS.index(b))
+        )
+    return EvaluationReport(
+        family=family.value,
+        mode=mode,
+        seed=seed,
+        num_voters=len(by_voter),
+        overall=ConfusionMatrix(overall),
+        per_scenario={k: ConfusionMatrix(v) for k, v in per_scenario.items()},
+        per_bucket={k: ConfusionMatrix(v) for k, v in per_bucket.items()},
+        per_voter_f=per_voter_f,
+        per_voter_records=per_voter_records,
+        fitted_params=dict(fitted),
+        voter_bucket=voter_bucket,
+        defaulted_voters=tuple(defaulted),
+        rows=tuple(rows),
+        error_breakdown=oracle_error_breakdown(dataset, predictions),
+    )
+
+
+def mixed_dataset(seed, m, num_voters=7, rounds=8):
+    """Every poll-size bucket, tied polls, and unjustified and inconsistent votes.
+
+    Odd rounds repeat the previous round's poll with a fresh random action,
+    so two records of one poll with different actions contradict each other.
+    """
+    rng = np.random.default_rng(seed)
+    records = []
+    for v in range(num_voters):
+        for r in range(rounds):
+            if r % 2 == 0:
+                u = UtilityFunction(tuple(float(x) for x in rng.permutation(m) * 10 + 5))
+                n = int(rng.choice([8, 100, 1000, 10000]))
+                if rng.random() < 0.3:
+                    scores = [n // m] * m  # a tie: no scenario
+                    scores[int(rng.integers(m))] = 0 if rng.random() < 0.5 else n // m
+                    scores = tuple(scores)
+                else:
+                    scores = tuple(int(x) for x in rng.multinomial(n, rng.dirichlet(np.ones(m))))
+                poll = Poll(scores, n)
+            action = int(rng.integers(m))
+            records.append(VoteRecord(f"v{v}", r, poll, u, action))
+    return Dataset(records=records)
+
+
+class TestRecordTableAggregation:
+    @pytest.mark.parametrize("m, seed", [(3, 1), (3, 2), (4, 3)])
+    def test_reports_equal_the_per_record_oracle(self, m, seed):
+        ds = mixed_dataset(seed, m)
+        table = RecordTable.from_dataset(ds)
+        for family in (Family.LD, Family.AU, Family.TRUTH):
+            grid = ParameterGrid.default(family, m=m)
+            for mode, run in (("loo", loo_evaluate), ("upper", upper_bound_evaluate)):
+                for data in (ds, table):
+                    rep = run(family, grid, data, seed=5)
+                    preds = {(row.voter_id, row.round): row.predicted for row in rep.rows}
+                    want = oracle_report(
+                        family, mode, 5, ds, preds, rep.fitted_params, rep.defaulted_voters
+                    )
+                    assert rep.to_dict() == want.to_dict()
+        # Random predictions fill every cell the evaluations leave empty.
+        rng = np.random.default_rng(seed)
+        preds = {(rec.voter_id, rec.round): int(rng.integers(m)) for rec in ds.records}
+        results = [
+            {
+                "predicted": [preds[(vid, rec.round)] for rec in recs],
+                "fitted": {"r": 0.5},
+                "defaulted": i % 3 == 0,
+            }
+            for i, (vid, recs) in enumerate(ds.by_voter().items())
+        ]
+        got = evaluation._aggregate(Family.LD, "loo", 9, table, results)
+        fitted = {vid: {"r": 0.5} for vid in ds.voters()}
+        defaulted = [vid for i, vid in enumerate(ds.voters()) if i % 3 == 0]
+        want = oracle_report(Family.LD, "loo", 9, ds, preds, fitted, defaulted)
+        assert got.to_dict() == want.to_dict()
+        assert error_breakdown(ds, preds) == oracle_error_breakdown(ds, preds)
+        # The data covers what the table annotates.
+        total = want.error_breakdown["total"]
+        assert total["unjustified"] > 0 and total["inconsistent"] > 0
+        assert all(want.per_bucket[b].total > 0 for b in POLL_BUCKETS)
+        assert want.per_scenario[UNCLASSIFIED].total > 0
+        if m == 3:
+            assert sum(want.per_scenario[s].total for s in SCENARIOS) > 0
+
+    def test_error_breakdown_takes_given_profiles(self):
+        ds = mixed_dataset(4, 3)
+        preds = {(rec.voter_id, rec.round): 0 for rec in ds.records}
+        profiles = {vid: build_profile(vid, recs) for vid, recs in ds.by_voter().items()}
+        assert error_breakdown(ds, preds, profiles) == oracle_error_breakdown(ds, preds)
+        with pytest.raises(ValueError, match="missing prediction"):
+            error_breakdown(RecordTable.from_dataset(ds), {})
+
+    def test_table_is_read_only(self):
+        table = RecordTable.from_dataset(mixed_dataset(5, 3, num_voters=2, rounds=2))
+        with pytest.raises(ValueError):
+            table.U[0, 0] = 1.0
+        block = table.select(table.voter_rows()[1])
+        assert [rec.voter_id for rec in block.records] == ["v1", "v1"]
+        assert block.voter.tolist() == [1, 1]
+
+    def test_evaluate_builds_each_profile_once(self, tmp_path, monkeypatch):
+        ds = mixed_dataset(6, 3)
+        csv_path, _ = save_dataset(ds, tmp_path / "data")
+        calls = []
+        real = evaluation.build_profile
+
+        def counting(vid, recs, **kwargs):
+            calls.append(vid)
+            return real(vid, recs, **kwargs)
+
+        monkeypatch.setattr(evaluation, "build_profile", counting)
+        argv = ["evaluate", "--data", str(csv_path), "--families", "TRUTH,LD,AU"]
+        assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 0
+        assert sorted(calls) == ds.voters()
+
+
+class FakeContext:
+    """Stands in for a fork context: records the pool size, maps in process."""
+
+    def __init__(self, sizes):
+        self.sizes = sizes
+
+    def Pool(self, processes):
+        self.sizes.append(processes)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return [fn(task) for task in tasks]
+
+
+class TestWorkerPool:
+    @pytest.mark.parametrize("jobs, voters, workers", [(8, 6, 6), (2, 6, 2), (1, 6, 0), (4, 1, 0)])
+    def test_pool_has_at_most_one_worker_per_voter(self, monkeypatch, jobs, voters, workers):
+        sizes = []
+        monkeypatch.setattr(evaluation, "get_context", lambda method: FakeContext(sizes))
+        ds = mixed_dataset(7, 3, num_voters=voters, rounds=2)
+        serial = loo_evaluate(Family.LD, ParameterGrid.default(Family.LD), ds)
+        pooled = loo_evaluate(Family.LD, ParameterGrid.default(Family.LD), ds, jobs=jobs)
+        assert sizes == ([workers] if workers else [])
+        assert pooled.to_dict() == serial.to_dict()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import stratvote.cli, sys; assert 'scipy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": str(src)}, check=True)
+
+
+def test_cv_pool_loads_scipy_before_forking():
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = """
+import sys
+from stratvote import evaluation
+from stratvote.core import Poll, UtilityFunction
+from stratvote.data import Dataset, VoteRecord
+from stratvote.evaluation import ParameterGrid, loo_evaluate
+from stratvote.models import Family
+
+class Context:
+    def Pool(self, processes):
+        seen.append("scipy.special" in sys.modules)
+        return self
+    def __enter__(self):
+        return self
+    def __exit__(self, *exc):
+        return False
+    def map(self, fn, tasks):
+        return [fn(task) for task in tasks]
+
+seen = []
+evaluation.get_context = lambda method: Context()
+u = UtilityFunction((10.0, 5.0, 0.0))
+ds = Dataset([VoteRecord(v, 0, Poll((5, 3, 2), 10), u, 0) for v in ("a", "b")])
+loo_evaluate(Family.TRUTH, ParameterGrid.default(Family.TRUTH), ds, jobs=2)
+loo_evaluate(Family.CV, ParameterGrid.default(Family.CV, cv_etas=(4,)), ds, jobs=2)
+assert seen == [False, True], seen
+"""
+    subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": str(src)}, check=True)

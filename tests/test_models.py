@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stratvote.core import (
     Poll,
@@ -12,6 +12,7 @@ from stratvote.core import (
     preference_order,
     winner_set_utility,
 )
+from stratvote.evaluation import ParameterGrid
 from stratvote.models import (
     AU_EPSILON,
     DecisionContext,
@@ -26,6 +27,7 @@ from stratvote.models import (
     decide_grid,
     decide_ld,
     decide_ld_lb,
+    decide_matrix,
     decide_pragmatist,
     decide_tmg,
     decide_truth,
@@ -408,3 +410,127 @@ class TestDecideGrid:
         ):
             with pytest.raises(ValueError, match="dimension mismatch"):
                 decide_grid(desc.family, (desc.params(),), three, S1)
+
+
+# --- the array path against the scalar deciders ------------------------------
+
+# Utilities and scores drawn from small sets, so preference ties, tied and
+# zero poll scores are common; a reported n of None means the score total.
+_utility = st.one_of(st.sampled_from([0.0, 10.0, 20.0]), st.floats(0, 100, allow_nan=False))
+_alpha = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0]), st.floats(0, 2, allow_nan=False))
+_beta = st.one_of(st.sampled_from([0.0, 1.0, 40.0]), st.floats(0, 100, allow_nan=False))
+
+
+def _record(m):
+    return st.tuples(
+        st.lists(_utility, min_size=m, max_size=m),
+        st.lists(st.integers(0, 12), min_size=m, max_size=m),
+        st.one_of(st.none(), st.integers(0, 60)),
+    ).map(
+        lambda r: (
+            UtilityFunction(tuple(r[0])),
+            Poll(tuple(r[1]), sum(r[1]) if r[2] is None else r[2]),
+        )
+    )
+
+
+def _records(m, max_size=6):
+    return st.lists(_record(m), min_size=1, max_size=max_size)
+
+
+any_m_records = st.integers(2, 5).flatmap(_records)
+# R = 1 with a tied poll holding zeros and a zero reported size, and a
+# two-record batch whose polls tie at the top.
+_TIED = [(UtilityFunction((0.0, 10.0, 10.0)), Poll((0, 0, 0), 0))]
+_TIED_TOP = [
+    (UtilityFunction((5.0, 20.0, 0.0)), Poll((4, 4, 0), 8)),
+    (UtilityFunction((20.0, 0.0, 5.0)), Poll((0, 7, 7), 14)),
+]
+# A vote for candidate 2 ties all three; their mean utility is
+# 0.20000000000000004 summed in candidate order and 0.19999999999999998
+# summed in reverse, so BR's choice depends on the summation order.
+_SUM_ORDER = [(UtilityFunction((0.1, 0.2, 0.3)), Poll((1, 1, 0), 2))]
+
+
+def _matrix(family, points, records):
+    U = np.array([u.values for u, _ in records])
+    S = np.array([s.scores for _, s in records])
+    n = np.array([s.n for _, s in records])
+    got = decide_matrix(family, points, U, S, n)
+    assert got.dtype == np.int64 and got.shape == (len(points), len(records))
+    return got
+
+
+def _scalar(decider, points, records):
+    return np.array([[decider(u, s, p) for u, s in records] for p in points], dtype=np.int64)
+
+
+class TestDecideMatrixEqualsScalarDeciders:
+    @settings(deadline=None)
+    @given(any_m_records)
+    @example(_TIED)
+    @example(_TIED_TOP)
+    @example(_SUM_ORDER)
+    def test_truth_br_and_prag(self, records):
+        m = records[0][0].m
+        for family, decider in (
+            (Family.TRUTH, lambda u, s, p: decide_truth(u, s)),
+            (Family.BR, lambda u, s, p: decide_best_response(u, s)),
+        ):
+            got = _matrix(family, [{}, {}], records)
+            assert np.array_equal(got, _scalar(decider, [{}, {}], records))
+        points = [{"k": k} for k in range(m, 0, -1)]
+        got = _matrix(Family.PRAG, points, records)
+        want = _scalar(lambda u, s, p: decide_pragmatist(u, s, p["k"]), points, records)
+        assert np.array_equal(got, want)
+
+    @settings(deadline=None)
+    @given(_records(3))
+    @example(_TIED)
+    @example(_TIED_TOP)
+    def test_tmg(self, records):
+        points = [{"voter_type": t} for t in ("LB", "TRT", "CMP", "LB")]
+        got = _matrix(Family.TMG, points, records)
+        want = _scalar(lambda u, s, p: decide_tmg(u, s, p["voter_type"]), points, records)
+        assert np.array_equal(got, want)
+
+    @settings(deadline=None)
+    @given(any_m_records, st.lists(rs, min_size=1, max_size=8))
+    @example(_TIED, [0.0, 1.0])
+    @example(_TIED_TOP, [0.0, 0.5])
+    def test_ld_and_ldlb(self, records, radii):
+        points = [{"r": r} for r in radii]
+        most_preferred_undominated = _scalar(
+            lambda u, s, p: max(undominated_set(u, s, p["r"]), key=lambda c: (u[c], -c)),
+            points,
+            records,
+        )
+        got = _matrix(Family.LD, points, records)
+        assert np.array_equal(got, most_preferred_undominated)
+        assert np.array_equal(got, _scalar(lambda u, s, p: decide_ld(u, s, p["r"]), points, records))
+        got = _matrix(Family.LDLB, points, records)
+        want = _scalar(lambda u, s, p: decide_ld_lb(u, s, p["r"]), points, records)
+        assert np.array_equal(got, want)
+
+    @settings(deadline=None)
+    @given(any_m_records, st.lists(st.tuples(_alpha, _beta), min_size=1, max_size=12))
+    @example(_TIED, [(0.0, 0.0), (2.0, 100.0)])
+    @example(_TIED_TOP, [(1.5, 40.0), (1.5, 40.0), (0.5, 1.0)])
+    def test_au(self, records, pairs):
+        points = [{"alpha": a, "beta": b} for a, b in pairs]
+        got = _matrix(Family.AU, points, records)
+        want = _scalar(lambda u, s, p: decide_au(u, s, p["alpha"], p["beta"]), points, records)
+        assert np.array_equal(got, want)
+
+    @settings(max_examples=4, deadline=None)
+    @given(st.integers(2, 5).flatmap(lambda m: _records(m, max_size=2)))
+    @example(_TIED)
+    def test_au_full_default_grid(self, records):
+        points = ParameterGrid.default(Family.AU).points
+        got = _matrix(Family.AU, points, records)
+        want = _scalar(lambda u, s, p: decide_au(u, s, p["alpha"], p["beta"]), points, records)
+        assert np.array_equal(got, want)
+        # The grid is scored in blocks of points; a voter with many
+        # records gets smaller blocks and the same decisions.
+        many = records * 300
+        assert np.array_equal(_matrix(Family.AU, points, many), np.tile(got, 300))
