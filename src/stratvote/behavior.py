@@ -173,7 +173,10 @@ def voter_type(
     ``LB`` when the leader ratio exceeds ``lb_threshold``; otherwise
     ``OTHER`` (which also covers voters whose leader ratio is undefined).
     """
-    ratios = action_ratios(records)
+    return _type_from_ratios(action_ratios(records), trt_threshold, lb_threshold)
+
+
+def _type_from_ratios(ratios: dict[str, float], trt_threshold: float, lb_threshold: float) -> str:
     if ratios.get("TRT", 0.0) > trt_threshold:
         return "TRT"
     if ratios.get("LB", 0.0) > lb_threshold:
@@ -223,12 +226,11 @@ def build_profile(
     lb_threshold: float = 0.5,
 ) -> VoterProfile:
     """Profile a voter from all of their records."""
+    ratios = action_ratios(records)
     return VoterProfile(
         voter_id=voter_id,
-        voter_type=voter_type(
-            records, trt_threshold=trt_threshold, lb_threshold=lb_threshold
-        ),
-        a_ratios=action_ratios(records),
+        voter_type=_type_from_ratios(ratios, trt_threshold, lb_threshold),
+        a_ratios=ratios,
         unjustified_actions=unjustified_count(records),
         inconsistent_records=frozenset(find_inconsistent(records)),
     )

@@ -16,8 +16,13 @@ Leave-one-out uses the match-matrix identity: with per-point match counts
 over all rounds, each fold's training score is the total minus that fold's
 column, so one decision matrix per voter serves every fold.  The ``NN``
 baseline has no grid: each of a voter's folds trains its own network on
-the other rounds (profile included), and all of them train as one stacked
-network (:func:`nn.fit_folds`) whose per-fold weights equal separate
+the other rounds (profile included).
+
+Work is cut into one task per worker, each a contiguous run of voters of
+about equal record count (one task, in process, for ``jobs=1``).  A task
+decides one voter's matrix at a time, which keeps ``AU``'s memory per
+voter, but hands every ``NN`` training set of its voters to one
+:func:`nn.fit_folds` call, whose stacked per-fold weights equal separate
 training bit for bit.
 """
 
@@ -289,9 +294,9 @@ class RecordTable:
         return self.U.shape[1]
 
     def voter_rows(self) -> list[slice]:
-        """Each voter's rows, in ``voter_ids`` order."""
-        ends = np.cumsum(np.bincount(self.voter, minlength=len(self.voter_ids))).tolist()
-        return [slice(start, end) for start, end in zip([0, *ends], ends)]
+        """The rows of each voter in the table, in ``voter_ids`` order."""
+        starts = np.flatnonzero(np.diff(self.voter, prepend=-1)).tolist()
+        return [slice(start, end) for start, end in zip(starts, [*starts[1:], len(self.voter)])]
 
     def select(self, rows: slice) -> "RecordTable":
         """The table of ``rows`` alone; ``voter`` still indexes all ``voter_ids``."""
@@ -311,35 +316,8 @@ def _decision_matrix(grid: ParameterGrid, block: RecordTable) -> np.ndarray:
     return models.decide_matrix(grid.family, grid.points, block.U, block.S, block.n, ctx)
 
 
-def _predict_voter_nn(vid: str, records: list[VoteRecord], mode: str, seed: int) -> list[int]:
-    """Predict each record; under LOO, with a network trained on the other rounds."""
-    if mode == "upper":
-        hyper = nn_mod.Hyperparams(seed=derive_seed(seed, "nn", vid, "all"))
-        fitted = [nn_mod.fit_network(records, hyper)] * len(records)
-    elif len(records) == 1:
-        # Single-record voter: nothing to train on; the seeded initial
-        # network plays the role of the default grid point.
-        net = nn_mod.init_network(
-            nn_mod.FEATURE_DIM, seed=derive_seed(seed, "nn", vid, records[0].round)
-        )
-        fitted = [(net, build_profile(vid, []))]
-    else:
-        folds = [records[:i] + records[i + 1 :] for i in range(len(records))]
-        hypers = [
-            nn_mod.Hyperparams(seed=derive_seed(seed, "nn", vid, rec.round)) for rec in records
-        ]
-        fitted = nn_mod.fit_folds(folds, hypers)
-    return [nn_mod.predict_record(net, profile, rec) for rec, (net, profile) in zip(records, fitted)]
-
-
-def _evaluate_voter(task: tuple) -> dict:
-    """Fit and predict one voter's rows; pure function of its arguments."""
-    vid, block, grid, mode, seed = task
-    defaulted = mode != "upper" and len(block.records) == 1
-    if grid.family is Family.NN:
-        predicted = _predict_voter_nn(vid, list(block.records), mode, seed)
-        return {"predicted": predicted, "fitted": {}, "defaulted": defaulted}
-
+def _fit_grid(grid: ParameterGrid, block: RecordTable, mode: str) -> tuple[np.ndarray, dict]:
+    """One voter's predictions and in-sample fit from its decision matrix."""
     D = _decision_matrix(grid, block)
     M = D == block.action[None, :]
     totals = M.sum(axis=1)
@@ -348,11 +326,81 @@ def _evaluate_voter(task: tuple) -> dict:
         picks = np.full(D.shape[1], fit_index)
     else:
         picks = np.argmax(totals[:, None] - M, axis=0)
-    return {
-        "predicted": D[picks, np.arange(D.shape[1])],
-        "fitted": dict(grid.points[fit_index]),
-        "defaulted": defaulted,
-    }
+    return D[picks, np.arange(D.shape[1])], dict(grid.points[fit_index])
+
+
+def _predict_nn(voters: list[list[VoteRecord]], mode: str, seed: int) -> list[list[int]]:
+    """Each voter's predictions, every network the voters need trained by one fit_folds.
+
+    Under LOO each record is predicted by a network trained on the voter's
+    other rounds; a single-record voter has nothing to train on, and its
+    seeded initial network plays the role of the default grid point.
+    """
+    # picks[v][i] indexes the (network, profile) in ``fitted`` that predicts
+    # voter v's record i: trained folds count from the front, the initial
+    # networks of single-record voters from the back.
+    folds, hypers, defaults, picks = [], [], [], []
+    for records in voters:
+        vid = records[0].voter_id
+        if mode == "upper":
+            picks.append([len(folds)] * len(records))
+            folds.append(records)
+            hypers.append(nn_mod.Hyperparams(seed=derive_seed(seed, "nn", vid, "all")))
+        elif len(records) == 1:
+            net = nn_mod.init_network(
+                nn_mod.FEATURE_DIM, seed=derive_seed(seed, "nn", vid, records[0].round)
+            )
+            picks.append([-1 - len(defaults)])
+            defaults.append((net, build_profile(vid, [])))
+        else:
+            picks.append(range(len(folds), len(folds) + len(records)))
+            folds += [records[:i] + records[i + 1 :] for i in range(len(records))]
+            hypers += [
+                nn_mod.Hyperparams(seed=derive_seed(seed, "nn", vid, rec.round)) for rec in records
+            ]
+    fitted = (nn_mod.fit_folds(folds, hypers) if folds else []) + defaults[::-1]
+    return [
+        [nn_mod.predict_record(*fitted[i], rec) for i, rec in zip(pick, records)]
+        for pick, records in zip(picks, voters)
+    ]
+
+
+def _evaluate_voters(task: tuple) -> list[dict]:
+    """Fit and predict a run of voters' rows, one result per voter in order.
+
+    A pure function of its arguments.  Grid families decide one voter's
+    matrix at a time; ``NN`` trains all of the run's networks together.
+    """
+    block, grid, mode, seed = task
+    voters = block.voter_rows()
+    if grid.family is Family.NN:
+        predictions = _predict_nn([list(block.records[rows]) for rows in voters], mode, seed)
+        fits = [(predicted, {}) for predicted in predictions]
+    else:
+        fits = [_fit_grid(grid, block.select(rows), mode) for rows in voters]
+    return [
+        {
+            "predicted": predicted,
+            "fitted": fitted,
+            "defaulted": mode != "upper" and rows.stop - rows.start == 1,
+        }
+        for rows, (predicted, fitted) in zip(voters, fits)
+    ]
+
+
+def _voter_runs(voter_rows: Sequence[slice], k: int) -> list[slice]:
+    """The rows of ``k`` contiguous, non-empty runs of voters of about equal size.
+
+    Each cut falls at the voter boundary nearest its share of the records,
+    ties to the earlier one.
+    """
+    ends = np.array([rows.stop for rows in voter_rows])
+    cuts = [0]
+    for i in range(1, k):
+        nearest = int(np.argmin(np.abs(ends - ends[-1] * i / k))) + 1
+        cuts.append(min(max(nearest, cuts[-1] + 1), len(ends) - (k - i)))
+    bounds = [0, *(int(ends[c - 1]) for c in cuts[1:]), int(ends[-1])]
+    return [slice(start, stop) for start, stop in zip(bounds, bounds[1:])]
 
 
 # --- reports -----------------------------------------------------------------
@@ -555,20 +603,22 @@ def _run(
     if grid.family is not family:
         raise ValueError(f"grid is for {grid.family}, not {family}")
     table = dataset if isinstance(dataset, RecordTable) else RecordTable.from_dataset(dataset)
+    # One task per worker: a contiguous run of voters, so every NN network
+    # a worker needs trains in one fit_folds call.
+    voter_rows = table.voter_rows()
+    workers = min(jobs, len(voter_rows))
     tasks = [
-        (vid, table.select(rows), grid, mode, seed)
-        for vid, rows in zip(table.voter_ids, table.voter_rows())
+        (table.select(rows), grid, mode, seed) for rows in _voter_runs(voter_rows, workers)
     ]
-    workers = min(jobs, len(tasks))
     if workers > 1:
         if family is Family.CV:
             # Load the pivot kernels' scipy once here, not in every worker.
             import scipy.special  # noqa: F401
         with get_context("fork").Pool(processes=workers) as pool:
-            results = pool.map(_evaluate_voter, tasks)
+            chunks = pool.map(_evaluate_voters, tasks)
     else:
-        results = [_evaluate_voter(task) for task in tasks]
-    return _aggregate(family, mode, seed, table, results)
+        chunks = [_evaluate_voters(task) for task in tasks]
+    return _aggregate(family, mode, seed, table, [r for chunk in chunks for r in chunk])
 
 
 def loo_evaluate(

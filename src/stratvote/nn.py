@@ -22,8 +22,9 @@ equal-sized training sets at once: weights of shape (F, h, d), (F, h),
 the fold axis.  Each step is elementwise, a reduction within one fold, or
 one matrix product per fold, so every network ends with the same weights,
 bit for bit, as one trained alone.  :func:`train` and
-:func:`loss_and_grads` are its one-network case, and :func:`fit_folds`
-trains a voter's leave-one-out folds with it in one call.
+:func:`loss_and_grads` are its one-network case.  :func:`fit_folds` trains
+any number of training sets, of any sizes: the sets of one size train as
+one stack, split only past ``MAX_STACK_ROWS`` training rows per stack.
 """
 
 from __future__ import annotations
@@ -39,6 +40,10 @@ from .core import Poll, UtilityFunction, preference_order
 FEATURE_DIM = 25
 NUM_CLASSES = 3
 HIDDEN_SIZE = 3
+
+# Training rows per train_stack call in fit_folds; a larger group of
+# equal-sized folds is split, which bounds the memory of one stack.
+MAX_STACK_ROWS = 16_384
 
 _RATIO_KEYS = ("TRT", "CMP", "LB")
 _PARAM_NAMES = ("w1", "b1", "w2", "b2")
@@ -321,18 +326,31 @@ def fit_network(
 def fit_folds(
     folds: Sequence[Sequence], hypers: Sequence[Hyperparams]
 ) -> list[tuple[Network, VoterProfile]]:
-    """:func:`fit_network` on each fold, trained as one :func:`train_stack`.
+    """:func:`fit_network` on each fold, with few :func:`train_stack` calls.
 
-    The folds must hold equally many records; fold f trains with
-    ``hypers[f]``, and its profile comes from its own records.
+    Fold f trains with ``hypers[f]``, and its profile comes from its own
+    records.  Folds may differ in size: those of one size, in input order,
+    train as one stack, split into stacks of at most ``MAX_STACK_ROWS``
+    training rows (at least one fold each), whose features are built only
+    when that stack trains.  Stacking leaves every network's weights
+    unchanged, bit for bit.  Results are in input order.
     """
     if not folds or not all(folds):
         raise ValueError("cannot fit a network on zero records")
-    sets = [_training_set(fold) for fold in folds]
-    nets = train_stack(
-        np.stack([X for X, _, _ in sets]), np.stack([y for _, y, _ in sets]), hypers
-    )
-    return [(net, profile) for net, (_, _, profile) in zip(nets, sets)]
+    if len(hypers) != len(folds):
+        raise ValueError(f"need one Hyperparams per fold, got {len(hypers)} for {len(folds)}")
+    by_size: dict[int, list[int]] = {}
+    for f, fold in enumerate(folds):
+        by_size.setdefault(len(fold), []).append(f)
+    fitted: dict[int, tuple[Network, VoterProfile]] = {}
+    for size, members in by_size.items():
+        step = max(1, MAX_STACK_ROWS // size)
+        for stack in (members[i : i + step] for i in range(0, len(members), step)):
+            # Features are built one stack at a time, so the cap bounds them too.
+            X, y, profiles = zip(*(_training_set(folds[f]) for f in stack))
+            nets = train_stack(np.stack(X), np.stack(y), [hypers[f] for f in stack])
+            fitted.update(zip(stack, zip(nets, profiles)))
+    return [fitted[f] for f in range(len(folds))]
 
 
 def predict_record(net: Network, profile: VoterProfile, record) -> int:

@@ -4,6 +4,7 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -250,6 +251,29 @@ class TestEvaluate:
         assert names == sorted(path.name for path in out3.iterdir())
         for name in names:
             assert (out1 / name).read_bytes() == (out3 / name).read_bytes()
+
+    @pytest.mark.parametrize("mode", ["loo", "upper"])
+    def test_jobs_do_not_change_nn_report_bytes_on_uneven_voters(self, tmp_path, mode):
+        # Voters of 1, 2, 5 and 7 records: each worker's run of voters
+        # mixes fold sizes, and a single-record voter keeps its initial network.
+        rng = np.random.default_rng(3)
+        body = ""
+        for vid, rounds in (("a", 1), ("b", 2), ("c", 5), ("d", 7)):
+            for r in range(rounds):
+                cells = [*rng.multinomial(100, [0.5, 0.3, 0.2]), *rng.permutation([30, 20, 10])]
+                body += f"{vid},{r},100,{','.join(map(str, cells))},q{rng.integers(1, 4)}\n"
+        data = write_rows(tmp_path, body)
+        base = ["evaluate", "--data", str(data), "--families", "NN", "--mode", mode]
+        outs = [tmp_path / f"r{jobs}" for jobs in (1, 2, 3)]
+        for jobs, out in zip((1, 2, 3), outs):
+            assert main(base + ["--jobs", str(jobs), "--out", str(out)]) == 0
+        report = json.loads((outs[0] / f"{mode}_NN_report.json").read_text())
+        assert report["defaulted_voters"] == (["a"] if mode == "loo" else [])
+        names = sorted(path.name for path in outs[0].iterdir())
+        for out in outs[1:]:
+            assert sorted(path.name for path in out.iterdir()) == names
+            for name in names:
+                assert (out / name).read_bytes() == (outs[0] / name).read_bytes()
 
     def test_rerun_is_byte_identical(self, tmp_path, small_dataset):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"

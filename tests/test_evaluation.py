@@ -3,6 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from stratvote import cli, evaluation
 from stratvote.behavior import (
@@ -605,6 +606,73 @@ class TestWorkerPool:
         pooled = loo_evaluate(Family.LD, ParameterGrid.default(Family.LD), ds, jobs=jobs)
         assert sizes == ([workers] if workers else [])
         assert pooled.to_dict() == serial.to_dict()
+
+    @pytest.mark.parametrize("family", [Family.LD, Family.NN])
+    @pytest.mark.parametrize("jobs", [2, 3, 5, 8])
+    def test_one_task_per_worker_covering_each_voter_once_in_order(
+        self, monkeypatch, family, jobs
+    ):
+        sizes, tasks = [], []
+        context = RecordingContext(sizes, tasks)
+        monkeypatch.setattr(evaluation, "get_context", lambda method: context)
+        # Voters of 1 to 6 records: v0 holds 1, v1 holds 2, and so on.
+        records = mixed_dataset(5, 3, num_voters=6, rounds=6).records
+        ds = Dataset([r for r in records if r.round <= int(r.voter_id[1:])])
+        grid = ParameterGrid.default(family)
+        pooled = loo_evaluate(family, grid, ds, jobs=jobs)
+        workers = min(jobs, 6)
+        assert sizes == [workers] and len(tasks) == workers
+        voters = [v for block, *_ in tasks for v in block.voter.tolist()]
+        assert voters == sorted(voters)
+        assert sorted(set(voters)) == list(range(6))
+        assert sum(len(block.records) for block, *_ in tasks) == len(ds.records)
+        assert pooled.to_dict() == loo_evaluate(family, grid, ds).to_dict()
+
+
+class RecordingContext(FakeContext):
+    """A fake fork context that also keeps the tasks handed to ``map``."""
+
+    def __init__(self, sizes, tasks):
+        super().__init__(sizes)
+        self.tasks = tasks
+
+    def map(self, fn, tasks):
+        self.tasks.extend(tasks)
+        return super().map(fn, tasks)
+
+
+@given(
+    st.lists(st.integers(min_value=1, max_value=20), min_size=1, max_size=30),
+    st.integers(min_value=1, max_value=30),
+)
+def test_voter_runs_are_contiguous_non_empty_and_balanced(counts, k):
+    k = min(k, len(counts))
+    ends = np.cumsum(counts).tolist()
+    voter_rows = [slice(start, stop) for start, stop in zip([0, *ends], ends)]
+    runs = evaluation._voter_runs(voter_rows, k)
+    assert len(runs) == k
+    assert [run.start for run in runs] == [0, *(run.stop for run in runs[:-1])]
+    assert runs[-1].stop == ends[-1]
+    assert all(run.stop > run.start and run.stop in ends for run in runs)
+    if k == 2:
+        # The one cut is the voter boundary nearest half the records.
+        assert abs(runs[0].stop * 2 - ends[-1]) == min(abs(e * 2 - ends[-1]) for e in ends[:-1])
+
+
+@pytest.mark.parametrize(
+    "counts, k, stops",
+    [
+        ([1, 2, 5, 7], 2, [8, 15]),
+        ([1, 2, 5, 7], 3, [3, 8, 15]),
+        ([4, 4, 4, 4, 4, 4], 4, [4, 12, 16, 24]),  # ties go to the earlier boundary
+        ([20, 1, 1, 1], 3, [20, 21, 23]),
+        ([1, 1, 1, 20], 3, [2, 3, 23]),  # every run keeps a voter
+    ],
+)
+def test_voter_runs_cut_at_the_nearest_boundary(counts, k, stops):
+    ends = np.cumsum(counts).tolist()
+    voter_rows = [slice(start, stop) for start, stop in zip([0, *ends], ends)]
+    assert [run.stop for run in evaluation._voter_runs(voter_rows, k)] == stops
 
 
 def test_cli_import_leaves_scipy_unloaded():

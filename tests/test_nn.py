@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stratvote.behavior import build_profile
+from stratvote import nn
+from stratvote.behavior import action_ratios, build_profile, voter_type
 from stratvote.core import Poll, UtilityFunction, preference_order
 from stratvote.data import VoteRecord
 from stratvote.nn import (
@@ -440,3 +441,88 @@ class TestVoterPipeline:
     def test_fit_folds_rejects_an_empty_fold(self):
         with pytest.raises(ValueError):
             fit_folds([[rec((80, 50, 30), 0)], []], [Hyperparams(), Hyperparams()])
+
+
+def generated_voter(rng, rounds):
+    rows = []
+    for i in range(rounds):
+        u = UtilityFunction(tuple(float(v) for v in rng.permutation([10.0, 5.0, 0.0])))
+        # Scores from a small range, so some polls tie and have no scenario.
+        scores = tuple(int(v) for v in rng.integers(0, 6, size=3) * 20 + 1)
+        rows.append(rec(scores, int(rng.integers(3)), i, u))
+    return rows
+
+
+@st.composite
+def mixed_folds(draw):
+    """1-8 folds of 1-12 records, each a subset of one generated 12-round voter."""
+    rng = np.random.default_rng(draw(SEEDS))
+    rows = generated_voter(rng, 12)
+    sizes = draw(st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=8))
+    folds = [[rows[j] for j in sorted(rng.choice(12, size=k, replace=False))] for k in sizes]
+    epochs = draw(st.integers(min_value=0, max_value=30))
+    return folds, [Hyperparams(epochs=epochs, seed=draw(SEEDS)) for _ in folds]
+
+
+def count_stacks(monkeypatch):
+    """Record the fold count of every train_stack call fit_folds makes."""
+    calls = []
+
+    def counted(X, y, hypers):
+        calls.append(len(hypers))
+        return train_stack(X, y, hypers)
+
+    monkeypatch.setattr(nn, "train_stack", counted)
+    return calls
+
+
+class TestMixedSizeFolds:
+    @given(mixed_folds())
+    @settings(max_examples=40, deadline=None)
+    def test_each_fold_equals_fit_network_in_input_order(self, case):
+        folds, hypers = case
+        fitted = fit_folds(folds, hypers)
+        assert len(fitted) == len(folds)
+        for (net, profile), fold, hyper in zip(fitted, folds, hypers):
+            want_net, want_profile = fit_network(fold, hyper)
+            assert_same_weights(net, want_net)
+            assert profile == want_profile
+
+    def test_one_stack_per_fold_size(self, monkeypatch):
+        rows = [rec((80, 50, 30), i % 3, round=i) for i in range(6)]
+        calls = count_stacks(monkeypatch)
+        folds = [rows[:3], rows[:5], rows[1:4], rows[2:], rows, rows[3:]]
+        fit_folds(folds, [Hyperparams(epochs=5, seed=i) for i in range(len(folds))])
+        assert calls == [3, 1, 1, 1]
+
+    @pytest.mark.parametrize("cap, stacks", [(1, [1] * 7), (9, [3, 3, 1]), (20, [6, 1])])
+    def test_row_cap_splits_a_size_group_without_changing_weights(self, monkeypatch, cap, stacks):
+        rows = [rec(s, a, round=i) for i, (s, a) in enumerate(
+            [((80, 50, 30), 0), ((50, 80, 30), 1), ((30, 50, 80), 0), ((80, 30, 50), 2)]
+        )]
+        three = [rows[:3], rows[1:], rows[:2] + rows[3:], rows[:1] + rows[2:], rows[:3], rows[1:]]
+        folds = three + [rows]
+        hypers = [Hyperparams(epochs=40, seed=100 + i) for i in range(len(folds))]
+        whole = fit_folds(folds, hypers)
+        monkeypatch.setattr(nn, "MAX_STACK_ROWS", cap)
+        calls = count_stacks(monkeypatch)
+        split = fit_folds(folds, hypers)
+        assert calls == stacks
+        for (net, profile), (want_net, want_profile) in zip(split, whole):
+            assert_same_weights(net, want_net)
+            assert profile == want_profile
+
+    def test_one_hyperparams_per_fold(self):
+        with pytest.raises(ValueError, match="one Hyperparams per fold"):
+            fit_folds([[rec((80, 50, 30), 0)], [rec((80, 50, 30), 1)]], [Hyperparams()])
+
+
+@given(SEEDS, st.integers(min_value=1, max_value=12), st.floats(0, 1), st.floats(0, 1))
+@settings(max_examples=60, deadline=None)
+def test_profile_type_is_voter_type(seed, rounds, trt, lb):
+    # The type feature comes from the profile, which derives it from the
+    # ratios it already holds.
+    rows = generated_voter(np.random.default_rng(seed), rounds)
+    profile = build_profile("v1", rows, trt_threshold=trt, lb_threshold=lb)
+    assert profile.voter_type == voter_type(rows, trt_threshold=trt, lb_threshold=lb)
+    assert profile.a_ratios == action_ratios(rows)
