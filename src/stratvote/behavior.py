@@ -20,7 +20,7 @@ scenario statistics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .core import Candidate, Poll, UtilityFunction, preference_order
 
@@ -50,6 +50,10 @@ _ORDER_TO_SCENARIO = {
 }
 
 VOTER_TYPES = ("TRT", "LB", "OTHER")
+# A profile's voter type: TRT above this truthful ratio, else LB above
+# this leader ratio, else OTHER.
+TRT_THRESHOLD = 0.9
+LB_THRESHOLD = 0.5
 
 
 def _strict_preferences(u: UtilityFunction) -> tuple[int, ...]:
@@ -161,29 +165,6 @@ def action_ratios(records: "Sequence[VoteRecord]") -> dict[str, float]:
     }
 
 
-def voter_type(
-    records: "Sequence[VoteRecord]",
-    *,
-    trt_threshold: float = 0.9,
-    lb_threshold: float = 0.5,
-) -> str:
-    """Coarse voter type from action ratios.
-
-    ``TRT`` when the truthful ratio exceeds ``trt_threshold``; otherwise
-    ``LB`` when the leader ratio exceeds ``lb_threshold``; otherwise
-    ``OTHER`` (which also covers voters whose leader ratio is undefined).
-    """
-    return _type_from_ratios(action_ratios(records), trt_threshold, lb_threshold)
-
-
-def _type_from_ratios(ratios: dict[str, float], trt_threshold: float, lb_threshold: float) -> str:
-    if ratios.get("TRT", 0.0) > trt_threshold:
-        return "TRT"
-    if ratios.get("LB", 0.0) > lb_threshold:
-        return "LB"
-    return "OTHER"
-
-
 def unjustified_count(records: "Sequence[VoteRecord]") -> int:
     return sum(
         1 for rec in records if is_unjustified(rec.utilities, rec.poll, rec.action)
@@ -200,36 +181,25 @@ class VoterProfile:
     unjustified_actions: int = 0
     inconsistent_records: frozenset = frozenset()
 
-    # A voter is deemed "unjustified" only on repeated offenses: a single
-    # unjustified action may be a slip.
-    @property
-    def is_unjustified(self) -> bool:
-        return self.unjustified_actions >= 2
 
-    @property
-    def is_inconsistent(self) -> bool:
-        return len(self.inconsistent_records) > 0
+def build_profile(voter_id: str, records: "Sequence[VoteRecord]") -> VoterProfile:
+    """Profile a voter from all of their records.
 
-    def consistency_class(self) -> str:
-        if self.is_unjustified:
-            return "unjustified"
-        if self.is_inconsistent:
-            return "inconsistent"
-        return "other"
-
-
-def build_profile(
-    voter_id: str,
-    records: "Sequence[VoteRecord]",
-    *,
-    trt_threshold: float = 0.9,
-    lb_threshold: float = 0.5,
-) -> VoterProfile:
-    """Profile a voter from all of their records."""
+    The voter type is ``TRT`` when the truthful ratio exceeds
+    ``TRT_THRESHOLD``; otherwise ``LB`` when the leader ratio exceeds
+    ``LB_THRESHOLD``; otherwise ``OTHER`` (which also covers voters whose
+    leader ratio is undefined).
+    """
     ratios = action_ratios(records)
+    if ratios.get("TRT", 0.0) > TRT_THRESHOLD:
+        voter_type = "TRT"
+    elif ratios.get("LB", 0.0) > LB_THRESHOLD:
+        voter_type = "LB"
+    else:
+        voter_type = "OTHER"
     return VoterProfile(
         voter_id=voter_id,
-        voter_type=_type_from_ratios(ratios, trt_threshold, lb_threshold),
+        voter_type=voter_type,
         a_ratios=ratios,
         unjustified_actions=unjustified_count(records),
         inconsistent_records=frozenset(find_inconsistent(records)),

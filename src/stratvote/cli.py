@@ -19,7 +19,6 @@ from . import models, nn as nn_mod
 from .behavior import SCENARIO_ORDER_TEXT, SCENARIOS, UNCLASSIFIED, build_profile
 from .data import (
     DataError,
-    Dataset,
     GeneratorConfig,
     format_action,
     generate_synthetic,
@@ -27,7 +26,9 @@ from .data import (
     save_dataset,
 )
 from .evaluation import (
+    ERROR_CLASSES,
     POLL_BUCKETS,
+    SCENARIO_LABELS,
     ConfusionMatrix,
     EvaluationReport,
     ParameterGrid,
@@ -139,7 +140,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     try:
         config = GeneratorConfig.from_dict(spec)
     except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"invalid generator config: {exc}")
+        raise DataError(f"invalid generator config {args.config}: {exc}")
     config = dataclasses.replace(config, master_seed=seed)
     dataset = generate_synthetic(config)
     csv_path, manifest_path = save_dataset(dataset, args.out)
@@ -215,15 +216,13 @@ def _poll_size_table(report: EvaluationReport) -> tuple[list[str], list[list]]:
 
 
 def _error_table(report: EvaluationReport) -> tuple[list[str], list[list]]:
-    classes = ("correct", "unjustified", "inconsistent", "unexplained")
-    labels = [*SCENARIOS, UNCLASSIFIED, "total"]
     rows = []
-    for label in labels:
+    for label in [*SCENARIO_LABELS, "total"]:
         counts = report.error_breakdown.get(label, {})
-        if label not in ("total",) and not any(counts.values()):
+        if label != "total" and not any(counts.values()):
             continue
-        rows.append([label, *(counts.get(c, 0) for c in classes)])
-    return ["scenario", *classes], rows
+        rows.append([label, *(counts.get(c, 0) for c in ERROR_CLASSES)])
+    return ["scenario", *ERROR_CLASSES], rows
 
 
 def _params_table(report: EvaluationReport) -> tuple[list[str], list[list]]:
@@ -312,16 +311,26 @@ def _explicit_descriptor(args: argparse.Namespace) -> ModelDescriptor:
         raise UsageError(f"bad parameters for {family.value}: {exc}")
 
 
-def _descriptor_from_params(spec: dict, voter_id: str) -> ModelDescriptor:
+def _load_params(path: str) -> tuple[Family, dict]:
+    """The family and per-voter fitted parameters of an evaluation report."""
+    spec = _load_json(path, "parameter file")
+    if not isinstance(spec, dict):
+        raise DataError(f"parameter file {path} is not an evaluation report (a JSON object)")
     try:
         family = Family(spec["family"])
-    except (KeyError, ValueError):
-        raise DataError("parameter file lacks a known 'family' entry")
+    except (KeyError, TypeError, ValueError):
+        raise DataError(f"parameter file {path} lacks a known 'family' entry")
     if family is Family.NN:
         raise DataError(
             "NN reports carry no per-voter parameters; use --model NN --network"
         )
     fitted = spec.get("fitted_params", {})
+    if not isinstance(fitted, dict):
+        raise DataError(f"parameter file {path}: 'fitted_params' must map voter ids to parameters")
+    return family, fitted
+
+
+def _descriptor_from_params(family: Family, fitted: dict, voter_id: str) -> ModelDescriptor:
     if voter_id not in fitted:
         raise DataError(f"no fitted parameters for voter {voter_id!r}")
     try:
@@ -337,38 +346,31 @@ def cmd_predict(args: argparse.Namespace) -> int:
     if not dataset.records:
         raise DataError(f"dataset {args.data} holds no records")
 
-    network = None
-    profiles: dict[str, object] = {}
-    params_spec = None
-    descriptor = None
     if args.model:
         descriptor = _explicit_descriptor(args)
-        if descriptor.family is Family.NN:
-            if not args.network:
-                raise UsageError("--model NN needs --network with trained weights")
-            try:
-                network = nn_mod.Network.from_dict(_load_json(args.network, "network file"))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise DataError(f"invalid network file: {exc}")
-            profiles = {
-                vid: build_profile(vid, recs) for vid, recs in dataset.by_voter().items()
-            }
+        family = descriptor.family
     else:
-        params_spec = _load_json(args.params, "parameter file")
+        family, fitted = _load_params(args.params)
+    if family is Family.NN:
+        if not args.network:
+            raise UsageError("--model NN needs --network with trained weights")
+        try:
+            network = nn_mod.Network.from_dict(_load_json(args.network, "network file"))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"invalid network file {args.network}: {exc}")
+        profiles = {vid: build_profile(vid, recs) for vid, recs in dataset.by_voter().items()}
 
-    pivot_cache: dict = {}
+    ctx = DecisionContext(pivot_cache={})
     rows: list[list] = []
     for rec in sorted(dataset.records, key=lambda r: (r.voter_id, r.round)):
-        desc = descriptor if descriptor is not None else _descriptor_from_params(params_spec, rec.voter_id)
-        ctx = DecisionContext(
-            network=network,
-            profile=profiles.get(rec.voter_id),
-            pivot_cache=pivot_cache,
-        )
+        desc = descriptor if args.model else _descriptor_from_params(family, fitted, rec.voter_id)
         try:
-            predicted = models.decide(desc, rec.utilities, rec.poll, ctx)
+            if family is Family.NN:
+                predicted = nn_mod.predict_record(network, profiles[rec.voter_id], rec)
+            else:
+                predicted = models.decide(desc, rec.utilities, rec.poll, ctx)
         except ValueError as exc:
-            raise DataError(f"cannot apply {desc.family.value} to this dataset: {exc}")
+            raise DataError(f"cannot apply {family.value} to this dataset: {exc}")
         rows.append([rec.voter_id, rec.round, format_action(predicted)])
 
     out = Path(args.out)

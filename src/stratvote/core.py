@@ -1,8 +1,6 @@
-"""Election primitives: polls, utility functions, and the Plurality rule.
+"""Election primitives: polls, utility functions, and preference orders.
 
-Candidates are integer indices ``0 .. m-1``.  The Plurality rule with ties
-returns the full set of co-winners, and a voter facing a tied winner set
-values it at the mean utility of its members.
+Candidates are integer indices ``0 .. m-1``.
 """
 
 from __future__ import annotations
@@ -12,7 +10,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 Candidate = int
-WinnerSet = frozenset
 
 
 @dataclass(frozen=True)
@@ -49,13 +46,6 @@ class Poll:
     def m(self) -> int:
         return len(self.scores)
 
-    def with_vote(self, c: Candidate) -> "Poll":
-        """The poll after one additional vote for ``c``."""
-        self._check_candidate(c)
-        scores = list(self.scores)
-        scores[c] += 1
-        return Poll(tuple(scores), self.n + 1)
-
     def _check_candidate(self, c: Candidate) -> None:
         if not 0 <= c < self.m:
             raise ValueError(f"candidate index {c} out of range for m={self.m}")
@@ -83,32 +73,7 @@ class UtilityFunction:
         return self.values[c]
 
 
-def plurality_winners(poll: Poll) -> WinnerSet:
-    """All candidates attaining the maximum score (co-winners on ties)."""
-    top = max(poll.scores)
-    return frozenset(c for c, s in enumerate(poll.scores) if s == top)
-
-
-def outcome_with_vote(poll: Poll, c: Candidate) -> WinnerSet:
-    """Winner set after casting one additional vote for ``c``."""
-    return plurality_winners(poll.with_vote(c))
-
-
-def winner_set_utility(u: UtilityFunction, winners: frozenset) -> float:
-    """Mean utility over a (non-empty) winner set: ties resolve uniformly."""
-    if not winners:
-        raise ValueError("winner set must be non-empty")
-    for c in winners:
-        if not 0 <= c < u.m:
-            raise ValueError(f"winner {c} out of range for m={u.m}")
-    return sum(u[c] for c in winners) / len(winners)
-
-
 def preference_order(values: Sequence[float]) -> tuple[int, ...]:
     """Candidates sorted most-preferred first; equal values break by lower index."""
     return tuple(sorted(range(len(values)), key=lambda c: (-values[c], c)))
 
-
-def poll_ranking(scores: Sequence[int]) -> tuple[int, ...]:
-    """Candidates sorted by descending score; equal scores break by lower index."""
-    return tuple(sorted(range(len(scores)), key=lambda c: (-scores[c], c)))

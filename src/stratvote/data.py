@@ -74,9 +74,6 @@ class Dataset:
             raise ValueError("empty dataset has no candidate count")
         return self.records[0].poll.m
 
-    def voters(self) -> list[str]:
-        return sorted({rec.voter_id for rec in self.records})
-
     def by_voter(self) -> dict[str, list[VoteRecord]]:
         """Records grouped per voter, each group sorted by round."""
         grouped: dict[str, list[VoteRecord]] = {}
@@ -266,6 +263,8 @@ def load_dataset(path: str | Path) -> Dataset:
 
 
 def _sampler_from_dict(spec: Mapping) -> "ParamSampler":
+    if not isinstance(spec, Mapping):
+        raise TypeError(f"a parameter sampler must be an object, got {spec!r}")
     kind = spec.get("type")
     if kind == "value":
         return ParamSampler.value(spec["value"])
@@ -344,12 +343,15 @@ class PopulationGroup:
 
     @classmethod
     def from_dict(cls, spec: Mapping) -> "PopulationGroup":
+        if not isinstance(spec, Mapping):
+            raise TypeError(f"a population group must be an object, got {spec!r}")
+        params = spec.get("params", {})
+        if not isinstance(params, Mapping):
+            raise TypeError(f"group params must map names to samplers, got {params!r}")
         return cls(
             family=Family(spec["family"]),
             weight=float(spec.get("weight", 1.0)),
-            params={
-                k: _sampler_from_dict(v) for k, v in spec.get("params", {}).items()
-            },
+            params={k: _sampler_from_dict(v) for k, v in params.items()},
         )
 
 
@@ -385,6 +387,10 @@ class GeneratorConfig:
     repeats: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("num_voters", "rounds_per_voter", "repeats"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
         if self.num_voters < 1:
             raise ValueError("need at least one voter")
         if self.rounds_per_voter < 1:
@@ -435,6 +441,8 @@ class GeneratorConfig:
 
     @classmethod
     def from_dict(cls, spec: Mapping) -> "GeneratorConfig":
+        if not isinstance(spec, Mapping):
+            raise TypeError(f"a generator config must be an object, got {spec!r}")
         kwargs = dict(spec)
         kwargs["groups"] = tuple(
             PopulationGroup.from_dict(g) for g in spec["groups"]

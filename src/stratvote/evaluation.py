@@ -35,14 +35,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import models, nn as nn_mod
-from .behavior import (
-    SCENARIOS,
-    UNCLASSIFIED,
-    VoterProfile,
-    build_profile,
-    is_unjustified,
-    scenario_or_none,
-)
+from .behavior import SCENARIOS, UNCLASSIFIED, build_profile, is_unjustified, scenario_or_none
 from .data import Dataset, VoteRecord
 from .models import DecisionContext, Family, ModelDescriptor
 from .seeding import derive_seed
@@ -78,10 +71,6 @@ class ConfusionMatrix:
         object.__setattr__(self, "counts", counts)
 
     @classmethod
-    def zeros(cls, m: int) -> "ConfusionMatrix":
-        return cls(np.zeros((m, m), dtype=np.int64))
-
-    @classmethod
     def from_pairs(cls, m: int, pairs: Sequence[tuple[int, int]]) -> "ConfusionMatrix":
         counts = np.zeros((m, m), dtype=np.int64)
         for actual, predicted in pairs:
@@ -95,9 +84,6 @@ class ConfusionMatrix:
     @property
     def total(self) -> int:
         return int(self.counts.sum())
-
-    def __add__(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        return ConfusionMatrix(self.counts + other.counts)
 
 
 @dataclass(frozen=True)
@@ -160,8 +146,9 @@ class ParameterGrid:
     """Ordered candidate parameter points for one family.
 
     Every point is validated as a :class:`ModelDescriptor`.  The whole tuple
-    is handed to :func:`models.decide_grid`, which returns one decision per
-    point in this order; fitting ties resolve to the earliest point.
+    is handed to :func:`models.decide_matrix`, which returns one row of
+    decisions per point in this order; fitting ties resolve to the earliest
+    point.
     """
 
     family: Family
@@ -249,15 +236,12 @@ class RecordTable:
         return [f.name for f in fields(cls) if f.name not in ("voter_ids", "records")]
 
     @classmethod
-    def from_dataset(
-        cls, dataset: Dataset, profiles: Mapping[str, VoterProfile] | None = None
-    ) -> "RecordTable":
-        """Annotate ``dataset``, building each voter's profile unless given."""
+    def from_dataset(cls, dataset: Dataset) -> "RecordTable":
+        """Annotate ``dataset``, building each voter's profile."""
         by_voter = dataset.by_voter()
         if not by_voter:
             raise ValueError("cannot evaluate an empty dataset")
-        if profiles is None:
-            profiles = {vid: build_profile(vid, recs) for vid, recs in by_voter.items()}
+        profiles = {vid: build_profile(vid, recs) for vid, recs in by_voter.items()}
         records = tuple(rec for recs in by_voter.values() for rec in recs)
         annotations = [
             (
@@ -486,9 +470,7 @@ ERROR_CLASSES = ("correct", "unjustified", "inconsistent", "unexplained")
 
 
 def error_breakdown(
-    dataset: Dataset | RecordTable,
-    predictions: Mapping[tuple[str, int], int],
-    profiles: Mapping[str, VoterProfile] | None = None,
+    dataset: Dataset | RecordTable, predictions: Mapping[tuple[str, int], int]
 ) -> dict[str, dict[str, int]]:
     """Classify each prediction per scenario.
 
@@ -496,20 +478,21 @@ def error_breakdown(
     (dominated), else to it being inconsistent with the voter's other
     records, else left unexplained.  Keys: scenarios plus "total".
     ``predictions`` maps (voter id, round) to the predicted action.
-    ``profiles`` spares building each voter's profile from a ``Dataset``; a
-    :class:`RecordTable` already holds the annotations.
     """
-    table = (
-        dataset if isinstance(dataset, RecordTable) else RecordTable.from_dataset(dataset, profiles)
-    )
+    table = dataset if isinstance(dataset, RecordTable) else RecordTable.from_dataset(dataset)
     predicted = []
     for rec in table.records:
         key = (rec.voter_id, rec.round)
         if key not in predictions:
             raise ValueError(f"missing prediction for {key}")
         predicted.append(predictions[key])
+    return _error_counts(table, np.array(predicted))
+
+
+def _error_counts(table: RecordTable, predicted: np.ndarray) -> dict[str, dict[str, int]]:
+    """:func:`error_breakdown` of the table's rows, ``predicted[j]`` for row j."""
     error_class = np.select(
-        [np.array(predicted) == table.action, table.unjustified, table.inconsistent],
+        [predicted == table.action, table.unjustified, table.inconsistent],
         [0, 1, 2],
         default=3,
     )
@@ -565,7 +548,6 @@ def _aggregate(
             predicted_rank.tolist(),
         )
     )
-    predictions = {(row.voter_id, row.round): row.predicted for row in prediction_rows}
     return EvaluationReport(
         family=family.value,
         mode=mode,
@@ -586,7 +568,7 @@ def _aggregate(
         },
         defaulted_voters=tuple(vid for vid, r in zip(table.voter_ids, results) if r["defaulted"]),
         rows=prediction_rows,
-        error_breakdown=error_breakdown(table, predictions),
+        error_breakdown=_error_counts(table, predicted),
     )
 
 

@@ -12,20 +12,22 @@ TMG     fixed voter types: truthful / compromiser / leader-biased (m=3).
 AU      multiplicative utility-attainability trade-off.
 NN      learned baseline (see ``nn``); requires a trained network.
 
-Every family has one decision path, :func:`decide_matrix`, which decides a
-whole parameter grid over a batch of records (utilities and poll scores as
-(R, m) arrays); :func:`decide_grid` is its one-record case and
+Every family but NN has one decision path, :func:`decide_matrix`, which
+decides a whole parameter grid over a batch of records (utilities and poll
+scores as (R, m) arrays); :func:`decide_grid` is its one-record case and
 :func:`decide` the one-point case of that.  TRUTH, BR, PRAG, TMG, LD, LDLB
-and AU decide in array operations, which reproduce their scalar deciders
-(:func:`decide_truth`, :func:`decide_best_response`,
-:func:`decide_pragmatist`, :func:`decide_tmg`, :func:`decide_ld`,
-:func:`decide_ld_lb` and :func:`decide_au`) exactly; the scalar deciders
-are the definitions.  CV and NN decide record by record.
+and AU decide in array operations.  The tests' oracle,
+``tests/scalar_deciders.py``, states each of these families' definition
+candidate by candidate, and the tests check the array code against it.  CV
+decides record by record.  NN is a trained network, not a grid family: it
+predicts through :func:`nn.predict_record`.
 
 All deciders are deterministic functions of their inputs and parameters:
 CV too, since its pivot tables (Monte-Carlo ones included) depend only on
-the poll's scores and eta.  Tie-breaking conventions are documented per
-function and are part of the model semantics.
+the poll's scores and eta.  Tie-breaking conventions are part of the model
+semantics.  Preference ties and poll-score ties break toward the lower
+candidate index; among equally good votes, BR and AU pick the more
+preferred candidate.
 """
 
 from __future__ import annotations
@@ -37,15 +39,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import pivot as pivot_mod
-from .core import (
-    Candidate,
-    Poll,
-    UtilityFunction,
-    outcome_with_vote,
-    poll_ranking,
-    preference_order,
-    winner_set_utility,
-)
+from .core import Candidate, Poll, UtilityFunction
 
 TMG_TYPES = ("TRT", "CMP", "LB")
 
@@ -128,91 +122,21 @@ class ModelDescriptor:
         inner = ",".join(f"{k}={v}" for k, v in self.params().items())
         return f"{self.family.value}({inner})" if inner else self.family.value
 
-    def to_dict(self) -> dict:
-        return {"family": self.family.value, **self.params()}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ModelDescriptor":
-        payload = dict(payload)
-        family = Family(payload.pop("family"))
-        return cls(family=family, **payload)
-
 
 @dataclass
 class DecisionContext:
-    """Runtime inputs some families need beyond (u, s).
+    """Runtime inputs beyond (u, s).
 
-    ``network``/``profile`` carry the trained NN baseline and the voter's
-    behavioral profile; ``pivot_cache`` shares CV pivot tables across calls
-    (a table depends only on the poll's scores and eta, so any calls may
-    share one cache).
+    ``pivot_cache`` shares CV pivot tables across calls (a table depends
+    only on the poll's scores and eta, so any calls may share one cache).
     """
 
-    network: object | None = None
-    profile: object | None = None
     pivot_cache: dict | None = None
 
 
 def _check_shapes(u: UtilityFunction, s: Poll) -> None:
     if u.m != s.m:
         raise ValueError(f"utility/poll dimension mismatch: {u.m} vs {s.m}")
-
-
-def decide_truth(u: UtilityFunction, s: Poll) -> Candidate:
-    """Most preferred candidate; ties break toward the lowest index."""
-    _check_shapes(u, s)
-    return preference_order(u.values)[0]
-
-
-def decide_best_response(u: UtilityFunction, s: Poll) -> Candidate:
-    """Vote maximizing the winner-set utility of the poll plus that vote.
-
-    Among maximizers, prefers the higher-utility candidate, then the lowest
-    index.
-    """
-    _check_shapes(u, s)
-    best = max(
-        range(s.m),
-        key=lambda c: (winner_set_utility(u, outcome_with_vote(s, c)), u[c], -c),
-    )
-    return best
-
-
-def decide_pragmatist(u: UtilityFunction, s: Poll, k: int) -> Candidate:
-    """Most preferred among the ``k`` top poll scorers.
-
-    Score ties at the k-th place break toward the lower candidate index;
-    preference ties toward the lower index.
-    """
-    _check_shapes(u, s)
-    if not 1 <= k <= s.m:
-        raise ValueError(f"k must lie in [1, m], got {k}")
-    shortlist = poll_ranking(s.scores)[:k]
-    return max(shortlist, key=lambda c: (u[c], -c))
-
-
-def decide_tmg(u: UtilityFunction, s: Poll, voter_type: str) -> Candidate:
-    """Fixed-type vote for three candidates.
-
-    With Q, Q', Q'' the preference order (ties by index) and poll ranks
-    strict after index tie-breaking:
-
-    - ``TRT`` always votes Q.
-    - ``CMP`` votes Q' when Q is ranked last in the poll, else Q.
-    - ``LB``  votes Q' when Q' is ranked first, else behaves like CMP.
-    """
-    _check_shapes(u, s)
-    if s.m != 3:
-        raise ValueError("TMG types are defined for exactly three candidates")
-    if voter_type not in TMG_TYPES:
-        raise ValueError(f"voter_type must be one of {TMG_TYPES}, got {voter_type!r}")
-    q, q_second, _ = preference_order(u.values)
-    if voter_type == "TRT":
-        return q
-    ranking = poll_ranking(s.scores)
-    if voter_type == "LB" and ranking[0] == q_second:
-        return q_second
-    return q_second if ranking[-1] == q else q
 
 
 def _as_rows(u: UtilityFunction, s: Poll) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -257,22 +181,6 @@ def undominated_set(u: UtilityFunction, s: Poll, r: float) -> frozenset:
     return frozenset(c for c in possible if c != dropped)
 
 
-def decide_ld(u: UtilityFunction, s: Poll, r: float) -> Candidate:
-    """Most preferred undominated candidate; ties toward the lowest index."""
-    return max(undominated_set(u, s, r), key=lambda c: (u[c], -c))
-
-
-def decide_ld_lb(u: UtilityFunction, s: Poll, r: float) -> Candidate:
-    """Local dominance with leader bias.
-
-    Identical to :func:`decide_ld` whenever at least two candidates could
-    win; when the possible-winner set is a singleton, votes its single
-    member (the presumed winner) instead of the truthful choice.
-    """
-    possible = _possible_winner_list(u, s, r)
-    return possible[0] if len(possible) == 1 else decide_ld(u, s, r)
-
-
 def _attainability(S: np.ndarray, n: np.ndarray, betas: Sequence[float]) -> np.ndarray:
     """Logistic attainability per (beta, record, candidate), shape (B, R, m)."""
     m = S.shape[1]
@@ -282,18 +190,6 @@ def _attainability(S: np.ndarray, n: np.ndarray, betas: Sequence[float]) -> np.n
     margin = shares - 1.0 / m
     with np.errstate(over="ignore"):
         return 1.0 / (1.0 + np.exp(-np.asarray(betas, dtype=float)[:, None, None] * margin))
-
-
-def attainability(c: Candidate, s: Poll, beta: float) -> float:
-    """Logistic score of ``c`` reaching the top, from its poll share.
-
-    ``1 / (1 + exp(-beta * (s(c)/n - 1/m)))``: 0.5 at share ``1/m`` or when
-    ``beta`` is zero, increasing in the share for positive ``beta``.
-    """
-    if beta < 0:
-        raise ValueError(f"beta must be non-negative, got {beta}")
-    s._check_candidate(c)
-    return float(_attainability(np.array([s.scores]), np.array([s.n]), (beta,))[0, 0, c])
 
 
 # Score elements per block of AU points, which keeps each block's
@@ -347,16 +243,6 @@ def au_score(
     return float(scores[0, 0, c])
 
 
-def decide_au(u: UtilityFunction, s: Poll, alpha: float, beta: float) -> Candidate:
-    """Vote maximizing :func:`au_score`.
-
-    ``alpha=2`` reduces to the truthful vote and ``alpha=0`` to voting the
-    poll leader (up to the shared epsilon smoothing).  Ties break toward the
-    higher-utility candidate, then the lower index.
-    """
-    return max(range(s.m), key=lambda c: (au_score(u, s, c, alpha, beta), u[c], -c))
-
-
 def au_decisions_grid(
     u: UtilityFunction,
     s: Poll,
@@ -373,21 +259,12 @@ def _best_response_values(U: np.ndarray, S: np.ndarray) -> np.ndarray:
     R, m = U.shape
     after = S[:, None, :] + np.eye(m, dtype=np.int64)  # after[j, c]: poll j plus a vote for c
     won = after == after.max(axis=2, keepdims=True)
-    # Summed in candidate order from zero, as winner_set_utility sums.
+    # Summed in candidate order from zero: a tied winner set's mean utility
+    # can depend on the summation order in the last bit.
     total = np.zeros((R, m))
     for d in range(m):
         total = total + np.where(won[:, :, d], U[:, d, None], 0.0)
     return total / won.sum(axis=2)
-
-
-def _decide_nn(u: UtilityFunction, s: Poll, ctx: DecisionContext) -> Candidate:
-    if ctx.network is None:
-        raise ValueError("NN descriptors require a trained network in the context")
-    from . import nn as nn_mod
-
-    features = nn_mod.features_from_parts(u, s, ctx.profile)
-    rank = nn_mod.predict(ctx.network, features)
-    return preference_order(u.values)[rank]
 
 
 def decide_matrix(
@@ -403,29 +280,28 @@ def decide_matrix(
     Record j has utilities ``U[j]`` and poll scores ``S[j]`` (both (R, m))
     from a poll of reported size ``n[j]``.  ``points`` are parameter dicts
     as in :meth:`ModelDescriptor.params`.  TRUTH, BR, PRAG, TMG, LD, LDLB
-    and AU decide every point and record in array operations that equal
-    their scalar deciders (:func:`decide_truth` and so on) exactly.  CV and
-    NN decide record by record: CV resolves ``eta="n"`` against each poll
-    and decides through :func:`pivot.decide_cv`, a pure function of (u, s,
-    eta) whose tables are shared through ``context.pivot_cache``; NN
-    requires ``context.network`` (and uses ``context.profile`` if set).
+    and AU decide every point and record in array operations.  CV decides
+    record by record: it resolves ``eta="n"`` against each poll and decides
+    through :func:`pivot.decide_cv`, a pure function of (u, s, eta) whose
+    tables are shared through ``context.pivot_cache``.  NN raises
+    ``ValueError``: a trained network predicts through
+    :func:`nn.predict_record`.
     """
     ctx = context if context is not None else DecisionContext()
     family = Family(family)
+    if family is Family.NN:
+        raise ValueError("NN has no grid; a trained network predicts through nn.predict_record")
     U = np.asarray(U, dtype=float)
     S = np.asarray(S, dtype=np.int64)
     n = np.asarray(n, dtype=np.int64)
     R, m = U.shape
-    if family in (Family.CV, Family.NN):
+    if family is Family.CV:
         votes = np.empty((len(points), R), dtype=np.int64)
         for j in range(R):
             u, s = UtilityFunction(tuple(U[j])), Poll(tuple(S[j]), int(n[j]))
             for i, p in enumerate(points):
-                if family is Family.NN:
-                    votes[i, j] = _decide_nn(u, s, ctx)
-                else:
-                    eta = s.n if p["eta"] == "n" else p["eta"]
-                    votes[i, j] = pivot_mod.decide_cv(u, s, eta, cache=ctx.pivot_cache)
+                eta = s.n if p["eta"] == "n" else p["eta"]
+                votes[i, j] = pivot_mod.decide_cv(u, s, eta, cache=ctx.pivot_cache)
         return votes
     # Each array family picks a preference rank per (point, record): 0 is
     # the most preferred candidate.  Columns are put in preference order
@@ -463,7 +339,12 @@ def _pragmatist_ranks(ks: Sequence[int], position: np.ndarray) -> np.ndarray:
 
 
 def _tmg_ranks(voter_types: Sequence[str], position: np.ndarray) -> np.ndarray:
-    """TMG preference ranks, shape (P, R), as :func:`decide_tmg` picks them."""
+    """TMG preference ranks, shape (P, R).
+
+    ``TRT`` always votes Q; ``CMP`` votes Q' when Q polls last, else Q;
+    ``LB`` votes Q' when Q' polls first, else behaves like ``CMP``.  Poll
+    ranks are strict after index tie-breaking.
+    """
     R, m = position.shape
     if m != 3:
         raise ValueError("TMG types are defined for exactly three candidates")

@@ -80,11 +80,6 @@ def features_from_parts(
     return vec
 
 
-def extract_features(record, profile: VoterProfile) -> np.ndarray:
-    """Feature vector for one record; the profile must come from other rounds."""
-    return features_from_parts(record.utilities, record.poll, profile)
-
-
 def action_rank(record) -> int:
     prefs = preference_order(record.utilities.values)
     return prefs.index(record.action)
@@ -105,6 +100,8 @@ class Network:
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"non-finite values in {name}")
             setattr(self, name, arr)
+        if (self.w1.ndim, self.b1.ndim, self.w2.ndim, self.b2.ndim) != (2, 1, 2, 1):
+            raise ValueError("w1 and w2 must be matrices, b1 and b2 vectors")
         if self.w1.shape[0] != self.b1.shape[0] or self.w2.shape != (
             self.b2.shape[0],
             self.w1.shape[0],
@@ -308,7 +305,7 @@ def train(
 def _training_set(records: Sequence) -> tuple[np.ndarray, np.ndarray, VoterProfile]:
     """Features, rank targets and profile of one voter's training records."""
     profile = build_profile(records[0].voter_id, records)
-    X = np.stack([extract_features(rec, profile) for rec in records])
+    X = np.stack([features_from_parts(rec.utilities, rec.poll, profile) for rec in records])
     y = np.array([action_rank(rec) for rec in records], dtype=int)
     return X, y, profile
 
@@ -354,7 +351,10 @@ def fit_folds(
 
 
 def predict_record(net: Network, profile: VoterProfile, record) -> int:
-    """Predicted candidate (not rank) for a held-out record."""
-    rank = predict(net, extract_features(record, profile))
+    """Predicted candidate (not rank) for a record, from its voter's profile.
+
+    Under leave-one-out the profile comes from the voter's other rounds.
+    """
+    rank = predict(net, features_from_parts(record.utilities, record.poll, profile))
     prefs = preference_order(record.utilities.values)
     return prefs[rank]

@@ -9,7 +9,6 @@ from stratvote.behavior import (
     find_inconsistent,
     is_unjustified,
     scenario_or_none,
-    voter_type,
 )
 from stratvote.core import Poll, UtilityFunction, preference_order
 from stratvote.data import VoteRecord
@@ -130,6 +129,10 @@ class TestActionRatios:
         assert action_ratios(rows)["LB"] == 0.5
 
 
+def voter_type(rows):
+    return build_profile("v1", rows).voter_type
+
+
 class TestVoterType:
     def test_all_truthful(self):
         rows = records(*(((80, 50, 30), 0) for _ in range(10)))
@@ -150,25 +153,31 @@ class TestVoterType:
         assert voter_type(rows) == "OTHER"
 
     def test_thresholds_are_strict(self):
-        rows = records(*(((80, 50, 30), 0) for _ in range(9)), ((80, 50, 30), 1))
-        assert voter_type(rows, trt_threshold=0.9) == "OTHER"
-        assert voter_type(rows, trt_threshold=0.89) == "TRT"
+        # A truthful ratio of exactly 0.9 is not TRT, nor a leader ratio of
+        # exactly 0.5 LB; one more truthful vote makes the voter TRT.
+        at_both = [((50, 80, 30), 1), ((50, 80, 30), 0), *(((80, 50, 30), 0) for _ in range(8))]
+        assert action_ratios(records(*at_both)) == {"TRT": 0.9, "LB": 0.5}
+        assert voter_type(records(*at_both)) == "OTHER"
+        assert voter_type(records(*at_both, ((80, 50, 30), 0))) == "TRT"
 
 
 class TestProfile:
     def test_unjustified_needs_repetition(self):
+        # The profile counts every unjustified action, so a repeated one
+        # counts twice.
         once = records(((60, 50, 40), 2), ((80, 50, 30), 0))
-        assert build_profile("v1", once).is_unjustified is False
+        assert build_profile("v1", once).unjustified_actions == 1
         twice = records(((60, 50, 40), 2), ((60, 50, 40), 2))
-        assert build_profile("v1", twice).is_unjustified is True
+        assert build_profile("v1", twice).unjustified_actions == 2
 
-    def test_consistency_class_precedence(self):
-        clean = records(((80, 50, 30), 0), ((30, 50, 80), 0))
-        assert build_profile("v1", clean).consistency_class() == "other"
-        contradicting = records(((50, 60, 40), 0), ((55, 60, 40), 1))
-        assert build_profile("v1", contradicting).consistency_class() == "inconsistent"
-        dominated = records(((60, 50, 40), 2), ((61, 50, 40), 2))
-        assert build_profile("v1", dominated).consistency_class() == "unjustified"
+    def test_profile_flags_unjustified_and_inconsistent_records(self):
+        clean = build_profile("v1", records(((80, 50, 30), 0), ((30, 50, 80), 0)))
+        assert (clean.unjustified_actions, clean.inconsistent_records) == (0, frozenset())
+        contradicting = build_profile("v1", records(((50, 60, 40), 0), ((55, 60, 40), 1)))
+        assert contradicting.unjustified_actions == 0
+        assert contradicting.inconsistent_records == {0, 1}
+        dominated = build_profile("v1", records(((60, 50, 40), 2), ((61, 50, 40), 2)))
+        assert (dominated.unjustified_actions, dominated.inconsistent_records) == (2, frozenset())
 
     def test_profile_carries_ratios(self):
         rows = records(*(((80, 50, 30), 0) for _ in range(4)))

@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from stratvote.behavior import build_profile
 from stratvote.cli import main
-from stratvote.data import GeneratorConfig, load_dataset
+from stratvote.data import GeneratorConfig, format_action, load_dataset
 from stratvote.models import Family
+from stratvote.nn import FEATURE_DIM, init_network, predict_record
 
 HEADER = "voter_id,round,n,s_1,s_2,s_3,u_1,u_2,u_3,action\n"
 EX1_HEADER = "voter_id,round,n," + ",".join(
@@ -371,6 +373,63 @@ class TestPredict:
             ["predict", "--data", str(small_dataset), "--model", "NN", "--out", str(tmp_path / "p.csv")]
         )
         assert code == 1
+
+    def test_nn_model_predicts_each_record_from_its_voters_profile(self, tmp_path, small_dataset):
+        net = init_network(FEATURE_DIM, seed=4)
+        network = tmp_path / "net.json"
+        network.write_text(json.dumps(net.to_dict()))
+        out = tmp_path / "p.csv"
+        assert main(
+            [
+                "predict", "--data", str(small_dataset), "--model", "NN",
+                "--network", str(network), "--out", str(out),
+            ]
+        ) == 0
+        want = [
+            f"{vid},{rec.round},{format_action(predict_record(net, build_profile(vid, recs), rec))}"
+            for vid, recs in load_dataset(small_dataset).by_voter().items()
+            for rec in recs
+        ]
+        assert out.read_text().splitlines() == ["voter_id,round,predicted", *want]
+        assert len({row.rsplit(",", 1)[1] for row in want}) > 1
+
+
+SAMPLER = {"type": "value", "value": 3}
+MALFORMED_JSON = {
+    "params_file_is_a_list": ("--params", [1, 2]),
+    "fitted_params_is_a_number": ("--params", {"family": "AU", "fitted_params": 5}),
+    "sampler_is_a_list": (
+        "--config",
+        {"num_voters": 2, "rounds_per_voter": 2,
+         "groups": [{"family": "AU", "params": {"alpha": [1], "beta": SAMPLER}}]},
+    ),
+    "group_params_is_a_list": (
+        "--config",
+        {"num_voters": 2, "rounds_per_voter": 2, "groups": [{"family": "AU", "params": [1]}]},
+    ),
+    "network_weights_are_flat": ("--network", {"w1": [1], "b1": [1], "w2": [[1]], "b2": [1]}),
+    "voter_count_is_a_fraction": (
+        "--config", {"num_voters": 2.5, "rounds_per_voter": 2, "groups": [{"family": "TRUTH"}]},
+    ),
+}
+
+
+@pytest.mark.parametrize("flag, payload", MALFORMED_JSON.values(), ids=MALFORMED_JSON)
+def test_malformed_json_input_is_a_data_error_naming_the_file(
+    tmp_path, small_dataset, flag, payload, capsys
+):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    out = str(tmp_path / "out")
+    if flag == "--config":
+        argv = ["simulate", "--config", str(path), "--seed", "1", "--out", out]
+    else:
+        model = ["--model", "NN"] if flag == "--network" else []
+        argv = ["predict", "--data", str(small_dataset), *model, flag, str(path), "--out", out]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and str(path) in err
 
 
 class TestExitCodes:

@@ -1,15 +1,14 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from stratvote.core import (
-    Poll,
-    UtilityFunction,
+from scalar_deciders import (
     outcome_with_vote,
     plurality_winners,
     poll_ranking,
-    preference_order,
     winner_set_utility,
+    with_vote,
 )
+from stratvote.core import Poll, UtilityFunction, preference_order
 
 
 def scores(*vals):
@@ -40,14 +39,14 @@ class TestPoll:
 
     def test_with_vote_increments_one_candidate(self):
         p = scores(3, 3, 0)
-        q = p.with_vote(2)
+        q = with_vote(p, 2)
         assert q.scores == (3, 3, 1)
         assert q.n == p.n + 1
         assert p.scores == (3, 3, 0)
 
     def test_with_vote_rejects_unknown_candidate(self):
         with pytest.raises(ValueError):
-            scores(3, 3, 0).with_vote(3)
+            with_vote(scores(3, 3, 0), 3)
 
     def test_hashable(self):
         assert len({scores(1, 2), scores(1, 2), scores(2, 1)}) == 2
@@ -84,7 +83,7 @@ class TestOutcomeWithVote:
     @given(polls, st.data())
     def test_matches_incremented_poll(self, p, data):
         c = data.draw(st.integers(min_value=0, max_value=p.m - 1))
-        assert outcome_with_vote(p, c) == plurality_winners(p.with_vote(c))
+        assert outcome_with_vote(p, c) == plurality_winners(with_vote(p, c))
 
     @given(polls, st.data())
     def test_voting_for_a_winner_makes_it_unique(self, p, data):

@@ -38,7 +38,8 @@ from stratvote.evaluation import (
     poll_size_bucket,
     upper_bound_evaluate,
 )
-from stratvote.models import DecisionContext, Family, ModelDescriptor, decide, decide_au
+from scalar_deciders import decide_au
+from stratvote.models import Family
 from stratvote.nn import FEATURE_DIM, init_network, predict_record
 from stratvote.seeding import derive_seed
 
@@ -118,7 +119,7 @@ class TestMetrics:
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(ValueError):
-            metrics_from_confusion(ConfusionMatrix.zeros(3))
+            metrics_from_confusion(ConfusionMatrix(np.zeros((3, 3))))
 
     def test_perfect_weighted_f_needs_a_diagonal(self):
         off = ConfusionMatrix(np.array([[5, 1, 0], [0, 3, 0], [0, 0, 2]]))
@@ -131,10 +132,10 @@ class TestMetrics:
             ConfusionMatrix(np.array([[1, -1], [0, 2]]))
 
     def test_from_pairs_and_add(self):
-        a = ConfusionMatrix.from_pairs(3, [(0, 0), (1, 2)])
-        b = ConfusionMatrix.from_pairs(3, [(1, 2)])
-        assert (a + b).counts[1, 2] == 2
-        assert (a + b).total == 3
+        # Repeated pairs add up in their cell.
+        got = ConfusionMatrix.from_pairs(3, [(0, 0), (1, 2), (1, 2)])
+        assert got.counts.tolist() == [[1, 0, 0], [0, 0, 2], [0, 0, 0]]
+        assert got.total == 3
 
 
 class TestPollSizeBucket:
@@ -337,7 +338,7 @@ class TestEvaluate:
     def test_per_voter_f_covers_every_voter(self):
         ds = au_population()
         rep = loo_evaluate(Family.TMG, ParameterGrid.default(Family.TMG), ds)
-        assert sorted(rep.per_voter_f) == ds.voters()
+        assert sorted(rep.per_voter_f) == list(ds.by_voter())
         assert all(0.0 <= f <= 1.0 for f in rep.per_voter_f.values())
 
 
@@ -388,8 +389,8 @@ class TestParameterDistribution:
         ds = au_population()
         rep = loo_evaluate(Family.AU, ParameterGrid.default(Family.AU), ds, jobs=2)
         rows = parameter_distribution(rep)
-        assert len(rows) == len(ds.voters())
-        assert {row["voter_id"] for row in rows} == set(ds.voters())
+        assert len(rows) == len(ds.by_voter())
+        assert {row["voter_id"] for row in rows} == set(ds.by_voter())
         for row in rows:
             assert set(row) >= {"voter_id", "family", "bucket", "alpha", "beta"}
 
@@ -531,8 +532,8 @@ class TestRecordTableAggregation:
             for i, (vid, recs) in enumerate(ds.by_voter().items())
         ]
         got = evaluation._aggregate(Family.LD, "loo", 9, table, results)
-        fitted = {vid: {"r": 0.5} for vid in ds.voters()}
-        defaulted = [vid for i, vid in enumerate(ds.voters()) if i % 3 == 0]
+        fitted = {vid: {"r": 0.5} for vid in ds.by_voter()}
+        defaulted = [vid for i, vid in enumerate(ds.by_voter()) if i % 3 == 0]
         want = oracle_report(Family.LD, "loo", 9, ds, preds, fitted, defaulted)
         assert got.to_dict() == want.to_dict()
         assert error_breakdown(ds, preds) == oracle_error_breakdown(ds, preds)
@@ -544,13 +545,14 @@ class TestRecordTableAggregation:
         if m == 3:
             assert sum(want.per_scenario[s].total for s in SCENARIOS) > 0
 
-    def test_error_breakdown_takes_given_profiles(self):
+    def test_error_breakdown_needs_every_prediction(self):
         ds = mixed_dataset(4, 3)
+        table = RecordTable.from_dataset(ds)
         preds = {(rec.voter_id, rec.round): 0 for rec in ds.records}
-        profiles = {vid: build_profile(vid, recs) for vid, recs in ds.by_voter().items()}
-        assert error_breakdown(ds, preds, profiles) == oracle_error_breakdown(ds, preds)
+        assert error_breakdown(table, preds) == oracle_error_breakdown(ds, preds)
+        del preds[(ds.records[-1].voter_id, ds.records[-1].round)]
         with pytest.raises(ValueError, match="missing prediction"):
-            error_breakdown(RecordTable.from_dataset(ds), {})
+            error_breakdown(table, preds)
 
     def test_table_is_read_only(self):
         table = RecordTable.from_dataset(mixed_dataset(5, 3, num_voters=2, rounds=2))
@@ -573,7 +575,7 @@ class TestRecordTableAggregation:
         monkeypatch.setattr(evaluation, "build_profile", counting)
         argv = ["evaluate", "--data", str(csv_path), "--families", "TRUTH,LD,AU"]
         assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 0
-        assert sorted(calls) == ds.voters()
+        assert sorted(calls) == list(ds.by_voter())
 
 
 class FakeContext:

@@ -4,33 +4,32 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from stratvote.core import (
-    Poll,
-    UtilityFunction,
+from scalar_deciders import (
+    decide_au,
+    decide_best_response,
+    decide_ld,
+    decide_ld_lb,
+    decide_pragmatist,
+    decide_tmg,
+    decide_truth,
     outcome_with_vote,
     plurality_winners,
-    preference_order,
+    possible_winners,
     winner_set_utility,
 )
+from stratvote.core import Poll, UtilityFunction, preference_order
 from stratvote.evaluation import ParameterGrid
 from stratvote.models import (
     AU_EPSILON,
     DecisionContext,
     Family,
     ModelDescriptor,
-    attainability,
+    _attainability,
     au_decisions_grid,
     au_score,
     decide,
-    decide_au,
-    decide_best_response,
     decide_grid,
-    decide_ld,
-    decide_ld_lb,
     decide_matrix,
-    decide_pragmatist,
-    decide_tmg,
-    decide_truth,
     undominated_set,
 )
 
@@ -183,29 +182,40 @@ class TestLocalDominance:
             assert lb == w[0]
 
 
+def attainability_row(s, beta):
+    """``_attainability`` of every candidate of one poll at one beta, shape (m,)."""
+    return _attainability(np.array([s.scores]), np.array([s.n]), [beta])[0, 0]
+
+
 class TestAttainability:
     def test_frontrunner_value(self):
-        a = attainability(3, S1, 30.0)
+        a = attainability_row(S1, 30.0)[3]
         assert abs(a - 0.9848) < 1e-3
         assert abs(a - 0.9847752571362814) < 1e-12
 
     def test_midpoint(self):
-        assert attainability(0, Poll.from_scores((5, 6, 4)), 17.0) == pytest.approx(0.5)
+        assert attainability_row(Poll.from_scores((5, 6, 4)), 17.0)[0] == pytest.approx(0.5)
 
     def test_equal_scores_equal_attainability(self):
-        s = Poll.from_scores((25, 70, 25, 100, 80))
-        assert attainability(0, s, 30.0) == attainability(2, s, 30.0)
+        a = attainability_row(Poll.from_scores((25, 70, 25, 100, 80)), 30.0)
+        assert a[0] == a[2]
 
     def test_beta_zero_is_flat(self):
-        assert attainability(2, S1, 0.0) == 0.5
+        assert attainability_row(S1, 0.0).tolist() == [0.5] * 5
 
     @given(s3, st.floats(min_value=0.1, max_value=60, allow_nan=False))
     def test_strictly_increasing_in_score(self, s, beta):
-        vals = [(s.scores[c], attainability(c, s, beta)) for c in range(s.m)]
-        for sc_a, a_a in vals:
-            for sc_b, a_b in vals:
-                if sc_a > sc_b:
-                    assert a_a > a_b
+        a = attainability_row(s, beta)
+        for c in range(s.m):
+            for d in range(s.m):
+                if s.scores[c] > s.scores[d]:
+                    assert a[c] > a[d]
+
+    def test_grid_shape_is_beta_record_candidate(self):
+        S = np.array([S1.scores, (5, 6, 4, 0, 0)])
+        got = _attainability(S, np.array([S1.n, 15]), [0.0, 30.0, 17.0])
+        assert got.shape == (3, 2, 5)
+        assert got[1, 0].tolist() == attainability_row(S1, 30.0).tolist()
 
 
 class TestAuHeuristic:
@@ -266,7 +276,7 @@ class TestDescriptorAndDispatch:
     def test_nn_requires_a_trained_network(self):
         u = UtilityFunction((10, 5, 0))
         s = Poll.from_scores((20, 50, 30))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="nn.predict_record"):
             decide(ModelDescriptor(Family.NN), u, s)
 
     def test_parameter_validation(self):
@@ -319,11 +329,6 @@ def _utilities_and_poll(m):
 
 any_m_instance = st.integers(min_value=2, max_value=5).flatmap(_utilities_and_poll)
 radius_grids = st.lists(rs, min_size=1, max_size=12)
-
-
-def possible_winners(s, r):
-    top = max(s.scores)
-    return [c for c in range(s.m) if s.scores[c] >= top - 2.0 * r * s.n]
 
 
 class TestDecideGrid:
@@ -390,15 +395,15 @@ class TestDecideGrid:
         with pytest.raises(ValueError, match="r must lie"):
             decide_grid(Family.LD, [{"r": 0.1}, {"r": 1.5}], U1, S1)
         with pytest.raises(ValueError, match="r must lie"):
-            decide_ld_lb(U1, S1, -0.1)
+            decide_grid(Family.LDLB, [{"r": -0.1}], U1, S1)
         with pytest.raises(ValueError, match="k must lie"):
             decide_grid(Family.PRAG, [{"k": 2}, {"k": 6}], U1, S1)
         with pytest.raises(ValueError, match="three candidates"):
             decide_grid(Family.TMG, [{"voter_type": "TRT"}], U1, S1)
         with pytest.raises(ValueError, match="alpha must lie"):
-            decide_au(U1, S1, 2.5, 10.0)
+            decide_grid(Family.AU, [{"alpha": 2.5, "beta": 10.0}], U1, S1)
         with pytest.raises(ValueError, match="beta must be non-negative"):
-            decide_au(U1, S1, 1.0, -1.0)
+            decide_grid(Family.AU, [{"alpha": 1.0, "beta": -1.0}], U1, S1)
         for desc in (
             ModelDescriptor(Family.TRUTH),
             ModelDescriptor(Family.BR),

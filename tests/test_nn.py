@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stratvote import nn
-from stratvote.behavior import action_ratios, build_profile, voter_type
+from stratvote.behavior import LB_THRESHOLD, TRT_THRESHOLD, action_ratios, build_profile
 from stratvote.core import Poll, UtilityFunction, preference_order
 from stratvote.data import VoteRecord
 from stratvote.nn import (
@@ -11,7 +11,6 @@ from stratvote.nn import (
     Hyperparams,
     Network,
     action_rank,
-    extract_features,
     features_from_parts,
     fit_folds,
     fit_network,
@@ -188,11 +187,11 @@ class TestFeatures:
         assert np.all(vec >= -1.0) and np.all(vec <= 1.0)
 
     def test_extract_uses_record_fields(self):
-        r = rec((50, 80, 30), 1)
-        assert np.array_equal(
-            extract_features(r, truthful_profile()),
-            features_from_parts(U, Poll.from_scores((50, 80, 30)), truthful_profile()),
-        )
+        # predict_record features a record from its utilities and poll.
+        r = rec((50, 80, 30), 1, u=UtilityFunction((0.0, 10.0, 5.0)))
+        net = init_network(FEATURE_DIM, seed=5)
+        rank = predict(net, features_from_parts(r.utilities, r.poll, truthful_profile()))
+        assert predict_record(net, truthful_profile(), r) == (1, 2, 0)[rank]
 
     def test_action_rank(self):
         u = UtilityFunction((0.0, 10.0, 5.0))
@@ -517,12 +516,18 @@ class TestMixedSizeFolds:
             fit_folds([[rec((80, 50, 30), 0)], [rec((80, 50, 30), 1)]], [Hyperparams()])
 
 
-@given(SEEDS, st.integers(min_value=1, max_value=12), st.floats(0, 1), st.floats(0, 1))
+@given(SEEDS, st.integers(min_value=1, max_value=12))
 @settings(max_examples=60, deadline=None)
-def test_profile_type_is_voter_type(seed, rounds, trt, lb):
+def test_profile_type_is_voter_type(seed, rounds):
     # The type feature comes from the profile, which derives it from the
     # ratios it already holds.
     rows = generated_voter(np.random.default_rng(seed), rounds)
-    profile = build_profile("v1", rows, trt_threshold=trt, lb_threshold=lb)
-    assert profile.voter_type == voter_type(rows, trt_threshold=trt, lb_threshold=lb)
+    profile = build_profile("v1", rows)
     assert profile.a_ratios == action_ratios(rows)
+    ratios = profile.a_ratios
+    if ratios.get("TRT", 0.0) > TRT_THRESHOLD:
+        assert profile.voter_type == "TRT"
+    elif ratios.get("LB", 0.0) > LB_THRESHOLD:
+        assert profile.voter_type == "LB"
+    else:
+        assert profile.voter_type == "OTHER"

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stratvote.core import Poll, UtilityFunction, plurality_winners
+from stratvote.core import Poll, UtilityFunction
 from stratvote.pivot import (
     COMPOSITION_BUDGET,
     MC_SAMPLES,
