@@ -23,9 +23,10 @@ decides record by record.  NN is a trained network, not a grid family: it
 predicts through :func:`nn.predict_record`.
 
 All deciders are deterministic functions of their inputs and parameters:
-CV too, since its pivot tables (Monte-Carlo ones included) depend only on
-the poll's scores and eta.  Tie-breaking conventions are part of the model
-semantics.  Preference ties and poll-score ties break toward the lower
+CV too, since its pivot tables depend only on the poll's scores and eta
+(exact for m <= 4; for m >= 5 exact within ``pivot.TERM_BUDGET``, past it
+Monte-Carlo seeded from the scores and eta).  Tie-breaking conventions are
+part of the model semantics.  Preference ties and poll-score ties break toward the lower
 candidate index; among equally good votes, BR and AU pick the more
 preferred candidate.
 """

@@ -6,17 +6,35 @@ that one extra ballot for ``y`` either breaks x's sole lead into an {x, y}
 tie or turns an existing {x, y} tie into a win for ``y``.  Only these
 two-way events count; richer ties are deliberately ignored.
 
-For m <= 3 the exact table is a closed form: each pivot event fixes the
-top two counts, so ``P(x, y)`` is a one-dimensional sum of multinomial
-probabilities, O(eta) at any eta.  For m >= 4 the exact table enumerates
-every score composition (rejected above ``COMPOSITION_BUDGET``), and the
-Monte-Carlo path estimates the same events from seeded multinomial draws.
+One exact kernel serves every m.  Each pivot event fixes the top two counts
+(x = t, y = t - lead with lead 1 for a sole lead and 0 for a tie) and leaves
+r = eta - 2t + lead ballots to the others, each of whom must stay at most
+t - 1::
+
+    P(x, y) = sum_{lead, t} Mult(eta; t, t - lead, r; p_x, p_y, q) * C(r, t - 1)
+
+with q the others' total probability.  ``C(r, c)``, the chance that r
+ballots over the others leave every count <= c, takes the others one at a
+time in descending probability: for one other it is 1 on the summed range
+(m <= 3; an m = 2 poll gets a phantom third candidate of probability zero),
+for two it is a binomial interval (m = 4), and for more it is the first
+other's binomial pmf times ``C`` of the rest, summed over that count
+(m >= 5; the counts that leave the rest at most c between them are one
+binomial interval, so only the lower counts are summed term by term).
+Only those nested sums, and the t-sums that feed them, skip terms: a term
+whose weight (its multinomial or binomial pmf) is below
+``exp(-LOG_WINDOW)`` times the largest weight of its sum.  Every weight is
+a probability and ``C <= 1``, so an m >= 5 entry is at most
+``(m - 3) * (eta + 2) * exp(-LOG_WINDOW)`` below the exact sum.  The bound
+is absolute: entries far below it, such as pairs that almost never lead,
+can lose their relative precision.  m <= 4 skips nothing.
 
 A table depends on the poll's scores and ``eta`` only, never on its
 reported size ``n``.  :func:`decide_cv` is a pure function of (utilities,
-poll, eta): where enumeration is over budget it estimates the table from
-``MC_SAMPLES`` draws seeded from the scores and ``eta``, so every voter who
-sees the same poll gets the same table.
+poll, eta): it uses the kernel unless the nested sums would take more than
+``TERM_BUDGET`` terms (never for m <= 4), and past that estimates the table
+from ``MC_SAMPLES`` draws seeded from the scores and ``eta``, so every voter
+who sees the same poll gets the same table.
 """
 
 from __future__ import annotations
@@ -30,15 +48,18 @@ import numpy as np
 from .core import Candidate, Poll, UtilityFunction
 from .seeding import derive_seed
 
-# Largest composition count the m >= 4 enumerator takes on.
-COMPOSITION_BUDGET = 10_000_000
+# Nested sums, and the t-sums feeding them, skip every term whose weight is
+# below exp(-LOG_WINDOW) times the largest weight of its sum.
+LOG_WINDOW = 40.0
+# Most nested-sum terms decide_cv lets the exact kernel take.
+TERM_BUDGET = 2_000_000
 # Draws behind a Monte-Carlo table in decide_cv.
 MC_SAMPLES = 1_000_000
 _MC_CHUNK = 1_000_000
-
-
-class BudgetExceededError(ValueError):
-    """Exact enumeration would exceed the composition budget."""
+# Most cells of the (pairs x t) grid, and about the most nested-sum terms,
+# held at once.
+_GRID_CELLS = 1 << 21
+_BLOCK_TERMS = 1 << 18
 
 
 def _belief_probabilities(poll: Poll) -> np.ndarray:
@@ -72,25 +93,200 @@ def composition_count(eta: int, m: int) -> int:
     return math.comb(eta + m - 1, m - 1)
 
 
-def _composition_blocks(total: int, parts: int) -> Iterator[np.ndarray]:
-    """Yield int64 arrays jointly covering every composition of ``total``.
+def _check_eta(eta: int) -> int:
+    if int(eta) != eta or eta < 1:
+        raise ValueError(f"eta must be a positive integer, got {eta!r}")
+    return int(eta)
 
-    Blocks are grouped by the leading coordinates so memory stays
-    O(total * parts) even when the full composition count is large.
+
+@dataclass(frozen=True)
+class _Pairs:
+    """Every ordered pair (x, y) of a poll, with its others in descending probability.
+
+    ``share[i, k]`` is the chance that a ballot for one of pair i's others
+    from number k on goes to number k (1 where all of those have probability
+    zero).  Nothing depends on candidate labels beyond ``x`` and ``y``, so
+    relabeling a poll permutes the table bit for bit.
     """
-    if parts == 1:
-        yield np.array([[total]], dtype=np.int64)
-        return
-    if parts == 2:
-        first = np.arange(total + 1, dtype=np.int64)
-        yield np.stack([first, total - first], axis=1)
-        return
-    for head in range(total + 1):
-        for rest in _composition_blocks(total - head, parts - 1):
-            block = np.empty((rest.shape[0], parts), dtype=np.int64)
-            block[:, 0] = head
-            block[:, 1:] = rest
-            yield block
+
+    p: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    rest: np.ndarray  # the others' total probability
+    share: np.ndarray
+
+    @staticmethod
+    def of(poll: Poll) -> "_Pairs":
+        p = np.append(_belief_probabilities(poll), np.zeros(max(0, 3 - poll.m)))
+        x, y = np.array([(x, y) for x in range(poll.m) for y in range(poll.m) if x != y]).T
+        other = [[k for k in range(len(p)) if k != a and k != b] for a, b in zip(x, y)]
+        others = -np.sort(-p[other], axis=1)
+        tails = np.cumsum(others[:, ::-1], axis=1)[:, ::-1]
+        share = np.divide(others, tails, out=np.ones_like(others), where=tails > 0)
+        return _Pairs(p, x, y, others.sum(axis=1), share)
+
+    def t_grids(self, eta: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+        """Yield (pair ids, log-weights, top, r) over chunks of pairs.
+
+        Cell (i, j) is log Mult(eta; top, near, r; p_x, p_y, q) of pair i,
+        with top = t, near = t - lead and r = eta - 2t + lead: the lead = 1
+        columns (a sole lead) come first, then lead = 0 (a tie).  t runs
+        over the range where the others can all stay at most t - 1.
+        """
+        from scipy.special import gammaln, xlogy
+
+        m = self.share.shape[1] + 2
+        t = [np.arange((eta + lead + 2 * m - 3) // m, (eta + lead) // 2 + 1) for lead in (1, 0)]
+        top = np.concatenate(t)
+        near = np.concatenate([t[0] - 1, t[1]])
+        rest = eta - top - near
+        step = max(1, _GRID_CELLS // max(len(top), 1))
+        for start in range(0, len(self.x), step):
+            ids = np.arange(start, min(start + step, len(self.x)))
+            log_w = (
+                gammaln(eta + 1.0)
+                - gammaln(top + 1.0)
+                - gammaln(near + 1.0)
+                - gammaln(rest + 1.0)
+                + xlogy(top, self.p[self.x[ids], None])
+                + xlogy(near, self.p[self.y[ids], None])
+                + xlogy(rest, self.rest[ids, None])
+            )
+            yield ids, log_w, top, rest
+
+
+def _kept_cells(log_w: np.ndarray, w: np.ndarray, others: int) -> np.ndarray:
+    """Grid cells whose ``C`` is computed: nonzero weight and, where ``C``
+    is a nested sum (three or more others), within the row's window."""
+    keep = w > 0
+    if others >= 3:
+        keep &= log_w >= log_w.max(axis=1, keepdims=True) - LOG_WINDOW
+    return keep
+
+
+def _binom_log_pmf(j: np.ndarray, n: np.ndarray, p: np.ndarray) -> np.ndarray:
+    from scipy.special import gammaln, xlog1py, xlogy
+
+    log_choose = gammaln(n + 1.0) - gammaln(j + 1.0) - gammaln(n - j + 1.0)
+    return log_choose + xlogy(j, p) + xlog1py(n - j, -p)
+
+
+def _binom_interval(lo: np.ndarray, hi: np.ndarray, n: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """``P(lo <= Bin(n, p) <= hi)`` row by row, 0 where ``lo > hi``.
+
+    Needs ``0 <= lo`` and ``hi <= n``: ``bdtr`` is NaN for k outside
+    [0, n].  An interval above the mean is a difference of upper tails, so
+    a small result keeps its relative precision on either side.
+    """
+    from scipy.special import bdtr, bdtrc
+
+    out = np.zeros(len(n))
+    above = lo > n * p
+    rows = np.flatnonzero((lo <= hi) & ~above)
+    below = np.where(lo[rows] > 0, bdtr(np.maximum(lo[rows] - 1, 0), n[rows], p[rows]), 0.0)
+    out[rows] = bdtr(hi[rows], n[rows], p[rows]) - below
+    rows = np.flatnonzero((lo <= hi) & above)
+    out[rows] = bdtrc(lo[rows] - 1, n[rows], p[rows]) - bdtrc(hi[rows], n[rows], p[rows])
+    return np.maximum(out, 0.0)
+
+
+def _window(
+    r: np.ndarray, c: np.ndarray, p: np.ndarray, others: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(first, width): the first other's counts that C's nested sum adds one by one.
+
+    The first other may take j in [max(0, r - (others - 1) c), min(c, r)].
+    From j = r - c on the rest fits whatever its split, so that block is one
+    binomial interval and only j < r - c is summed term by term.  Of those,
+    only j within ``reach`` of the pmf's largest point j* on the whole range
+    are kept: the binomial log-pmf has second differences below
+    -4 / (r + 2), so every j farther away weighs less than
+    ``exp(-LOG_WINDOW)`` times the pmf at j*.
+    """
+    lo = np.maximum(r - (others - 1) * c, 0)
+    mode = np.clip(np.floor((r + 1) * p), lo, np.minimum(c, r))
+    reach = np.floor(np.sqrt(LOG_WINDOW * (r + 2) / 2.0)) + 1.0
+    first = np.maximum(lo, mode - reach).astype(np.int64)
+    last = np.minimum(np.minimum(c, r - c - 1), mode + reach).astype(np.int64)
+    return first, np.maximum(last - first + 1, 0)
+
+
+def _expand(first: np.ndarray, width: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row, j) for every j in ``[first, first + width)`` of every row."""
+    row = np.repeat(np.arange(len(first)), width)
+    return row, first[row] + np.arange(len(row)) - np.repeat(np.cumsum(width) - width, width)
+
+
+def _fits(r: np.ndarray, c: np.ndarray, ids: np.ndarray, share: np.ndarray) -> np.ndarray:
+    """``C(r, c)`` row by row: the chance that r ballots over pair ids'
+    others, with shares ``share[ids]`` (two or more columns), leave every
+    count at most c."""
+    p = share[ids, 0]
+    fits = _binom_interval(np.maximum(r - c, 0), np.minimum(c, r), r, p)
+    if share.shape[1] == 2:
+        return fits
+    first, width = _window(r, c, p, share.shape[1])
+    ends = np.cumsum(width)
+    start = 0
+    # About _BLOCK_TERMS terms at a time, a row's terms all in one block.
+    while start < len(r):
+        block_end = ends[start] - width[start] + _BLOCK_TERMS
+        stop = max(start + 1, int(np.searchsorted(ends, block_end, "right")))
+        row, j = _expand(first[start:stop], width[start:stop])
+        row += start
+        weight = np.exp(_binom_log_pmf(j, r[row], p[row]))
+        inner = _fits(r[row] - j, c[row], ids[row], share[:, 1:])
+        fits[start:stop] += np.bincount(row - start, weights=weight * inner, minlength=stop - start)
+        start = stop
+    return fits
+
+
+def _pivot_sums(poll: Poll, eta: int) -> np.ndarray:
+    pairs = _Pairs.of(poll)
+    out = np.zeros((poll.m, poll.m))
+    others = pairs.share.shape[1]
+    for ids, log_w, top, rest in pairs.t_grids(eta):
+        w = np.exp(log_w)
+        if others >= 2:
+            keep = _kept_cells(log_w, w, others)
+            i, j = np.nonzero(keep)
+            w = np.where(keep, w, 0.0)
+            w[i, j] *= _fits(rest[j], top[j] - 1, ids[i], pairs.share)
+        out[pairs.x[ids], pairs.y[ids]] = w.sum(axis=1)
+    return out
+
+
+def _nested_terms(poll: Poll, eta: int, limit: float) -> int:
+    """Terms the nested sums of the exact kernel take for ``(poll.scores,
+    eta)``, counted up to just past ``limit``; 0 for m <= 4, which has none."""
+    total = 0
+    if poll.m < 5:
+        return total
+    pairs = _Pairs.of(poll)
+    for ids, log_w, top, rest in pairs.t_grids(eta):
+        i, j = np.nonzero(_kept_cells(log_w, np.exp(log_w), pairs.share.shape[1]))
+        r, c, ids, share = rest[j], top[j] - 1, ids[i], pairs.share
+        while share.shape[1] >= 3:
+            first, width = _window(r, c, share[ids, 0], share.shape[1])
+            total += int(width.sum())
+            if total > limit or share.shape[1] == 3:
+                break
+            row, j = _expand(first, width)
+            r, c, ids, share = r[row] - j, c[row], ids[row], share[:, 1:]
+        if total > limit:
+            break
+    return total
+
+
+def pivot_table_exact(poll: Poll, eta: int) -> PivotTable:
+    """Exact pivot probabilities for every ordered pair, for any m and eta.
+
+    For m >= 5 the nested sums skip terms below the window of
+    ``LOG_WINDOW`` (see the module notes); m <= 4 is exact to rounding.
+    """
+    eta = _check_eta(eta)
+    probs = _pivot_sums(poll, eta)
+    return PivotTable(entries=np.clip(probs, 0.0, 1.0), method="exact", eta=eta)
 
 
 def _pair_event_weights(block: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -120,84 +316,6 @@ def _pair_event_weights(block: np.ndarray, weights: np.ndarray) -> np.ndarray:
         np.fill_diagonal(both, 0.0)
         out += both
     return out
-
-
-def _exact_pair_probs(poll: Poll, eta: int) -> np.ndarray:
-    from scipy.special import gammaln, xlogy
-
-    p = _belief_probabilities(poll)
-    log_fact = gammaln(np.arange(eta + 1) + 1.0)
-    log_total = log_fact[eta]
-    acc = np.zeros((poll.m, poll.m))
-    for block in _composition_blocks(eta, poll.m):
-        log_pmf = log_total - log_fact[block].sum(axis=1) + xlogy(block, p).sum(axis=1)
-        pmf = np.exp(log_pmf)
-        if pmf.any():
-            acc += _pair_event_weights(block, pmf)
-    return acc
-
-
-def _check_eta(eta: int) -> int:
-    if int(eta) != eta or eta < 1:
-        raise ValueError(f"eta must be a positive integer, got {eta!r}")
-    return int(eta)
-
-
-def _closed_form_pair_probs(poll: Poll, eta: int) -> np.ndarray:
-    """Exact ``P(x, y)`` for m <= 3 as a sum over the leader's count ``t``.
-
-    With z the third candidate, y's extra ballot is pivotal against x on a
-    sole lead (x = t, y = t-1, z = eta-2t+1) or on a two-way tie
-    (x = y = t, z = eta-2t), with 0 <= z <= t-1 in both.  An m = 2 poll gets
-    a phantom third candidate of probability zero; ``xlogy`` gives its
-    nonzero counts probability zero.  Each entry is computed from its own
-    pair's probabilities in (x, y, z) order, never in candidate order, so
-    relabeling the poll permutes the table bit for bit.
-    """
-    from scipy.special import gammaln, xlogy
-
-    p = np.append(_belief_probabilities(poll), np.zeros(3 - poll.m))
-    x, y = np.array([(x, y) for x in range(poll.m) for y in range(poll.m) if x != y]).T
-    z = 3 - x - y
-    # lead = 1 is the sole-lead family, lead = 0 the tie family.
-    t = [np.arange((eta + lead + 3) // 3, (eta + lead) // 2 + 1) for lead in (1, 0)]
-    top = np.concatenate(t)
-    near = np.concatenate([t[0] - 1, t[1]])
-    rest = eta - top - near
-    log_pmf = (
-        gammaln(eta + 1.0)
-        - gammaln(top + 1.0)
-        - gammaln(near + 1.0)
-        - gammaln(rest + 1.0)
-        + xlogy(top, p[x, None])
-        + xlogy(near, p[y, None])
-        + xlogy(rest, p[z, None])
-    )
-    out = np.zeros((poll.m, poll.m))
-    out[x, y] = np.exp(log_pmf).sum(axis=1)
-    return out
-
-
-def pivot_table_exact(poll: Poll, eta: int) -> PivotTable:
-    """Exact pivot probabilities for every ordered pair.
-
-    For m <= 3 the closed form :func:`_closed_form_pair_probs` serves any
-    eta.  For m >= 4 every composition is enumerated, and
-    :class:`BudgetExceededError` is raised when the count ``C(eta+m-1, m-1)``
-    exceeds ``COMPOSITION_BUDGET``.
-    """
-    eta = _check_eta(eta)
-    if poll.m <= 3:
-        probs = _closed_form_pair_probs(poll, eta)
-    else:
-        count = composition_count(eta, poll.m)
-        if count > COMPOSITION_BUDGET:
-            raise BudgetExceededError(
-                f"{count} compositions exceed the budget of {COMPOSITION_BUDGET}; "
-                "use Monte-Carlo"
-            )
-        probs = _exact_pair_probs(poll, eta)
-    return PivotTable(entries=np.clip(probs, 0.0, 1.0), method="exact", eta=eta)
 
 
 def _mc_draws(poll: Poll, eta: int, samples: int, seed: int) -> Iterator[np.ndarray]:
@@ -243,10 +361,11 @@ def cv_gain_scores(u: UtilityFunction, table: PivotTable) -> np.ndarray:
 def _cv_table(poll: Poll, eta: int) -> PivotTable:
     """The table :func:`decide_cv` uses, a function of ``(poll.scores, eta)``.
 
-    Exact when it can be (always for m <= 3), else ``MC_SAMPLES`` draws
+    Exact unless the kernel's nested sums would take more than
+    ``TERM_BUDGET`` terms (never for m <= 4), else ``MC_SAMPLES`` draws
     seeded from the scores and ``eta``.
     """
-    if poll.m <= 3 or composition_count(eta, poll.m) <= COMPOSITION_BUDGET:
+    if _nested_terms(poll, eta, TERM_BUDGET) <= TERM_BUDGET:
         return pivot_table_exact(poll, eta)
     seed = derive_seed(0, "cv-pivot", eta, *poll.scores)
     return pivot_table_mc(poll, eta, MC_SAMPLES, seed)
@@ -257,8 +376,8 @@ def decide_cv(
 ) -> Candidate:
     """Vote maximizing the pivot-weighted expected gain.
 
-    The pivot table is exact for m <= 3 at any eta, and for m >= 4 when the
-    composition count fits ``COMPOSITION_BUDGET``; otherwise it is a
+    The pivot table is exact for m <= 4 at any eta, and for m >= 5 while
+    the kernel's nested sums fit ``TERM_BUDGET``; otherwise it is a
     Monte-Carlo estimate seeded from ``(s.scores, eta)``.  ``cache`` maps
     ``(scores, eta)`` to tables and may be shared by any calls.  Ties break
     toward the higher poll score, then higher utility, then the lower

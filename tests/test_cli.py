@@ -456,8 +456,11 @@ class TestExitCodes:
 
 @st.composite
 def accepted_csvs(draw):
-    """CSV text the loader accepts: m in {2, 3, 4}, n <= 30, strict utilities."""
-    m = draw(st.integers(min_value=2, max_value=4))
+    """CSV text the loader accepts: m in {2, ..., 6}, n <= 30, strict utilities.
+
+    m = 5 and 6 take CV through the exact kernel's nested sums.
+    """
+    m = draw(st.integers(min_value=2, max_value=6))
     header = "voter_id,round,n," + ",".join(
         [f"s_{i}" for i in range(1, m + 1)] + [f"u_{i}" for i in range(1, m + 1)]
     ) + ",action\n"

@@ -9,15 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pivot_oracle import closed_form_pair_probs, composition_blocks, exact_pair_probs
+from stratvote import pivot
 from stratvote.core import Poll, UtilityFunction
 from stratvote.pivot import (
-    COMPOSITION_BUDGET,
     MC_SAMPLES,
-    BudgetExceededError,
-    _closed_form_pair_probs,
-    _composition_blocks,
-    _exact_pair_probs,
+    TERM_BUDGET,
     _mc_draws,
+    _nested_terms,
     _pair_event_weights,
     composition_count,
     cv_gain_scores,
@@ -28,6 +27,9 @@ from stratvote.pivot import (
 
 U1 = UtilityFunction((40, 30, 20, 10, 0))
 S1 = Poll.from_scores((25, 70, 20, 100, 80))
+# Seven candidates at eta = 1000: far past TERM_BUDGET, so decide_cv samples.
+U7 = UtilityFunction((0, 10, 20, 30, 40, 50, 60))
+S7 = Poll.from_scores((7, 6, 5, 4, 3, 2, 1))
 
 
 def winners(scores):
@@ -73,6 +75,16 @@ small_polls = st.lists(st.integers(min_value=0, max_value=12), min_size=3, max_s
 )
 
 
+def polls(min_m, max_m, max_score=12):
+    """Polls of min_m..max_m candidates; ties, zeros and all-zero polls included."""
+    return st.integers(min_value=min_m, max_value=max_m).flatmap(
+        lambda m: st.one_of(
+            st.lists(st.integers(min_value=0, max_value=max_score), min_size=m, max_size=m),
+            st.lists(st.integers(min_value=0, max_value=2), min_size=m, max_size=m),
+        )
+    ).map(lambda v: Poll.from_scores(tuple(v)))
+
+
 class TestExact:
     def test_even_race_single_extra_ballot(self):
         assert pivot_table_exact(Poll.from_scores((1, 1, 0)), 2).entries[0, 1] == pytest.approx(0.5)
@@ -88,10 +100,6 @@ class TestExact:
     def test_zero_support_candidate_never_pivots(self):
         assert pivot_table_exact(Poll.from_scores((4, 3, 0)), 4).entries[0, 2] == pytest.approx(0.0)
 
-    def test_budget_rejection(self):
-        with pytest.raises(BudgetExceededError):
-            pivot_table_exact(S1, 10000)
-
     def test_composition_count(self):
         assert composition_count(8, 5) == 495
         assert composition_count(2, 3) == 6
@@ -105,25 +113,26 @@ class TestExact:
         want = float(exact_pivot_fraction(poll, eta, x, y))
         assert got == pytest.approx(want, abs=1e-12)
 
-    @given(small_polls, st.integers(min_value=1, max_value=5))
+    @given(polls(3, 5, max_score=40), st.integers(min_value=1, max_value=300))
     @settings(max_examples=40, deadline=None)
     def test_table_is_a_probability_matrix(self, poll, eta):
         t = pivot_table_exact(poll, eta)
-        assert t.entries.shape == (3, 3)
+        assert t.entries.shape == (poll.m, poll.m)
+        assert not np.isnan(t.entries).any()
         assert np.all(t.entries >= 0) and np.all(t.entries <= 1)
         assert np.all(np.diag(t.entries) == 0)
 
-    @given(small_polls, st.integers(min_value=1, max_value=300), st.data())
+    @given(polls(3, 5, max_score=40), st.integers(min_value=1, max_value=300), st.data())
     @settings(max_examples=40, deadline=None)
     def test_candidate_relabeling_permutes_the_table(self, poll, eta, data):
         # Bit for bit, not approximately: equal gains must stay equal under
         # relabeling so that decide_cv breaks ties equivariantly.
-        perm = data.draw(st.permutations(range(3)))
-        permuted = Poll.from_scores(tuple(poll.scores[perm.index(c)] for c in range(3)))
+        perm = data.draw(st.permutations(range(poll.m)))
+        permuted = Poll.from_scores(tuple(poll.scores[perm.index(c)] for c in range(poll.m)))
         t = pivot_table_exact(poll, eta).entries
         tp = pivot_table_exact(permuted, eta).entries
-        for x in range(3):
-            for y in range(3):
+        for x in range(poll.m):
+            for y in range(poll.m):
                 if x != y:
                     assert tp[perm[x], perm[y]] == t[x, y]
 
@@ -138,9 +147,16 @@ class TestClosedForm:
     @settings(max_examples=60, deadline=None)
     def test_matches_the_enumerator(self, scores, eta):
         poll = Poll.from_scores(tuple(scores))
-        got = _closed_form_pair_probs(poll, eta)
-        want = _exact_pair_probs(poll, eta)
+        got = pivot_table_exact(poll, eta).entries
+        want = exact_pair_probs(poll, eta)
         assert np.abs(got - want).max() <= 1e-14
+
+    @given(polls(2, 3, max_score=100), st.integers(min_value=1, max_value=10**4))
+    @settings(max_examples=60, deadline=None)
+    def test_kernel_is_the_closed_form(self, poll, eta):
+        # One other candidate: C is 1 on the summed range, so the kernel is
+        # the m <= 3 closed form operation for operation.
+        assert np.array_equal(pivot._pivot_sums(poll, eta), closed_form_pair_probs(poll, eta))
 
     def test_huge_electorate_is_fast_and_bounded(self):
         start = time.perf_counter()
@@ -151,10 +167,52 @@ class TestClosedForm:
         assert t.entries[0, 1] > 0
 
     def test_decide_cv_never_samples_three_candidates(self):
+        # Nor four: m <= 4 has no nested sums, so it never reaches TERM_BUDGET.
         cache = {}
-        u = UtilityFunction((10.0, 5.0, 0.0))
-        decide_cv(u, Poll.from_scores((45, 35, 20)), 10000, cache=cache)
-        assert [table.method for table in cache.values()] == ["exact"]
+        three = UtilityFunction((10.0, 5.0, 0.0))
+        decide_cv(three, Poll.from_scores((45, 35, 20)), 10000, cache=cache)
+        u, poll = UtilityFunction((0.0, 20.0, 10.0, 30.0)), Poll.from_scores((11, 14, 44, 31))
+        for eta in (10**4, 10**6):
+            decide_cv(u, poll, eta, cache=cache)
+        assert [table.method for table in cache.values()] == ["exact"] * 3
+
+
+class TestKernel:
+    @given(
+        st.sampled_from([(2, 30), (3, 30), (4, 16), (5, 10), (6, 7)]).flatmap(
+            lambda m_eta: st.tuples(
+                polls(m_eta[0], m_eta[0], max_score=30),
+                st.integers(min_value=1, max_value=m_eta[1]),
+            )
+        )
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_enumerator(self, case):
+        poll, eta = case
+        got = pivot_table_exact(poll, eta).entries
+        want = exact_pair_probs(poll, eta)
+        assert np.abs(got - want).max() <= 1e-14
+
+    @pytest.mark.parametrize("log_window", [pivot.LOG_WINDOW, 3.0])
+    @given(polls(5, 5, max_score=40), st.integers(min_value=1, max_value=300))
+    @settings(max_examples=15, deadline=None)
+    def test_window_tail_stays_within_its_bound(self, log_window, poll, eta):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pivot, "LOG_WINDOW", math.inf)
+            full = pivot._pivot_sums(poll, eta)
+            patch.setattr(pivot, "LOG_WINDOW", log_window)
+            windowed = pivot._pivot_sums(poll, eta)
+        bound = (poll.m - 3) * (eta + 2) * math.exp(-log_window)
+        assert np.all(np.abs(full - windowed) <= bound + 4 * np.finfo(float).eps * full)
+
+    def test_large_tables_are_fast(self):
+        start = time.perf_counter()
+        pivot_table_exact(Poll.from_scores((11, 14, 44, 31)), 10**6)
+        four = time.perf_counter() - start
+        start = time.perf_counter()
+        pivot_table_exact(S1, 10**4)
+        five = time.perf_counter() - start
+        assert four < 2.0 and five < 2.0, (four, five)
 
 
 class TestMonteCarlo:
@@ -225,15 +283,28 @@ class TestDecideCv:
     def test_large_electorate_backs_the_leader(self):
         assert decide_cv(U1, S1, 10000) == 3
 
+    def test_four_candidates_back_the_exact_contender(self):
+        # Sampled tables picked q3 and q1 here; the exact gains pick q4.
+        for utilities, scores in (
+            ((0, 20, 10, 30), (11, 14, 44, 31)),
+            ((10, 0, 20, 30), (3599, 2565, 1304, 2532)),
+        ):
+            assert decide_cv(UtilityFunction(utilities), Poll.from_scores(scores), 1000) == 3
+
+    def test_five_candidate_battery_table_is_exact(self):
+        cache = {}
+        decide_cv(U1, S1, 10000, cache=cache)
+        assert [table.method for table in cache.values()] == ["exact"]
+
     def test_mc_path_is_reproducible(self):
-        assert composition_count(10000, S1.m) > COMPOSITION_BUDGET
-        first = decide_cv(U1, S1, 10000)
-        assert decide_cv(U1, S1, 10000) == first
+        assert _nested_terms(S7, 1000, TERM_BUDGET) > TERM_BUDGET
+        first = decide_cv(U7, S7, 1000)
+        assert decide_cv(U7, S7, 1000) == first
 
     def test_mc_tables_are_a_function_of_scores_and_eta(self):
         a, b = {}, {}
-        decide_cv(U1, S1, 10000, cache=a)
-        decide_cv(UtilityFunction((0, 10, 20, 30, 40)), S1, 10000, cache=b)
+        decide_cv(U7, S7, 1000, cache=a)
+        decide_cv(UtilityFunction((60, 50, 40, 30, 20, 10, 0)), S7, 1000, cache=b)
         (key, table), = a.items()
         assert table.method == "monte_carlo" and table.samples == MC_SAMPLES
         assert np.array_equal(table.entries, b[key].entries)
@@ -305,7 +376,7 @@ class TestPairEventWeights:
         st.integers(min_value=0, max_value=2**32 - 1),
     )
     def test_matches_the_literal_event_mask(self, m, eta, seed):
-        block = np.concatenate(list(_composition_blocks(eta, m)))
+        block = np.concatenate(list(composition_blocks(eta, m)))
         weights = np.random.default_rng(seed).random(block.shape[0])
         got = _pair_event_weights(block, weights)
         for x in range(m):
