@@ -19,8 +19,10 @@ scenario statistics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
+
+import numpy as np
 
 from .core import Candidate, Poll, UtilityFunction, preference_order
 
@@ -29,6 +31,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 SCENARIOS = ("A", "B", "C", "D", "E", "F")
 UNCLASSIFIED = "UNCLASSIFIED"
+SCENARIO_LABELS = (*SCENARIOS, UNCLASSIFIED)
 
 SCENARIO_ORDER_TEXT = {
     "A": "Q > Q' > Q''",
@@ -49,6 +52,8 @@ _ORDER_TO_SCENARIO = {
     (2, 1, 0): "F",
 }
 
+# The actions whose frequencies profile a voter, and the voter types they define.
+RATIO_ACTIONS = ("TRT", "CMP", "LB")
 VOTER_TYPES = ("TRT", "LB", "OTHER")
 # A profile's voter type: TRT above this truthful ratio, else LB above
 # this leader ratio, else OTHER.
@@ -56,9 +61,10 @@ TRT_THRESHOLD = 0.9
 LB_THRESHOLD = 0.5
 
 
-def _strict_preferences(u: UtilityFunction) -> tuple[int, ...]:
+def strict_preferences(u: UtilityFunction) -> tuple[int, ...]:
+    """The preference order of ``u``; raises ``ValueError`` if utilities tie."""
     if len(set(u.values)) != u.m:
-        raise ValueError(f"scenario classification needs strictly ordered utilities, got {u.values}")
+        raise ValueError(f"utilities must be strictly ordered, got {u.values}")
     return preference_order(u.values)
 
 
@@ -71,7 +77,7 @@ def classify_scenario(u: UtilityFunction, s: Poll) -> str:
     """
     if u.m != 3 or s.m != 3:
         raise ValueError("scenarios are defined for exactly three candidates")
-    prefs = _strict_preferences(u)
+    prefs = strict_preferences(u)
     if len(set(s.scores)) != 3:
         raise ValueError(f"tied poll {s.scores} has no scenario")
     rank_of = {c: rank for rank, c in enumerate(prefs)}
@@ -85,6 +91,11 @@ def scenario_or_none(u: UtilityFunction, s: Poll) -> str | None:
         return classify_scenario(u, s)
     except ValueError:
         return None
+
+
+def scenario_index(u: UtilityFunction, s: Poll) -> int:
+    """Position of the record's scenario in ``SCENARIO_LABELS``, ``UNCLASSIFIED`` if none."""
+    return SCENARIO_LABELS.index(scenario_or_none(u, s) or UNCLASSIFIED)
 
 
 def is_unjustified(u: UtilityFunction, s: Poll, action: Candidate) -> bool:
@@ -129,78 +140,57 @@ def find_inconsistent(records: "Sequence[VoteRecord]") -> set[int]:
     return flagged
 
 
-def action_ratios(records: "Sequence[VoteRecord]") -> dict[str, float]:
-    """Per-action selection frequencies, normalized by availability.
+# _AVAILABLE[s, k]: action RATIO_ACTIONS[k], a vote for preference rank
+# _ACTION_RANK[k], can be taken in scenario SCENARIO_LABELS[s]: TRT (vote Q)
+# always, CMP (vote Q' while Q is ranked last) in E, F, LB (Q' leads) in C, E.
+_AVAILABLE = np.array([[True, s in ("E", "F"), s in ("C", "E")] for s in SCENARIO_LABELS])
+_ACTION_RANK = np.array([0, 1, 1])
 
-    - ``TRT``: voted Q; available in every round.
-    - ``CMP``: voted Q' while Q was ranked last (scenarios E, F).
-    - ``LB``:  voted Q' while Q' led the poll (scenarios C, E).
 
-    Actions that were never available are absent from the result rather
-    than reported as zero.  Tied polls count only toward TRT availability.
+def ratio_counts(scenario: np.ndarray, action_rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each of ``RATIO_ACTIONS`` was available, and taken, per record.
+
+    ``scenario`` indexes ``SCENARIO_LABELS`` and ``action_rank`` is the
+    preference rank of the action, one entry per record; returns two (R, 3)
+    int64 arrays, whose sums over a voter's records are the voter's counts.
     """
-    available = {"TRT": 0, "CMP": 0, "LB": 0}
-    selected = {"TRT": 0, "CMP": 0, "LB": 0}
-    for rec in records:
-        prefs = _strict_preferences(rec.utilities)
-        q, q_second = prefs[0], prefs[1]
-        available["TRT"] += 1
-        if rec.action == q:
-            selected["TRT"] += 1
-        scenario = scenario_or_none(rec.utilities, rec.poll)
-        if scenario is None:
-            continue
-        if scenario in ("E", "F"):
-            available["CMP"] += 1
-            if rec.action == q_second:
-                selected["CMP"] += 1
-        if scenario in ("C", "E"):
-            available["LB"] += 1
-            if rec.action == q_second:
-                selected["LB"] += 1
-    return {
-        name: selected[name] / available[name]
-        for name in ("TRT", "CMP", "LB")
-        if available[name] > 0
-    }
+    available = _AVAILABLE[scenario]
+    selected = available & (np.asarray(action_rank)[:, None] == _ACTION_RANK)
+    return available.astype(np.int64), selected.astype(np.int64)
 
 
-def unjustified_count(records: "Sequence[VoteRecord]") -> int:
-    return sum(
-        1 for rec in records if is_unjustified(rec.utilities, rec.poll, rec.action)
-    )
+def ratio_stats(available, selected) -> tuple[np.ndarray, np.ndarray]:
+    """Action ratios and voter types from summed counts of shape (..., 3).
+
+    A ratio is 0 for an action that was never available.  The type indexes
+    ``VOTER_TYPES``: ``TRT`` when the truthful ratio exceeds ``TRT_THRESHOLD``;
+    otherwise ``LB`` when the leader ratio exceeds ``LB_THRESHOLD``; otherwise
+    ``OTHER`` (which also covers voters whose leader ratio is undefined).
+    """
+    available = np.asarray(available)
+    ratios = np.divide(selected, available, out=np.zeros(available.shape), where=available > 0)
+    trt, lb = ratios[..., 0] > TRT_THRESHOLD, ratios[..., 2] > LB_THRESHOLD
+    return ratios, np.where(trt, 0, np.where(lb, 1, 2))
 
 
 @dataclass(frozen=True)
 class VoterProfile:
-    """Behavioral summary of one voter's records."""
+    """One voter's summed :func:`ratio_counts` and inconsistent record indices."""
 
     voter_id: str
-    voter_type: str
-    a_ratios: dict[str, float] = field(default_factory=dict)
-    unjustified_actions: int = 0
+    available: tuple[int, ...]
+    selected: tuple[int, ...]
     inconsistent_records: frozenset = frozenset()
 
 
 def build_profile(voter_id: str, records: "Sequence[VoteRecord]") -> VoterProfile:
-    """Profile a voter from all of their records.
-
-    The voter type is ``TRT`` when the truthful ratio exceeds
-    ``TRT_THRESHOLD``; otherwise ``LB`` when the leader ratio exceeds
-    ``LB_THRESHOLD``; otherwise ``OTHER`` (which also covers voters whose
-    leader ratio is undefined).
-    """
-    ratios = action_ratios(records)
-    if ratios.get("TRT", 0.0) > TRT_THRESHOLD:
-        voter_type = "TRT"
-    elif ratios.get("LB", 0.0) > LB_THRESHOLD:
-        voter_type = "LB"
-    else:
-        voter_type = "OTHER"
+    """Profile a voter from all of their records; tied utilities raise ``ValueError``."""
+    ranks = [strict_preferences(rec.utilities).index(rec.action) for rec in records]
+    scenarios = [scenario_index(rec.utilities, rec.poll) for rec in records]
+    available, selected = ratio_counts(np.array(scenarios, dtype=int), np.array(ranks, dtype=int))
     return VoterProfile(
         voter_id=voter_id,
-        voter_type=voter_type,
-        a_ratios=ratios,
-        unjustified_actions=unjustified_count(records),
+        available=tuple(available.sum(axis=0).tolist()),
+        selected=tuple(selected.sum(axis=0).tolist()),
         inconsistent_records=frozenset(find_inconsistent(records)),
     )

@@ -16,8 +16,10 @@ Leave-one-out uses the match-matrix identity: with per-point match counts
 over all rounds, each fold's training score is the total minus that fold's
 column, so one decision matrix per voter serves every fold.  The ``NN``
 baseline has no grid: each of a voter's folds trains its own network on
-the other rounds (profile included).
+the other rounds, reading the same columns: a fold's profile is its voter's
+summed ratio counts minus the held-out row's, the same identity.
 
+The table holds only arrays, so a worker's task pickles no record objects.
 Work is cut into one task per worker, each a contiguous run of voters of
 about equal record count (one task, in process, for ``jobs=1``).  A task
 decides one voter's matrix at a time, which keeps ``AU``'s memory per
@@ -35,8 +37,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import models, nn as nn_mod
-from .behavior import SCENARIOS, UNCLASSIFIED, build_profile, is_unjustified, scenario_or_none
-from .data import Dataset, VoteRecord
+from .behavior import SCENARIO_LABELS, build_profile, is_unjustified, ratio_counts, scenario_index
+from .data import Dataset
 from .models import DecisionContext, Family, ModelDescriptor
 from .seeding import derive_seed
 
@@ -194,8 +196,6 @@ class ParameterGrid:
 
 # --- the record table --------------------------------------------------------
 
-SCENARIO_LABELS = (*SCENARIOS, UNCLASSIFIED)
-
 
 @dataclass(frozen=True)
 class RecordTable:
@@ -213,7 +213,6 @@ class RecordTable:
     """
 
     voter_ids: tuple[str, ...]
-    records: tuple[VoteRecord, ...]
     voter: np.ndarray
     round: np.ndarray
     n: np.ndarray
@@ -233,7 +232,7 @@ class RecordTable:
 
     @classmethod
     def _row_fields(cls) -> list[str]:
-        return [f.name for f in fields(cls) if f.name not in ("voter_ids", "records")]
+        return [f.name for f in fields(cls) if f.name != "voter_ids"]
 
     @classmethod
     def from_dataset(cls, dataset: Dataset) -> "RecordTable":
@@ -242,10 +241,10 @@ class RecordTable:
         if not by_voter:
             raise ValueError("cannot evaluate an empty dataset")
         profiles = {vid: build_profile(vid, recs) for vid, recs in by_voter.items()}
-        records = tuple(rec for recs in by_voter.values() for rec in recs)
+        records = [rec for recs in by_voter.values() for rec in recs]
         annotations = [
             (
-                SCENARIO_LABELS.index(scenario_or_none(rec.utilities, rec.poll) or UNCLASSIFIED),
+                scenario_index(rec.utilities, rec.poll),
                 POLL_BUCKETS.index(poll_size_bucket(rec.poll.n)),
                 is_unjustified(rec.utilities, rec.poll, rec.action),
                 i in profiles[vid].inconsistent_records,
@@ -258,7 +257,6 @@ class RecordTable:
         order = np.argsort(-U, axis=1, kind="stable")
         return cls(
             voter_ids=tuple(by_voter),
-            records=records,
             voter=np.repeat(np.arange(len(by_voter)), [len(recs) for recs in by_voter.values()]),
             round=np.array([rec.round for rec in records]),
             n=np.array([rec.poll.n for rec in records]),
@@ -286,7 +284,6 @@ class RecordTable:
         """The table of ``rows`` alone; ``voter`` still indexes all ``voter_ids``."""
         return RecordTable(
             voter_ids=self.voter_ids,
-            records=self.records[rows],
             **{name: getattr(self, name)[rows] for name in self._row_fields()},
         )
 
@@ -313,40 +310,44 @@ def _fit_grid(grid: ParameterGrid, block: RecordTable, mode: str) -> tuple[np.nd
     return D[picks, np.arange(D.shape[1])], dict(grid.points[fit_index])
 
 
-def _predict_nn(voters: list[list[VoteRecord]], mode: str, seed: int) -> list[list[int]]:
-    """Each voter's predictions, every network the voters need trained by one fit_folds.
+def _predict_nn(block: RecordTable, mode: str, seed: int) -> np.ndarray:
+    """The predicted candidate of every row, every network trained by one fit_folds.
 
-    Under LOO each record is predicted by a network trained on the voter's
-    other rounds; a single-record voter has nothing to train on, and its
-    seeded initial network plays the role of the default grid point.
+    A fold's profile comes from its training rows' ratio counts: its voter's
+    sums, less the held-out row's under LOO, where a single-record voter's
+    empty fold leaves its seeded initial network as the default point.
     """
-    # picks[v][i] indexes the (network, profile) in ``fitted`` that predicts
-    # voter v's record i: trained folds count from the front, the initial
-    # networks of single-record voters from the back.
-    folds, hypers, defaults, picks = [], [], [], []
-    for records in voters:
-        vid = records[0].voter_id
-        if mode == "upper":
-            picks.append([len(folds)] * len(records))
-            folds.append(records)
-            hypers.append(nn_mod.Hyperparams(seed=derive_seed(seed, "nn", vid, "all")))
-        elif len(records) == 1:
-            net = nn_mod.init_network(
-                nn_mod.FEATURE_DIM, seed=derive_seed(seed, "nn", vid, records[0].round)
-            )
-            picks.append([-1 - len(defaults)])
-            defaults.append((net, build_profile(vid, [])))
+    target = block.rank[np.arange(len(block.voter)), block.action]
+    base = nn_mod.record_features(block.S, block.n, block.order, block.scenario)
+    voters, held_out = block.voter_rows(), mode == "loo"
+    starts = [rows.start for rows in voters]
+    available, selected = (
+        np.repeat(np.add.reduceat(c, starts), np.diff([*starts, len(c)]), axis=0) - held_out * c
+        for c in ratio_counts(block.scenario, target)
+    )
+    queries = nn_mod.features(base, available, selected)  # each row under its fold's profile
+    rank = np.empty(len(target), dtype=np.int64)
+    X, y, hypers, predicts = [], [], [], []  # per fold, and the rows its network predicts
+    for rows in voters:
+        vid = block.voter_ids[block.voter[rows.start]]
+        every = np.arange(rows.start, rows.stop)
+        if held_out:
+            folds = [(every[every != j], [j], block.round[j].item()) for j in every]
         else:
-            picks.append(range(len(folds), len(folds) + len(records)))
-            folds += [records[:i] + records[i + 1 :] for i in range(len(records))]
-            hypers += [
-                nn_mod.Hyperparams(seed=derive_seed(seed, "nn", vid, rec.round)) for rec in records
-            ]
-    fitted = (nn_mod.fit_folds(folds, hypers) if folds else []) + defaults[::-1]
-    return [
-        [nn_mod.predict_record(*fitted[i], rec) for i, rec in zip(pick, records)]
-        for pick, records in zip(picks, voters)
-    ]
+            folds = [(every, every, "all")]
+        for train, predicted, key in folds:
+            hyper = nn_mod.Hyperparams(seed=derive_seed(seed, "nn", vid, key))
+            if not len(train):
+                net = nn_mod.init_network(nn_mod.FEATURE_DIM, seed=hyper.seed)
+                rank[predicted] = nn_mod.predict(net, queries[predicted[0]])
+                continue
+            X.append(nn_mod.features(base[train], available[predicted[0]], selected[predicted[0]]))
+            y.append(target[train])
+            hypers.append(hyper)
+            predicts.append(predicted)
+    for predicted, net in zip(predicts, nn_mod.fit_folds(X, y, hypers) if X else []):
+        rank[predicted] = [nn_mod.predict(net, queries[j]) for j in predicted]
+    return block.order[np.arange(len(rank)), rank]
 
 
 def _evaluate_voters(task: tuple) -> list[dict]:
@@ -358,8 +359,8 @@ def _evaluate_voters(task: tuple) -> list[dict]:
     block, grid, mode, seed = task
     voters = block.voter_rows()
     if grid.family is Family.NN:
-        predictions = _predict_nn([list(block.records[rows]) for rows in voters], mode, seed)
-        fits = [(predicted, {}) for predicted in predictions]
+        predicted = _predict_nn(block, mode, seed)
+        fits = [(predicted[rows], {}) for rows in voters]
     else:
         fits = [_fit_grid(grid, block.select(rows), mode) for rows in voters]
     return [
@@ -481,8 +482,8 @@ def error_breakdown(
     """
     table = dataset if isinstance(dataset, RecordTable) else RecordTable.from_dataset(dataset)
     predicted = []
-    for rec in table.records:
-        key = (rec.voter_id, rec.round)
+    for voter, round_ in zip(table.voter.tolist(), table.round.tolist()):
+        key = (table.voter_ids[voter], round_)
         if key not in predictions:
             raise ValueError(f"missing prediction for {key}")
         predicted.append(predictions[key])
@@ -514,7 +515,7 @@ def _aggregate(
 ) -> EvaluationReport:
     m, num_voters = table.m, len(table.voter_ids)
     predicted = np.concatenate([np.asarray(r["predicted"], dtype=np.int64) for r in results])
-    rows = np.arange(len(table.records))
+    rows = np.arange(len(table.voter))
     actual_rank = table.rank[rows, table.action]
     predicted_rank = table.rank[rows, predicted]
 
@@ -530,17 +531,19 @@ def _aggregate(
     np.add.at(bucket_tally, (table.voter, table.bucket), 1)
     prediction_rows = tuple(
         PredictionRow(
-            voter_id=rec.voter_id,
-            round=rec.round,
+            voter_id=table.voter_ids[voter],
+            round=round_,
             scenario=SCENARIO_LABELS[scenario],
             bucket=POLL_BUCKETS[bucket],
-            actual=rec.action,
+            actual=actual,
             predicted=guess,
             actual_rank=a_rank,
             predicted_rank=p_rank,
         )
-        for rec, scenario, bucket, guess, a_rank, p_rank in zip(
-            table.records,
+        for voter, round_, actual, scenario, bucket, guess, a_rank, p_rank in zip(
+            table.voter.tolist(),
+            table.round.tolist(),
+            table.action.tolist(),
             table.scenario.tolist(),
             table.bucket.tolist(),
             predicted.tolist(),

@@ -12,6 +12,11 @@ network serves any candidate labeling.  Features, in order:
 - presence flags for those three ratios
 - voter-type one-hot (TRT, LB, OTHER)
 
+The first 16 come from record columns
+(:func:`record_features`), the last 9 from a profile's summed ratio counts
+(:func:`features`).  :func:`predict_record` and :func:`fit_network` are the
+one-record and one-fold cases over record objects.
+
 All features lie in [-1, 1].  Hidden layer: 3 logistic units; output:
 softmax over the 3 ranks; training: full-batch gradient descent on
 cross-entropy with L2 weight decay.
@@ -23,8 +28,8 @@ the fold axis.  Each step is elementwise, a reduction within one fold, or
 one matrix product per fold, so every network ends with the same weights,
 bit for bit, as one trained alone.  :func:`train` and
 :func:`loss_and_grads` are its one-network case.  :func:`fit_folds` trains
-any number of training sets, of any sizes: the sets of one size train as
-one stack, split only past ``MAX_STACK_ROWS`` training rows per stack.
+feature and target arrays of any sizes: those of one size train as one
+stack, split only past ``MAX_STACK_ROWS`` training rows per stack.
 """
 
 from __future__ import annotations
@@ -34,55 +39,63 @@ from typing import Sequence
 
 import numpy as np
 
-from .behavior import SCENARIOS, VOTER_TYPES, VoterProfile, build_profile, scenario_or_none
-from .core import Poll, UtilityFunction, preference_order
+from .behavior import (
+    SCENARIOS, VOTER_TYPES, VoterProfile, build_profile, ratio_stats, scenario_index,
+    strict_preferences,
+)
 
 FEATURE_DIM = 25
 NUM_CLASSES = 3
 HIDDEN_SIZE = 3
 
 # Training rows per train_stack call in fit_folds; a larger group of
-# equal-sized folds is split, which bounds the memory of one stack.
+# equal-sized folds is split, which bounds the memory of one stack's training.
 MAX_STACK_ROWS = 16_384
 
-_RATIO_KEYS = ("TRT", "CMP", "LB")
 _PARAM_NAMES = ("w1", "b1", "w2", "b2")
 
 
-def features_from_parts(
-    u: UtilityFunction, s: Poll, profile: VoterProfile
-) -> np.ndarray:
-    if u.m != 3 or s.m != 3:
+def record_features(S: np.ndarray, n: np.ndarray, order: np.ndarray, scenario: np.ndarray):
+    """The (R, 16) record-only features, from ``evaluation.RecordTable`` columns.
+
+    ``S`` holds the (R, 3) poll scores, ``n`` the poll sizes, ``order`` each
+    record's preference order and ``scenario`` indexes ``SCENARIO_LABELS``.
+    """
+    if S.shape[1] != 3:
         raise ValueError("the classifier is defined for exactly three candidates")
-    prefs = preference_order(u.values)
-    if len(set(u.values)) != 3:
-        raise ValueError("features need strictly ordered utilities")
-    norm = s.n if s.n > 0 else (sum(s.scores) or 1)
-    by_rank = [s.scores[c] / norm for c in prefs]
-    shares = by_rank
-    gaps = [
-        by_rank[0] - by_rank[1],
-        by_rank[0] - by_rank[2],
-        by_rank[1] - by_rank[2],
-    ]
-    pref_encoding = [c / 2.0 for c in prefs]
-    leader_gap = [(max(s.scores) - s.scores[prefs[0]]) / norm]
-    scenario = scenario_or_none(u, s)
-    scenario_onehot = [1.0 if scenario == label else 0.0 for label in SCENARIOS]
-    ratios = [profile.a_ratios.get(k, 0.0) for k in _RATIO_KEYS]
-    present = [1.0 if k in profile.a_ratios else 0.0 for k in _RATIO_KEYS]
-    type_onehot = [1.0 if profile.voter_type == t else 0.0 for t in VOTER_TYPES]
-    vec = np.array(
-        shares + gaps + pref_encoding + leader_gap + scenario_onehot + ratios + present + type_onehot,
-        dtype=float,
+    rows = np.arange(len(S))[:, None]
+    total = S.sum(axis=1)
+    norm = np.where(n > 0, n, np.where(total > 0, total, 1))[:, None]
+    by_rank = S[rows, order] / norm
+    gaps = by_rank[:, [0, 0, 1]] - by_rank[:, [1, 2, 2]]
+    leader_gap = (S.max(axis=1)[:, None] - S[rows, order[:, :1]]) / norm
+    scenario_onehot = scenario[:, None] == np.arange(len(SCENARIOS))
+    return np.hstack([by_rank, gaps, order / 2.0, leader_gap, scenario_onehot])
+
+
+def features(base: np.ndarray, available, selected) -> np.ndarray:
+    """Feature rows: :func:`record_features` ``base`` beside a profile's block.
+
+    ``available`` and ``selected`` are summed :func:`behavior.ratio_counts`,
+    shape (3,) for one profile of every row or (R, 3) for one per row.
+    """
+    ratios, types = ratio_stats(available, selected)
+    onehot = types[..., None] == np.arange(len(VOTER_TYPES))
+    profile = np.concatenate([ratios, np.asarray(available) > 0, onehot], axis=-1)
+    return np.hstack([base, np.broadcast_to(profile, (len(base), profile.shape[-1]))])
+
+
+def _columns(records: Sequence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Record features, preference orders and action ranks of records."""
+    order = np.array([strict_preferences(rec.utilities) for rec in records])
+    base = record_features(
+        np.array([rec.poll.scores for rec in records], dtype=np.int64),
+        np.array([rec.poll.n for rec in records]),
+        order,
+        np.array([scenario_index(rec.utilities, rec.poll) for rec in records]),
     )
-    assert vec.shape == (FEATURE_DIM,)
-    return vec
-
-
-def action_rank(record) -> int:
-    prefs = preference_order(record.utilities.values)
-    return prefs.index(record.action)
+    ranks = np.argsort(order, axis=1)[np.arange(len(records)), [rec.action for rec in records]]
+    return base, order, ranks
 
 
 @dataclass
@@ -302,52 +315,47 @@ def train(
     return net
 
 
-def _training_set(records: Sequence) -> tuple[np.ndarray, np.ndarray, VoterProfile]:
-    """Features, rank targets and profile of one voter's training records."""
-    profile = build_profile(records[0].voter_id, records)
-    X = np.stack([features_from_parts(rec.utilities, rec.poll, profile) for rec in records])
-    y = np.array([action_rank(rec) for rec in records], dtype=int)
-    return X, y, profile
-
-
 def fit_network(
     records: Sequence, hyper: Hyperparams = Hyperparams()
 ) -> tuple[Network, VoterProfile]:
     """Train on one voter's records; the profile comes from the same records."""
     if not records:
         raise ValueError("cannot fit a network on zero records")
-    X, y, profile = _training_set(records)
-    return train(X, y, hyper), profile
+    profile = build_profile(records[0].voter_id, records)
+    base, _, ranks = _columns(records)
+    return train(features(base, profile.available, profile.selected), ranks, hyper), profile
 
 
 def fit_folds(
-    folds: Sequence[Sequence], hypers: Sequence[Hyperparams]
-) -> list[tuple[Network, VoterProfile]]:
-    """:func:`fit_network` on each fold, with few :func:`train_stack` calls.
+    X: Sequence[np.ndarray], y: Sequence[np.ndarray], hypers: Sequence[Hyperparams]
+) -> list[Network]:
+    """:func:`train` on each fold, with few :func:`train_stack` calls.
 
-    Fold f trains with ``hypers[f]``, and its profile comes from its own
-    records.  Folds may differ in size: those of one size, in input order,
-    train as one stack, split into stacks of at most ``MAX_STACK_ROWS``
-    training rows (at least one fold each), whose features are built only
-    when that stack trains.  Stacking leaves every network's weights
-    unchanged, bit for bit.  Results are in input order.
+    Fold f trains on features ``X[f]`` (n_f, d) and rank targets ``y[f]``
+    with ``hypers[f]``.  Folds may differ in size: those of one size, in
+    input order, train as one stack, split into stacks of at most
+    ``MAX_STACK_ROWS`` training rows (at least one fold each).  Stacking
+    leaves every network's weights unchanged, bit for bit.  Results are in
+    input order.
     """
-    if not folds or not all(folds):
+    if not len(X) or not all(len(x) for x in X):
         raise ValueError("cannot fit a network on zero records")
-    if len(hypers) != len(folds):
-        raise ValueError(f"need one Hyperparams per fold, got {len(hypers)} for {len(folds)}")
+    if len(hypers) != len(X):
+        raise ValueError(f"need one Hyperparams per fold, got {len(hypers)} for {len(X)}")
     by_size: dict[int, list[int]] = {}
-    for f, fold in enumerate(folds):
-        by_size.setdefault(len(fold), []).append(f)
-    fitted: dict[int, tuple[Network, VoterProfile]] = {}
+    for f, x in enumerate(X):
+        by_size.setdefault(len(x), []).append(f)
+    fitted: dict[int, Network] = {}
     for size, members in by_size.items():
         step = max(1, MAX_STACK_ROWS // size)
         for stack in (members[i : i + step] for i in range(0, len(members), step)):
-            # Features are built one stack at a time, so the cap bounds them too.
-            X, y, profiles = zip(*(_training_set(folds[f]) for f in stack))
-            nets = train_stack(np.stack(X), np.stack(y), [hypers[f] for f in stack])
-            fitted.update(zip(stack, zip(nets, profiles)))
-    return [fitted[f] for f in range(len(folds))]
+            nets = train_stack(
+                np.stack([X[f] for f in stack]),
+                np.stack([y[f] for f in stack]),
+                [hypers[f] for f in stack],
+            )
+            fitted.update(zip(stack, nets))
+    return [fitted[f] for f in range(len(X))]
 
 
 def predict_record(net: Network, profile: VoterProfile, record) -> int:
@@ -355,6 +363,5 @@ def predict_record(net: Network, profile: VoterProfile, record) -> int:
 
     Under leave-one-out the profile comes from the voter's other rounds.
     """
-    rank = predict(net, features_from_parts(record.utilities, record.poll, profile))
-    prefs = preference_order(record.utilities.values)
-    return prefs[rank]
+    base, order, _ = _columns([record])
+    return int(order[0, predict(net, features(base, profile.available, profile.selected))])

@@ -1,17 +1,21 @@
 import pytest
 from hypothesis import given, strategies as st
 
+
 from stratvote.behavior import (
+    RATIO_ACTIONS,
     SCENARIOS,
-    action_ratios,
+    VOTER_TYPES,
     build_profile,
     classify_scenario,
     find_inconsistent,
     is_unjustified,
+    ratio_stats,
     scenario_or_none,
 )
 from stratvote.core import Poll, UtilityFunction, preference_order
-from stratvote.data import VoteRecord
+from stratvote.data import Dataset, VoteRecord
+from stratvote.evaluation import RecordTable
 
 U = UtilityFunction((10.0, 5.0, 0.0))
 
@@ -28,6 +32,18 @@ def rec(scores, action, round=0, u=U, voter="v1"):
 
 def records(*rows):
     return [rec(scores, action, round=i) for i, (scores, action) in enumerate(rows)]
+
+
+def action_ratios(rows):
+    """The profile's ratios of the actions that were ever available."""
+    profile = build_profile("v1", rows)
+    ratios, _ = ratio_stats(profile.available, profile.selected)
+    return {k: r for k, r, a in zip(RATIO_ACTIONS, ratios.tolist(), profile.available) if a > 0}
+
+
+def unjustified(rows):
+    """The record table's unjustified flags of one voter's records."""
+    return RecordTable.from_dataset(Dataset(rows)).unjustified.tolist()
 
 
 strict_u3 = st.permutations([10.0, 5.0, 0.0]).map(lambda v: UtilityFunction(tuple(v)))
@@ -130,7 +146,8 @@ class TestActionRatios:
 
 
 def voter_type(rows):
-    return build_profile("v1", rows).voter_type
+    profile = build_profile("v1", rows)
+    return VOTER_TYPES[ratio_stats(profile.available, profile.selected)[1]]
 
 
 class TestVoterType:
@@ -163,25 +180,32 @@ class TestVoterType:
 
 class TestProfile:
     def test_unjustified_needs_repetition(self):
-        # The profile counts every unjustified action, so a repeated one
-        # counts twice.
+        # The table flags every unjustified action, so a repeated one counts
+        # twice.
         once = records(((60, 50, 40), 2), ((80, 50, 30), 0))
-        assert build_profile("v1", once).unjustified_actions == 1
+        assert unjustified(once) == [True, False]
         twice = records(((60, 50, 40), 2), ((60, 50, 40), 2))
-        assert build_profile("v1", twice).unjustified_actions == 2
+        assert unjustified(twice) == [True, True]
 
     def test_profile_flags_unjustified_and_inconsistent_records(self):
-        clean = build_profile("v1", records(((80, 50, 30), 0), ((30, 50, 80), 0)))
-        assert (clean.unjustified_actions, clean.inconsistent_records) == (0, frozenset())
-        contradicting = build_profile("v1", records(((50, 60, 40), 0), ((55, 60, 40), 1)))
-        assert contradicting.unjustified_actions == 0
-        assert contradicting.inconsistent_records == {0, 1}
-        dominated = build_profile("v1", records(((60, 50, 40), 2), ((61, 50, 40), 2)))
-        assert (dominated.unjustified_actions, dominated.inconsistent_records) == (2, frozenset())
+        clean = records(((80, 50, 30), 0), ((30, 50, 80), 0))
+        assert unjustified(clean) == [False, False]
+        assert build_profile("v1", clean).inconsistent_records == frozenset()
+        contradicting = records(((50, 60, 40), 0), ((55, 60, 40), 1))
+        assert unjustified(contradicting) == [False, False]
+        assert build_profile("v1", contradicting).inconsistent_records == {0, 1}
+        dominated = records(((60, 50, 40), 2), ((61, 50, 40), 2))
+        assert unjustified(dominated) == [True, True]
+        assert build_profile("v1", dominated).inconsistent_records == frozenset()
 
     def test_profile_carries_ratios(self):
         rows = records(*(((80, 50, 30), 0) for _ in range(4)))
         prof = build_profile("v9", rows)
         assert prof.voter_id == "v9"
-        assert prof.voter_type == "TRT"
-        assert prof.a_ratios["TRT"] == 1.0
+        assert (prof.available, prof.selected) == ((4, 0, 0), (4, 0, 0))
+        assert voter_type(rows) == "TRT"
+        assert action_ratios(rows) == {"TRT": 1.0}
+
+    def test_tied_utilities_are_rejected(self):
+        with pytest.raises(ValueError, match="strictly ordered"):
+            build_profile("v1", [rec((80, 50, 30), 0, u=UtilityFunction((5.0, 5.0, 0.0)))])

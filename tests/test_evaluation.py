@@ -1,11 +1,13 @@
 import json
+import pickle
 from collections import Counter
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from stratvote import cli, evaluation
+from stratvote import cli, evaluation, nn
 from stratvote.behavior import (
     SCENARIOS,
     UNCLASSIFIED,
@@ -559,10 +561,28 @@ class TestRecordTableAggregation:
         with pytest.raises(ValueError):
             table.U[0, 0] = 1.0
         block = table.select(table.voter_rows()[1])
-        assert [rec.voter_id for rec in block.records] == ["v1", "v1"]
+        assert [block.voter_ids[v] for v in block.voter] == ["v1", "v1"]
         assert block.voter.tolist() == [1, 1]
+        assert block.round.tolist() == [0, 1]
+        with pytest.raises(ValueError):
+            block.action[0] = 2
+
+    def test_table_is_columns_only(self):
+        # A worker's task pickles arrays and voter ids, no record objects.
+        table = RecordTable.from_dataset(mixed_dataset(5, 3, num_voters=2, rounds=2))
+        for field in fields(RecordTable):
+            value = getattr(table, field.name)
+            if field.name == "voter_ids":
+                assert all(isinstance(vid, str) for vid in value)
+            else:
+                assert isinstance(value, np.ndarray), field.name
+                assert len(value) == 4, field.name
+        for family in (Family.LD, Family.NN):
+            task = (table.select(table.voter_rows()[0]), ParameterGrid.default(family), "loo", 0)
+            assert b"VoteRecord" not in pickle.dumps(task)
 
     def test_evaluate_builds_each_profile_once(self, tmp_path, monkeypatch):
+        # NN folds take their profiles from the table's ratio counts.
         ds = mixed_dataset(6, 3)
         csv_path, _ = save_dataset(ds, tmp_path / "data")
         calls = []
@@ -573,9 +593,12 @@ class TestRecordTableAggregation:
             return real(vid, recs, **kwargs)
 
         monkeypatch.setattr(evaluation, "build_profile", counting)
-        argv = ["evaluate", "--data", str(csv_path), "--families", "TRUTH,LD,AU"]
-        assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 0
-        assert sorted(calls) == list(ds.by_voter())
+        monkeypatch.setattr(nn, "build_profile", counting)
+        argv = ["evaluate", "--data", str(csv_path), "--families", "TRUTH,LD,AU,NN"]
+        for mode in ("loo", "upper"):
+            calls.clear()
+            assert cli.main(argv + ["--mode", mode, "--out", str(tmp_path / mode)]) == 0
+            assert sorted(calls) == list(ds.by_voter())
 
 
 class FakeContext:
@@ -627,7 +650,7 @@ class TestWorkerPool:
         voters = [v for block, *_ in tasks for v in block.voter.tolist()]
         assert voters == sorted(voters)
         assert sorted(set(voters)) == list(range(6))
-        assert sum(len(block.records) for block, *_ in tasks) == len(ds.records)
+        assert sum(len(block.voter) for block, *_ in tasks) == len(ds.records)
         assert pooled.to_dict() == loo_evaluate(family, grid, ds).to_dict()
 
 

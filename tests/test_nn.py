@@ -2,16 +2,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from feature_oracle import action_rank, action_ratios, features_from_parts, voter_type
 from stratvote import nn
-from stratvote.behavior import LB_THRESHOLD, TRT_THRESHOLD, action_ratios, build_profile
+from stratvote.behavior import VOTER_TYPES, build_profile, ratio_stats
 from stratvote.core import Poll, UtilityFunction, preference_order
-from stratvote.data import VoteRecord
+from stratvote.data import Dataset, VoteRecord
+from stratvote.evaluation import ParameterGrid, loo_evaluate, upper_bound_evaluate
+from stratvote.models import Family
+from stratvote.seeding import derive_seed
 from stratvote.nn import (
     FEATURE_DIM,
     Hyperparams,
     Network,
-    action_rank,
-    features_from_parts,
     fit_folds,
     fit_network,
     init_network,
@@ -36,9 +38,22 @@ def rec(scores, action, round=0, u=U, voter="v1"):
     )
 
 
-def truthful_profile():
-    rows = [rec((80, 50, 30), 0, round=i) for i in range(5)]
-    return build_profile("v1", rows)
+def truthful_rows():
+    return [rec((80, 50, 30), 0, round=i) for i in range(5)]
+
+
+def features(u, s, profile_records):
+    """The program's feature row of one record under the profile of ``profile_records``."""
+    profile = build_profile("v1", profile_records)
+    base, _, _ = nn._columns([VoteRecord("v1", 0, s, u, 0)])
+    return nn.features(base, profile.available, profile.selected)[0]
+
+
+def training_set(records, profile_records):
+    """The program's features and rank targets of records under one profile."""
+    profile = build_profile("v1", profile_records)
+    base, _, ranks = nn._columns(records)
+    return nn.features(base, profile.available, profile.selected), ranks
 
 
 def toy_problem(seed=12):
@@ -132,57 +147,59 @@ def numeric_grads(net, X, y, l2, eps=1e-6):
 
 class TestFeatures:
     def test_dimension(self):
-        vec = features_from_parts(U, Poll.from_scores((80, 50, 30)), truthful_profile())
+        vec = features(U, Poll.from_scores((80, 50, 30)), truthful_rows())
         assert vec.shape == (FEATURE_DIM,)
 
     def test_leader_gap(self):
-        vec = features_from_parts(U, Poll.from_scores((50, 80, 30)), truthful_profile())
+        vec = features(U, Poll.from_scores((50, 80, 30)), truthful_rows())
         assert vec[9] == pytest.approx((80 - 50) / 160)
 
     def test_scenario_one_hot(self):
-        vec = features_from_parts(U, Poll.from_scores((50, 80, 30)), truthful_profile())
+        vec = features(U, Poll.from_scores((50, 80, 30)), truthful_rows())
         assert list(vec[10:16]) == [0.0, 0.0, 1.0, 0.0, 0.0, 0.0]
 
     def test_tied_poll_has_no_scenario(self):
-        vec = features_from_parts(U, Poll.from_scores((50, 50, 30)), truthful_profile())
+        vec = features(U, Poll.from_scores((50, 50, 30)), truthful_rows())
         assert list(vec[10:16]) == [0.0] * 6
 
     def test_truthful_voter_type_one_hot(self):
-        vec = features_from_parts(U, Poll.from_scores((80, 50, 30)), truthful_profile())
+        vec = features(U, Poll.from_scores((80, 50, 30)), truthful_rows())
         assert list(vec[22:25]) == [1.0, 0.0, 0.0]
 
     def test_absent_ratios_get_presence_flags(self):
-        profile = build_profile("v1", [])
-        vec = features_from_parts(U, Poll.from_scores((80, 50, 30)), profile)
+        vec = features(U, Poll.from_scores((80, 50, 30)), [])
         assert list(vec[16:19]) == [0.0, 0.0, 0.0]
         assert list(vec[19:22]) == [0.0, 0.0, 0.0]
         assert list(vec[22:25]) == [0.0, 0.0, 1.0]
 
     def test_rejects_wrong_size(self):
-        with pytest.raises(ValueError):
-            features_from_parts(
+        with pytest.raises(ValueError, match="exactly three candidates"):
+            features(
                 UtilityFunction((4.0, 3.0, 2.0, 1.0)),
                 Poll.from_scores((1, 2, 3, 4)),
-                truthful_profile(),
+                truthful_rows(),
             )
 
     def test_rejects_tied_utilities(self):
-        with pytest.raises(ValueError):
-            features_from_parts(
+        with pytest.raises(ValueError, match="strictly ordered"):
+            features(
                 UtilityFunction((5.0, 5.0, 0.0)),
                 Poll.from_scores((80, 50, 30)),
-                truthful_profile(),
+                truthful_rows(),
             )
+        r = rec((80, 50, 30), 0, u=UtilityFunction((5.0, 5.0, 0.0)))
+        with pytest.raises(ValueError, match="strictly ordered"):
+            predict_record(init_network(FEATURE_DIM, seed=5), build_profile("v1", truthful_rows()), r)
 
     @given(
         st.permutations([10.0, 5.0, 0.0]),
         st.permutations([30, 50, 80]),
     )
     def test_features_stay_bounded(self, uvals, svals):
-        vec = features_from_parts(
+        vec = features(
             UtilityFunction(tuple(uvals)),
             Poll.from_scores(tuple(svals)),
-            truthful_profile(),
+            truthful_rows(),
         )
         assert np.all(vec >= -1.0) and np.all(vec <= 1.0)
 
@@ -190,13 +207,122 @@ class TestFeatures:
         # predict_record features a record from its utilities and poll.
         r = rec((50, 80, 30), 1, u=UtilityFunction((0.0, 10.0, 5.0)))
         net = init_network(FEATURE_DIM, seed=5)
-        rank = predict(net, features_from_parts(r.utilities, r.poll, truthful_profile()))
-        assert predict_record(net, truthful_profile(), r) == (1, 2, 0)[rank]
+        rank = predict(net, features(r.utilities, r.poll, truthful_rows()))
+        assert predict_record(net, build_profile("v1", truthful_rows()), r) == (1, 2, 0)[rank]
 
     def test_action_rank(self):
         u = UtilityFunction((0.0, 10.0, 5.0))
-        assert action_rank(rec((50, 80, 30), 1, u=u)) == 0
-        assert action_rank(rec((50, 80, 30), 0, u=u)) == 2
+        _, _, ranks = nn._columns([rec((50, 80, 30), 1, u=u), rec((50, 80, 30), 0, u=u)])
+        assert ranks.tolist() == [0, 2]
+
+
+# --- the columnar features against the scalar oracle -------------------------
+
+# Scores with ties (no scenario) and every strict order (every scenario).
+POLL_SCORES = st.tuples(*[st.sampled_from([0, 20, 50, 80])] * 3)
+
+
+@st.composite
+def oracle_records(draw, min_size=1, max_size=8, n_min=0, voter="v1"):
+    """Records of one voter whose poll size need not equal the score total."""
+    size = draw(st.integers(min_value=min_size, max_value=max_size))
+    rows = []
+    for i in range(size):
+        u = UtilityFunction(tuple(draw(st.permutations([10.0, 5.0, 0.0]))))
+        scores = draw(POLL_SCORES)
+        n = draw(st.integers(min_value=n_min, max_value=400))
+        rows.append(VoteRecord(voter, i, Poll(scores, n), u, draw(st.integers(0, 2))))
+    return rows
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestColumnarFeaturesEqualTheOracle:
+    @given(oracle_records(), oracle_records(min_size=0))
+    @settings(max_examples=150, deadline=None)
+    def test_rows_equal_the_scalar_features_bit_for_bit(self, records, profile_records):
+        X, ranks = training_set(records, profile_records)
+        assert_same_bits(X, oracle_rows(records, profile_records))
+        assert ranks.tolist() == [action_rank(r) for r in records]
+
+    def test_every_scenario_tie_and_poll_size(self):
+        u = UtilityFunction((5.0, 10.0, 0.0))
+        polls = [Poll(scores, n) for scores in (
+            (80, 50, 30), (80, 30, 50), (50, 80, 30), (50, 30, 80), (30, 80, 50), (30, 50, 80),
+            (50, 50, 30), (0, 0, 0),
+        ) for n in (0, 7, sum(scores))]
+        rows = [VoteRecord("v1", i, p, u, i % 3) for i, p in enumerate(polls)]
+        X, _ = training_set(rows, rows)
+        assert_same_bits(X, np.stack([features_from_parts(u, p, rows) for p in polls]))
+        scenario_onehot = X[:, 10:16]
+        assert (scenario_onehot.sum(axis=0) > 0).all()
+        assert (scenario_onehot[[18, 19, 20, 21, 22, 23]] == 0).all()
+
+
+@st.composite
+def oracle_datasets(draw):
+    """1-4 voters of 1-5 records each, poll sizes of at least 1."""
+    voters = draw(st.integers(min_value=1, max_value=4))
+    rows = []
+    for v in range(voters):
+        rows += draw(oracle_records(max_size=5, n_min=1, voter=f"v{v}"))
+    return Dataset(rows)
+
+
+def capture_nn(monkeypatch):
+    """Record every fold evaluate trains and every row it predicts, training nothing.
+
+    Each network stays at its seed's initial weights, so its ``w1`` names it.
+    """
+    seen = {"folds": [], "queries": {}}
+
+    def fit_folds(X, y, hypers):
+        seen["folds"] += zip(X, y, hypers)
+        return [init_network(FEATURE_DIM, seed=h.seed) for h in hypers]
+
+    def predict_row(net, row):
+        seen["queries"].setdefault(net.w1.tobytes(), []).append(np.array(row))
+        return predict(net, row)
+
+    monkeypatch.setattr(nn, "fit_folds", fit_folds)
+    monkeypatch.setattr(nn, "predict", predict_row)
+    return seen
+
+
+@given(oracle_datasets())
+@settings(max_examples=40, deadline=None)
+def test_each_fold_and_query_equals_the_oracle_on_its_profile(dataset):
+    # A LOO fold trains on the voter's other records under their profile
+    # (the voter's sums minus the held-out row), and the held-out row is
+    # queried under that same profile.  A single-record voter's fold is
+    # empty: no training, the empty profile, its seeded initial network.
+    for mode, run in (("loo", loo_evaluate), ("upper", upper_bound_evaluate)):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            seen = capture_nn(monkeypatch)
+            run(Family.NN, ParameterGrid.default(Family.NN), dataset, seed=3)
+        folds = iter(seen["folds"])
+        for vid, recs in dataset.by_voter().items():
+            if mode == "upper":
+                cases = [("all", recs, recs)]
+            else:
+                cases = [(r.round, recs[:i] + recs[i + 1 :], [r]) for i, r in enumerate(recs)]
+            for key, fold, predicted in cases:
+                seed = derive_seed(3, "nn", vid, key)
+                if fold:
+                    X, y, hyper = next(folds)
+                    assert hyper.seed == seed
+                    assert_same_bits(X, oracle_rows(fold, fold))
+                    assert y.tolist() == [action_rank(r) for r in fold]
+                queries = seen["queries"][init_network(FEATURE_DIM, seed=seed).w1.tobytes()]
+                assert_same_bits(np.stack(queries), oracle_rows(predicted, fold))
+        assert next(folds, None) is None
+
+
+def oracle_rows(records, profile_records):
+    return np.stack([features_from_parts(r.utilities, r.poll, profile_records) for r in records])
 
 
 class TestNetwork:
@@ -432,14 +558,23 @@ class TestVoterPipeline:
         )]
         folds = [rows[:i] + rows[i + 1 :] for i in range(len(rows))]
         hypers = [Hyperparams(epochs=60, seed=10 + i) for i in range(len(rows))]
-        for (net, profile), fold, hyper in zip(fit_folds(folds, hypers), folds, hypers):
+        for net, fold, hyper in zip(fit_folds(*fold_arrays(folds), hypers), folds, hypers):
             want_net, want_profile = fit_network(fold, hyper)
             assert_same_weights(net, want_net)
-            assert profile == want_profile
+            assert want_profile == build_profile("v1", fold)
 
     def test_fit_folds_rejects_an_empty_fold(self):
-        with pytest.raises(ValueError):
-            fit_folds([[rec((80, 50, 30), 0)], []], [Hyperparams(), Hyperparams()])
+        X, y = fold_arrays([[rec((80, 50, 30), 0)]])
+        with pytest.raises(ValueError, match="zero records"):
+            fit_folds(X + [X[0][:0]], y + [y[0][:0]], [Hyperparams(), Hyperparams()])
+        with pytest.raises(ValueError, match="zero records"):
+            fit_folds([], [], [])
+
+
+def fold_arrays(folds):
+    """Each fold's features and targets, its profile from its own records."""
+    X, y = zip(*(training_set(fold, fold) for fold in folds))
+    return list(X), list(y)
 
 
 def generated_voter(rng, rounds):
@@ -480,18 +615,17 @@ class TestMixedSizeFolds:
     @settings(max_examples=40, deadline=None)
     def test_each_fold_equals_fit_network_in_input_order(self, case):
         folds, hypers = case
-        fitted = fit_folds(folds, hypers)
+        fitted = fit_folds(*fold_arrays(folds), hypers)
         assert len(fitted) == len(folds)
-        for (net, profile), fold, hyper in zip(fitted, folds, hypers):
-            want_net, want_profile = fit_network(fold, hyper)
+        for net, fold, hyper in zip(fitted, folds, hypers):
+            want_net, _ = fit_network(fold, hyper)
             assert_same_weights(net, want_net)
-            assert profile == want_profile
 
     def test_one_stack_per_fold_size(self, monkeypatch):
         rows = [rec((80, 50, 30), i % 3, round=i) for i in range(6)]
         calls = count_stacks(monkeypatch)
         folds = [rows[:3], rows[:5], rows[1:4], rows[2:], rows, rows[3:]]
-        fit_folds(folds, [Hyperparams(epochs=5, seed=i) for i in range(len(folds))])
+        fit_folds(*fold_arrays(folds), [Hyperparams(epochs=5, seed=i) for i in range(len(folds))])
         assert calls == [3, 1, 1, 1]
 
     @pytest.mark.parametrize("cap, stacks", [(1, [1] * 7), (9, [3, 3, 1]), (20, [6, 1])])
@@ -502,32 +636,28 @@ class TestMixedSizeFolds:
         three = [rows[:3], rows[1:], rows[:2] + rows[3:], rows[:1] + rows[2:], rows[:3], rows[1:]]
         folds = three + [rows]
         hypers = [Hyperparams(epochs=40, seed=100 + i) for i in range(len(folds))]
-        whole = fit_folds(folds, hypers)
+        whole = fit_folds(*fold_arrays(folds), hypers)
         monkeypatch.setattr(nn, "MAX_STACK_ROWS", cap)
         calls = count_stacks(monkeypatch)
-        split = fit_folds(folds, hypers)
+        split = fit_folds(*fold_arrays(folds), hypers)
         assert calls == stacks
-        for (net, profile), (want_net, want_profile) in zip(split, whole):
+        for net, want_net in zip(split, whole):
             assert_same_weights(net, want_net)
-            assert profile == want_profile
 
     def test_one_hyperparams_per_fold(self):
         with pytest.raises(ValueError, match="one Hyperparams per fold"):
-            fit_folds([[rec((80, 50, 30), 0)], [rec((80, 50, 30), 1)]], [Hyperparams()])
+            fit_folds(*fold_arrays([[rec((80, 50, 30), 0)], [rec((80, 50, 30), 1)]]), [Hyperparams()])
 
 
-@given(SEEDS, st.integers(min_value=1, max_value=12))
+@given(SEEDS, st.integers(min_value=0, max_value=12))
 @settings(max_examples=60, deadline=None)
 def test_profile_type_is_voter_type(seed, rounds):
-    # The type feature comes from the profile, which derives it from the
-    # ratios it already holds.
+    # The profile's counts give the oracle's ratios, absent where the action
+    # was never available, and the type its thresholds define.
     rows = generated_voter(np.random.default_rng(seed), rounds)
     profile = build_profile("v1", rows)
-    assert profile.a_ratios == action_ratios(rows)
-    ratios = profile.a_ratios
-    if ratios.get("TRT", 0.0) > TRT_THRESHOLD:
-        assert profile.voter_type == "TRT"
-    elif ratios.get("LB", 0.0) > LB_THRESHOLD:
-        assert profile.voter_type == "LB"
-    else:
-        assert profile.voter_type == "OTHER"
+    ratios, kind = ratio_stats(profile.available, profile.selected)
+    present = [k for k, a in zip(("TRT", "CMP", "LB"), profile.available) if a > 0]
+    want = action_ratios(rows)
+    assert dict(zip(present, ratios[np.array(profile.available) > 0].tolist())) == want
+    assert VOTER_TYPES[kind] == voter_type(want)
