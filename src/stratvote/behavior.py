@@ -113,30 +113,32 @@ def is_unjustified(u: UtilityFunction, s: Poll, action: Candidate) -> bool:
     )
 
 
-def find_inconsistent(records: "Sequence[VoteRecord]") -> set[int]:
-    """Indices of records contradicted by another record of the same voter.
+# Bools per block of the (rows x rows x candidates) comparison in
+# inconsistent_rows, which bounds its temporaries whatever the voter's size.
+_INCONSISTENT_BLOCK = 1 << 20
 
-    Record i (poll s, action a) is inconsistent when some record j of the
-    same voter chose a different action even though its poll was weakly
-    better for a (``s*(a) >= s(a)``) and weakly worse everywhere else.
-    Utilities are ignored: the check is purely score-based, so it only makes
-    sense within one voter's records (callers group accordingly).
+
+def inconsistent_rows(S: np.ndarray, action: np.ndarray) -> np.ndarray:
+    """Which of one voter's records another of their records contradicts, shape (R,).
+
+    ``S`` holds the records' poll scores, shape (R, m), and ``action`` their
+    actions.  Record i (scores s, action a) is inconsistent when some record
+    j chose a different action even though its poll was weakly better for a
+    (``s*(a) >= s(a)``) and weakly worse everywhere else.  Utilities are
+    ignored: the check is purely score-based, so it only makes sense within
+    one voter's records (callers group accordingly).
     """
-    flagged: set[int] = set()
-    for i, rec in enumerate(records):
-        a = rec.action
-        for j, other in enumerate(records):
-            if i == j or other.action == a:
-                continue
-            if other.poll.m != rec.poll.m:
-                raise ValueError("records must share the candidate set")
-            if other.poll.scores[a] >= rec.poll.scores[a] and all(
-                other.poll.scores[c] <= rec.poll.scores[c]
-                for c in range(rec.poll.m)
-                if c != a
-            ):
-                flagged.add(i)
-                break
+    S, action = np.asarray(S), np.asarray(action)
+    flagged = np.zeros(len(action), dtype=bool)
+    step = max(1, _INCONSISTENT_BLOCK // max(1, S.size))
+    for start in range(0, len(action), step):
+        own = slice(start, start + step)
+        # at_least[i, j, c]: record j's score for c is >= record i's.
+        at_least = S[None, :, :] >= S[own, None, :]
+        at_most = S[None, :, :] <= S[own, None, :]
+        is_action = np.arange(S.shape[1]) == action[own, None]
+        weakly_better = np.where(is_action[:, None, :], at_least, at_most).all(axis=2)
+        flagged[own] = (weakly_better & (action[None, :] != action[own, None])).any(axis=1)
     return flagged
 
 
@@ -188,9 +190,13 @@ def build_profile(voter_id: str, records: "Sequence[VoteRecord]") -> VoterProfil
     ranks = [strict_preferences(rec.utilities).index(rec.action) for rec in records]
     scenarios = [scenario_index(rec.utilities, rec.poll) for rec in records]
     available, selected = ratio_counts(np.array(scenarios, dtype=int), np.array(ranks, dtype=int))
+    flagged = inconsistent_rows(
+        np.array([rec.poll.scores for rec in records], dtype=np.int64),
+        np.array([rec.action for rec in records], dtype=np.int64),
+    )
     return VoterProfile(
         voter_id=voter_id,
         available=tuple(available.sum(axis=0).tolist()),
         selected=tuple(selected.sum(axis=0).tolist()),
-        inconsistent_records=frozenset(find_inconsistent(records)),
+        inconsistent_records=frozenset(np.flatnonzero(flagged).tolist()),
     )

@@ -120,8 +120,24 @@ def _load_json(path: str | Path, what: str) -> dict:
         raise DataError(f"{what} is not valid JSON ({path}): {exc}")
 
 
+# Encodes one prediction row, a flat dict three levels deep, as indent=2 would
+# lay out its items, with the C encoder that indent itself turns off.
+_ROW_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
+
+
+def _report_json(payload: dict) -> str:
+    """``json.dumps(payload, sort_keys=True, indent=2)``, its ``predictions`` rows encoded fast."""
+    rows = payload.get("predictions")
+    text = json.dumps({**payload, "predictions": []}, sort_keys=True, indent=2)
+    if not rows:
+        return text
+    body = ",\n".join("    {\n      " + _ROW_ENCODER.encode(row)[1:-1] + "\n    }" for row in rows)
+    # Only a top-level key starts a line with exactly two spaces.
+    return text.replace('\n  "predictions": []', '\n  "predictions": [\n' + body + "\n  ]", 1)
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    path.write_text(_report_json(payload) + "\n", encoding="utf-8")
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:

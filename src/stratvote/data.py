@@ -6,7 +6,8 @@ Canonical CSV layout (header required)::
 
 Actions are serialized as 1-based candidate labels ("q2"); bare 1-based
 integers are accepted on input.  The loader rejects a row whose poll size
-``n`` is below 1 or whose utilities tie, naming the row.  A JSON manifest
+``n`` is below 1, whose ``n`` or a score is above ``2**63 - 1`` (evaluation
+holds both as int64), or whose utilities tie, naming the row.  A JSON manifest
 rides alongside the CSV with provenance (source tag, seed, per-voter model
 assignments for synthetic data).
 """
@@ -26,6 +27,10 @@ from .behavior import SCENARIOS
 from .core import Poll, UtilityFunction, preference_order
 from .models import DecisionContext, Family, ModelDescriptor
 from .seeding import make_rng
+
+
+# The largest poll size or score a row may carry: evaluation holds both as int64.
+_MAX_COUNT = 2**63 - 1
 
 
 class DataError(Exception):
@@ -161,12 +166,16 @@ def _parse_row(row: list[str], m: int, row_num: int) -> VoteRecord:
         raise ValueError(f"non-integer n {row[2]!r}") from None
     if n < 1:
         raise ValueError(f"poll size n must be positive, got {n}")
+    if n > _MAX_COUNT:
+        raise ValueError(f"poll size n {n} is above 2**63 - 1")
     scores = []
     for text in row[3 : 3 + m]:
         try:
             scores.append(int(text))
         except ValueError:
             raise ValueError(f"non-integer score {text!r}") from None
+        if scores[-1] > _MAX_COUNT:
+            raise ValueError(f"score {scores[-1]} is above 2**63 - 1")
     utilities = []
     for text in row[3 + m : 3 + 2 * m]:
         try:

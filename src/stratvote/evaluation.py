@@ -9,9 +9,13 @@ Fitting is a grid argmax of training-set 0/1 accuracy; ties resolve to the
 earliest grid point, which makes refits reproducible.  A
 :class:`RecordTable` annotates the dataset once for every family: arrays of
 utilities, scores, preference ranks, scenario, poll-size bucket, and
-unjustified and inconsistent actions.  Each voter's decision matrix (grid
-point x record) is one call of :func:`models.decide_matrix` on the voter's
-rows, and the reports are counted from the table's arrays.
+unjustified and inconsistent actions.  Voters are decided in runs of at
+most ``_RUN_CELLS`` (grid point x record) cells: one call of
+:func:`models.decide_matrix`, with one ``CV`` pivot cache, decides each
+distinct (utilities, scores, n) row of a run once, and each voter reads its
+columns of that matrix back through the inverse index.  That is exact
+because every family decides a record from the record alone.  The reports
+are counted from the table's arrays.
 Leave-one-out uses the match-matrix identity: with per-point match counts
 over all rounds, each fold's training score is the total minus that fold's
 column, so one decision matrix per voter serves every fold.  The ``NN``
@@ -22,8 +26,8 @@ summed ratio counts minus the held-out row's, the same identity.
 The table holds only arrays, so a worker's task pickles no record objects.
 Work is cut into one task per worker, each a contiguous run of voters of
 about equal record count (one task, in process, for ``jobs=1``).  A task
-decides one voter's matrix at a time, which keeps ``AU``'s memory per
-voter, but hands every ``NN`` training set of its voters to one
+decides its voters one run at a time, which bounds ``AU``'s memory by the
+run's cells, and hands every ``NN`` training set of its voters to one
 :func:`nn.fit_folds` call, whose stacked per-fold weights equal separate
 training bit for bit.
 """
@@ -37,7 +41,13 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import models, nn as nn_mod
-from .behavior import SCENARIO_LABELS, build_profile, is_unjustified, ratio_counts, scenario_index
+from .behavior import (
+    SCENARIO_LABELS,
+    inconsistent_rows,
+    is_unjustified,
+    ratio_counts,
+    scenario_index,
+)
 from .data import Dataset
 from .models import DecisionContext, Family, ModelDescriptor
 from .seeding import derive_seed
@@ -208,8 +218,8 @@ class RecordTable:
     ``rank[j, c]`` the position of candidate c in it.  ``scenario`` indexes
     ``SCENARIO_LABELS`` and ``bucket`` ``POLL_BUCKETS``.  ``unjustified``
     flags a dominated actual action (:func:`behavior.is_unjustified`) and
-    ``inconsistent`` a record its voter's profile names as contradicted by
-    another of their records.
+    ``inconsistent`` a record contradicted by another of its voter's
+    records (:func:`behavior.inconsistent_rows`).
     """
 
     voter_ids: tuple[str, ...]
@@ -236,39 +246,41 @@ class RecordTable:
 
     @classmethod
     def from_dataset(cls, dataset: Dataset) -> "RecordTable":
-        """Annotate ``dataset``, building each voter's profile."""
+        """Annotate ``dataset``: records go in voter by voter, arrays come out."""
         by_voter = dataset.by_voter()
         if not by_voter:
             raise ValueError("cannot evaluate an empty dataset")
-        profiles = {vid: build_profile(vid, recs) for vid, recs in by_voter.items()}
         records = [rec for recs in by_voter.values() for rec in recs]
         annotations = [
             (
                 scenario_index(rec.utilities, rec.poll),
                 POLL_BUCKETS.index(poll_size_bucket(rec.poll.n)),
                 is_unjustified(rec.utilities, rec.poll, rec.action),
-                i in profiles[vid].inconsistent_records,
             )
-            for vid, recs in by_voter.items()
-            for i, rec in enumerate(recs)
+            for rec in records
         ]
-        scenario, bucket, unjustified, inconsistent = (np.array(col) for col in zip(*annotations))
+        scenario, bucket, unjustified = (np.array(col) for col in zip(*annotations))
         U = np.array([rec.utilities.values for rec in records], dtype=float)
+        S = np.array([rec.poll.scores for rec in records], dtype=np.int64)
+        action = np.array([rec.action for rec in records])
+        ends = np.cumsum([len(recs) for recs in by_voter.values()]).tolist()
         order = np.argsort(-U, axis=1, kind="stable")
         return cls(
             voter_ids=tuple(by_voter),
-            voter=np.repeat(np.arange(len(by_voter)), [len(recs) for recs in by_voter.values()]),
+            voter=np.repeat(np.arange(len(by_voter)), np.diff([0, *ends])),
             round=np.array([rec.round for rec in records]),
-            n=np.array([rec.poll.n for rec in records]),
+            n=np.array([rec.poll.n for rec in records], dtype=np.int64),
             U=U,
-            S=np.array([rec.poll.scores for rec in records], dtype=np.int64),
-            action=np.array([rec.action for rec in records]),
+            S=S,
+            action=action,
             order=order,
             rank=np.argsort(order, axis=1),
             scenario=scenario,
             bucket=bucket,
             unjustified=unjustified,
-            inconsistent=inconsistent,
+            inconsistent=np.concatenate(
+                [inconsistent_rows(S[a:b], action[a:b]) for a, b in zip([0, *ends], ends)]
+            ),
         )
 
     @property
@@ -290,17 +302,52 @@ class RecordTable:
 
 # --- per-voter evaluation ----------------------------------------------------
 
+# Cells (grid points x rows) one run of voters may hold: the run's distinct
+# rows are decided in one decide_matrix call, which keeps AU's
+# (points x rows) matrices a few MB whatever the voter count.
+_RUN_CELLS = 1 << 18
 
-def _decision_matrix(grid: ParameterGrid, block: RecordTable) -> np.ndarray:
-    """Decisions for every (grid point, row of ``block``), shape (G, R)."""
+
+def _grid_runs(voters: Sequence[slice], points: int) -> list[list[slice]]:
+    """Consecutive voters cut into runs of at most ``_RUN_CELLS`` cells.
+
+    A voter alone over the bound makes a run of its own.
+    """
+    runs: list[list[slice]] = []
+    cells = _RUN_CELLS
+    for rows in voters:
+        size = points * (rows.stop - rows.start)
+        if cells + size > _RUN_CELLS:
+            runs.append([])
+            cells = 0
+        runs[-1].append(rows)
+        cells += size
+    return runs
+
+
+def _decide_rows(
+    grid: ParameterGrid, block: RecordTable, rows: slice
+) -> tuple[np.ndarray, np.ndarray]:
+    """Decisions of the distinct (U, S, n) rows among ``rows``, and each row's column.
+
+    The distinct rows are decided in one call with one pivot cache, shape
+    (G, distinct); row ``rows.start + i`` is column ``inverse[i]``, since
+    ``decide_matrix`` decides a row from that row alone.  The key compares
+    utilities by their bits, so it is exact.
+    """
+    U, S, n = block.U[rows], block.S[rows], block.n[rows]
+    key = np.column_stack([U.view(np.int64), S, n])
+    _, first, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
     ctx = DecisionContext(pivot_cache={})
-    return models.decide_matrix(grid.family, grid.points, block.U, block.S, block.n, ctx)
+    D = models.decide_matrix(grid.family, grid.points, U[first], S[first], n[first], ctx)
+    return D, inverse.reshape(-1)
 
 
-def _fit_grid(grid: ParameterGrid, block: RecordTable, mode: str) -> tuple[np.ndarray, dict]:
-    """One voter's predictions and in-sample fit from its decision matrix."""
-    D = _decision_matrix(grid, block)
-    M = D == block.action[None, :]
+def _fit_grid(
+    grid: ParameterGrid, D: np.ndarray, action: np.ndarray, mode: str
+) -> tuple[np.ndarray, dict]:
+    """One voter's predictions and in-sample fit from its (G, R) decision matrix."""
+    M = D == action[None, :]
     totals = M.sum(axis=1)
     fit_index = int(np.argmax(totals))
     if mode == "upper":
@@ -351,10 +398,12 @@ def _predict_nn(block: RecordTable, mode: str, seed: int) -> np.ndarray:
 
 
 def _evaluate_voters(task: tuple) -> list[dict]:
-    """Fit and predict a run of voters' rows, one result per voter in order.
+    """Fit and predict a task's voters, one result per voter in order.
 
-    A pure function of its arguments.  Grid families decide one voter's
-    matrix at a time; ``NN`` trains all of the run's networks together.
+    A pure function of its arguments.  Grid families cut the voters into
+    runs of at most ``_RUN_CELLS`` (grid point x row) cells and decide each
+    run's distinct rows at once; ``NN`` trains all of the task's networks
+    together.
     """
     block, grid, mode, seed = task
     voters = block.voter_rows()
@@ -362,7 +411,15 @@ def _evaluate_voters(task: tuple) -> list[dict]:
         predicted = _predict_nn(block, mode, seed)
         fits = [(predicted[rows], {}) for rows in voters]
     else:
-        fits = [_fit_grid(grid, block.select(rows), mode) for rows in voters]
+        fits = []
+        for run in _grid_runs(voters, len(grid.points)):
+            start = run[0].start
+            # Each voter gathers its own columns: the run's full (G, rows)
+            # matrix would add to the peak memory.
+            D, inverse = _decide_rows(grid, block, slice(start, run[-1].stop))
+            for rows in run:
+                columns = D[:, inverse[rows.start - start : rows.stop - start]]
+                fits.append(_fit_grid(grid, columns, block.action[rows], mode))
     return [
         {
             "predicted": predicted,

@@ -258,7 +258,9 @@ def au_decisions_grid(
 def _best_response_values(U: np.ndarray, S: np.ndarray) -> np.ndarray:
     """Winner-set utility after a vote for each candidate, shape (R, m)."""
     R, m = U.shape
-    after = S[:, None, :] + np.eye(m, dtype=np.int64)  # after[j, c]: poll j plus a vote for c
+    # after[j, c]: poll j plus a vote for c, less its top score so that a
+    # score of 2**63 - 1 plus the vote cannot wrap.
+    after = (S - S.max(axis=1, keepdims=True))[:, None, :] + np.eye(m, dtype=np.int64)
     won = after == after.max(axis=2, keepdims=True)
     # Summed in candidate order from zero: a tied winner set's mean utility
     # can depend on the summation order in the last bit.

@@ -6,7 +6,8 @@ poll and its voter's profile, entry by entry, and ``action_ratios`` and
 ``stratvote.nn.record_features`` and ``stratvote.nn.features`` build the same
 rows from record columns and summed ratio counts (``behavior.ratio_counts``,
 ``behavior.ratio_stats``), and the tests check them against these, bit for
-bit.
+bit.  ``find_inconsistent`` compares a voter's records pair by pair, the
+definition ``behavior.inconsistent_rows`` computes from score arrays.
 """
 
 from __future__ import annotations
@@ -101,3 +102,26 @@ def features_from_parts(u: UtilityFunction, s: Poll, profile_records) -> np.ndar
 def action_rank(record) -> int:
     prefs = preference_order(record.utilities.values)
     return prefs.index(record.action)
+
+
+def find_inconsistent(records) -> set[int]:
+    """Indices of records contradicted by another record of the same voter.
+
+    Record i (poll s, action a) is inconsistent when some record j of the
+    same voter chose a different action even though its poll was weakly
+    better for a (``s*(a) >= s(a)``) and weakly worse everywhere else.
+    """
+    flagged: set[int] = set()
+    for i, rec in enumerate(records):
+        a = rec.action
+        for j, other in enumerate(records):
+            if i == j or other.action == a:
+                continue
+            if other.poll.scores[a] >= rec.poll.scores[a] and all(
+                other.poll.scores[c] <= rec.poll.scores[c]
+                for c in range(rec.poll.m)
+                if c != a
+            ):
+                flagged.add(i)
+                break
+    return flagged

@@ -1,20 +1,22 @@
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-
+from stratvote import behavior
 from stratvote.behavior import (
     RATIO_ACTIONS,
     SCENARIOS,
     VOTER_TYPES,
     build_profile,
     classify_scenario,
-    find_inconsistent,
+    inconsistent_rows,
     is_unjustified,
     ratio_stats,
     scenario_or_none,
 )
 from stratvote.core import Poll, UtilityFunction, preference_order
 from stratvote.data import Dataset, VoteRecord
+from feature_oracle import find_inconsistent
 from stratvote.evaluation import RecordTable
 
 U = UtilityFunction((10.0, 5.0, 0.0))
@@ -39,6 +41,13 @@ def action_ratios(rows):
     profile = build_profile("v1", rows)
     ratios, _ = ratio_stats(profile.available, profile.selected)
     return {k: r for k, r, a in zip(RATIO_ACTIONS, ratios.tolist(), profile.available) if a > 0}
+
+
+def inconsistent(rows):
+    """The indices :func:`inconsistent_rows` flags among one voter's records."""
+    S = np.array([r.poll.scores for r in rows], dtype=np.int64)
+    flags = inconsistent_rows(S, np.array([r.action for r in rows]))
+    return set(np.flatnonzero(flags).tolist())
 
 
 def unjustified(rows):
@@ -102,25 +111,56 @@ class TestUnjustified:
 class TestInconsistent:
     def test_mutually_contradicting_pair_flags_both(self):
         rows = records(((50, 60, 40), 0), ((55, 60, 40), 1))
-        assert find_inconsistent(rows) == {0, 1}
+        assert inconsistent(rows) == {0, 1}
 
     def test_one_sided_contradiction_flags_one(self):
         rows = records(((50, 60, 40), 0), ((55, 60, 41), 1))
-        assert find_inconsistent(rows) == {1}
+        assert inconsistent(rows) == {1}
 
     def test_constant_voter_is_consistent(self):
         rows = records(((50, 60, 40), 0), ((55, 60, 40), 0), ((80, 10, 10), 0))
-        assert find_inconsistent(rows) == set()
+        assert inconsistent(rows) == set()
 
     def test_single_record_is_consistent(self):
-        assert find_inconsistent(records(((50, 60, 40), 0))) == set()
+        assert inconsistent(records(((50, 60, 40), 0))) == set()
 
     def test_flags_are_order_independent(self):
         rows = records(((50, 60, 40), 0), ((55, 60, 41), 1), ((90, 5, 5), 0))
-        flagged = find_inconsistent(rows)
+        flagged = inconsistent(rows)
         rev = list(reversed(rows))
-        flagged_rev = {len(rows) - 1 - i for i in find_inconsistent(rev)}
+        flagged_rev = {len(rows) - 1 - i for i in inconsistent(rev)}
         assert flagged == flagged_rev
+
+    @settings(deadline=None)
+    @given(
+        st.integers(2, 5).flatmap(
+            lambda m: st.lists(
+                st.tuples(
+                    st.lists(st.integers(0, 3), min_size=m, max_size=m),
+                    st.integers(0, m - 1),
+                ),
+                min_size=1,
+                max_size=12,
+            )
+        ),
+        st.sampled_from([1, 7, 1 << 20]),
+    )
+    def test_array_flags_equal_the_record_oracle(self, drawn, block):
+        # Scores from {0, ..., 3} make weak dominance common; a small block
+        # compares a few rows at a time.
+        u = UtilityFunction(tuple(float(c) for c in range(len(drawn[0][0]))))
+        rows = [
+            VoteRecord("v1", i, Poll(tuple(scores), 3), u, action)
+            for i, (scores, action) in enumerate(drawn)
+        ]
+        want = find_inconsistent(rows)
+        old_block = behavior._INCONSISTENT_BLOCK
+        try:
+            behavior._INCONSISTENT_BLOCK = block
+            assert inconsistent(rows) == want
+        finally:
+            behavior._INCONSISTENT_BLOCK = old_block
+        assert build_profile("v1", rows).inconsistent_records == want
 
 
 class TestActionRatios:

@@ -8,9 +8,19 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from stratvote import cli
 from stratvote.behavior import build_profile
 from stratvote.cli import main
-from stratvote.data import GeneratorConfig, format_action, load_dataset
+from stratvote.core import Poll, UtilityFunction
+from stratvote.data import (
+    Dataset,
+    GeneratorConfig,
+    VoteRecord,
+    format_action,
+    generate_synthetic,
+    load_dataset,
+)
+from stratvote.evaluation import ParameterGrid, RecordTable, loo_evaluate
 from stratvote.models import Family
 from stratvote.nn import FEATURE_DIM, init_network, predict_record
 
@@ -220,6 +230,43 @@ class TestEvaluate:
         )
         assert code == 2
         assert "row 1: poll size n must be positive" in capsys.readouterr().err
+
+    def test_poll_size_above_int64_is_a_data_error_naming_the_row(self, tmp_path, capsys):
+        # It used to exit 0 with the table's n column silently float64.
+        data = write_rows(
+            tmp_path, "v1,0,100,50,30,20,10,5,0,q1\nv1,1,10000000000000000000,50,30,20,10,5,0,q1\n"
+        )
+        code = main(
+            ["evaluate", "--data", str(data), "--families", "LD", "--out", str(tmp_path / "r")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "row 2: poll size n 10000000000000000000 is above 2**63 - 1" in err
+
+    def test_score_above_int64_is_a_data_error_naming_the_row(self, tmp_path, capsys):
+        # It used to end in an internal error building the table's scores.
+        data = write_rows(
+            tmp_path, "v1,0,100,10000000000000000000,30,20,10,5,0,q1\nv1,1,100,50,30,20,10,5,0,q1\n"
+        )
+        code = main(
+            ["evaluate", "--data", str(data), "--families", "TRUTH", "--out", str(tmp_path / "r")]
+        )
+        assert code == 2
+        assert "row 1: score 10000000000000000000 is above 2**63 - 1" in capsys.readouterr().err
+
+    def test_int64_limit_is_accepted_and_held_exactly(self, tmp_path):
+        top = 2**63 - 1
+        data = write_rows(
+            tmp_path, f"v1,0,{top},{top},30,20,10,5,0,q1\nv1,1,100,50,{top},20,10,5,0,q2\n"
+        )
+        table = RecordTable.from_dataset(load_dataset(data))
+        assert table.n.dtype == np.int64 and table.n.tolist() == [top, 100]
+        assert table.S.dtype == np.int64 and table.S[:, :2].tolist() == [[top, 30], [50, top]]
+        code = main(
+            ["evaluate", "--data", str(data), "--families", "TRUTH,BR,LD,AU",
+             "--out", str(tmp_path / "r")]
+        )
+        assert code == 0
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_non_positive_jobs_is_a_usage_error(self, tmp_path, small_dataset, jobs, capsys):
@@ -454,11 +501,16 @@ class TestExitCodes:
         assert "internal error" in capsys.readouterr().err
 
 
+# The largest poll size and score the loader accepts.
+INT64_MAX = 2**63 - 1
+
+
 @st.composite
 def accepted_csvs(draw):
-    """CSV text the loader accepts: m in {2, ..., 6}, n <= 30, strict utilities.
+    """CSV text the loader accepts: m in {2, ..., 6}, strict utilities.
 
-    m = 5 and 6 take CV through the exact kernel's nested sums.
+    m = 5 and 6 take CV through the exact kernel's nested sums.  n is at
+    most 30 or the int64 limit, and a score at most n or that limit.
     """
     m = draw(st.integers(min_value=2, max_value=6))
     header = "voter_id,round,n," + ",".join(
@@ -467,8 +519,9 @@ def accepted_csvs(draw):
     rows = []
     for voter in range(draw(st.integers(min_value=1, max_value=3))):
         for rnd in range(draw(st.integers(min_value=1, max_value=4))):
-            n = draw(st.integers(min_value=1, max_value=30))
-            scores = draw(st.lists(st.integers(min_value=0, max_value=n), min_size=m, max_size=m))
+            n = draw(st.integers(min_value=1, max_value=30) | st.just(INT64_MAX))
+            score = st.integers(min_value=0, max_value=min(n, 30)) | st.just(INT64_MAX)
+            scores = draw(st.lists(score, min_size=m, max_size=m))
             utilities = draw(
                 st.lists(st.integers(min_value=0, max_value=100), min_size=m, max_size=m, unique=True)
             )
@@ -484,10 +537,12 @@ class TestFuzz:
         with tempfile.TemporaryDirectory() as tmp:
             data = Path(tmp) / "fuzz.csv"
             data.write_text(text, encoding="utf-8")
-            load_dataset(data)
+            # A CV table at eta = n costs time and memory linear in n, so
+            # eta = n runs only on small polls.
+            small = max(rec.poll.n for rec in load_dataset(data).records) <= 30
             runs = [
                 ["evaluate", "--data", str(data), "--families", family.value,
-                 "--cv-etas", "1,4,n", "--out", str(Path(tmp) / "r")]
+                 "--cv-etas", "1,4,n" if small else "1,4", "--out", str(Path(tmp) / "r")]
                 for family in Family
             ]
             runs.append(
@@ -500,3 +555,48 @@ class TestFuzz:
                     code = main(argv)
                 assert code in (0, 1, 2), (argv[4], code, err.getvalue())
                 assert "internal error" not in err.getvalue()
+
+
+def workload_configs():
+    """The benchmark workloads' generator configs and families, from ``perfbench/workloads.py``."""
+    import importlib.util
+    import sys
+
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(module)  # its dataclasses look their module up by name
+    return module.WORKLOADS
+
+
+class TestReportWriter:
+    """The report writer gives the bytes of ``json.dumps(sort_keys=True, indent=2)``."""
+
+    @staticmethod
+    def assert_same_text(payload):
+        assert cli._report_json(payload) == json.dumps(payload, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("name", ["cv_sweep", "many_voters", "nn_folds"])
+    def test_workload_reports(self, name):
+        workload = workload_configs()[name]
+        config = GeneratorConfig.from_dict({**workload.config(), "master_seed": 1})
+        table = RecordTable.from_dataset(generate_synthetic(config))
+        for family in workload.families.split(","):
+            etas = workload.cv_etas.split(",") if workload.cv_etas else None
+            etas = etas and tuple(e if e == "n" else int(e) for e in etas)
+            grid = ParameterGrid.default(Family(family), cv_etas=etas)
+            self.assert_same_text(loo_evaluate(Family(family), grid, table, seed=1).to_dict())
+
+    def test_empty_predictions_non_ascii_ids_and_m4(self):
+        u = UtilityFunction((4.0, 3.0, 2.0, 1.0))
+        records = [
+            VoteRecord(vid, r, Poll((40 + r, 30, 20, 10 * r), 100), u, r % 4)
+            for vid in ("voté", "選挙", "\u2603")
+            for r in range(3)
+        ]
+        payload = loo_evaluate(
+            Family.LD, ParameterGrid.default(Family.LD), Dataset(records)
+        ).to_dict()
+        assert payload["classes"] == ["pref_0", "pref_1", "pref_2", "pref_3"]
+        self.assert_same_text(payload)
+        self.assert_same_text({**payload, "predictions": []})

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from stratvote import cli, evaluation, nn
+from stratvote import behavior, cli, evaluation, models, nn, pivot
 from stratvote.behavior import (
     SCENARIOS,
     UNCLASSIFIED,
@@ -40,8 +40,9 @@ from stratvote.evaluation import (
     poll_size_bucket,
     upper_bound_evaluate,
 )
+from feature_oracle import find_inconsistent
 from scalar_deciders import decide_au
-from stratvote.models import Family
+from stratvote.models import DecisionContext, Family, decide_matrix
 from stratvote.nn import FEATURE_DIM, init_network, predict_record
 from stratvote.seeding import derive_seed
 
@@ -413,13 +414,12 @@ class TestParameterDistribution:
 
 
 def oracle_error_breakdown(dataset, predictions):
-    profiles = {vid: build_profile(vid, recs) for vid, recs in dataset.by_voter().items()}
     out = {
         label: {cls: 0 for cls in ERROR_CLASSES}
         for label in list(SCENARIOS) + [UNCLASSIFIED, "total"]
     }
     for vid, recs in dataset.by_voter().items():
-        inconsistent = profiles[vid].inconsistent_records
+        inconsistent = find_inconsistent(recs)
         for idx, rec in enumerate(recs):
             scenario = scenario_or_none(rec.utilities, rec.poll) or UNCLASSIFIED
             if predictions[(vid, rec.round)] == rec.action:
@@ -581,24 +581,171 @@ class TestRecordTableAggregation:
             task = (table.select(table.voter_rows()[0]), ParameterGrid.default(family), "loo", 0)
             assert b"VoteRecord" not in pickle.dumps(task)
 
-    def test_evaluate_builds_each_profile_once(self, tmp_path, monkeypatch):
-        # NN folds take their profiles from the table's ratio counts.
+    def test_evaluate_builds_no_profile(self, tmp_path, monkeypatch):
+        # The table flags inconsistent rows from its score and action
+        # columns, and NN folds take their profiles from its ratio counts.
         ds = mixed_dataset(6, 3)
         csv_path, _ = save_dataset(ds, tmp_path / "data")
         calls = []
-        real = evaluation.build_profile
+        real = behavior.build_profile
 
         def counting(vid, recs, **kwargs):
             calls.append(vid)
             return real(vid, recs, **kwargs)
 
-        monkeypatch.setattr(evaluation, "build_profile", counting)
-        monkeypatch.setattr(nn, "build_profile", counting)
+        for module in (behavior, evaluation, nn, cli):
+            monkeypatch.setattr(module, "build_profile", counting, raising=False)
         argv = ["evaluate", "--data", str(csv_path), "--families", "TRUTH,LD,AU,NN"]
         for mode in ("loo", "upper"):
-            calls.clear()
             assert cli.main(argv + ["--mode", mode, "--out", str(tmp_path / mode)]) == 0
-            assert sorted(calls) == list(ds.by_voter())
+        assert calls == []
+        assert RecordTable.from_dataset(ds).inconsistent.any()
+
+
+# --- runs of voters: each distinct row decided once per run ------------------
+
+
+def per_voter_oracle(grid, table, mode):
+    """The per-voter fit that deciding each run's distinct rows replaced.
+
+    One ``decide_matrix`` call, with a pivot cache of its own, on all of a
+    voter's rows; results as ``evaluation._evaluate_voters`` returns them.
+    """
+    results = []
+    for rows in table.voter_rows():
+        ctx = DecisionContext(pivot_cache={})
+        U, S, n = table.U[rows], table.S[rows], table.n[rows]
+        D = decide_matrix(grid.family, grid.points, U, S, n, ctx)
+        M = D == table.action[rows][None, :]
+        totals = M.sum(axis=1)
+        fit_index = int(np.argmax(totals))
+        if mode == "upper":
+            picks = np.full(D.shape[1], fit_index)
+        else:
+            picks = np.argmax(totals[:, None] - M, axis=0)
+        results.append(
+            {
+                "predicted": D[picks, np.arange(D.shape[1])],
+                "fitted": dict(grid.points[fit_index]),
+                "defaulted": mode != "upper" and D.shape[1] == 1,
+            }
+        )
+    return results
+
+
+def shared_rows_dataset(seed, m, sizes=(1, 9, 4, 7, 2, 8, 5)):
+    """Voters of the given sizes whose records draw on a pool of ten
+    (utilities, poll) rows, so repeated rows cross voter, run and task
+    boundaries."""
+    rng = np.random.default_rng(seed)
+    pool = []
+    for _ in range(10):
+        u = UtilityFunction(tuple(float(x) for x in rng.permutation(m) * 10 + 5))
+        n = int(rng.choice([8, 100, 1000]))
+        scores = tuple(int(x) for x in rng.multinomial(n, rng.dirichlet(np.ones(m))))
+        pool.append((u, Poll(scores, n)))
+    records = []
+    for v, size in enumerate(sizes):
+        for r in range(size):
+            u, poll = pool[int(rng.integers(len(pool)))]
+            records.append(VoteRecord(f"v{v}", r, poll, u, int(rng.integers(m))))
+    return Dataset(records=records)
+
+
+def row_keys(table, rows=slice(None)):
+    return {
+        (tuple(u), tuple(s), n)
+        for u, s, n in zip(table.U[rows].tolist(), table.S[rows].tolist(), table.n[rows].tolist())
+    }
+
+
+class TestRunsOfVoters:
+    @pytest.mark.parametrize("m, run_cells", [(3, None), (3, 3000), (4, None)])
+    def test_reports_equal_the_per_voter_oracle(self, monkeypatch, m, run_cells):
+        # 3000 cells put every AU voter in a run of their own and cut the
+        # LD voters into two runs.
+        if run_cells is not None:
+            monkeypatch.setattr(evaluation, "_RUN_CELLS", run_cells)
+        table = RecordTable.from_dataset(shared_rows_dataset(8, m))
+        per_voter = sum(len(row_keys(table, rows)) for rows in table.voter_rows())
+        assert len(row_keys(table)) < per_voter < len(table.voter)
+        for family in (Family.LD, Family.AU, Family.CV, Family.TRUTH):
+            grid = ParameterGrid.default(family, m=m, cv_etas=(1, 4, "n"))
+            for mode, run in (("loo", loo_evaluate), ("upper", upper_bound_evaluate)):
+                results = per_voter_oracle(grid, table, mode)
+                want = evaluation._aggregate(family, mode, 3, table, results).to_dict()
+                for jobs in (1, 2, 3):
+                    assert run(family, grid, table, jobs=jobs, seed=3).to_dict() == want
+
+    @pytest.mark.parametrize("family, run_cells", [(Family.LD, 101 * 75), (Family.AU, None)])
+    def test_no_call_exceeds_the_cell_bound_but_a_single_voter(
+        self, monkeypatch, family, run_cells
+    ):
+        if run_cells is not None:
+            monkeypatch.setattr(evaluation, "_RUN_CELLS", run_cells)
+        bound, grid = evaluation._RUN_CELLS, ParameterGrid.default(family)
+        sizes = (30, 40, 50, 200, 5, 60)
+        rng = np.random.default_rng(3)
+        records = [
+            VoteRecord(
+                f"v{v}",
+                r,
+                Poll.from_scores(tuple(int(x) for x in rng.integers(0, 50, size=3))),
+                # Voter v's utilities lie in [100 v, 100 v + 100): a row names its voter.
+                UtilityFunction(tuple(float(x) for x in 100 * v + rng.permutation(3) * 10)),
+                int(rng.integers(3)),
+            )
+            for v, size in enumerate(sizes)
+            for r in range(size)
+        ]
+        calls = []
+        real = models.decide_matrix
+
+        def recording(fam, points, U, S, n, context=None):
+            calls.append((len(points), sorted(set((U.max(axis=1) // 100).astype(int).tolist()))))
+            return real(fam, points, U, S, n, context)
+
+        monkeypatch.setattr(models, "decide_matrix", recording)
+        table = RecordTable.from_dataset(Dataset(records))
+        got = loo_evaluate(family, grid, table)
+        cells = [(points * sum(sizes[v] for v in voters), voters) for points, voters in calls]
+        assert all(size <= bound or len(voters) == 1 for size, voters in cells)
+        assert [v for _, voters in cells for v in voters] == list(range(len(sizes)))
+        assert any(len(voters) > 1 for _, voters in cells)
+        assert any(size > bound for size, _ in cells)
+        want = evaluation._aggregate(family, "loo", 0, table, per_voter_oracle(grid, table, "loo"))
+        assert got.to_dict() == want.to_dict()
+
+    def test_cv_builds_each_table_once_per_run(self, monkeypatch):
+        keys = []
+        real = pivot._cv_table
+
+        def counting(poll, eta):
+            keys.append((poll.scores, eta))
+            return real(poll, eta)
+
+        monkeypatch.setattr(pivot, "_cv_table", counting)
+        table = RecordTable.from_dataset(shared_rows_dataset(9, 3))
+        etas = (1, 4, "n")
+        grid = ParameterGrid.default(Family.CV, cv_etas=etas)
+
+        def tables(rows):
+            return {
+                (tuple(s), n if eta == "n" else eta)
+                for s, n in zip(table.S[rows].tolist(), table.n[rows].tolist())
+                for eta in etas
+            }
+
+        # Every voter in one run: each table is built once.
+        loo_evaluate(Family.CV, grid, table)
+        assert sorted(keys) == sorted(tables(slice(None)))
+        # Every voter in a run of their own: once per voter that needs it.
+        monkeypatch.setattr(evaluation, "_RUN_CELLS", 1)
+        keys.clear()
+        loo_evaluate(Family.CV, grid, table)
+        per_voter = [key for rows in table.voter_rows() for key in tables(rows)]
+        assert sorted(keys) == sorted(per_voter)
+        assert len(per_voter) > len(tables(slice(None)))
 
 
 class FakeContext:

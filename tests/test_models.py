@@ -539,3 +539,37 @@ class TestDecideMatrixEqualsScalarDeciders:
         # records gets smaller blocks and the same decisions.
         many = records * 300
         assert np.array_equal(_matrix(Family.AU, points, many), np.tile(got, 300))
+
+
+class TestDecideMatrixDecidesEachRowAlone:
+    """Evaluation decides a run's distinct rows once and indexes them back."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(2, 5).flatmap(_records),
+        st.lists(st.integers(0, 63), min_size=1, max_size=24),
+    )
+    def test_repeated_and_shuffled_rows_index_back(self, records, picks):
+        m = records[0][0].m
+        index = [i % len(records) for i in picks]
+        families = [Family.TRUTH, Family.BR, Family.PRAG, Family.LD, Family.LDLB, Family.AU]
+        grids = [ParameterGrid.default(family, m=m) for family in families]
+        if m == 3:
+            grids.append(ParameterGrid.default(Family.TMG))
+        grids.append(ParameterGrid.default(Family.CV, cv_etas=(1, 3, 12)))
+        for grid in grids:
+            distinct = _matrix(grid.family, grid.points, records)
+            repeated = _matrix(grid.family, grid.points, [records[i] for i in index])
+            assert np.array_equal(repeated, distinct[:, index]), grid.family
+
+
+def test_best_response_at_the_int64_score_limit():
+    # A vote for the leader at 2**63 - 1 would wrap to the lowest int64.
+    top = 2**63 - 1
+    records = [
+        (UtilityFunction((10.0, 5.0, 0.0)), Poll((top, 3, 2), top)),
+        (UtilityFunction((0.0, 5.0, 10.0)), Poll((top, top, 2), top)),
+    ]
+    want = _scalar(lambda u, s, p: decide_best_response(u, s), [{}], records)
+    assert np.array_equal(_matrix(Family.BR, [{}], records), want)
+    assert want.tolist() == [[0, 1]]
