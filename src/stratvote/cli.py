@@ -168,11 +168,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # --- evaluate ------------------------------------------------------------
 
 
-def _scenario_f(report: EvaluationReport, scenario: str):
-    matrix = report.per_scenario.get(scenario)
-    if matrix is None or matrix.total == 0:
-        return ""
-    return metrics_from_confusion(matrix).weighted_f
+def _weighted_f(counts):
+    """The weighted F of a confusion count, ``""`` when it counts nothing."""
+    return metrics_from_confusion(ConfusionMatrix(counts)).weighted_f if counts.sum() else ""
 
 
 def _scenario_table(
@@ -180,18 +178,16 @@ def _scenario_table(
 ) -> tuple[list[str], list[list]]:
     """One row per scenario, one f-measure column per family."""
     fams = list(reports)
-    first = next(iter(reports.values()))
-    labels = [s for s in SCENARIOS]
-    if first.per_scenario.get(UNCLASSIFIED) is not None and first.per_scenario[UNCLASSIFIED].total:
-        labels.append(UNCLASSIFIED)
+    per_scenario = {f: reports[f].per_scenario for f in fams}
+    first = per_scenario[fams[0]]
+    labels = [*SCENARIOS, *([UNCLASSIFIED] if first[UNCLASSIFIED].total else [])]
     rows: list[list] = []
     for scenario in labels:
         row: list = [scenario]
         if mode == "loo":
-            count = first.per_scenario[scenario].total if scenario in first.per_scenario else 0
             row.append(SCENARIO_ORDER_TEXT.get(scenario, ""))
-            row.append(100.0 * count / total_records if total_records else "")
-        row.extend(_scenario_f(reports[f], scenario) for f in fams)
+            row.append(100.0 * first[scenario].total / total_records if total_records else "")
+        row.extend(_weighted_f(per_scenario[f][scenario].counts) for f in fams)
         rows.append(row)
     total_row: list = ["total"]
     if mode == "loo":
@@ -208,26 +204,15 @@ def _scenario_table(
 def _poll_size_table(report: EvaluationReport) -> tuple[list[str], list[list]]:
     """Per poll-size bucket: overall F plus the four strategic scenarios."""
     strategic = ("C", "D", "E", "F")
-    cross: dict[tuple[str, str], list[tuple[int, int]]] = {}
-    for row in report.rows:
-        cross.setdefault((row.bucket, row.scenario), []).append(
-            (row.actual_rank, row.predicted_rank)
-        )
-    out: list[list] = []
-    for bucket in POLL_BUCKETS:
-        matrix = report.per_bucket.get(bucket)
-        line: list = [bucket]
-        line.append(
-            metrics_from_confusion(matrix).weighted_f if matrix and matrix.total else ""
-        )
-        for scenario in strategic:
-            pairs = cross.get((bucket, scenario))
-            if pairs:
-                m = ConfusionMatrix.from_pairs(3, pairs)
-                line.append(metrics_from_confusion(m).weighted_f)
-            else:
-                line.append("")
-        out.append(line)
+    per_bucket = report.per_bucket
+    out = [
+        [
+            bucket,
+            _weighted_f(per_bucket[bucket].counts),
+            *(_weighted_f(report.cube[SCENARIO_LABELS.index(s), b]) for s in strategic),
+        ]
+        for b, bucket in enumerate(POLL_BUCKETS)
+    ]
     return ["bucket", "total", *strategic], out
 
 

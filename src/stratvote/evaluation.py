@@ -14,8 +14,11 @@ most ``_RUN_CELLS`` (grid point x record) cells: one call of
 :func:`models.decide_matrix`, with one ``CV`` pivot cache, decides each
 distinct (utilities, scores, n) row of a run once, and each voter reads its
 columns of that matrix back through the inverse index.  That is exact
-because every family decides a record from the record alone.  The reports
-are counted from the table's arrays.
+because every family decides a record from the record alone.  A report
+keeps the table and one column of predicted candidates, and counts them
+once: one (scenario x poll-size bucket x actual rank x predicted rank)
+cube, whose sums are the per-scenario, per-bucket and overall confusion
+matrices.
 Leave-one-out uses the match-matrix identity: with per-point match counts
 over all rounds, each fold's training score is the total minus that fold's
 column, so one decision matrix per voter serves every fold.  The ``NN``
@@ -52,19 +55,11 @@ from .data import Dataset
 from .models import DecisionContext, Family, ModelDescriptor
 from .seeding import derive_seed
 
+# Coarse poll-size conditions: bucket b holds n in [edge b-1, edge b), the
+# edges being geometric midpoints of the sizes the buckets are named after.
 POLL_BUCKETS = ("n<10", "n≈100", "n≈1000", "n≈10000")
 _BUCKET_EDGES = (10, 550, 5500)
 RANK_LABELS = ("Q", "Q'", "Q''")
-
-
-def poll_size_bucket(n: int) -> str:
-    """Coarse poll-size condition; edges are geometric midpoints."""
-    if n < 1:
-        raise ValueError(f"poll size must be positive, got {n}")
-    for edge, bucket in zip(_BUCKET_EDGES, POLL_BUCKETS):
-        if n < edge:
-            return bucket
-    return POLL_BUCKETS[-1]
 
 
 @dataclass(frozen=True)
@@ -81,13 +76,6 @@ class ConfusionMatrix:
             raise ValueError("confusion counts must be non-negative")
         counts.setflags(write=False)
         object.__setattr__(self, "counts", counts)
-
-    @classmethod
-    def from_pairs(cls, m: int, pairs: Sequence[tuple[int, int]]) -> "ConfusionMatrix":
-        counts = np.zeros((m, m), dtype=np.int64)
-        for actual, predicted in pairs:
-            counts[actual, predicted] += 1
-        return cls(counts)
 
     @property
     def m(self) -> int:
@@ -246,20 +234,25 @@ class RecordTable:
 
     @classmethod
     def from_dataset(cls, dataset: Dataset) -> "RecordTable":
-        """Annotate ``dataset``: records go in voter by voter, arrays come out."""
+        """Annotate ``dataset``: records go in voter by voter, arrays come out.
+
+        Raises ``ValueError`` when a poll size is below 1, which no bucket holds.
+        """
         by_voter = dataset.by_voter()
         if not by_voter:
             raise ValueError("cannot evaluate an empty dataset")
         records = [rec for recs in by_voter.values() for rec in recs]
+        n = np.array([rec.poll.n for rec in records], dtype=np.int64)
+        if (n < 1).any():
+            raise ValueError(f"poll size must be positive, got {n[n < 1][0]}")
         annotations = [
             (
                 scenario_index(rec.utilities, rec.poll),
-                POLL_BUCKETS.index(poll_size_bucket(rec.poll.n)),
                 is_unjustified(rec.utilities, rec.poll, rec.action),
             )
             for rec in records
         ]
-        scenario, bucket, unjustified = (np.array(col) for col in zip(*annotations))
+        scenario, unjustified = (np.array(col) for col in zip(*annotations))
         U = np.array([rec.utilities.values for rec in records], dtype=float)
         S = np.array([rec.poll.scores for rec in records], dtype=np.int64)
         action = np.array([rec.action for rec in records])
@@ -269,14 +262,14 @@ class RecordTable:
             voter_ids=tuple(by_voter),
             voter=np.repeat(np.arange(len(by_voter)), np.diff([0, *ends])),
             round=np.array([rec.round for rec in records]),
-            n=np.array([rec.poll.n for rec in records], dtype=np.int64),
+            n=n,
             U=U,
             S=S,
             action=action,
             order=order,
             rank=np.argsort(order, axis=1),
             scenario=scenario,
-            bucket=bucket,
+            bucket=np.searchsorted(_BUCKET_EDGES, n, side="right"),
             unjustified=unjustified,
             inconsistent=np.concatenate(
                 [inconsistent_rows(S[a:b], action[a:b]) for a, b in zip([0, *ends], ends)]
@@ -286,6 +279,10 @@ class RecordTable:
     @property
     def m(self) -> int:
         return self.U.shape[1]
+
+    def rank_of(self, candidates: np.ndarray) -> np.ndarray:
+        """The preference rank of ``candidates[j]`` in row j, for every row."""
+        return self.rank[np.arange(len(self.voter)), candidates]
 
     def voter_rows(self) -> list[slice]:
         """The rows of each voter in the table, in ``voter_ids`` order."""
@@ -364,7 +361,7 @@ def _predict_nn(block: RecordTable, mode: str, seed: int) -> np.ndarray:
     sums, less the held-out row's under LOO, where a single-record voter's
     empty fold leaves its seeded initial network as the default point.
     """
-    target = block.rank[np.arange(len(block.voter)), block.action]
+    target = block.rank_of(block.action)
     base = nn_mod.record_features(block.S, block.n, block.order, block.scenario)
     voters, held_out = block.voter_rows(), mode == "loo"
     starts = [rows.start for rows in voters]
@@ -449,33 +446,44 @@ def _voter_runs(voter_rows: Sequence[slice], k: int) -> list[slice]:
 
 
 @dataclass(frozen=True)
-class PredictionRow:
-    voter_id: str
-    round: int
-    scenario: str
-    bucket: str
-    actual: int
-    predicted: int
-    actual_rank: int
-    predicted_rank: int
-
-
-@dataclass(frozen=True)
 class EvaluationReport:
+    """One family's evaluation: the record table, its predictions, and their counts.
+
+    ``predicted[j]`` is the candidate predicted for the table's row j.
+    ``cube[s, b]`` is the confusion matrix, in preference-rank space, of the
+    rows of scenario ``SCENARIO_LABELS[s]`` and bucket ``POLL_BUCKETS[b]``;
+    the per-scenario, per-bucket and overall matrices are its sums.  The
+    per-record prediction rows are built only by :meth:`to_dict`.
+    """
+
     family: str
     mode: str
     seed: int
-    num_voters: int
-    overall: ConfusionMatrix
-    per_scenario: dict[str, ConfusionMatrix]
-    per_bucket: dict[str, ConfusionMatrix]
+    table: RecordTable
+    predicted: np.ndarray
+    cube: np.ndarray
     per_voter_f: dict[str, float]
-    per_voter_records: dict[str, int]
     fitted_params: dict[str, dict]
     voter_bucket: dict[str, str]
     defaulted_voters: tuple[str, ...]
-    rows: tuple[PredictionRow, ...]
     error_breakdown: dict[str, dict[str, int]]
+
+    @property
+    def overall(self) -> ConfusionMatrix:
+        return ConfusionMatrix(self.cube.sum(axis=(0, 1)))
+
+    @property
+    def per_scenario(self) -> dict[str, ConfusionMatrix]:
+        return {k: ConfusionMatrix(v) for k, v in zip(SCENARIO_LABELS, self.cube.sum(axis=1))}
+
+    @property
+    def per_bucket(self) -> dict[str, ConfusionMatrix]:
+        return {k: ConfusionMatrix(v) for k, v in zip(POLL_BUCKETS, self.cube.sum(axis=0))}
+
+    @property
+    def per_voter_records(self) -> dict[str, int]:
+        counts = np.bincount(self.table.voter, minlength=len(self.table.voter_ids))
+        return dict(zip(self.table.voter_ids, counts.tolist()))
 
     @property
     def metrics(self) -> Metrics:
@@ -488,16 +496,17 @@ class EvaluationReport:
                 out["metrics"] = metrics_from_confusion(matrix).to_dict()
             return out
 
+        table, overall = self.table, self.overall
         return {
             "family": self.family,
             "mode": self.mode,
             "seed": self.seed,
-            "num_voters": self.num_voters,
-            "num_records": self.overall.total,
-            "classes": list(RANK_LABELS[: self.overall.m])
-            if self.overall.m <= 3
-            else [f"pref_{i}" for i in range(self.overall.m)],
-            "overall": block(self.overall),
+            "num_voters": len(table.voter_ids),
+            "num_records": overall.total,
+            "classes": list(RANK_LABELS[: overall.m])
+            if overall.m <= 3
+            else [f"pref_{i}" for i in range(overall.m)],
+            "overall": block(overall),
             "scenarios": {k: block(v) for k, v in sorted(self.per_scenario.items())},
             "poll_buckets": {k: block(v) for k, v in self.per_bucket.items()},
             "per_voter_f": dict(sorted(self.per_voter_f.items())),
@@ -510,16 +519,25 @@ class EvaluationReport:
             },
             "predictions": [
                 {
-                    "voter_id": row.voter_id,
-                    "round": row.round,
-                    "scenario": row.scenario,
-                    "bucket": row.bucket,
-                    "actual": row.actual,
-                    "predicted": row.predicted,
-                    "actual_rank": row.actual_rank,
-                    "predicted_rank": row.predicted_rank,
+                    "voter_id": table.voter_ids[voter],
+                    "round": round_,
+                    "scenario": SCENARIO_LABELS[scenario],
+                    "bucket": POLL_BUCKETS[bucket],
+                    "actual": actual,
+                    "predicted": guess,
+                    "actual_rank": a_rank,
+                    "predicted_rank": p_rank,
                 }
-                for row in self.rows
+                for voter, round_, scenario, bucket, actual, guess, a_rank, p_rank in zip(
+                    table.voter.tolist(),
+                    table.round.tolist(),
+                    table.scenario.tolist(),
+                    table.bucket.tolist(),
+                    table.action.tolist(),
+                    self.predicted.tolist(),
+                    table.rank_of(table.action).tolist(),
+                    table.rank_of(self.predicted).tolist(),
+                )
             ],
         }
 
@@ -572,62 +590,32 @@ def _aggregate(
 ) -> EvaluationReport:
     m, num_voters = table.m, len(table.voter_ids)
     predicted = np.concatenate([np.asarray(r["predicted"], dtype=np.int64) for r in results])
-    rows = np.arange(len(table.voter))
-    actual_rank = table.rank[rows, table.action]
-    predicted_rank = table.rank[rows, predicted]
-
-    def confusions(groups: np.ndarray, size: int) -> np.ndarray:
-        counts = np.zeros((size, m, m), dtype=np.int64)
-        np.add.at(counts, (groups, actual_rank, predicted_rank), 1)
-        return counts
-
-    per_scenario = confusions(table.scenario, len(SCENARIO_LABELS))
-    per_bucket = confusions(table.bucket, len(POLL_BUCKETS))
-    per_voter = confusions(table.voter, num_voters)
+    predicted.setflags(write=False)
+    actual_rank, predicted_rank = table.rank_of(table.action), table.rank_of(predicted)
+    cube = np.zeros((len(SCENARIO_LABELS), len(POLL_BUCKETS), m, m), dtype=np.int64)
+    np.add.at(cube, (table.scenario, table.bucket, actual_rank, predicted_rank), 1)
+    cube.setflags(write=False)
+    per_voter = np.zeros((num_voters, m, m), dtype=np.int64)
+    np.add.at(per_voter, (table.voter, actual_rank, predicted_rank), 1)
     bucket_tally = np.zeros((num_voters, len(POLL_BUCKETS)), dtype=np.int64)
     np.add.at(bucket_tally, (table.voter, table.bucket), 1)
-    prediction_rows = tuple(
-        PredictionRow(
-            voter_id=table.voter_ids[voter],
-            round=round_,
-            scenario=SCENARIO_LABELS[scenario],
-            bucket=POLL_BUCKETS[bucket],
-            actual=actual,
-            predicted=guess,
-            actual_rank=a_rank,
-            predicted_rank=p_rank,
-        )
-        for voter, round_, actual, scenario, bucket, guess, a_rank, p_rank in zip(
-            table.voter.tolist(),
-            table.round.tolist(),
-            table.action.tolist(),
-            table.scenario.tolist(),
-            table.bucket.tolist(),
-            predicted.tolist(),
-            actual_rank.tolist(),
-            predicted_rank.tolist(),
-        )
-    )
     return EvaluationReport(
         family=family.value,
         mode=mode,
         seed=seed,
-        num_voters=num_voters,
-        overall=ConfusionMatrix(per_bucket.sum(axis=0)),
-        per_scenario={k: ConfusionMatrix(v) for k, v in zip(SCENARIO_LABELS, per_scenario)},
-        per_bucket={k: ConfusionMatrix(v) for k, v in zip(POLL_BUCKETS, per_bucket)},
+        table=table,
+        predicted=predicted,
+        cube=cube,
         per_voter_f={
             vid: metrics_from_confusion(ConfusionMatrix(counts)).weighted_f
             for vid, counts in zip(table.voter_ids, per_voter)
         },
-        per_voter_records=dict(zip(table.voter_ids, per_voter.sum(axis=(1, 2)).tolist())),
         fitted_params={vid: r["fitted"] for vid, r in zip(table.voter_ids, results)},
         # The bucket holding most of the voter's records, ties to the earlier one.
         voter_bucket={
             vid: POLL_BUCKETS[b] for vid, b in zip(table.voter_ids, bucket_tally.argmax(axis=1))
         },
         defaulted_voters=tuple(vid for vid, r in zip(table.voter_ids, results) if r["defaulted"]),
-        rows=prediction_rows,
         error_breakdown=_error_counts(table, predicted),
     )
 

@@ -7,6 +7,13 @@ names listed in the tracer's ``LAYERS`` table, read as
 ``test_bench_contract.py`` reads it), from the acceptance tests, or from
 the README's Python example.  Code that only the per-module tests call
 belongs in those tests, as their oracle, and not in the package.
+
+A reference is a name read or imported.  In the package, the acceptance
+tests and the README example, an attribute read counts only on a name bound
+to a ``stratvote`` module (``nn_mod.fit_folds``): ``report.error_breakdown``
+is no call of ``evaluation.error_breakdown``.  ``perfbench/`` reaches the
+modules through a dict (``modules["pivot"].composition_count``), so there
+every attribute read counts by its name.
 """
 
 import ast
@@ -17,16 +24,36 @@ from test_bench_contract import traced_layers
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "stratvote"
+MODULES = {path.stem for path in PACKAGE.glob("*.py") if path.name != "__init__.py"}
 
 
-def _referenced(tree: ast.AST) -> set[str]:
-    """Names a tree reads, looks up as attributes, or imports."""
+def _module_names(tree: ast.AST) -> set[str]:
+    """Names the tree binds to a stratvote module: ``from . import nn as nn_mod``."""
+    return {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module in (None, "stratvote")
+        for alias in node.names
+        if alias.name in MODULES
+    }
+
+
+def _referenced(tree: ast.AST, *, any_attribute: bool = False) -> set[str]:
+    """Names a tree reads or imports, and the attributes it reads on modules.
+
+    With ``any_attribute`` every attribute read counts, whatever its object.
+    """
+    module_names = _module_names(tree)
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            names.add(node.id)
+            if isinstance(node.ctx, ast.Load):  # a dataclass field named alike is no read
+                names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            if any_attribute or (
+                isinstance(node.value, ast.Name) and node.value.id in module_names
+            ):
+                names.add(node.attr)
         elif isinstance(node, ast.alias):
             names.add(node.name.rpartition(".")[2])
     return names
@@ -45,7 +72,7 @@ def _readme_example() -> ast.Module:
 def _outside_callers() -> set[str]:
     names = set()
     for path in sorted((ROOT / "perfbench").glob("*.py")):
-        names |= _referenced(_parse(path))
+        names |= _referenced(_parse(path), any_attribute=True)
     for layer_names in traced_layers().values():
         names |= set(layer_names)
     names |= _referenced(_parse(ROOT / "tests" / "test_acceptance.py"))
@@ -53,13 +80,8 @@ def _outside_callers() -> set[str]:
     return names
 
 
-def test_every_public_definition_has_a_caller():
-    modules = {
-        path.stem: _parse(path)
-        for path in sorted(PACKAGE.glob("*.py"))
-        if path.name != "__init__.py"
-    }
-    outside = _outside_callers()
+def _uncalled(modules: dict[str, ast.Module], outside: set[str]) -> list[str]:
+    """The public definitions of ``modules`` that nothing references."""
     uncalled = []
     for name, tree in modules.items():
         # A definition's references to itself (recursion) do not count.
@@ -72,4 +94,29 @@ def test_every_public_definition_has_a_caller():
             rest = ast.Module(body=[n for n in tree.body if n is not node], type_ignores=[])
             if node.name not in others | _referenced(rest):
                 uncalled.append(f"stratvote.{name}.{node.name}")
+    return uncalled
+
+
+def test_every_public_definition_has_a_caller():
+    modules = {stem: _parse(PACKAGE / f"{stem}.py") for stem in sorted(MODULES)}
+    uncalled = _uncalled(modules, _outside_callers())
     assert not uncalled, f"public definitions only the tests (or nothing) call: {uncalled}"
+
+
+def test_an_attribute_read_on_an_object_is_no_call():
+    defining = ast.parse("def helper():\n    pass\n")
+    on_object = ast.parse("def _use(report):\n    return report.helper\n")
+    assert _uncalled({"models": defining, "cli": on_object}, set()) == ["stratvote.models.helper"]
+    # Nor is a dataclass field of the same name.
+    field = ast.parse("class _Report:\n    helper: int\n")
+    assert _uncalled({"models": defining, "cli": field}, set()) == ["stratvote.models.helper"]
+    for caller in (
+        "from . import models\nmodels.helper()\n",
+        "from . import models as m\nm.helper()\n",
+        "from stratvote import models\nmodels.helper()\n",
+        "from .models import helper\n",
+    ):
+        assert _uncalled({"models": defining, "cli": ast.parse(caller)}, set()) == []
+    # perfbench's attribute reads count by name.
+    by_name = _referenced(on_object, any_attribute=True)
+    assert _uncalled({"models": defining, "cli": ast.parse("")}, by_name) == []

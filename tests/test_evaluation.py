@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from stratvote import behavior, cli, evaluation, models, nn, pivot
 from stratvote.behavior import (
+    SCENARIO_LABELS,
     SCENARIOS,
     UNCLASSIFIED,
     build_profile,
@@ -28,20 +29,19 @@ from stratvote.data import (
 from stratvote.evaluation import (
     ERROR_CLASSES,
     POLL_BUCKETS,
+    RANK_LABELS,
     ConfusionMatrix,
-    EvaluationReport,
     ParameterGrid,
-    PredictionRow,
     RecordTable,
     error_breakdown,
     loo_evaluate,
     metrics_from_confusion,
     parameter_distribution,
-    poll_size_bucket,
     upper_bound_evaluate,
 )
 from feature_oracle import find_inconsistent
 from scalar_deciders import decide_au
+from test_cli import workload_configs
 from stratvote.models import DecisionContext, Family, decide_matrix
 from stratvote.nn import FEATURE_DIM, init_network, predict_record
 from stratvote.seeding import derive_seed
@@ -134,31 +134,52 @@ class TestMetrics:
         with pytest.raises(ValueError):
             ConfusionMatrix(np.array([[1, -1], [0, 2]]))
 
-    def test_from_pairs_and_add(self):
-        # Repeated pairs add up in their cell.
-        got = ConfusionMatrix.from_pairs(3, [(0, 0), (1, 2), (1, 2)])
-        assert got.counts.tolist() == [[1, 0, 0], [0, 0, 2], [0, 0, 0]]
-        assert got.total == 3
+
+def poll_size_bucket(n: int) -> str:
+    """The poll-size condition of one size, the oracle for the table's ``bucket`` column."""
+    if n < 1:
+        raise ValueError(f"poll size must be positive, got {n}")
+    for edge, bucket in zip((10, 550, 5500), POLL_BUCKETS):
+        if n < edge:
+            return bucket
+    return POLL_BUCKETS[-1]
+
+
+def bucket_column(sizes):
+    """The ``bucket`` labels a record table gives polls of these sizes."""
+    u = UtilityFunction((3.0, 2.0, 1.0))
+    records = [VoteRecord("v", r, Poll((n, 0, 0), n), u, 0) for r, n in enumerate(sizes)]
+    return [POLL_BUCKETS[b] for b in RecordTable.from_dataset(Dataset(records)).bucket]
 
 
 class TestPollSizeBucket:
     def test_named_sizes(self):
-        assert poll_size_bucket(8) == "n<10"
-        assert poll_size_bucket(100) == "n≈100"
-        assert poll_size_bucket(1000) == "n≈1000"
-        assert poll_size_bucket(10000) == "n≈10000"
+        sizes = [8, 100, 1000, 10000]
+        assert bucket_column(sizes) == ["n<10", "n≈100", "n≈1000", "n≈10000"]
+        assert bucket_column(sizes) == [poll_size_bucket(n) for n in sizes]
 
     def test_edges(self):
-        assert poll_size_bucket(9) == "n<10"
-        assert poll_size_bucket(10) == "n≈100"
-        assert poll_size_bucket(549) == "n≈100"
-        assert poll_size_bucket(550) == "n≈1000"
-        assert poll_size_bucket(5499) == "n≈1000"
-        assert poll_size_bucket(5500) == "n≈10000"
+        sizes = [1, 9, 10, 549, 550, 5499, 5500, 2**63 - 1]
+        assert bucket_column(sizes) == [poll_size_bucket(n) for n in sizes]
+        assert bucket_column(sizes) == [
+            "n<10", "n<10", "n≈100", "n≈100", "n≈1000", "n≈1000", "n≈10000", "n≈10000"
+        ]
 
     def test_rejects_non_positive(self):
+        # The loader rejects such rows, but a library Dataset may hold them.
+        with pytest.raises(ValueError, match="poll size must be positive, got 0"):
+            bucket_column([8, 0, 100])
         with pytest.raises(ValueError):
             poll_size_bucket(0)
+
+    @pytest.mark.parametrize("name", ["cv_sweep", "many_voters", "nn_folds"])
+    def test_workload_datasets(self, name):
+        workload = workload_configs()[name]
+        ds = generate_synthetic(GeneratorConfig.from_dict({**workload.config(), "master_seed": 1}))
+        table = RecordTable.from_dataset(ds)
+        want = [poll_size_bucket(rec.poll.n) for recs in ds.by_voter().values() for rec in recs]
+        assert [POLL_BUCKETS[b] for b in table.bucket] == want
+        assert len(set(want)) > 1
 
 
 class TestParameterGrid:
@@ -333,10 +354,11 @@ class TestEvaluate:
             Family.NN, ParameterGrid.default(Family.NN), Dataset(records=keep, manifest={}), seed=5
         )
         assert rep.defaulted_voters == tuple(voters)
-        predicted = {row.voter_id: row.predicted for row in rep.rows}
+        predicted = predictions_of(rep)
         for r in keep:
             net = init_network(FEATURE_DIM, seed=derive_seed(5, "nn", r.voter_id, r.round))
-            assert predicted[r.voter_id] == predict_record(net, build_profile(r.voter_id, []), r)
+            want = predict_record(net, build_profile(r.voter_id, []), r)
+            assert predicted[(r.voter_id, r.round)] == want
 
     def test_per_voter_f_covers_every_voter(self):
         ds = au_population()
@@ -435,7 +457,22 @@ def oracle_error_breakdown(dataset, predictions):
     return out
 
 
+def predictions_of(report):
+    """A report's predicted candidate per (voter id, round), read from its columns."""
+    table = report.table
+    keys = zip((table.voter_ids[v] for v in table.voter.tolist()), table.round.tolist())
+    return dict(zip(keys, report.predicted.tolist()))
+
+
+def oracle_block(counts):
+    out = {"confusion": counts.tolist()}
+    if counts.sum():
+        out["metrics"] = metrics_from_confusion(ConfusionMatrix(counts)).to_dict()
+    return out
+
+
 def oracle_report(family, mode, seed, dataset, predictions, fitted, defaulted):
+    """``EvaluationReport.to_dict`` counted record by record, one cell at a time."""
     by_voter = dataset.by_voter()
     m = dataset.m
     overall = np.zeros((m, m), dtype=np.int64)
@@ -457,29 +494,84 @@ def oracle_report(family, mode, seed, dataset, predictions, fitted, defaulted):
                 counts[a_rank, p_rank] += 1
             bucket_tally[bucket] += 1
             rows.append(
-                PredictionRow(vid, rec.round, scenario, bucket, rec.action, predicted, a_rank, p_rank)
+                {
+                    "voter_id": vid,
+                    "round": rec.round,
+                    "scenario": scenario,
+                    "bucket": bucket,
+                    "actual": rec.action,
+                    "predicted": predicted,
+                    "actual_rank": a_rank,
+                    "predicted_rank": p_rank,
+                }
             )
         per_voter_f[vid] = metrics_from_confusion(ConfusionMatrix(voter_counts)).weighted_f
         per_voter_records[vid] = len(recs)
         voter_bucket[vid] = max(
             POLL_BUCKETS, key=lambda b: (bucket_tally.get(b, 0), -POLL_BUCKETS.index(b))
         )
-    return EvaluationReport(
-        family=family.value,
-        mode=mode,
-        seed=seed,
-        num_voters=len(by_voter),
-        overall=ConfusionMatrix(overall),
-        per_scenario={k: ConfusionMatrix(v) for k, v in per_scenario.items()},
-        per_bucket={k: ConfusionMatrix(v) for k, v in per_bucket.items()},
-        per_voter_f=per_voter_f,
-        per_voter_records=per_voter_records,
-        fitted_params=dict(fitted),
-        voter_bucket=voter_bucket,
-        defaulted_voters=tuple(defaulted),
-        rows=tuple(rows),
-        error_breakdown=oracle_error_breakdown(dataset, predictions),
-    )
+    return {
+        "family": family.value,
+        "mode": mode,
+        "seed": seed,
+        "num_voters": len(by_voter),
+        "num_records": len(rows),
+        "classes": list(RANK_LABELS[:m]) if m <= 3 else [f"pref_{i}" for i in range(m)],
+        "overall": oracle_block(overall),
+        "scenarios": {k: oracle_block(v) for k, v in per_scenario.items()},
+        "poll_buckets": {k: oracle_block(v) for k, v in per_bucket.items()},
+        "per_voter_f": per_voter_f,
+        "per_voter_records": per_voter_records,
+        "fitted_params": dict(fitted),
+        "voter_bucket": voter_bucket,
+        "defaulted_voters": list(defaulted),
+        "error_breakdown": oracle_error_breakdown(dataset, predictions),
+        "predictions": rows,
+    }
+
+
+def aggregate_predictions(dataset, predictions):
+    """The report of the given predictions, one per (voter id, round)."""
+    results = [
+        {"predicted": [predictions[(vid, r.round)] for r in recs], "fitted": {}, "defaulted": 0}
+        for vid, recs in dataset.by_voter().items()
+    ]
+    return evaluation._aggregate(Family.LD, "loo", 0, RecordTable.from_dataset(dataset), results)
+
+
+def oracle_poll_size_table(dataset, predictions):
+    """The rows of ``cli._poll_size_table``, recounted record by record.
+
+    Each (bucket, scenario) cell gathers its records' (actual rank,
+    predicted rank) pairs and counts them one at a time, as the report
+    writer did before the cube.
+    """
+    m = dataset.m
+    per_bucket, cross = {}, {}
+    for rec in dataset.records:
+        rank_of = {c: i for i, c in enumerate(preference_order(rec.utilities.values))}
+        pair = (rank_of[rec.action], rank_of[predictions[(rec.voter_id, rec.round)]])
+        bucket = poll_size_bucket(rec.poll.n)
+        scenario = scenario_or_none(rec.utilities, rec.poll) or UNCLASSIFIED
+        per_bucket.setdefault(bucket, []).append(pair)
+        cross.setdefault((bucket, scenario), []).append(pair)
+
+    def weighted_f(pairs):
+        if not pairs:
+            return ""
+        counts = np.zeros((m, m), dtype=np.int64)
+        for actual, predicted in pairs:
+            counts[actual, predicted] += 1
+        return metrics_from_confusion(ConfusionMatrix(counts)).weighted_f
+
+    return [
+        [
+            bucket,
+            weighted_f(per_bucket.get(bucket)),
+            *(weighted_f(cross.get((bucket, s))) for s in ("C", "D", "E", "F")),
+        ]
+        for bucket in POLL_BUCKETS
+    ]
 
 
 def mixed_dataset(seed, m, num_voters=7, rounds=8):
@@ -517,11 +609,16 @@ class TestRecordTableAggregation:
             for mode, run in (("loo", loo_evaluate), ("upper", upper_bound_evaluate)):
                 for data in (ds, table):
                     rep = run(family, grid, data, seed=5)
-                    preds = {(row.voter_id, row.round): row.predicted for row in rep.rows}
                     want = oracle_report(
-                        family, mode, 5, ds, preds, rep.fitted_params, rep.defaulted_voters
+                        family,
+                        mode,
+                        5,
+                        ds,
+                        predictions_of(rep),
+                        rep.fitted_params,
+                        rep.defaulted_voters,
                     )
-                    assert rep.to_dict() == want.to_dict()
+                    assert rep.to_dict() == want
         # Random predictions fill every cell the evaluations leave empty.
         rng = np.random.default_rng(seed)
         preds = {(rec.voter_id, rec.round): int(rng.integers(m)) for rec in ds.records}
@@ -537,15 +634,70 @@ class TestRecordTableAggregation:
         fitted = {vid: {"r": 0.5} for vid in ds.by_voter()}
         defaulted = [vid for i, vid in enumerate(ds.by_voter()) if i % 3 == 0]
         want = oracle_report(Family.LD, "loo", 9, ds, preds, fitted, defaulted)
-        assert got.to_dict() == want.to_dict()
+        assert got.to_dict() == want
         assert error_breakdown(ds, preds) == oracle_error_breakdown(ds, preds)
         # The data covers what the table annotates.
-        total = want.error_breakdown["total"]
+        total = want["error_breakdown"]["total"]
         assert total["unjustified"] > 0 and total["inconsistent"] > 0
-        assert all(want.per_bucket[b].total > 0 for b in POLL_BUCKETS)
-        assert want.per_scenario[UNCLASSIFIED].total > 0
+        assert all("metrics" in want["poll_buckets"][b] for b in POLL_BUCKETS)
+        assert "metrics" in want["scenarios"][UNCLASSIFIED]
         if m == 3:
-            assert sum(want.per_scenario[s].total for s in SCENARIOS) > 0
+            assert any("metrics" in want["scenarios"][s] for s in SCENARIOS)
+
+    def test_cube_counts_each_record_once_in_its_cell(self):
+        # Repeated (actual, predicted) rank pairs add up in one cell.
+        u, poll = UtilityFunction((3.0, 2.0, 1.0)), Poll((50, 30, 20), 100)
+        table = RecordTable.from_dataset(
+            Dataset([VoteRecord("v", r, poll, u, a) for r, a in enumerate([0, 1, 1])])
+        )
+        result = {"predicted": [0, 2, 2], "fitted": {}, "defaulted": False}
+        rep = evaluation._aggregate(Family.LD, "upper", 0, table, [result])
+        s, b = table.scenario[0], table.bucket[0]
+        assert rep.cube[s, b].tolist() == [[1, 0, 0], [0, 0, 2], [0, 0, 0]]
+        assert rep.cube.sum() == rep.overall.total == 3
+        assert rep.overall.counts.tolist() == rep.cube[s, b].tolist()
+        # On mixed data, cell by cell against the records.
+        for m, seed in ((3, 1), (4, 3)):
+            ds = mixed_dataset(seed, m)
+            rng = np.random.default_rng(seed)
+            preds = {(rec.voter_id, rec.round): int(rng.integers(m)) for rec in ds.records}
+            rep = aggregate_predictions(ds, preds)
+            want = np.zeros((len(SCENARIO_LABELS), len(POLL_BUCKETS), m, m), dtype=np.int64)
+            for rec in ds.records:
+                rank_of = {c: i for i, c in enumerate(preference_order(rec.utilities.values))}
+                scenario = scenario_or_none(rec.utilities, rec.poll) or UNCLASSIFIED
+                cell = (
+                    SCENARIO_LABELS.index(scenario),
+                    POLL_BUCKETS.index(poll_size_bucket(rec.poll.n)),
+                    rank_of[rec.action],
+                    rank_of[preds[(rec.voter_id, rec.round)]],
+                )
+                want[cell] += 1
+            assert rep.cube.dtype == np.int64 and np.array_equal(rep.cube, want)
+            assert [v.counts.tolist() for v in rep.per_scenario.values()] == want.sum(1).tolist()
+            assert [v.counts.tolist() for v in rep.per_bucket.values()] == want.sum(0).tolist()
+            with pytest.raises(ValueError):
+                rep.cube[0, 0, 0, 0] = 1
+
+    @pytest.mark.parametrize("m, seed", [(3, 1), (3, 2), (4, 3)])
+    def test_poll_size_table_equals_the_per_record_recount(self, m, seed):
+        ds = mixed_dataset(seed, m)
+        rng = np.random.default_rng(seed)
+        random_preds = {(rec.voter_id, rec.round): int(rng.integers(m)) for rec in ds.records}
+        reports = [
+            loo_evaluate(Family.LD, ParameterGrid.default(Family.LD), ds),
+            upper_bound_evaluate(Family.TRUTH, ParameterGrid.default(Family.TRUTH), ds),
+            aggregate_predictions(ds, random_preds),
+        ]
+        for rep in reports:
+            header, rows = cli._poll_size_table(rep)
+            assert header == ["bucket", "total", "C", "D", "E", "F"]
+            assert rows == oracle_poll_size_table(ds, predictions_of(rep))
+        strategic = [cell for row in rows for cell in row[2:]]
+        if m == 3:
+            assert "" in strategic and any(cell != "" for cell in strategic)
+        else:
+            assert set(strategic) == {""}
 
     def test_error_breakdown_needs_every_prediction(self):
         ds = mixed_dataset(4, 3)
