@@ -6,6 +6,10 @@ report directory is hashed by the harness's rule: per file, in sorted path
 order, the relative name, a NUL byte and the sha256 of the file's bytes.  A
 change that means to alter report bytes updates the digest here and names
 the change in CHANGES.md.
+
+Two hand-made datasets pin what no workload reaches: ``mixed_dataset`` of
+``test_evaluation.py`` at m = 3 holds tied polls (unclassified rows) beside
+unjustified and inconsistent votes, and at m = 4 every row is unclassified.
 """
 
 import hashlib
@@ -14,7 +18,9 @@ import json
 import pytest
 
 from stratvote import cli
+from stratvote.data import save_dataset
 from test_cli import workload_configs
+from test_evaluation import mixed_dataset
 
 DIGESTS = {
     "cv_sweep": "67ff6b9460b06d70707d99f1423c819dc544014ffbadcedcd957e7907c773195",
@@ -42,3 +48,30 @@ def test_workload_reports_keep_their_bytes(name, tmp_path, capsys):
     argv = ["evaluate", "--data", str(sim / "dataset.csv"), *workload.evaluate_flags()]
     assert cli.main([*argv, "--jobs", "1", "--seed", "1", "--out", str(out)]) == 0
     assert tree_sha256(out) == DIGESTS[name]
+
+
+# mixed_dataset's (seed, m) and the families evaluated on it, and the
+# tree digest per mode.
+MIXED = {
+    "m3": (1, 3, "TRUTH,BR,PRAG,CV,LD,LDLB,TMG,AU,NN"),
+    "m4": (3, 4, "TRUTH,BR,PRAG,CV,LD,LDLB,AU"),
+}
+MIXED_DIGESTS = {
+    ("m3", "loo"): "02553117ac33f122874433e9ddd87ccb85f195d2904dd9e154fbfad857e6392f",
+    ("m3", "upper"): "3a994a8c5dceee3454e605ef70ba2e5409aba2a3b598125c963a7f00c044bfe1",
+    ("m4", "loo"): "413234bfc2882a8f87bf60ed3ecff42f42dafb89c5b3f3e35aca535827aee2ad",
+    ("m4", "upper"): "fe16f292241f6406eb53efd085cf5a653898a0128ef17d0c694ae8ca5f647bea",
+}
+
+
+@pytest.mark.parametrize("name, mode", sorted(MIXED_DIGESTS))
+def test_mixed_reports_keep_their_bytes(name, mode, tmp_path, capsys):
+    seed, m, families = MIXED[name]
+    save_dataset(mixed_dataset(seed, m), tmp_path / "data")
+    argv = [
+        "evaluate", "--data", str(tmp_path / "data" / "dataset.csv"), "--families", families,
+        "--cv-etas", "1,4,16", "--mode", mode, "--jobs", "1", "--seed", "1",
+        "--out", str(tmp_path / "out"),
+    ]
+    assert cli.main(argv) == 0
+    assert tree_sha256(tmp_path / "out") == MIXED_DIGESTS[name, mode]
