@@ -13,8 +13,12 @@ E     Q' > Q'' > Q
 F     Q'' > Q' > Q
 ====  ================
 
-Polls with ties among the three are left unclassified and excluded from
-scenario statistics.
+``SCENARIO_POSITIONS`` is the definition: row s holds the poll positions
+(0 leads) of Q, Q' and Q'' in scenario ``SCENARIOS[s]``.  The classifier,
+``SCENARIO_ORDER_TEXT``, the actions a scenario offers (:func:`ratio_counts`)
+and the generator's polls all read it.  Polls with ties among the three are
+left unclassified and excluded from scenario statistics.  Records are
+classified as (R, m) arrays of utilities and scores (:func:`record_arrays`).
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .core import Candidate, Poll, UtilityFunction, preference_order
+from .core import Candidate, Poll, UtilityFunction
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .data import VoteRecord
@@ -32,24 +36,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 SCENARIOS = ("A", "B", "C", "D", "E", "F")
 UNCLASSIFIED = "UNCLASSIFIED"
 SCENARIO_LABELS = (*SCENARIOS, UNCLASSIFIED)
+RANK_LABELS = ("Q", "Q'", "Q''")
+
+SCENARIO_POSITIONS = np.array([[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]])
+SCENARIO_POSITIONS.setflags(write=False)
 
 SCENARIO_ORDER_TEXT = {
-    "A": "Q > Q' > Q''",
-    "B": "Q > Q'' > Q'",
-    "C": "Q' > Q > Q''",
-    "D": "Q'' > Q > Q'",
-    "E": "Q' > Q'' > Q",
-    "F": "Q'' > Q' > Q",
-}
-
-# Poll order of (Q, Q', Q''), best first, as preference ranks.
-_ORDER_TO_SCENARIO = {
-    (0, 1, 2): "A",
-    (0, 2, 1): "B",
-    (1, 0, 2): "C",
-    (2, 0, 1): "D",
-    (1, 2, 0): "E",
-    (2, 1, 0): "F",
+    label: " > ".join(RANK_LABELS[rank] for rank in np.argsort(positions))
+    for label, positions in zip(SCENARIOS, SCENARIO_POSITIONS)
 }
 
 # The actions whose frequencies profile a voter, and the voter types they define.
@@ -61,56 +55,73 @@ TRT_THRESHOLD = 0.9
 LB_THRESHOLD = 0.5
 
 
-def strict_preferences(u: UtilityFunction) -> tuple[int, ...]:
-    """The preference order of ``u``; raises ``ValueError`` if utilities tie."""
-    if len(set(u.values)) != u.m:
-        raise ValueError(f"utilities must be strictly ordered, got {u.values}")
-    return preference_order(u.values)
+def record_arrays(records: "Sequence[VoteRecord]"):
+    """Utilities (R, m), int64 scores (R, m), int64 poll sizes and actions of records."""
+    m = records[0].poll.m if records else 0
+    U = np.array([rec.utilities.values for rec in records], dtype=float).reshape(len(records), m)
+    S = np.array([rec.poll.scores for rec in records], dtype=np.int64).reshape(len(records), m)
+    n = np.array([rec.poll.n for rec in records], dtype=np.int64)
+    return U, S, n, np.array([rec.action for rec in records], dtype=np.int64)
 
 
-def classify_scenario(u: UtilityFunction, s: Poll) -> str:
-    """Scenario label A-F for a three-candidate record.
+def _tied(X: np.ndarray) -> np.ndarray:
+    """Whether each row of ``X`` holds two equal entries (-0.0 equals 0.0)."""
+    X = np.sort(X, axis=1)
+    return (X[:, 1:] == X[:, :-1]).any(axis=1)
 
-    Requires strictly ordered utilities and pairwise distinct scores for the
-    three candidates; raises ``ValueError`` otherwise (tied polls are handled
-    by :func:`scenario_or_none`).
+
+def strict_orders(U: np.ndarray) -> np.ndarray:
+    """Each row's preference order, most preferred first; raises ``ValueError`` if utilities tie."""
+    tied = _tied(U)
+    if tied.any():
+        raise ValueError(f"utilities must be strictly ordered, got {tuple(U[tied][0].tolist())}")
+    return np.argsort(-U, axis=1, kind="stable")
+
+
+def poll_positions(S: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Poll position (0 leads, ties to the lower index) of each preference rank, shape (R, m)."""
+    ranking = np.argsort(-S, axis=1, kind="stable")
+    return np.argsort(ranking, axis=1)[np.arange(len(order))[:, None], order]
+
+
+def scenario_ids(U: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """Each record's scenario as an index into ``SCENARIO_LABELS``, shape (R,).
+
+    A record has a scenario when it has three candidates with strictly
+    ordered utilities and pairwise distinct scores; every other record is
+    ``UNCLASSIFIED``.
     """
-    if u.m != 3 or s.m != 3:
-        raise ValueError("scenarios are defined for exactly three candidates")
-    prefs = strict_preferences(u)
-    if len(set(s.scores)) != 3:
-        raise ValueError(f"tied poll {s.scores} has no scenario")
-    rank_of = {c: rank for rank, c in enumerate(prefs)}
-    by_score = sorted(range(3), key=lambda c: -s.scores[c])
-    return _ORDER_TO_SCENARIO[tuple(rank_of[c] for c in by_score)]
+    ids = np.full(len(U), SCENARIO_LABELS.index(UNCLASSIFIED))
+    if U.shape[1] == S.shape[1] == 3:
+        strict = ~(_tied(U) | _tied(S))
+        positions = poll_positions(S[strict], np.argsort(-U[strict], axis=1, kind="stable"))
+        ids[strict] = (positions[:, None, :] == SCENARIO_POSITIONS).all(axis=2).argmax(axis=1)
+    return ids
+
+
+def unjustified_rows(U: np.ndarray, S: np.ndarray, action: np.ndarray) -> np.ndarray:
+    """Whether some candidate is both strictly preferred to and weakly ahead of the action.
+
+    Such a vote cannot be optimal under any belief that is monotone in poll
+    scores: switching to the dominating candidate never hurts.  Shape (R,).
+    """
+    rows = np.arange(len(action))
+    return ((U > U[rows, action][:, None]) & (S >= S[rows, action][:, None])).any(axis=1)
 
 
 def scenario_or_none(u: UtilityFunction, s: Poll) -> str | None:
-    """Like :func:`classify_scenario` but ``None`` for tied or unrankable inputs."""
-    try:
-        return classify_scenario(u, s)
-    except ValueError:
-        return None
-
-
-def scenario_index(u: UtilityFunction, s: Poll) -> int:
-    """Position of the record's scenario in ``SCENARIO_LABELS``, ``UNCLASSIFIED`` if none."""
-    return SCENARIO_LABELS.index(scenario_or_none(u, s) or UNCLASSIFIED)
+    """One record's scenario label, ``None`` when :func:`scenario_ids` leaves it unclassified."""
+    (index,) = scenario_ids(np.array([u.values]), np.array([s.scores], dtype=np.int64))
+    return SCENARIOS[index] if index < len(SCENARIOS) else None
 
 
 def is_unjustified(u: UtilityFunction, s: Poll, action: Candidate) -> bool:
-    """True when some candidate is both strictly preferred and weakly ahead.
-
-    Such a vote cannot be optimal under any belief that is monotone in poll
-    scores: switching to the dominating candidate never hurts.
-    """
+    """:func:`unjustified_rows` of one record."""
     if u.m != s.m:
         raise ValueError(f"utility/poll dimension mismatch: {u.m} vs {s.m}")
     s._check_candidate(action)
-    return any(
-        u[c] > u[action] and s.scores[c] >= s.scores[action]
-        for c in range(s.m)
-    )
+    U, S = np.array([u.values]), np.array([s.scores], dtype=np.int64)
+    return bool(unjustified_rows(U, S, np.array([action]))[0])
 
 
 # Bools per block of the (rows x rows x candidates) comparison in
@@ -144,8 +155,10 @@ def inconsistent_rows(S: np.ndarray, action: np.ndarray) -> np.ndarray:
 
 # _AVAILABLE[s, k]: action RATIO_ACTIONS[k], a vote for preference rank
 # _ACTION_RANK[k], can be taken in scenario SCENARIO_LABELS[s]: TRT (vote Q)
-# always, CMP (vote Q' while Q is ranked last) in E, F, LB (Q' leads) in C, E.
-_AVAILABLE = np.array([[True, s in ("E", "F"), s in ("C", "E")] for s in SCENARIO_LABELS])
+# always, CMP (vote Q' while Q polls last) in E, F, LB (Q' leads) in C, E.
+_AVAILABLE = np.array([[True, False, False]] * len(SCENARIO_LABELS))
+_AVAILABLE[:-1, 1] = SCENARIO_POSITIONS[:, 0] == 2
+_AVAILABLE[:-1, 2] = SCENARIO_POSITIONS[:, 1] == 0
 _ACTION_RANK = np.array([0, 1, 1])
 
 
@@ -187,13 +200,10 @@ class VoterProfile:
 
 def build_profile(voter_id: str, records: "Sequence[VoteRecord]") -> VoterProfile:
     """Profile a voter from all of their records; tied utilities raise ``ValueError``."""
-    ranks = [strict_preferences(rec.utilities).index(rec.action) for rec in records]
-    scenarios = [scenario_index(rec.utilities, rec.poll) for rec in records]
-    available, selected = ratio_counts(np.array(scenarios, dtype=int), np.array(ranks, dtype=int))
-    flagged = inconsistent_rows(
-        np.array([rec.poll.scores for rec in records], dtype=np.int64),
-        np.array([rec.action for rec in records], dtype=np.int64),
-    )
+    U, S, _, action = record_arrays(records)
+    ranks = np.argsort(strict_orders(U), axis=1)[np.arange(len(action)), action]
+    available, selected = ratio_counts(scenario_ids(U, S), ranks)
+    flagged = inconsistent_rows(S, action)
     return VoterProfile(
         voter_id=voter_id,
         available=tuple(available.sum(axis=0).tolist()),

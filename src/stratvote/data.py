@@ -6,10 +6,10 @@ Canonical CSV layout (header required)::
 
 Actions are serialized as 1-based candidate labels ("q2"); bare 1-based
 integers are accepted on input.  The loader rejects a row whose poll size
-``n`` is below 1, whose ``n`` or a score is above ``2**63 - 1`` (evaluation
-holds both as int64), or whose utilities tie, naming the row.  A JSON manifest
-rides alongside the CSV with provenance (source tag, seed, per-voter model
-assignments for synthetic data).
+``n`` is below 1, whose round, ``n`` or a score is above ``2**63 - 1``
+(evaluation holds them as int64), or whose utilities tie, naming the row.
+A JSON manifest rides alongside the CSV with provenance (source tag, seed,
+per-voter model assignments for synthetic data).
 """
 
 from __future__ import annotations
@@ -23,13 +23,13 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import models
-from .behavior import SCENARIOS
+from .behavior import SCENARIO_POSITIONS, SCENARIOS
 from .core import Poll, UtilityFunction, preference_order
 from .models import DecisionContext, Family, ModelDescriptor
 from .seeding import make_rng
 
 
-# The largest poll size or score a row may carry: evaluation holds both as int64.
+# The largest round, poll size or score a row may carry: evaluation holds them as int64.
 _MAX_COUNT = 2**63 - 1
 
 
@@ -160,6 +160,8 @@ def _parse_row(row: list[str], m: int, row_num: int) -> VoteRecord:
         round_ = int(row[1])
     except ValueError:
         raise ValueError(f"non-integer round {row[1]!r}") from None
+    if round_ > _MAX_COUNT:
+        raise ValueError(f"round {round_} is above 2**63 - 1")
     try:
         n = int(row[2])
     except ValueError:
@@ -410,6 +412,8 @@ class GeneratorConfig:
             raise ValueError("population weights sum to zero")
         if not self.poll_sizes or any(n < 2 or w < 0 for n, w in self.poll_sizes):
             raise ValueError("poll sizes must be >= 2 with non-negative weights")
+        if any(n > _MAX_COUNT for n, _ in self.poll_sizes):
+            raise ValueError("poll sizes must be at most 2**63 - 1")
         if sum(w for _, w in self.poll_sizes) <= 0:
             raise ValueError("poll size weights sum to zero")
         unknown = set(self.scenario_weights) - set(SCENARIOS)
@@ -425,6 +429,8 @@ class GeneratorConfig:
             raise ValueError("noise must be within [0, 1]")
         if len(self.rewards) != 3 or len(set(self.rewards)) != 3:
             raise ValueError("rewards must be three distinct values")
+        if not all(0.0 <= r < np.inf for r in self.rewards):
+            raise ValueError("rewards must be finite and non-negative")
         if not self.poll_concentrations or any(
             c <= 0 for c in self.poll_concentrations
         ):
@@ -469,15 +475,6 @@ class GeneratorConfig:
         return cls(**kwargs)
 
 
-# Scenario label -> poll rank of (Q, Q', Q''); 0 is the poll leader.
-_SCENARIO_RANKS = {
-    "A": (0, 1, 2),
-    "B": (0, 2, 1),
-    "C": (1, 0, 2),
-    "D": (1, 2, 0),
-    "E": (2, 0, 1),
-    "F": (2, 1, 0),
-}
 _MAX_POLL_TRIES = 1000
 
 
@@ -516,10 +513,10 @@ def _scenario_poll(
 ) -> Poll:
     """A strict poll of ``n`` ballots realizing ``scenario`` for ``prefs``."""
     ordered = _strict_sorted_scores(rng, n, concentration)
-    ranks = _SCENARIO_RANKS[scenario]
+    positions = SCENARIO_POSITIONS[SCENARIOS.index(scenario)]
     scores = [0, 0, 0]
     for pref_pos, cand in enumerate(prefs):
-        scores[cand] = ordered[ranks[pref_pos]]
+        scores[cand] = ordered[positions[pref_pos]]
     return Poll(scores=tuple(scores), n=n)
 
 
@@ -562,7 +559,11 @@ def generate_synthetic(config: GeneratorConfig) -> Dataset:
         vid = f"v{i:0{width}d}"
         rng = make_rng(config.master_seed, "voter", vid)
         group = _weighted_pick(rng, config.groups, group_weights)
-        descriptor = group.sample_descriptor(rng)
+        try:
+            descriptor = group.sample_descriptor(rng)
+        except ValueError as exc:
+            family = group.family.value
+            raise DataError(f"group {family} drew a bad model for voter {vid}: {exc}") from exc
         poll_size = _weighted_pick(rng, size_values, size_weights)
         scenarios = _scenario_schedule(config, rng, num_distinct)
         assignments[vid] = {

@@ -45,11 +45,13 @@ import numpy as np
 
 from . import models, nn as nn_mod
 from .behavior import (
+    RANK_LABELS,
     SCENARIO_LABELS,
     inconsistent_rows,
-    is_unjustified,
     ratio_counts,
-    scenario_index,
+    record_arrays,
+    scenario_ids,
+    unjustified_rows,
 )
 from .data import Dataset
 from .models import DecisionContext, Family, ModelDescriptor
@@ -59,7 +61,6 @@ from .seeding import derive_seed
 # edges being geometric midpoints of the sizes the buckets are named after.
 POLL_BUCKETS = ("n<10", "n≈100", "n≈1000", "n≈10000")
 _BUCKET_EDGES = (10, 550, 5500)
-RANK_LABELS = ("Q", "Q'", "Q''")
 
 
 @dataclass(frozen=True)
@@ -205,7 +206,7 @@ class RecordTable:
     one entry per row.  ``order[j]`` is the record's preference order and
     ``rank[j, c]`` the position of candidate c in it.  ``scenario`` indexes
     ``SCENARIO_LABELS`` and ``bucket`` ``POLL_BUCKETS``.  ``unjustified``
-    flags a dominated actual action (:func:`behavior.is_unjustified`) and
+    flags a dominated actual action (:func:`behavior.unjustified_rows`) and
     ``inconsistent`` a record contradicted by another of its voter's
     records (:func:`behavior.inconsistent_rows`).
     """
@@ -242,35 +243,24 @@ class RecordTable:
         if not by_voter:
             raise ValueError("cannot evaluate an empty dataset")
         records = [rec for recs in by_voter.values() for rec in recs]
-        n = np.array([rec.poll.n for rec in records], dtype=np.int64)
+        U, S, n, action = record_arrays(records)
         if (n < 1).any():
             raise ValueError(f"poll size must be positive, got {n[n < 1][0]}")
-        annotations = [
-            (
-                scenario_index(rec.utilities, rec.poll),
-                is_unjustified(rec.utilities, rec.poll, rec.action),
-            )
-            for rec in records
-        ]
-        scenario, unjustified = (np.array(col) for col in zip(*annotations))
-        U = np.array([rec.utilities.values for rec in records], dtype=float)
-        S = np.array([rec.poll.scores for rec in records], dtype=np.int64)
-        action = np.array([rec.action for rec in records])
         ends = np.cumsum([len(recs) for recs in by_voter.values()]).tolist()
         order = np.argsort(-U, axis=1, kind="stable")
         return cls(
             voter_ids=tuple(by_voter),
             voter=np.repeat(np.arange(len(by_voter)), np.diff([0, *ends])),
-            round=np.array([rec.round for rec in records]),
+            round=np.array([rec.round for rec in records], dtype=np.int64),
             n=n,
             U=U,
             S=S,
             action=action,
             order=order,
             rank=np.argsort(order, axis=1),
-            scenario=scenario,
+            scenario=scenario_ids(U, S),
             bucket=np.searchsorted(_BUCKET_EDGES, n, side="right"),
-            unjustified=unjustified,
+            unjustified=unjustified_rows(U, S, action),
             inconsistent=np.concatenate(
                 [inconsistent_rows(S[a:b], action[a:b]) for a, b in zip([0, *ends], ends)]
             ),

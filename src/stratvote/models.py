@@ -40,6 +40,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import pivot as pivot_mod
+from .behavior import poll_positions
 from .core import Candidate, Poll, UtilityFunction
 
 TMG_TYPES = ("TRT", "CMP", "LB")
@@ -144,12 +145,6 @@ def _as_rows(u: UtilityFunction, s: Poll) -> tuple[np.ndarray, np.ndarray, np.nd
     """One (u, s) as the ``U``, ``S`` and ``n`` arrays of :func:`decide_matrix`."""
     _check_shapes(u, s)
     return np.array([u.values], dtype=float), np.array([s.scores], dtype=np.int64), np.array([s.n])
-
-
-def _poll_positions(S: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """Poll position (0 leads, ties to the lower index) of each preference rank, shape (R, m)."""
-    ranking = np.argsort(-S, axis=1, kind="stable")
-    return np.argsort(ranking, axis=1)[np.arange(len(order))[:, None], order]
 
 
 def _possible_winners(S: np.ndarray, n: np.ndarray, radii: Sequence[float]) -> np.ndarray:
@@ -327,9 +322,9 @@ def decide_matrix(
     elif family is Family.TRUTH:
         rank = np.zeros((len(points), R), dtype=np.int64)
     elif family is Family.PRAG:
-        rank = _pragmatist_ranks([p["k"] for p in points], _poll_positions(S, order))
+        rank = _pragmatist_ranks([p["k"] for p in points], poll_positions(S, order))
     else:  # Family.TMG
-        rank = _tmg_ranks([p["voter_type"] for p in points], _poll_positions(S, order))
+        rank = _tmg_ranks([p["voter_type"] for p in points], poll_positions(S, order))
     return order[np.arange(R), rank].astype(np.int64, copy=False)
 
 

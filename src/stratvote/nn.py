@@ -15,7 +15,9 @@ network serves any candidate labeling.  Features, in order:
 The first 16 come from record columns
 (:func:`record_features`), the last 9 from a profile's summed ratio counts
 (:func:`features`).  :func:`predict_record` and :func:`fit_network` are the
-one-record and one-fold cases over record objects.
+one-record and one-fold cases over record objects, which they stack with
+:func:`behavior.record_arrays` and classify with one
+:func:`behavior.scenario_ids` call.
 
 All features lie in [-1, 1].  Hidden layer: 3 logistic units; output:
 softmax over the 3 ranks; training: full-batch gradient descent on
@@ -40,8 +42,8 @@ from typing import Sequence
 import numpy as np
 
 from .behavior import (
-    SCENARIOS, VOTER_TYPES, VoterProfile, build_profile, ratio_stats, scenario_index,
-    strict_preferences,
+    SCENARIOS, VOTER_TYPES, VoterProfile, build_profile, ratio_stats, record_arrays, scenario_ids,
+    strict_orders,
 )
 
 FEATURE_DIM = 25
@@ -87,15 +89,10 @@ def features(base: np.ndarray, available, selected) -> np.ndarray:
 
 def _columns(records: Sequence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Record features, preference orders and action ranks of records."""
-    order = np.array([strict_preferences(rec.utilities) for rec in records])
-    base = record_features(
-        np.array([rec.poll.scores for rec in records], dtype=np.int64),
-        np.array([rec.poll.n for rec in records]),
-        order,
-        np.array([scenario_index(rec.utilities, rec.poll) for rec in records]),
-    )
-    ranks = np.argsort(order, axis=1)[np.arange(len(records)), [rec.action for rec in records]]
-    return base, order, ranks
+    U, S, n, action = record_arrays(records)
+    order = strict_orders(U)
+    base = record_features(S, n, order, scenario_ids(U, S))
+    return base, order, np.argsort(order, axis=1)[np.arange(len(action)), action]
 
 
 @dataclass

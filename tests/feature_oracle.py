@@ -8,6 +8,9 @@ rows from record columns and summed ratio counts (``behavior.ratio_counts``,
 ``behavior.ratio_stats``), and the tests check them against these, bit for
 bit.  ``find_inconsistent`` compares a voter's records pair by pair, the
 definition ``behavior.inconsistent_rows`` computes from score arrays.
+``classify_scenario`` and ``is_unjustified`` classify one record at a time,
+the definitions ``behavior.scenario_ids`` and ``behavior.unjustified_rows``
+compute from (R, m) arrays.
 """
 
 from __future__ import annotations
@@ -19,12 +22,58 @@ from stratvote.behavior import (
     SCENARIOS,
     TRT_THRESHOLD,
     VOTER_TYPES,
-    scenario_or_none,
 )
-from stratvote.core import Poll, UtilityFunction, preference_order
+from stratvote.core import Candidate, Poll, UtilityFunction, preference_order
 from stratvote.nn import FEATURE_DIM
 
 RATIO_KEYS = ("TRT", "CMP", "LB")
+
+# Poll order of (Q, Q', Q''), best first, as preference ranks.
+_ORDER_TO_SCENARIO = {
+    (0, 1, 2): "A",
+    (0, 2, 1): "B",
+    (1, 0, 2): "C",
+    (2, 0, 1): "D",
+    (1, 2, 0): "E",
+    (2, 1, 0): "F",
+}
+
+
+def strict_preferences(u: UtilityFunction) -> tuple[int, ...]:
+    """The preference order of ``u``; raises ``ValueError`` if utilities tie."""
+    if len(set(u.values)) != u.m:
+        raise ValueError(f"utilities must be strictly ordered, got {u.values}")
+    return preference_order(u.values)
+
+
+def classify_scenario(u: UtilityFunction, s: Poll) -> str:
+    """Scenario label A-F for a three-candidate record.
+
+    Requires strictly ordered utilities and pairwise distinct scores for the
+    three candidates; raises ``ValueError`` otherwise (tied polls are handled
+    by :func:`scenario_or_none`).
+    """
+    if u.m != 3 or s.m != 3:
+        raise ValueError("scenarios are defined for exactly three candidates")
+    prefs = strict_preferences(u)
+    if len(set(s.scores)) != 3:
+        raise ValueError(f"tied poll {s.scores} has no scenario")
+    rank_of = {c: rank for rank, c in enumerate(prefs)}
+    by_score = sorted(range(3), key=lambda c: -s.scores[c])
+    return _ORDER_TO_SCENARIO[tuple(rank_of[c] for c in by_score)]
+
+
+def scenario_or_none(u: UtilityFunction, s: Poll) -> str | None:
+    """Like :func:`classify_scenario` but ``None`` for tied or unrankable inputs."""
+    try:
+        return classify_scenario(u, s)
+    except ValueError:
+        return None
+
+
+def is_unjustified(u: UtilityFunction, s: Poll, action: Candidate) -> bool:
+    """True when some candidate is both strictly preferred and weakly ahead."""
+    return any(u[c] > u[action] and s.scores[c] >= s.scores[action] for c in range(s.m))
 
 
 def action_ratios(records) -> dict[str, float]:

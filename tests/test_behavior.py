@@ -1,22 +1,31 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import feature_oracle
 from stratvote import behavior
 from stratvote.behavior import (
     RATIO_ACTIONS,
+    SCENARIO_LABELS,
+    SCENARIO_ORDER_TEXT,
     SCENARIOS,
+    UNCLASSIFIED,
     VOTER_TYPES,
     build_profile,
-    classify_scenario,
     inconsistent_rows,
     is_unjustified,
+    ratio_counts,
     ratio_stats,
+    scenario_ids,
     scenario_or_none,
+    strict_orders,
+    unjustified_rows,
 )
 from stratvote.core import Poll, UtilityFunction, preference_order
 from stratvote.data import Dataset, VoteRecord
-from feature_oracle import find_inconsistent
+from feature_oracle import classify_scenario, find_inconsistent
 from stratvote.evaluation import RecordTable
 
 U = UtilityFunction((10.0, 5.0, 0.0))
@@ -59,6 +68,25 @@ strict_u3 = st.permutations([10.0, 5.0, 0.0]).map(lambda v: UtilityFunction(tupl
 strict_s3 = st.permutations([30, 50, 80]).map(lambda v: Poll.from_scores(tuple(v)))
 
 
+INT64_MAX = 2**63 - 1
+
+# Few distinct utilities and scores, so ties (-0.0 against 0.0 among them)
+# are common; scores reach the int64 limit the loader accepts.
+utility = st.sampled_from([0.0, -0.0, 1.0, 2.5, 10.0]) | st.floats(0.0, 100.0)
+score = st.integers(0, 3) | st.just(INT64_MAX) | st.integers(0, INT64_MAX)
+drawn_records = st.sampled_from([2, 3, 3, 4, 5]).flatmap(
+    lambda m: st.lists(
+        st.tuples(
+            st.lists(utility, min_size=m, max_size=m),
+            st.lists(score, min_size=m, max_size=m),
+            st.integers(0, m - 1),
+        ),
+        min_size=1,
+        max_size=10,
+    )
+)
+
+
 class TestScenario:
     def test_examples(self):
         assert classify_scenario(U, Poll.from_scores((80, 50, 30))) == "A"
@@ -70,6 +98,7 @@ class TestScenario:
                 "D": (50, 30, 80), "E": (30, 80, 50), "F": (30, 50, 80)}
         for label, scores in want.items():
             assert classify_scenario(U, Poll.from_scores(scores)) == label
+            assert scenario_or_none(U, Poll.from_scores(scores)) == label
 
     def test_tied_poll_rejected(self):
         with pytest.raises(ValueError):
@@ -86,6 +115,54 @@ class TestScenario:
         prefs = preference_order(u.values)
         ranked_scores = tuple(s.scores[c] for c in prefs)
         assert classify_scenario(U, Poll.from_scores(ranked_scores)) == label
+
+    @settings(deadline=None)
+    @given(drawn_records)
+    def test_array_classifiers_equal_the_record_oracle(self, drawn):
+        recs = [(UtilityFunction(tuple(u)), Poll(tuple(s), 1), a) for u, s, a in drawn]
+        U_ = np.array([u.values for u, _, _ in recs])
+        S = np.array([s.scores for _, s, _ in recs], dtype=np.int64)
+        action = np.array([a for _, _, a in recs])
+        want = [feature_oracle.scenario_or_none(u, s) for u, s, _ in recs]
+        assert [SCENARIO_LABELS[i] for i in scenario_ids(U_, S)] == [
+            label or UNCLASSIFIED for label in want
+        ]
+        assert [scenario_or_none(u, s) for u, s, _ in recs] == want
+        dominated = [
+            any(u[c] > u[a] and s.scores[c] >= s.scores[a] for c in range(s.m))
+            for u, s, a in recs
+        ]
+        assert unjustified_rows(U_, S, action).tolist() == dominated
+        assert [is_unjustified(u, s, a) for u, s, a in recs] == dominated
+
+    def test_order_text_is_pinned(self):
+        assert SCENARIO_ORDER_TEXT == {
+            "A": "Q > Q' > Q''",
+            "B": "Q > Q'' > Q'",
+            "C": "Q' > Q > Q''",
+            "D": "Q'' > Q > Q'",
+            "E": "Q' > Q'' > Q",
+            "F": "Q'' > Q' > Q",
+        }
+
+    def test_available_actions_are_pinned(self):
+        # Rows A-F and UNCLASSIFIED; columns TRT, CMP (E, F) and LB (C, E).
+        want = [[1, 0, 0], [1, 0, 0], [1, 0, 1], [1, 0, 0], [1, 1, 1], [1, 1, 0], [1, 0, 0]]
+        scenario = np.arange(len(SCENARIO_LABELS))
+        available, truthful = ratio_counts(scenario, np.zeros(len(scenario), dtype=int))
+        assert available.tolist() == want
+        assert truthful.tolist() == [[1, 0, 0]] * len(scenario)
+        _, second = ratio_counts(scenario, np.ones(len(scenario), dtype=int))
+        assert second.tolist() == [[0, *row[1:]] for row in want]
+
+    @pytest.mark.parametrize(
+        "values, text", [((5.0, 5.0, 0.0), "(5.0, 5.0, 0.0)"), ((0.0, 1.0, -0.0), "(0.0, 1.0, -0.0)")]
+    )
+    def test_tied_utilities_have_no_strict_order(self, values, text):
+        rows = np.array([[3.0, 2.0, 1.0], values])
+        with pytest.raises(ValueError, match=rf"^utilities must be strictly ordered, got {re.escape(text)}$"):
+            strict_orders(rows)
+        assert strict_orders(rows[:1]).tolist() == [[0, 1, 2]]
 
 
 class TestUnjustified:

@@ -106,6 +106,32 @@ class TestSimulate:
         assert code == 2
         assert "data error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"groups": [{"family": "PRAG", "params": {"k": {"type": "value", "value": 0}}}]},
+            {"groups": [{"family": "LD"}]},
+            {"groups": [{"family": "AU", "params": {
+                "alpha": {"type": "uniform", "low": 0, "high": 5},
+                "beta": {"type": "value", "value": 1},
+            }}]},
+            {"poll_sizes": [[10**20, 1]]},
+            {"rewards": [10, 5, -1]},
+        ],
+        ids=["prag-k-0", "ld-without-r", "au-alpha-above-2", "poll-size-above-int64", "negative-reward"],
+    )
+    def test_bad_configs_are_data_errors(self, tmp_path, changes, capsys):
+        # Each used to end in an internal error (exit 3).
+        config = {"num_voters": 4, "rounds_per_voter": 2, "groups": [{"family": "TRUTH"}]}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**config, **changes}))
+        code = main(["simulate", "--config", str(path), "--seed", "1", "--out", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "data error" in err
+        if "groups" in changes:
+            assert f"group {changes['groups'][0]['family']} drew a bad model for voter v" in err
+
     def test_missing_config_file(self, tmp_path):
         code = main(
             ["simulate", "--config", str(tmp_path / "nope.json"), "--seed", "1", "--out", str(tmp_path)]
@@ -267,6 +293,34 @@ class TestEvaluate:
              "--out", str(tmp_path / "r")]
         )
         assert code == 0
+
+    @pytest.mark.parametrize("family", [f.value for f in Family])
+    def test_round_above_int64_is_a_data_error_naming_the_row(self, tmp_path, family, capsys):
+        # NN used to end in an internal error on the table's object round column.
+        data = write_rows(
+            tmp_path,
+            "v1,100000000000000000000,100,50,30,20,10,5,0,q1\n"
+            "v1,1,100,50,30,20,10,5,0,q2\nv1,2,100,20,30,50,10,5,0,q2\n",
+        )
+        code = main(
+            ["evaluate", "--data", str(data), "--families", family, "--out", str(tmp_path / "r")]
+        )
+        assert code == 2
+        assert "row 1: round 100000000000000000000 is above 2**63 - 1" in capsys.readouterr().err
+
+    def test_round_at_int64_limit_evaluates_nn_and_is_held_exactly(self, tmp_path):
+        top = 2**63 - 1
+        data = write_rows(
+            tmp_path,
+            f"v1,{top},100,50,30,20,10,5,0,q1\nv1,1,100,50,30,20,10,5,0,q2\n"
+            "v1,2,100,20,30,50,10,5,0,q2\n",
+        )
+        table = RecordTable.from_dataset(load_dataset(data))
+        assert table.round.dtype == np.int64 and table.round.tolist() == [1, 2, top]
+        out = tmp_path / "r"
+        assert main(["evaluate", "--data", str(data), "--families", "NN", "--out", str(out)]) == 0
+        report = json.loads((out / "loo_NN_report.json").read_text())
+        assert [row["round"] for row in report["predictions"]] == [1, 2, top]
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_non_positive_jobs_is_a_usage_error(self, tmp_path, small_dataset, jobs, capsys):
@@ -501,7 +555,7 @@ class TestExitCodes:
         assert "internal error" in capsys.readouterr().err
 
 
-# The largest poll size and score the loader accepts.
+# The largest round, poll size and score the loader accepts.
 INT64_MAX = 2**63 - 1
 
 
@@ -510,7 +564,8 @@ def accepted_csvs(draw):
     """CSV text the loader accepts: m in {2, ..., 6}, strict utilities.
 
     m = 5 and 6 take CV through the exact kernel's nested sums.  n is at
-    most 30 or the int64 limit, and a score at most n or that limit.
+    most 30 or the int64 limit, and a score at most n or that limit.  A
+    voter's rounds are distinct and reach that limit too.
     """
     m = draw(st.integers(min_value=2, max_value=6))
     header = "voter_id,round,n," + ",".join(
@@ -518,7 +573,9 @@ def accepted_csvs(draw):
     ) + ",action\n"
     rows = []
     for voter in range(draw(st.integers(min_value=1, max_value=3))):
-        for rnd in range(draw(st.integers(min_value=1, max_value=4))):
+        rounds = st.integers(min_value=0, max_value=30) | st.just(INT64_MAX)
+        count = draw(st.integers(min_value=1, max_value=4))
+        for rnd in draw(st.lists(rounds, min_size=count, max_size=count, unique=True)):
             n = draw(st.integers(min_value=1, max_value=30) | st.just(INT64_MAX))
             score = st.integers(min_value=0, max_value=min(n, 30)) | st.just(INT64_MAX)
             scores = draw(st.lists(score, min_size=m, max_size=m))

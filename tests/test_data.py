@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stratvote.behavior import SCENARIOS, classify_scenario
+from stratvote.behavior import SCENARIOS
 from stratvote.core import Poll, UtilityFunction, preference_order
 from stratvote.data import (
     DataError,
@@ -17,6 +17,7 @@ from stratvote.data import (
     save_dataset,
 )
 from stratvote.models import Family, ModelDescriptor, decide
+from feature_oracle import classify_scenario
 
 HEADER = "voter_id,round,n,s_1,s_2,s_3,u_1,u_2,u_3,action\n"
 

@@ -13,8 +13,6 @@ from stratvote.behavior import (
     SCENARIOS,
     UNCLASSIFIED,
     build_profile,
-    is_unjustified,
-    scenario_or_none,
 )
 from stratvote.core import Poll, UtilityFunction, preference_order
 from stratvote.data import (
@@ -39,7 +37,7 @@ from stratvote.evaluation import (
     parameter_distribution,
     upper_bound_evaluate,
 )
-from feature_oracle import find_inconsistent
+from feature_oracle import find_inconsistent, is_unjustified, scenario_or_none
 from scalar_deciders import decide_au
 from test_cli import workload_configs
 from stratvote.models import DecisionContext, Family, decide_matrix
