@@ -19,6 +19,7 @@ from stratvote.data import (
     format_action,
     generate_synthetic,
     load_dataset,
+    save_dataset,
 )
 from stratvote.evaluation import ParameterGrid, RecordTable, loo_evaluate
 from stratvote.models import Family
@@ -419,20 +420,35 @@ class TestPredict:
             "v1,1,q1",
         ]
 
-    def test_params_route_uses_fitted_parameters(self, tmp_path, small_dataset):
-        rep = tmp_path / "rep"
-        main(["evaluate", "--data", str(small_dataset), "--families", "LD", "--out", str(rep)])
-        out = tmp_path / "pred.csv"
-        code = main(
-            [
-                "predict", "--data", str(small_dataset),
-                "--params", str(rep / "loo_LD_report.json"), "--out", str(out),
-            ]
-        )
-        assert code == 0
-        rows = out.read_text().splitlines()
-        assert rows[0] == "voter_id,round,predicted"
-        assert len(rows) == 25
+    def test_params_route_uses_fitted_parameters(self, tmp_path):
+        # An upper-bound report predicts every record with its voter's fitted
+        # point, so predict --params on it writes exactly its predictions.
+        from test_evaluation import mixed_dataset
+
+        grid_families = [f.value for f in Family if f is not Family.NN]
+        cases = [
+            (mixed_dataset(1, 3), grid_families),  # tied polls
+            (mixed_dataset(3, 4), [f for f in grid_families if f != "TMG"]),
+        ]
+        for case, (dataset, families) in enumerate(cases):
+            data, _ = save_dataset(dataset, tmp_path / f"data{case}")
+            rep = tmp_path / f"rep{case}"
+            assert main(
+                ["evaluate", "--data", str(data), "--families", ",".join(families),
+                 "--mode", "upper", "--cv-etas", "1,4,16,n", "--out", str(rep)]
+            ) == 0
+            for family in families:
+                report = json.loads((rep / f"upper_{family}_report.json").read_text())
+                out = tmp_path / f"pred{case}_{family}.csv"
+                assert main(
+                    ["predict", "--data", str(data),
+                     "--params", str(rep / f"upper_{family}_report.json"), "--out", str(out)]
+                ) == 0
+                want = [
+                    f"{row['voter_id']},{row['round']},{format_action(row['predicted'])}"
+                    for row in report["predictions"]
+                ]
+                assert out.read_text().splitlines() == ["voter_id,round,predicted", *want], family
 
     def test_needs_exactly_one_of_model_and_params(self, tmp_path, small_dataset, capsys):
         out = str(tmp_path / "pred.csv")
