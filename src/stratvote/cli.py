@@ -1,5 +1,10 @@
 """Command line front end: simulate datasets, evaluate families, predict.
 
+``predict`` decides every record with one parameter point (--model) or with
+each voter's fitted point from an evaluation report (--params); on an
+``upper`` report that reproduces the report's predictions.  NN is trained
+and scored only by ``evaluate``.
+
 Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.
 ``STRATVOTE_SEED`` is consulted when --seed is omitted from simulate or
 evaluate.
@@ -15,8 +20,8 @@ import os
 import sys
 from pathlib import Path
 
-from . import models, nn as nn_mod
-from .behavior import SCENARIO_ORDER_TEXT, SCENARIOS, UNCLASSIFIED, build_profile
+from . import models
+from .behavior import SCENARIO_ORDER_TEXT, SCENARIOS, UNCLASSIFIED
 from .data import (
     DataError,
     GeneratorConfig,
@@ -321,10 +326,6 @@ def _load_params(path: str) -> tuple[Family, dict]:
         family = Family(spec["family"])
     except (KeyError, TypeError, ValueError):
         raise DataError(f"parameter file {path} lacks a known 'family' entry")
-    if family is Family.NN:
-        raise DataError(
-            "NN reports carry no per-voter parameters; use --model NN --network"
-        )
     fitted = spec.get("fitted_params", {})
     if not isinstance(fitted, dict):
         raise DataError(f"parameter file {path}: 'fitted_params' must map voter ids to parameters")
@@ -353,31 +354,33 @@ def cmd_predict(args: argparse.Namespace) -> int:
     else:
         family, fitted = _load_params(args.params)
     if family is Family.NN:
-        if not args.network:
-            raise UsageError("--model NN needs --network with trained weights")
-        try:
-            network = nn_mod.Network.from_dict(_load_json(args.network, "network file"))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"invalid network file {args.network}: {exc}")
-        profiles = {vid: build_profile(vid, recs) for vid, recs in dataset.by_voter().items()}
+        raise UsageError("predict cannot apply NN: evaluate trains and scores its networks")
 
+    table = RecordTable.from_dataset(dataset)
     ctx = DecisionContext(pivot_cache={})
-    rows: list[list] = []
-    for rec in sorted(dataset.records, key=lambda r: (r.voter_id, r.round)):
-        desc = descriptor if args.model else _descriptor_from_params(family, fitted, rec.voter_id)
+    predicted: list[int] = []
+    for rows in table.voter_rows():
+        vid = table.voter_ids[table.voter[rows.start]]
+        desc = descriptor if args.model else _descriptor_from_params(family, fitted, vid)
         try:
-            if family is Family.NN:
-                predicted = nn_mod.predict_record(network, profiles[rec.voter_id], rec)
-            else:
-                predicted = models.decide(desc, rec.utilities, rec.poll, ctx)
+            D = models.decide_matrix(
+                family, (desc.params(),), table.U[rows], table.S[rows], table.n[rows], ctx
+            )
         except ValueError as exc:
             raise DataError(f"cannot apply {family.value} to this dataset: {exc}")
-        rows.append([rec.voter_id, rec.round, format_action(predicted)])
+        predicted.extend(D[0].tolist())
 
     out = Path(args.out)
     if out.parent and not out.parent.exists():
         out.parent.mkdir(parents=True, exist_ok=True)
-    _write_csv(out, ["voter_id", "round", "predicted"], rows)
+    _write_csv(
+        out,
+        ["voter_id", "round", "predicted"],
+        [
+            [table.voter_ids[voter], round_, format_action(c)]
+            for voter, round_, c in zip(table.voter.tolist(), table.round.tolist(), predicted)
+        ],
+    )
     print(f"wrote {out}")
     return EXIT_OK
 
@@ -417,7 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
     pred.add_argument("--voter-type", dest="voter_type", default=None)
     pred.add_argument("--alpha", type=float, default=None)
     pred.add_argument("--beta", type=float, default=None)
-    pred.add_argument("--network", default=None, help="trained network JSON (NN only)")
     pred.set_defaults(func=cmd_predict)
     return parser
 

@@ -10,7 +10,7 @@ LD      local dominance within a score-uncertainty radius.
 LDLB    local dominance with a leader bias when no tie is deemed possible.
 TMG     fixed voter types: truthful / compromiser / leader-biased (m=3).
 AU      multiplicative utility-attainability trade-off.
-NN      learned baseline (see ``nn``); requires a trained network.
+NN      learned baseline (see ``nn``); only ``evaluate`` trains and scores it.
 
 Every family but NN has one decision path, :func:`decide_matrix`, which
 decides a whole parameter grid over a batch of records (utilities and poll
@@ -19,8 +19,8 @@ scores as (R, m) arrays); :func:`decide_grid` is its one-record case and
 and AU decide in array operations.  The tests' oracle,
 ``tests/scalar_deciders.py``, states each of these families' definition
 candidate by candidate, and the tests check the array code against it.  CV
-decides record by record.  NN is a trained network, not a grid family: it
-predicts through :func:`nn.predict_record`.
+decides record by record.  NN is not a grid family: ``evaluate`` trains
+one network per fold and predicts with it (``evaluation._predict_nn``).
 
 All deciders are deterministic functions of their inputs and parameters:
 CV too, since its pivot tables depend only on the poll's scores and eta

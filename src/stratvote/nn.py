@@ -17,7 +17,9 @@ The first 16 come from record columns
 (:func:`features`).  :func:`predict_record` and :func:`fit_network` are the
 one-record and one-fold cases over record objects, which they stack with
 :func:`behavior.record_arrays` and classify with one
-:func:`behavior.scenario_ids` call.
+:func:`behavior.scenario_ids` call.  Networks live only inside
+``evaluate``, which trains and scores them and writes none to disk, so a
+:class:`Network` has no serialised form.
 
 All features lie in [-1, 1].  Hidden layer: 3 logistic units; output:
 softmax over the 3 ranks; training: full-batch gradient descent on
@@ -121,23 +123,6 @@ class Network:
     @property
     def input_dim(self) -> int:
         return self.w1.shape[1]
-
-    def to_dict(self) -> dict:
-        return {
-            "w1": self.w1.tolist(),
-            "b1": self.b1.tolist(),
-            "w2": self.w2.tolist(),
-            "b2": self.b2.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, spec: dict) -> "Network":
-        return cls(
-            w1=np.array(spec["w1"], dtype=float),
-            b1=np.array(spec["b1"], dtype=float),
-            w2=np.array(spec["w2"], dtype=float),
-            b2=np.array(spec["b2"], dtype=float),
-        )
 
 
 @dataclass(frozen=True)

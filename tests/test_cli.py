@@ -9,7 +9,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from stratvote import cli
-from stratvote.behavior import build_profile
 from stratvote.cli import main
 from stratvote.core import Poll, UtilityFunction
 from stratvote.data import (
@@ -23,7 +22,6 @@ from stratvote.data import (
 )
 from stratvote.evaluation import ParameterGrid, RecordTable, loo_evaluate
 from stratvote.models import Family
-from stratvote.nn import FEATURE_DIM, init_network, predict_record
 
 HEADER = "voter_id,round,n,s_1,s_2,s_3,u_1,u_2,u_3,action\n"
 EX1_HEADER = "voter_id,round,n," + ",".join(
@@ -485,30 +483,18 @@ class TestPredict:
         assert code == 2
         assert "cannot apply TMG" in capsys.readouterr().err
 
-    def test_nn_model_requires_network_weights(self, tmp_path, small_dataset):
-        code = main(
-            ["predict", "--data", str(small_dataset), "--model", "NN", "--out", str(tmp_path / "p.csv")]
-        )
-        assert code == 1
-
-    def test_nn_model_predicts_each_record_from_its_voters_profile(self, tmp_path, small_dataset):
-        net = init_network(FEATURE_DIM, seed=4)
-        network = tmp_path / "net.json"
-        network.write_text(json.dumps(net.to_dict()))
-        out = tmp_path / "p.csv"
-        assert main(
-            [
-                "predict", "--data", str(small_dataset), "--model", "NN",
-                "--network", str(network), "--out", str(out),
-            ]
-        ) == 0
-        want = [
-            f"{vid},{rec.round},{format_action(predict_record(net, build_profile(vid, recs), rec))}"
-            for vid, recs in load_dataset(small_dataset).by_voter().items()
-            for rec in recs
-        ]
-        assert out.read_text().splitlines() == ["voter_id,round,predicted", *want]
-        assert len({row.rsplit(",", 1)[1] for row in want}) > 1
+    def test_nn_model_requires_network_weights(self, tmp_path, small_dataset, capsys):
+        # No command writes a network: evaluate trains and scores NN itself.
+        rep = tmp_path / "rep"
+        assert main(["evaluate", "--data", str(small_dataset), "--families", "NN", "--out", str(rep)]) == 0
+        out = str(tmp_path / "p.csv")
+        capsys.readouterr()
+        for route in (["--model", "NN"], ["--params", str(rep / "loo_NN_report.json")]):
+            assert main(["predict", "--data", str(small_dataset), *route, "--out", out]) == 1
+            assert capsys.readouterr().err == (
+                "usage error: predict cannot apply NN: evaluate trains and scores its networks\n"
+            )
+        assert not Path(out).exists()
 
 
 SAMPLER = {"type": "value", "value": 3}
@@ -524,7 +510,6 @@ MALFORMED_JSON = {
         "--config",
         {"num_voters": 2, "rounds_per_voter": 2, "groups": [{"family": "AU", "params": [1]}]},
     ),
-    "network_weights_are_flat": ("--network", {"w1": [1], "b1": [1], "w2": [[1]], "b2": [1]}),
     "voter_count_is_a_fraction": (
         "--config", {"num_voters": 2.5, "rounds_per_voter": 2, "groups": [{"family": "TRUTH"}]},
     ),
@@ -541,8 +526,7 @@ def test_malformed_json_input_is_a_data_error_naming_the_file(
     if flag == "--config":
         argv = ["simulate", "--config", str(path), "--seed", "1", "--out", out]
     else:
-        model = ["--model", "NN"] if flag == "--network" else []
-        argv = ["predict", "--data", str(small_dataset), *model, flag, str(path), "--out", out]
+        argv = ["predict", "--data", str(small_dataset), flag, str(path), "--out", out]
     capsys.readouterr()
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -618,10 +602,18 @@ class TestFuzz:
                  "--cv-etas", "1,4,n" if small else "1,4", "--out", str(Path(tmp) / "r")]
                 for family in Family
             ]
-            runs.append(
-                ["predict", "--data", str(data), "--model", "PRAG", "--k", "1",
-                 "--out", str(Path(tmp) / "p.csv")]
-            )
+            for model in (
+                ["PRAG", "--k", "1"],
+                ["AU", "--alpha", "1.8", "--beta", "30"],
+                ["CV", "--eta", "4"],
+                ["LD", "--r", "0.1"],
+                ["BR"],
+                ["TMG", "--voter-type", "LB"],
+            ):
+                runs.append(
+                    ["predict", "--data", str(data), "--model", *model,
+                     "--out", str(Path(tmp) / "p.csv")]
+                )
             for argv in runs:
                 err = io.StringIO()
                 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):

@@ -326,18 +326,12 @@ def oracle_rows(records, profile_records):
 
 
 class TestNetwork:
-    def test_serialization_round_trip(self):
-        net = init_network(FEATURE_DIM, seed=3)
-        back = Network.from_dict(net.to_dict())
-        for name in ("w1", "b1", "w2", "b2"):
-            assert np.array_equal(getattr(net, name), getattr(back, name))
-
     def test_rejects_non_finite(self):
         net = init_network(4, seed=0)
-        bad = net.to_dict()
-        bad["w1"][0][0] = float("nan")
-        with pytest.raises(ValueError):
-            Network.from_dict(bad)
+        w1 = net.w1.copy()
+        w1[0, 0] = float("nan")
+        with pytest.raises(ValueError, match="non-finite values in w1"):
+            Network(w1=w1, b1=net.b1, w2=net.w2, b2=net.b2)
 
     def test_rejects_inconsistent_shapes(self):
         with pytest.raises(ValueError):
