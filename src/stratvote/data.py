@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import csv
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -334,8 +336,8 @@ class PopulationGroup:
     params: Mapping[str, ParamSampler] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.weight < 0:
-            raise ValueError("group weight must be non-negative")
+        if not 0.0 <= self.weight < np.inf:
+            raise ValueError(f"group weight must be finite and non-negative, got {self.weight!r}")
         if self.family is Family.NN:
             raise ValueError("the learned baseline cannot generate data")
 
@@ -408,19 +410,16 @@ class GeneratorConfig:
             raise ValueError("need at least one round per voter")
         if not self.groups:
             raise ValueError("population mix is empty")
-        if sum(g.weight for g in self.groups) <= 0:
-            raise ValueError("population weights sum to zero")
-        if not self.poll_sizes or any(n < 2 or w < 0 for n, w in self.poll_sizes):
-            raise ValueError("poll sizes must be >= 2 with non-negative weights")
+        _check_weights("groups", [g.weight for g in self.groups])
+        if not self.poll_sizes or any(n < 2 for n, _ in self.poll_sizes):
+            raise ValueError("poll sizes must be >= 2")
         if any(n > _MAX_COUNT for n, _ in self.poll_sizes):
             raise ValueError("poll sizes must be at most 2**63 - 1")
-        if sum(w for _, w in self.poll_sizes) <= 0:
-            raise ValueError("poll size weights sum to zero")
+        _check_weights("poll_sizes", [w for _, w in self.poll_sizes])
         unknown = set(self.scenario_weights) - set(SCENARIOS)
         if unknown:
             raise ValueError(f"unknown scenarios {sorted(unknown)}")
-        if sum(self.scenario_weights.values()) <= 0:
-            raise ValueError("scenario weights sum to zero")
+        _check_weights("scenario_weights", list(self.scenario_weights.values()))
         if self.scenario_mode not in ("sample", "cycle"):
             raise ValueError(f"unknown scenario_mode {self.scenario_mode!r}")
         if self.poll_size_mode not in ("per_voter", "per_round"):
@@ -431,10 +430,10 @@ class GeneratorConfig:
             raise ValueError("rewards must be three distinct values")
         if not all(0.0 <= r < np.inf for r in self.rewards):
             raise ValueError("rewards must be finite and non-negative")
-        if not self.poll_concentrations or any(
-            c <= 0 for c in self.poll_concentrations
+        if not self.poll_concentrations or not all(
+            0.0 < c < np.inf for c in self.poll_concentrations
         ):
-            raise ValueError("poll concentrations must be positive")
+            raise ValueError("poll_concentrations must be finite and positive")
         if self.repeats < 1:
             raise ValueError("repeats must be at least 1")
 
@@ -473,6 +472,15 @@ class GeneratorConfig:
                 float(c) for c in spec["poll_concentrations"]
             )
         return cls(**kwargs)
+
+
+def _check_weights(name: str, weights: Sequence[float]) -> None:
+    """Sampling weights must be finite and non-negative, with a positive, finite sum."""
+    for w in weights:
+        if not 0.0 <= w < np.inf:
+            raise ValueError(f"{name}: weights must be finite and non-negative, got {w!r}")
+    if not 0.0 < sum(weights) < np.inf:
+        raise ValueError(f"{name}: weights must have a positive, finite sum")
 
 
 _MAX_POLL_TRIES = 1000
@@ -527,10 +535,10 @@ def _scenario_schedule(
     weights = [config.scenario_weights[s] for s in labels]
     if config.scenario_mode == "sample":
         return [_weighted_pick(rng, labels, weights) for _ in range(count)]
-    expanded: list[str] = []
-    for label, w in zip(labels, weights):
-        expanded.extend([label] * max(1, int(round(w))))
-    return [expanded[k % len(expanded)] for k in range(count)]
+    # Round-robin over each label repeated max(1, round(w)) times, dealt from
+    # the cumulative multiplicities: the repeated list may be huge.
+    ends = list(accumulate(max(1, int(round(w))) for w in weights))
+    return [labels[bisect_right(ends, k % ends[-1])] for k in range(count)]
 
 
 def generate_synthetic(config: GeneratorConfig) -> Dataset:

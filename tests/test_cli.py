@@ -106,30 +106,63 @@ class TestSimulate:
         assert "data error" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "changes",
+        "changes, message",
         [
-            {"groups": [{"family": "PRAG", "params": {"k": {"type": "value", "value": 0}}}]},
-            {"groups": [{"family": "LD"}]},
-            {"groups": [{"family": "AU", "params": {
-                "alpha": {"type": "uniform", "low": 0, "high": 5},
-                "beta": {"type": "value", "value": 1},
-            }}]},
-            {"poll_sizes": [[10**20, 1]]},
-            {"rewards": [10, 5, -1]},
+            (
+                {"groups": [{"family": "PRAG", "params": {"k": {"type": "value", "value": 0}}}]},
+                "group PRAG drew a bad model for voter v",
+            ),
+            ({"groups": [{"family": "LD"}]}, "group LD drew a bad model for voter v"),
+            (
+                {"groups": [{"family": "AU", "params": {
+                    "alpha": {"type": "uniform", "low": 0, "high": 5},
+                    "beta": {"type": "value", "value": 1},
+                }}]},
+                "group AU drew a bad model for voter v",
+            ),
+            ({"poll_sizes": [[10**20, 1]]}, "poll sizes must be at most 2**63 - 1"),
+            ({"rewards": [10, 5, -1]}, "rewards must be finite and non-negative"),
+            # JSON reads a bare NaN or Infinity.  Each of these used to exit 0,
+            # quietly picking the last item or dropping a label, or exit 3.
+            ({"poll_sizes": [[8, float("nan")], [100, 1]]}, "poll_sizes: weights must be finite"),
+            ({"poll_sizes": [[8, float("inf")], [100, 1]]}, "poll_sizes: weights must be finite"),
+            (
+                {"poll_sizes": [[8, 1e308], [100, 1e308]]},
+                "poll_sizes: weights must have a positive, finite sum",
+            ),
+            (
+                {"groups": [{"family": "TRUTH", "weight": float("nan")}, {"family": "BR"}]},
+                "group weight must be finite and non-negative",
+            ),
+            (
+                {"scenario_weights": {"A": float("nan"), "B": 1}},
+                "scenario_weights: weights must be finite",
+            ),
+            ({"scenario_weights": {"A": -1, "B": 1}}, "scenario_weights: weights must be finite"),
+            (
+                {"scenario_mode": "cycle", "scenario_weights": {"A": float("inf")}},
+                "scenario_weights: weights must be finite",
+            ),
+            ({"poll_concentrations": [float("nan")]}, "poll_concentrations must be finite"),
+            ({"poll_concentrations": [float("inf")]}, "poll_concentrations must be finite"),
         ],
-        ids=["prag-k-0", "ld-without-r", "au-alpha-above-2", "poll-size-above-int64", "negative-reward"],
+        ids=[
+            "prag-k-0", "ld-without-r", "au-alpha-above-2", "poll-size-above-int64", "negative-reward",
+            "poll-size-weight-nan", "poll-size-weight-inf", "poll-size-weights-overflow",
+            "group-weight-nan", "scenario-weight-nan", "scenario-weight-negative",
+            "cycle-scenario-weight-inf", "concentration-nan", "concentration-inf",
+        ],
     )
-    def test_bad_configs_are_data_errors(self, tmp_path, changes, capsys):
-        # Each used to end in an internal error (exit 3).
+    def test_bad_configs_are_data_errors(self, tmp_path, changes, message, capsys):
+        # Each used to end in an internal error (exit 3) or in a dataset that
+        # ignored the bad value.
         config = {"num_voters": 4, "rounds_per_voter": 2, "groups": [{"family": "TRUTH"}]}
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({**config, **changes}))
         code = main(["simulate", "--config", str(path), "--seed", "1", "--out", str(tmp_path / "x")])
         assert code == 2
         err = capsys.readouterr().err
-        assert "data error" in err
-        if "groups" in changes:
-            assert f"group {changes['groups'][0]['family']} drew a bad model for voter v" in err
+        assert err.startswith("data error:") and message in err
 
     def test_missing_config_file(self, tmp_path):
         code = main(

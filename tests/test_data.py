@@ -299,6 +299,15 @@ class TestGenerate:
             seen = {classify_scenario(r.utilities, r.poll) for r in recs}
             assert seen == set(SCENARIOS)
 
+    def test_scenario_cycle_deals_rounded_multiplicities(self):
+        # round(2.5) is 2, a weight below 0.5 still deals once, and a weight
+        # of 1e12 deals without a list of that many labels.
+        weights = {"A": 2.5, "C": 0.2, "D": 1e12, "F": 0.0}
+        config = truth_config(rounds_per_voter=6, scenario_mode="cycle", scenario_weights=weights)
+        for recs in generate_synthetic(config).by_voter().values():
+            seen = [classify_scenario(r.utilities, r.poll) for r in recs]
+            assert seen == ["A", "A", "C", "D", "D", "D"]
+
     def test_repeats_show_each_context_twice(self):
         config = truth_config(rounds_per_voter=6, repeats=2, scenario_mode="cycle")
         ds = generate_synthetic(config)
