@@ -358,29 +358,25 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
     table = RecordTable.from_dataset(dataset)
     ctx = DecisionContext(pivot_cache={})
-    predicted: list[int] = []
+    lines: list[list] = []
     for rows in table.voter_rows():
         vid = table.voter_ids[table.voter[rows.start]]
         desc = descriptor if args.model else _descriptor_from_params(family, fitted, vid)
         try:
-            D = models.decide_matrix(
+            (predicted,) = models.decide_matrix(
                 family, (desc.params(),), table.U[rows], table.S[rows], table.n[rows], ctx
             )
         except ValueError as exc:
             raise DataError(f"cannot apply {family.value} to this dataset: {exc}")
-        predicted.extend(D[0].tolist())
+        lines.extend(
+            [vid, round_, format_action(c)]
+            for round_, c in zip(table.round[rows].tolist(), predicted.tolist())
+        )
 
     out = Path(args.out)
     if out.parent and not out.parent.exists():
         out.parent.mkdir(parents=True, exist_ok=True)
-    _write_csv(
-        out,
-        ["voter_id", "round", "predicted"],
-        [
-            [table.voter_ids[voter], round_, format_action(c)]
-            for voter, round_, c in zip(table.voter.tolist(), table.round.tolist(), predicted)
-        ],
-    )
+    _write_csv(out, ["voter_id", "round", "predicted"], lines)
     print(f"wrote {out}")
     return EXIT_OK
 
