@@ -18,6 +18,7 @@ import dataclasses
 import json
 import os
 import sys
+from contextlib import closing
 from pathlib import Path
 
 from . import models
@@ -38,10 +39,9 @@ from .evaluation import (
     EvaluationReport,
     ParameterGrid,
     RecordTable,
-    loo_evaluate,
+    evaluate_families,
     metrics_from_confusion,
     parameter_distribution,
-    upper_bound_evaluate,
 )
 from .models import DecisionContext, Family, ModelDescriptor
 
@@ -242,6 +242,24 @@ def _params_table(report: EvaluationReport) -> tuple[list[str], list[list]]:
     return header, rows
 
 
+def _write_family_reports(out_dir: Path, mode: str, report: EvaluationReport) -> None:
+    """One family's report JSON and its four CSV tables."""
+    name = report.family
+    _write_json(out_dir / f"{mode}_{name}_report.json", report.to_dict())
+    records = report.per_voter_records
+    _write_csv(
+        out_dir / f"{mode}_{name}_per_voter_f.csv",
+        ["voter_id", "records", "f"],
+        [[vid, records[vid], report.per_voter_f[vid]] for vid in sorted(report.per_voter_f)],
+    )
+    header, rows = _poll_size_table(report)
+    _write_csv(out_dir / f"{mode}_{name}_poll_size_f.csv", header, rows)
+    header, rows = _error_table(report)
+    _write_csv(out_dir / f"{mode}_{name}_error_breakdown.csv", header, rows)
+    header, rows = _params_table(report)
+    _write_csv(out_dir / f"{mode}_{name}_params.csv", header, rows)
+
+
 def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
@@ -254,40 +272,33 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    runner = loo_evaluate if args.mode == "loo" else upper_bound_evaluate
-    table = RecordTable.from_dataset(dataset)
-    reports: dict[str, EvaluationReport] = {}
+    grids = []
     for family in families:
+        etas = cv_etas if family is Family.CV else None
         try:
-            grid = ParameterGrid.default(
-                family, m=dataset.m, cv_etas=cv_etas if family is Family.CV else None
-            )
-            reports[family.value] = runner(family, grid, table, jobs=args.jobs, seed=seed)
+            grids.append(ParameterGrid.default(family, m=dataset.m, cv_etas=etas))
         except ValueError as exc:
             raise DataError(f"cannot apply {family.value} to this dataset: {exc}")
 
     mode = args.mode
-    for name, report in reports.items():
-        _write_json(out_dir / f"{mode}_{name}_report.json", report.to_dict())
-        _write_csv(
-            out_dir / f"{mode}_{name}_per_voter_f.csv",
-            ["voter_id", "records", "f"],
-            [
-                [vid, report.per_voter_records[vid], report.per_voter_f[vid]]
-                for vid in sorted(report.per_voter_f)
-            ],
-        )
-        header, rows = _poll_size_table(report)
-        _write_csv(out_dir / f"{mode}_{name}_poll_size_f.csv", header, rows)
-        header, rows = _error_table(report)
-        _write_csv(out_dir / f"{mode}_{name}_error_breakdown.csv", header, rows)
-        header, rows = _params_table(report)
-        _write_csv(out_dir / f"{mode}_{name}_params.csv", header, rows)
+    table = RecordTable.from_dataset(dataset)
+    reports: dict[str, EvaluationReport] = {}
+    # Closing the stream ends its worker pool, also when a write fails.
+    with closing(evaluate_families(grids, table, mode, jobs=args.jobs, seed=seed)) as stream:
+        for grid in grids:
+            name = grid.family.value
+            try:
+                report = next(stream)
+            except ValueError as exc:
+                raise DataError(f"cannot apply {name} to this dataset: {exc}")
+            # Written while the workers run the later families.
+            _write_family_reports(out_dir, mode, report)
+            reports[name] = report
 
     header, rows = _scenario_table(reports, mode, len(dataset.records))
     _write_csv(out_dir / f"{mode}_scenario_f.csv", header, rows)
     for name, report in reports.items():
-        print(f"{name}: F_A={report.metrics.weighted_f:.4f} ({args.mode})")
+        print(f"{name}: F_A={report.metrics.weighted_f:.4f} ({mode})")
     print(f"wrote reports to {out_dir}")
     return EXIT_OK
 

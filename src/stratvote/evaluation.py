@@ -27,19 +27,23 @@ the other rounds, reading the same columns: a fold's profile is its voter's
 summed ratio counts minus the held-out row's, the same identity.
 
 The table holds only arrays, so a worker's task pickles no record objects.
-Work is cut into one task per worker, each a contiguous run of voters of
-about equal record count (one task, in process, for ``jobs=1``).  A task
-decides its voters one run at a time, which bounds ``AU``'s memory by the
-run's cells, and hands every ``NN`` training set of its voters to one
-:func:`nn.fit_folds` call, whose stacked per-fold weights equal separate
-training bit for bit.
+:func:`evaluate_families` cuts the voters into one contiguous run per
+worker, of about equal record count (one run, in process, for ``jobs=1``),
+and makes one task per (family, run).  One pool serves every family: the
+tasks go in family order, and each family's report is aggregated and
+yielded as soon as its tasks are back, while the workers go on with the
+later families.  A task decides its voters one run at a time, which bounds
+``AU``'s memory by the run's cells, and hands every ``NN`` training set of
+its voters to one :func:`nn.fit_folds` call, whose stacked per-fold weights
+equal separate training bit for bit.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from multiprocessing import get_context
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -171,9 +175,15 @@ class ParameterGrid:
     ) -> "ParameterGrid":
         """The family's default grid for ``m``-candidate data.
 
-        ``m`` only caps the ``PRAG`` grid, k in {1, 2, 3}, at k <= m.
+        ``m`` caps the ``PRAG`` grid, k in {1, 2, 3}, at k <= m.  ``TMG``
+        and ``NN`` raise ``ValueError`` unless ``m == 3``, so a family the
+        data cannot take fails before any family is evaluated.
         """
         family = Family(family)
+        if family is Family.TMG and m != 3:
+            raise ValueError("TMG types are defined for exactly three candidates")
+        if family is Family.NN and m != 3:
+            raise ValueError("the classifier is defined for exactly three candidates")
         if family is Family.PRAG:
             return cls(family, tuple({"k": k} for k in (1, 2, 3) if k <= m))
         if family in (Family.LD, Family.LDLB):
@@ -610,35 +620,38 @@ def _aggregate(
     )
 
 
-def _run(
-    family: Family,
-    grid: ParameterGrid,
+def evaluate_families(
+    grids: Sequence[ParameterGrid],
     dataset: Dataset | RecordTable,
     mode: str,
     *,
     jobs: int = 1,
     seed: int = 0,
-) -> EvaluationReport:
-    family = Family(family)
-    if grid.family is not family:
-        raise ValueError(f"grid is for {grid.family}, not {family}")
+) -> Iterator[EvaluationReport]:
+    """Evaluate each grid's family in ``mode``, yielding its report as soon as it is done.
+
+    ``mode`` is ``"loo"`` (per voter, fit on every other round and predict
+    the held-out one) or ``"upper"`` (fit and score on all of a voter's
+    records: the in-sample ceiling).  Reports come in grid order.  One pool
+    of ``min(jobs, voters)`` workers serves every family, so a caller can
+    use a report while the workers run the later families.  Pass a
+    :class:`RecordTable` to annotate a dataset once for other uses too.
+    """
     table = dataset if isinstance(dataset, RecordTable) else RecordTable.from_dataset(dataset)
-    # One task per worker: a contiguous run of voters, so every NN network
-    # a worker needs trains in one fit_folds call.
+    # One task per worker and family: a contiguous run of voters, so every
+    # NN network a worker needs for a family trains in one fit_folds call.
     voter_rows = table.voter_rows()
     workers = min(jobs, len(voter_rows))
-    tasks = [
-        (table.select(rows), grid, mode, seed) for rows in _voter_runs(voter_rows, workers)
-    ]
-    if workers > 1:
-        if family is Family.CV:
-            # Load the pivot kernels' scipy once here, not in every worker.
-            import scipy.special  # noqa: F401
-        with get_context("fork").Pool(processes=workers) as pool:
-            chunks = pool.map(_evaluate_voters, tasks)
-    else:
-        chunks = [_evaluate_voters(task) for task in tasks]
-    return _aggregate(family, mode, seed, table, [r for chunk in chunks for r in chunk])
+    blocks = [table.select(rows) for rows in _voter_runs(voter_rows, workers)]
+    tasks = [(block, grid, mode, seed) for grid in grids for block in blocks]
+    if workers > 1 and any(grid.family is Family.CV for grid in grids):
+        # Load the pivot kernels' scipy once here, not in every worker.
+        import scipy.special  # noqa: F401
+    with get_context("fork").Pool(processes=workers) if workers > 1 else nullcontext() as pool:
+        chunks = pool.imap(_evaluate_voters, tasks) if pool else map(_evaluate_voters, tasks)
+        for grid in grids:
+            results = [r for _ in blocks for r in next(chunks)]
+            yield _aggregate(grid.family, mode, seed, table, results)
 
 
 def loo_evaluate(
@@ -649,24 +662,11 @@ def loo_evaluate(
     jobs: int = 1,
     seed: int = 0,
 ) -> EvaluationReport:
-    """Per voter, fit on every other round and predict the held-out one.
-
-    Pass a :class:`RecordTable` to annotate a dataset once for several
-    families.
-    """
-    return _run(family, grid, dataset, "loo", jobs=jobs, seed=seed)
-
-
-def upper_bound_evaluate(
-    family: Family,
-    grid: ParameterGrid,
-    dataset: Dataset | RecordTable,
-    *,
-    jobs: int = 1,
-    seed: int = 0,
-) -> EvaluationReport:
-    """Fit and score on all records per voter: in-sample ceiling."""
-    return _run(family, grid, dataset, "upper", jobs=jobs, seed=seed)
+    """The one-family case of :func:`evaluate_families` in ``"loo"`` mode."""
+    if grid.family is not Family(family):
+        raise ValueError(f"grid is for {grid.family}, not {family}")
+    (report,) = evaluate_families([grid], dataset, "loo", jobs=jobs, seed=seed)
+    return report
 
 
 def parameter_distribution(report: EvaluationReport) -> list[dict]:

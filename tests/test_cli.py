@@ -253,9 +253,9 @@ class TestEvaluate:
         fitted = json.loads((out / "loo_PRAG_report.json").read_text())["fitted_params"]
         assert fitted == {"v1": {"k": 1}}
 
-    @pytest.mark.parametrize("family", ["TMG", "NN"])
+    @pytest.mark.parametrize("families", ["TMG", "NN", "TRUTH,TMG", "TRUTH,NN"])
     def test_three_candidate_family_on_four_candidates_is_a_data_error(
-        self, tmp_path, family, capsys
+        self, tmp_path, families, capsys
     ):
         header = "voter_id,round,n," + ",".join(
             [f"s_{i}" for i in range(1, 5)] + [f"u_{i}" for i in range(1, 5)]
@@ -265,11 +265,13 @@ class TestEvaluate:
             "v1,0,100,40,30,20,10,30,20,10,0,q1\nv1,1,100,10,40,30,20,30,20,10,0,q2\n",
             header=header,
         )
-        code = main(
-            ["evaluate", "--data", str(data), "--families", family, "--out", str(tmp_path / "r")]
-        )
+        out = tmp_path / "r"
+        code = main(["evaluate", "--data", str(data), "--families", families, "--out", str(out)])
         assert code == 2
-        assert f"cannot apply {family}" in capsys.readouterr().err
+        family = families.split(",")[-1]
+        assert f"cannot apply {family} to this dataset" in capsys.readouterr().err
+        # Families the data can take are not written either: no file at all.
+        assert list(out.iterdir()) == []
 
     def test_tied_utilities_are_a_data_error_naming_the_row(self, tmp_path, capsys):
         data = write_rows(
@@ -366,15 +368,21 @@ class TestEvaluate:
         assert "--jobs" in capsys.readouterr().err
 
     def test_jobs_do_not_change_report_bytes(self, tmp_path, small_dataset):
-        out1, out2 = tmp_path / "r1", tmp_path / "r2"
-        base = [
-            "evaluate", "--data", str(small_dataset),
-            "--families", "AU,CV", "--cv-etas", "1,4,n",
-        ]
-        assert main(base + ["--jobs", "1", "--out", str(out1)]) == 0
-        assert main(base + ["--jobs", "3", "--out", str(out2)]) == 0
-        for path1 in sorted(out1.iterdir()):
-            assert path1.read_bytes() == (out2 / path1.name).read_bytes()
+        # Every family shares one pool, whose tasks come back in family order.
+        for mode in ("loo", "upper"):
+            base = [
+                "evaluate", "--data", str(small_dataset), "--mode", mode,
+                "--families", "TRUTH,AU,NN,CV,PRAG", "--cv-etas", "1,4,n",
+            ]
+            outs = [tmp_path / f"{mode}{jobs}" for jobs in (1, 2, 3)]
+            for jobs, out in zip((1, 2, 3), outs):
+                assert main(base + ["--jobs", str(jobs), "--out", str(out)]) == 0
+            names = sorted(path.name for path in outs[0].iterdir())
+            assert len(names) == 5 * 5 + 1  # five files per family, one scenario table
+            for out in outs[1:]:
+                assert sorted(path.name for path in out.iterdir()) == names
+                for name in names:
+                    assert (out / name).read_bytes() == (outs[0] / name).read_bytes()
 
     @pytest.mark.parametrize("mode", ["loo", "upper"])
     def test_jobs_do_not_change_nn_report_bytes(self, tmp_path, small_dataset, mode):
@@ -580,7 +588,7 @@ class TestExitCodes:
         def boom(*args, **kwargs):
             raise RuntimeError("synthetic failure")
 
-        monkeypatch.setattr(cli_mod, "loo_evaluate", boom)
+        monkeypatch.setattr(cli_mod, "evaluate_families", boom)
         code = main(
             ["evaluate", "--data", str(small_dataset), "--families", "TRUTH", "--out", str(tmp_path)]
         )

@@ -32,10 +32,10 @@ from stratvote.evaluation import (
     ParameterGrid,
     RecordTable,
     error_breakdown,
+    evaluate_families,
     loo_evaluate,
     metrics_from_confusion,
     parameter_distribution,
-    upper_bound_evaluate,
 )
 from feature_oracle import find_inconsistent, is_unjustified, scenario_or_none
 from scalar_deciders import decide_au
@@ -43,6 +43,13 @@ from test_cli import workload_configs
 from stratvote.models import DecisionContext, Family, decide_matrix
 from stratvote.nn import FEATURE_DIM, init_network, predict_record
 from stratvote.seeding import derive_seed
+
+
+def upper_report(grid, dataset, **kwargs):
+    """A grid's ``upper`` report: each voter fit and scored on all of its records."""
+    (report,) = evaluate_families([grid], dataset, "upper", **kwargs)
+    return report
+
 
 WORKED_COUNTS = [[5409, 441, 132], [32, 2538, 90], [117, 188, 373]]
 
@@ -221,8 +228,8 @@ class TestFitParameters:
             action=action,
         )
 
-    def fit(self, family, grid, records):
-        report = upper_bound_evaluate(family, grid, Dataset(records=list(records)))
+    def fit(self, grid, records):
+        report = upper_report(grid, Dataset(records=list(records)))
         return report.fitted_params["v1"]
 
     def test_truthful_voter_is_perfectly_representable(self):
@@ -234,7 +241,7 @@ class TestFitParameters:
             self.rec((30, 80, 50), 0, 3),
         ]
         grid = ParameterGrid.default(Family.AU)
-        fitted = self.fit(Family.AU, grid, records)
+        fitted = self.fit(grid, records)
         for r in records:
             got = decide_au(r.utilities, r.poll, fitted["alpha"], fitted["beta"])
             assert got == r.action
@@ -247,7 +254,7 @@ class TestFitParameters:
             poll = Poll.from_scores(scores)
             u = UtilityFunction((10.0, 5.0, 0.0))
             records.append(self.rec(scores, decide_au(u, poll, 0.2, 10.0), i))
-        fitted = self.fit(Family.AU, ParameterGrid.default(Family.AU), records)
+        fitted = self.fit(ParameterGrid.default(Family.AU), records)
         hits = sum(
             decide_au(r.utilities, r.poll, fitted["alpha"], fitted["beta"]) == r.action
             for r in records
@@ -256,20 +263,20 @@ class TestFitParameters:
 
     def test_single_record_takes_the_first_matching_point(self):
         leader_vote = self.rec((30, 80, 50), 1, 0)
-        fitted = self.fit(Family.PRAG, ParameterGrid.default(Family.PRAG), [leader_vote])
+        fitted = self.fit(ParameterGrid.default(Family.PRAG), [leader_vote])
         assert fitted == {"k": 1}
 
     def test_refit_is_deterministic(self):
         records = [self.rec((80, 50, 30), 0, 0), self.rec((30, 50, 80), 1, 1)]
         grid = ParameterGrid.default(Family.LD)
-        assert self.fit(Family.LD, grid, records) == self.fit(Family.LD, grid, records)
+        assert self.fit(grid, records) == self.fit(grid, records)
 
     def test_family_mismatch_and_empty_records(self):
         grid = ParameterGrid.default(Family.LD)
         with pytest.raises(ValueError):
-            self.fit(Family.AU, grid, [self.rec((80, 50, 30), 0, 0)])
+            loo_evaluate(Family.AU, grid, Dataset([self.rec((80, 50, 30), 0, 0)]))
         with pytest.raises(ValueError):
-            self.fit(Family.LD, grid, [])
+            self.fit(grid, [])
 
 
 class TestEvaluate:
@@ -282,7 +289,7 @@ class TestEvaluate:
         ds = truthful_population()
         grid = ParameterGrid.default(Family.TRUTH)
         loo = loo_evaluate(Family.TRUTH, grid, ds)
-        upper = upper_bound_evaluate(Family.TRUTH, grid, ds)
+        upper = upper_report(grid, ds)
         assert loo.to_dict()["overall"] == upper.to_dict()["overall"]
 
     def test_generating_family_recovers_and_dominates(self):
@@ -294,7 +301,7 @@ class TestEvaluate:
 
     def test_realizable_data_has_unit_ceiling(self):
         ds = au_population()
-        rep = upper_bound_evaluate(Family.AU, ParameterGrid.default(Family.AU), ds, jobs=2)
+        rep = upper_report(ParameterGrid.default(Family.AU), ds, jobs=2)
         assert rep.metrics.weighted_f == 1.0
 
     def test_upper_bound_never_below_loo(self):
@@ -302,7 +309,7 @@ class TestEvaluate:
         for family in (Family.AU, Family.LD, Family.PRAG, Family.TMG):
             grid = ParameterGrid.default(family)
             loo = loo_evaluate(family, grid, ds, jobs=2)
-            upper = upper_bound_evaluate(family, grid, ds, jobs=2)
+            upper = upper_report(grid, ds, jobs=2)
             assert upper.metrics.weighted_f >= loo.metrics.weighted_f - 1e-9
 
     def test_breakdowns_sum_to_overall(self):
@@ -604,9 +611,9 @@ class TestRecordTableAggregation:
         table = RecordTable.from_dataset(ds)
         for family in (Family.LD, Family.AU, Family.TRUTH):
             grid = ParameterGrid.default(family, m=m)
-            for mode, run in (("loo", loo_evaluate), ("upper", upper_bound_evaluate)):
+            for mode in ("loo", "upper"):
                 for data in (ds, table):
-                    rep = run(family, grid, data, seed=5)
+                    (rep,) = evaluate_families([grid], data, mode, seed=5)
                     want = oracle_report(
                         family,
                         mode,
@@ -684,7 +691,7 @@ class TestRecordTableAggregation:
         random_preds = {(rec.voter_id, rec.round): int(rng.integers(m)) for rec in ds.records}
         reports = [
             loo_evaluate(Family.LD, ParameterGrid.default(Family.LD), ds),
-            upper_bound_evaluate(Family.TRUTH, ParameterGrid.default(Family.TRUTH), ds),
+            upper_report(ParameterGrid.default(Family.TRUTH), ds),
             aggregate_predictions(ds, random_preds),
         ]
         for rep in reports:
@@ -821,11 +828,12 @@ class TestRunsOfVoters:
         assert len(row_keys(table)) < per_voter < len(table.voter)
         for family in (Family.LD, Family.AU, Family.CV, Family.TRUTH):
             grid = ParameterGrid.default(family, m=m, cv_etas=(1, 4, "n"))
-            for mode, run in (("loo", loo_evaluate), ("upper", upper_bound_evaluate)):
+            for mode in ("loo", "upper"):
                 results = per_voter_oracle(grid, table, mode)
                 want = evaluation._aggregate(family, mode, 3, table, results).to_dict()
                 for jobs in (1, 2, 3):
-                    assert run(family, grid, table, jobs=jobs, seed=3).to_dict() == want
+                    (rep,) = evaluate_families([grid], table, mode, jobs=jobs, seed=3)
+                    assert rep.to_dict() == want
 
     @pytest.mark.parametrize("family, run_cells", [(Family.LD, 101 * 75), (Family.AU, None)])
     def test_no_call_exceeds_the_cell_bound_but_a_single_voter(
@@ -899,7 +907,7 @@ class TestRunsOfVoters:
 
 
 class FakeContext:
-    """Stands in for a fork context: records the pool size, maps in process."""
+    """Stands in for a fork context: records the pool size, runs tasks in process."""
 
     def __init__(self, sizes):
         self.sizes = sizes
@@ -914,8 +922,8 @@ class FakeContext:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, tasks):
-        return [fn(task) for task in tasks]
+    def imap(self, fn, tasks):
+        return (fn(task) for task in tasks)
 
 
 class TestWorkerPool:
@@ -950,6 +958,32 @@ class TestWorkerPool:
         assert sum(len(block.voter) for block, *_ in tasks) == len(ds.records)
         assert pooled.to_dict() == loo_evaluate(family, grid, ds).to_dict()
 
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_every_family_shares_one_pool(self, monkeypatch, jobs):
+        sizes, tasks, done = [], [], []
+        context = RecordingContext(sizes, tasks)
+        monkeypatch.setattr(evaluation, "get_context", lambda method: context)
+        real = evaluation._evaluate_voters
+
+        def counting(task):
+            done.append(task[1].family)
+            return real(task)
+
+        monkeypatch.setattr(evaluation, "_evaluate_voters", counting)
+        ds = mixed_dataset(7, 3, num_voters=6, rounds=3)
+        grids = [ParameterGrid.default(f) for f in (Family.LD, Family.NN, Family.AU)]
+        stream = evaluate_families(grids, ds, "loo", jobs=jobs)
+        first = next(stream)
+        workers = min(jobs, 6)
+        # The first report comes as soon as its own tasks are back.
+        assert done == [Family.LD] * workers
+        pooled = [first, *stream]
+        assert sizes == [workers]
+        assert [grid for _, grid, *_ in tasks] == [grid for grid in grids for _ in range(workers)]
+        serial = evaluate_families(grids, ds, "loo")
+        assert [r.to_dict() for r in pooled] == [r.to_dict() for r in serial]
+        assert sizes == [workers]
+
 
 class RecordingContext(FakeContext):
     """A fake fork context that also keeps the tasks handed to ``map``."""
@@ -958,9 +992,9 @@ class RecordingContext(FakeContext):
         super().__init__(sizes)
         self.tasks = tasks
 
-    def map(self, fn, tasks):
+    def imap(self, fn, tasks):
         self.tasks.extend(tasks)
-        return super().map(fn, tasks)
+        return super().imap(fn, tasks)
 
 
 @given(
@@ -1018,7 +1052,7 @@ import sys
 from stratvote import evaluation
 from stratvote.core import Poll, UtilityFunction
 from stratvote.data import Dataset, VoteRecord
-from stratvote.evaluation import ParameterGrid, loo_evaluate
+from stratvote.evaluation import ParameterGrid, evaluate_families, loo_evaluate
 from stratvote.models import Family
 
 class Context:
@@ -1029,15 +1063,16 @@ class Context:
         return self
     def __exit__(self, *exc):
         return False
-    def map(self, fn, tasks):
-        return [fn(task) for task in tasks]
+    def imap(self, fn, tasks):
+        return (fn(task) for task in tasks)
 
 seen = []
 evaluation.get_context = lambda method: Context()
 u = UtilityFunction((10.0, 5.0, 0.0))
 ds = Dataset([VoteRecord(v, 0, Poll((5, 3, 2), 10), u, 0) for v in ("a", "b")])
 loo_evaluate(Family.TRUTH, ParameterGrid.default(Family.TRUTH), ds, jobs=2)
-loo_evaluate(Family.CV, ParameterGrid.default(Family.CV, cv_etas=(4,)), ds, jobs=2)
+grids = [ParameterGrid.default(f, cv_etas=(4,)) for f in (Family.TRUTH, Family.CV)]
+list(evaluate_families(grids, ds, "loo", jobs=2))  # one pool, CV among its families
 assert seen == [False, True], seen
 """
     subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": str(src)}, check=True)

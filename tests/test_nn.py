@@ -7,7 +7,7 @@ from stratvote import nn
 from stratvote.behavior import VOTER_TYPES, build_profile, ratio_stats
 from stratvote.core import Poll, UtilityFunction, preference_order
 from stratvote.data import Dataset, VoteRecord
-from stratvote.evaluation import ParameterGrid, loo_evaluate, upper_bound_evaluate
+from stratvote.evaluation import ParameterGrid, evaluate_families
 from stratvote.models import Family
 from stratvote.seeding import derive_seed
 from stratvote.nn import (
@@ -299,10 +299,10 @@ def test_each_fold_and_query_equals_the_oracle_on_its_profile(dataset):
     # (the voter's sums minus the held-out row), and the held-out row is
     # queried under that same profile.  A single-record voter's fold is
     # empty: no training, the empty profile, its seeded initial network.
-    for mode, run in (("loo", loo_evaluate), ("upper", upper_bound_evaluate)):
+    for mode in ("loo", "upper"):
         with pytest.MonkeyPatch.context() as monkeypatch:
             seen = capture_nn(monkeypatch)
-            run(Family.NN, ParameterGrid.default(Family.NN), dataset, seed=3)
+            list(evaluate_families([ParameterGrid.default(Family.NN)], dataset, mode, seed=3))
         folds = iter(seen["folds"])
         for vid, recs in dataset.by_voter().items():
             if mode == "upper":
