@@ -58,7 +58,7 @@ from .behavior import (
     unjustified_rows,
 )
 from .data import Dataset
-from .models import DecisionContext, Family, ModelDescriptor
+from .models import Family, ModelDescriptor
 from .seeding import derive_seed
 
 # Coarse poll-size conditions: bucket b holds n in [edge b-1, edge b), the
@@ -327,16 +327,15 @@ def _decide_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Decisions of the distinct (U, S, n) rows among ``rows``, and each row's column.
 
-    The distinct rows are decided in one call with one pivot cache, shape
-    (G, distinct); row ``rows.start + i`` is column ``inverse[i]``, since
-    ``decide_matrix`` decides a row from that row alone.  The key compares
-    utilities by their bits, so it is exact.
+    The distinct rows are decided in one call, which builds each distinct
+    CV table once, shape (G, distinct); row ``rows.start + i`` is column
+    ``inverse[i]``, since ``decide_matrix`` decides a row from that row
+    alone.  The key compares utilities by their bits, so it is exact.
     """
     U, S, n = block.U[rows], block.S[rows], block.n[rows]
     key = np.column_stack([U.view(np.int64), S, n])
     _, first, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
-    ctx = DecisionContext(pivot_cache={})
-    D = models.decide_matrix(grid.family, grid.points, U[first], S[first], n[first], ctx)
+    D = models.decide_matrix(grid.family, grid.points, U[first], S[first], n[first])
     return D, inverse.reshape(-1)
 
 

@@ -14,12 +14,10 @@ NN      learned baseline (see ``nn``); only ``evaluate`` trains and scores it.
 
 Every family but NN has one decision path, :func:`decide_matrix`, which
 decides a whole parameter grid over a batch of records (utilities and poll
-scores as (R, m) arrays); :func:`decide_grid` is its one-record case and
-:func:`decide` the one-point case of that.  TRUTH, BR, PRAG, TMG, LD, LDLB
-and AU decide in array operations.  The tests' oracle,
-``tests/scalar_deciders.py``, states each of these families' definition
-candidate by candidate, and the tests check the array code against it.  CV
-decides record by record.  NN is not a grid family: ``evaluate`` trains
+scores as (R, m) arrays) in array operations; :func:`decide` is its
+one-point, one-record case.  The tests' oracle, ``tests/scalar_deciders.py``,
+states each family's definition candidate by candidate, and the tests check
+the array code against it.  NN is not a grid family: ``evaluate`` trains
 one network per fold and predicts with it (``evaluation._predict_nn``).
 
 All deciders are deterministic functions of their inputs and parameters:
@@ -136,15 +134,19 @@ class DecisionContext:
     pivot_cache: dict | None = None
 
 
-def _check_shapes(u: UtilityFunction, s: Poll) -> None:
-    if u.m != s.m:
-        raise ValueError(f"utility/poll dimension mismatch: {u.m} vs {s.m}")
+def _checked_rows(U, S, n) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``U``, ``S`` and ``n`` as float and int64 arrays, ``U`` and ``S`` both
+    (R, m) with m >= 2 and ``n`` (R,); ``ValueError`` otherwise."""
+    U, S = np.asarray(U, dtype=float), np.asarray(S, dtype=np.int64)
+    n = np.asarray(n, dtype=np.int64)
+    if U.ndim != 2 or U.shape[1] < 2 or S.shape != U.shape or n.shape != U.shape[:1]:
+        raise ValueError(f"utility/poll dimension mismatch: U {U.shape}, S {S.shape}, n {n.shape}")
+    return U, S, n
 
 
 def _as_rows(u: UtilityFunction, s: Poll) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One (u, s) as the ``U``, ``S`` and ``n`` arrays of :func:`decide_matrix`."""
-    _check_shapes(u, s)
-    return np.array([u.values], dtype=float), np.array([s.scores], dtype=np.int64), np.array([s.n])
+    return _checked_rows([u.values], [s.scores], [s.n])
 
 
 def _possible_winners(S: np.ndarray, n: np.ndarray, radii: Sequence[float]) -> np.ndarray:
@@ -247,7 +249,7 @@ def au_decisions_grid(
 ) -> np.ndarray:
     """AU decisions for the points ``(alphas[i], betas[i])``, shape (P,)."""
     points = [{"alpha": a, "beta": b} for a, b in zip(alphas, betas, strict=True)]
-    return decide_grid(Family.AU, points, u, s)
+    return decide_matrix(Family.AU, points, *_as_rows(u, s))[:, 0]
 
 
 def _best_response_values(U: np.ndarray, S: np.ndarray) -> np.ndarray:
@@ -277,30 +279,21 @@ def decide_matrix(
 
     Record j has utilities ``U[j]`` and poll scores ``S[j]`` (both (R, m))
     from a poll of reported size ``n[j]``.  ``points`` are parameter dicts
-    as in :meth:`ModelDescriptor.params`.  TRUTH, BR, PRAG, TMG, LD, LDLB
-    and AU decide every point and record in array operations.  CV decides
-    record by record: it resolves ``eta="n"`` against each poll and decides
-    through :func:`pivot.decide_cv`, a pure function of (u, s, eta) whose
-    tables are shared through ``context.pivot_cache``.  NN raises
-    ``ValueError``: a trained network predicts through
-    :func:`nn.predict_record`.
+    as in :meth:`ModelDescriptor.params`.  Every family decides every
+    point and record in array operations; CV through :func:`pivot.cv_votes`,
+    which resolves ``eta="n"`` against each poll and builds each distinct
+    (scores, eta) table once, shared through ``context.pivot_cache`` when
+    given.  Mismatched shapes raise ``ValueError``, and so does NN: a
+    trained network predicts through :func:`nn.predict_record`.
     """
-    ctx = context if context is not None else DecisionContext()
     family = Family(family)
     if family is Family.NN:
         raise ValueError("NN has no grid; a trained network predicts through nn.predict_record")
-    U = np.asarray(U, dtype=float)
-    S = np.asarray(S, dtype=np.int64)
-    n = np.asarray(n, dtype=np.int64)
-    R, m = U.shape
+    U, S, n = _checked_rows(U, S, n)
+    R = len(U)
     if family is Family.CV:
-        votes = np.empty((len(points), R), dtype=np.int64)
-        for j in range(R):
-            u, s = UtilityFunction(tuple(U[j])), Poll(tuple(S[j]), int(n[j]))
-            for i, p in enumerate(points):
-                eta = s.n if p["eta"] == "n" else p["eta"]
-                votes[i, j] = pivot_mod.decide_cv(u, s, eta, cache=ctx.pivot_cache)
-        return votes
+        cache = context.pivot_cache if context is not None else None
+        return pivot_mod.cv_votes(U, S, n, [p["eta"] for p in points], cache)
     # Each array family picks a preference rank per (point, record): 0 is
     # the most preferred candidate.  Columns are put in preference order
     # first, so an argmax breaks ties toward the more preferred candidate.
@@ -358,25 +351,12 @@ def _tmg_ranks(voter_types: Sequence[str], position: np.ndarray) -> np.ndarray:
     return np.array([ranks[t] for t in voter_types], dtype=np.int64).reshape(len(voter_types), R)
 
 
-def decide_grid(
-    family: Family,
-    points: Sequence[dict],
-    u: UtilityFunction,
-    s: Poll,
-    context: DecisionContext | None = None,
-) -> np.ndarray:
-    """Decisions of ``family`` at every parameter point for one (u, s), int64 shape (P,).
-
-    The one-record case of :func:`decide_matrix`.
-    """
-    return decide_matrix(family, points, *_as_rows(u, s), context)[:, 0]
-
-
 def decide(
     descriptor: ModelDescriptor,
     u: UtilityFunction,
     s: Poll,
     context: DecisionContext | None = None,
 ) -> Candidate:
-    """The descriptor's decision: the one-point case of :func:`decide_grid`."""
-    return int(decide_grid(descriptor.family, (descriptor.params(),), u, s, context)[0])
+    """The descriptor's decision: the one-point, one-record case of :func:`decide_matrix`."""
+    point = (descriptor.params(),)
+    return int(decide_matrix(descriptor.family, point, *_as_rows(u, s), context)[0, 0])

@@ -1,4 +1,4 @@
-"""Pivot probabilities under a multinomial poll belief, and the CV decider.
+"""Pivot probabilities under a multinomial poll belief, and the CV decisions.
 
 The voter imagines ``eta`` independent ballots drawn with per-candidate
 probability proportional to the poll scores.  ``P(x, y)`` is the probability
@@ -30,18 +30,20 @@ is absolute: entries far below it, such as pairs that almost never lead,
 can lose their relative precision.  m <= 4 skips nothing.
 
 A table depends on the poll's scores and ``eta`` only, never on its
-reported size ``n``.  :func:`decide_cv` is a pure function of (utilities,
-poll, eta): it uses the kernel unless the nested sums would take more than
-``TERM_BUDGET`` terms (never for m <= 4), and past that estimates the table
-from ``MC_SAMPLES`` draws seeded from the scores and ``eta``, so every voter
-who sees the same poll gets the same table.
+reported size ``n``.  :func:`cv_votes` decides CV for a batch of records at
+a list of etas in array operations, building each distinct (scores, eta)
+table once, and :func:`decide_cv` is its one-record case.  Both are pure
+functions of (utilities, poll, eta): a table comes from the kernel unless
+the nested sums would take more than ``TERM_BUDGET`` terms (never for
+m <= 4), and past that from ``MC_SAMPLES`` draws seeded from the scores and
+``eta``, so every voter who sees the same poll gets the same table.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -51,9 +53,9 @@ from .seeding import derive_seed
 # Nested sums, and the t-sums feeding them, skip every term whose weight is
 # below exp(-LOG_WINDOW) times the largest weight of its sum.
 LOG_WINDOW = 40.0
-# Most nested-sum terms decide_cv lets the exact kernel take.
+# Most nested-sum terms a CV table lets the exact kernel take.
 TERM_BUDGET = 2_000_000
-# Draws behind a Monte-Carlo table in decide_cv.
+# Draws behind a Monte-Carlo CV table.
 MC_SAMPLES = 1_000_000
 _MC_CHUNK = 1_000_000
 # Most cells of the (pairs x t) grid, and about the most nested-sum terms,
@@ -345,21 +347,8 @@ def pivot_table_mc(poll: Poll, eta: int, samples: int, seed: int) -> PivotTable:
     )
 
 
-def cv_gain_scores(u: UtilityFunction, table: PivotTable) -> np.ndarray:
-    """Expected-gain score per candidate: ``sum_x P(x, c) * (u(c) - u(x))``.
-
-    Gains only involve utility differences, so they are invariant to
-    shifting all utilities.
-    """
-    entries = table.entries
-    if u.m != entries.shape[0]:
-        raise ValueError(f"utility/table dimension mismatch: {u.m} vs {entries.shape[0]}")
-    uvec = np.asarray(u.values)
-    return (entries * (uvec[None, :] - uvec[:, None])).sum(axis=0)
-
-
 def _cv_table(poll: Poll, eta: int) -> PivotTable:
-    """The table :func:`decide_cv` uses, a function of ``(poll.scores, eta)``.
+    """The table CV decides with, a function of ``(poll.scores, eta)``.
 
     Exact unless the kernel's nested sums would take more than
     ``TERM_BUDGET`` terms (never for m <= 4), else ``MC_SAMPLES`` draws
@@ -371,32 +360,59 @@ def _cv_table(poll: Poll, eta: int) -> PivotTable:
     return pivot_table_mc(poll, eta, MC_SAMPLES, seed)
 
 
+def _cached_table(cache: dict, scores: tuple, eta: int) -> np.ndarray:
+    """The entries of the ``(scores, eta)`` table, built into ``cache`` if missing."""
+    key = (scores, _check_eta(eta))
+    if key not in cache:
+        cache[key] = _cv_table(Poll.from_scores(scores), key[1])
+    return cache[key].entries
+
+
+def cv_votes(
+    U: np.ndarray, S: np.ndarray, n: np.ndarray, etas: Sequence, cache: dict | None = None
+) -> np.ndarray:
+    """CV decisions at every (eta, record), int64 shape (len(etas), R).
+
+    Record j has utilities ``U[j]`` and poll scores ``S[j]`` (both (R, m))
+    from a poll of reported size ``n[j]``, the eta ``"n"`` stands for.  Each
+    distinct ``(scores, eta)`` table is taken from ``cache`` or built once
+    into it; ``cache`` may be shared by any calls.  A record votes for the
+    largest gain ``sum_x P(x, c) * (u(c) - u(x))``, ties broken toward the
+    higher poll score, then the higher utility, then the lower index; in
+    particular a voter whose belief shows no reachable tie at all follows
+    the poll leader.
+    """
+    cache = {} if cache is None else cache
+    R, m = S.shape
+    scores = list(map(tuple, S.tolist()))
+    rows = np.arange(R)
+    # Candidates in tie-break order, so that an argmax keeps the first best.
+    order = np.lexsort((-U, -S), axis=-1)
+    ranked = (rows[:, None], order)
+    diff = U[:, None, :] - U[:, :, None]
+    votes = np.empty((len(etas), R), dtype=np.int64)
+    for i, eta in enumerate(etas):
+        row_etas = n.tolist() if eta == "n" else [eta] * R
+        distinct: dict = {}
+        index = [distinct.setdefault(key, len(distinct)) for key in zip(scores, row_etas)]
+        T = np.array([_cached_table(cache, *key) for key in distinct]).reshape(-1, m, m)
+        # gains[j, c] = sum_x P(x, c) * (U[j, c] - U[j, x]), summed in x order.
+        gains = (T[index] * diff).sum(axis=1)
+        votes[i] = order[rows, gains[ranked].argmax(axis=1)]
+    return votes
+
+
 def decide_cv(
     u: UtilityFunction, s: Poll, eta: int, *, cache: dict | None = None
 ) -> Candidate:
-    """Vote maximizing the pivot-weighted expected gain.
+    """Vote maximizing the pivot-weighted expected gain: the one-record case of :func:`cv_votes`.
 
     The pivot table is exact for m <= 4 at any eta, and for m >= 5 while
     the kernel's nested sums fit ``TERM_BUDGET``; otherwise it is a
-    Monte-Carlo estimate seeded from ``(s.scores, eta)``.  ``cache`` maps
-    ``(scores, eta)`` to tables and may be shared by any calls.  Ties break
-    toward the higher poll score, then higher utility, then the lower
-    index; in particular a voter whose belief shows no reachable tie at all
-    follows the poll leader.
+    Monte-Carlo estimate seeded from ``(s.scores, eta)``.  ``cache`` is
+    as in :func:`cv_votes`.
     """
-    eta = _check_eta(eta)
     if u.m != s.m:
         raise ValueError(f"utility/poll dimension mismatch: {u.m} vs {s.m}")
-    key = (s.scores, eta)
-    table = cache.get(key) if cache is not None else None
-    if table is None:
-        table = _cv_table(s, eta)
-        if cache is not None:
-            cache[key] = table
-    gains = cv_gain_scores(u, table)
-    order = sorted(range(s.m), key=lambda c: (-s.scores[c], -u[c], c))
-    best = order[0]
-    for c in order[1:]:
-        if gains[c] > gains[best]:
-            best = c
-    return int(best)
+    U, S = np.array([u.values]), np.array([s.scores], dtype=np.int64)
+    return int(cv_votes(U, S, np.array([s.n]), (eta,), cache)[0, 0])

@@ -3,7 +3,9 @@
 Each decider maps one (utilities, poll) to one vote by the family's
 definition, candidate by candidate.  ``stratvote.models.decide_matrix``
 decides whole grids over batches of records in array operations, and the
-tests check it against these, decision for decision.
+tests check it against these, decision for decision.  CV's oracle builds
+its tables as the package does (``pivot._cv_table``) and computes the gains
+and the tie-break one record at a time.
 
 The Plurality rule with ties returns the full set of co-winners, and a
 voter facing a tied winner set values it at the mean utility of its
@@ -14,8 +16,11 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from stratvote.core import Candidate, Poll, UtilityFunction, preference_order
 from stratvote.models import TMG_TYPES, au_score, undominated_set
+from stratvote.pivot import PivotTable, _check_eta, _cv_table
 
 # --- the Plurality rule --------------------------------------------------------
 
@@ -148,3 +153,44 @@ def decide_au(u: UtilityFunction, s: Poll, alpha: float, beta: float) -> Candida
     higher-utility candidate, then the lower index.
     """
     return max(range(s.m), key=lambda c: (au_score(u, s, c, alpha, beta), u[c], -c))
+
+
+def cv_gain_scores(u: UtilityFunction, table: PivotTable) -> np.ndarray:
+    """Expected-gain score per candidate: ``sum_x P(x, c) * (u(c) - u(x))``.
+
+    Gains only involve utility differences, so they are invariant to
+    shifting all utilities.
+    """
+    entries = table.entries
+    if u.m != entries.shape[0]:
+        raise ValueError(f"utility/table dimension mismatch: {u.m} vs {entries.shape[0]}")
+    uvec = np.asarray(u.values)
+    return (entries * (uvec[None, :] - uvec[:, None])).sum(axis=0)
+
+
+def decide_cv(
+    u: UtilityFunction, s: Poll, eta: int, *, cache: dict | None = None
+) -> Candidate:
+    """Vote maximizing the pivot-weighted expected gain.
+
+    ``cache`` maps ``(scores, eta)`` to tables and may be shared by any
+    calls.  Ties break toward the higher poll score, then higher utility,
+    then the lower index; in particular a voter whose belief shows no
+    reachable tie at all follows the poll leader.
+    """
+    eta = _check_eta(eta)
+    if u.m != s.m:
+        raise ValueError(f"utility/poll dimension mismatch: {u.m} vs {s.m}")
+    key = (s.scores, eta)
+    table = cache.get(key) if cache is not None else None
+    if table is None:
+        table = _cv_table(s, eta)
+        if cache is not None:
+            cache[key] = table
+    gains = cv_gain_scores(u, table)
+    order = sorted(range(s.m), key=lambda c: (-s.scores[c], -u[c], c))
+    best = order[0]
+    for c in order[1:]:
+        if gains[c] > gains[best]:
+            best = c
+    return int(best)

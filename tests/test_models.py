@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from scalar_deciders import (
     decide_au,
     decide_best_response,
+    decide_cv,
     decide_ld,
     decide_ld_lb,
     decide_pragmatist,
@@ -17,6 +18,7 @@ from scalar_deciders import (
     possible_winners,
     winner_set_utility,
 )
+from stratvote import pivot
 from stratvote.core import Poll, UtilityFunction, preference_order
 from stratvote.evaluation import ParameterGrid
 from stratvote.models import (
@@ -24,11 +26,10 @@ from stratvote.models import (
     DecisionContext,
     Family,
     ModelDescriptor,
+    _as_rows,
     _attainability,
-    au_decisions_grid,
     au_score,
     decide,
-    decide_grid,
     decide_matrix,
     undominated_set,
 )
@@ -332,10 +333,12 @@ radius_grids = st.lists(rs, min_size=1, max_size=12)
 
 
 class TestDecideGrid:
+    """``decide_matrix`` over a grid of points for one record."""
+
     @given(any_m_instance, radius_grids)
     def test_ld_grid_votes_most_preferred_undominated(self, instance, radii):
         u, s = instance
-        got = decide_grid(Family.LD, [{"r": r} for r in radii], u, s)
+        got = decide_matrix(Family.LD, [{"r": r} for r in radii], *_as_rows(u, s))[:, 0]
         want = [max(undominated_set(u, s, r), key=lambda c: (u[c], -c)) for r in radii]
         assert got.dtype == np.int64
         assert got.tolist() == want
@@ -344,8 +347,8 @@ class TestDecideGrid:
     def test_ldlb_grid_votes_sole_possible_winner(self, instance, radii):
         u, s = instance
         points = [{"r": r} for r in radii]
-        ld = decide_grid(Family.LD, points, u, s)
-        lb = decide_grid(Family.LDLB, points, u, s)
+        ld = decide_matrix(Family.LD, points, *_as_rows(u, s))[:, 0]
+        lb = decide_matrix(Family.LDLB, points, *_as_rows(u, s))[:, 0]
         for i, r in enumerate(radii):
             w = possible_winners(s, r)
             assert lb[i] == (w[0] if len(w) == 1 else ld[i])
@@ -361,11 +364,11 @@ class TestDecideGrid:
             max_size=10,
         ),
     )
-    def test_au_grid_matches_each_point(self, instance, points):
+    def test_au_grid_matches_each_point(self, instance, pairs):
         u, s = instance
-        alphas, betas = zip(*points)
-        got = au_decisions_grid(u, s, alphas, betas)
-        assert got.tolist() == [decide_au(u, s, a, b) for a, b in points]
+        points = [{"alpha": a, "beta": b} for a, b in pairs]
+        got = decide_matrix(Family.AU, points, *_as_rows(u, s))[:, 0]
+        assert got.tolist() == [decide_au(u, s, a, b) for a, b in pairs]
 
     def test_decide_is_the_one_point_grid(self):
         ctx = DecisionContext(pivot_cache={})
@@ -379,31 +382,31 @@ class TestDecideGrid:
             ModelDescriptor(Family.LDLB, r=0.01),
             ModelDescriptor(Family.AU, alpha=1.8, beta=30.0),
         ):
-            grid = decide_grid(desc.family, (desc.params(),), U1, S1, ctx)
-            assert grid.shape == (1,) and grid.dtype == np.int64
-            assert decide(desc, U1, S1, ctx) == grid[0]
+            grid = decide_matrix(desc.family, (desc.params(),), *_as_rows(U1, S1), ctx)
+            assert grid.shape == (1, 1) and grid.dtype == np.int64
+            assert decide(desc, U1, S1, ctx) == grid[0, 0]
 
     def test_grid_follows_point_order(self):
         points = [{"k": k} for k in (1, 4, 2)]
-        assert decide_grid(Family.PRAG, points, U1, S1).tolist() == [3, 0, 3]
+        assert decide_matrix(Family.PRAG, points, *_as_rows(U1, S1)).tolist() == [[3], [0], [3]]
         radii = [{"r": r} for r in (0.08, 0.01, 1.0)]
-        assert decide_grid(Family.LD, radii, U1, S1).tolist() == [1, 0, 0]
-        assert decide_grid(Family.LDLB, radii, U1, S1).tolist() == [1, 3, 0]
+        assert decide_matrix(Family.LD, radii, *_as_rows(U1, S1)).tolist() == [[1], [0], [0]]
+        assert decide_matrix(Family.LDLB, radii, *_as_rows(U1, S1)).tolist() == [[1], [3], [0]]
 
     def test_scalar_errors_are_still_raised(self):
         three = UtilityFunction((10, 5, 0))
         with pytest.raises(ValueError, match="r must lie"):
-            decide_grid(Family.LD, [{"r": 0.1}, {"r": 1.5}], U1, S1)
+            decide_matrix(Family.LD, [{"r": 0.1}, {"r": 1.5}], *_as_rows(U1, S1))
         with pytest.raises(ValueError, match="r must lie"):
-            decide_grid(Family.LDLB, [{"r": -0.1}], U1, S1)
+            decide_matrix(Family.LDLB, [{"r": -0.1}], *_as_rows(U1, S1))
         with pytest.raises(ValueError, match="k must lie"):
-            decide_grid(Family.PRAG, [{"k": 2}, {"k": 6}], U1, S1)
+            decide_matrix(Family.PRAG, [{"k": 2}, {"k": 6}], *_as_rows(U1, S1))
         with pytest.raises(ValueError, match="three candidates"):
-            decide_grid(Family.TMG, [{"voter_type": "TRT"}], U1, S1)
+            decide_matrix(Family.TMG, [{"voter_type": "TRT"}], *_as_rows(U1, S1))
         with pytest.raises(ValueError, match="alpha must lie"):
-            decide_grid(Family.AU, [{"alpha": 2.5, "beta": 10.0}], U1, S1)
+            decide_matrix(Family.AU, [{"alpha": 2.5, "beta": 10.0}], *_as_rows(U1, S1))
         with pytest.raises(ValueError, match="beta must be non-negative"):
-            decide_grid(Family.AU, [{"alpha": 1.0, "beta": -1.0}], U1, S1)
+            decide_matrix(Family.AU, [{"alpha": 1.0, "beta": -1.0}], *_as_rows(U1, S1))
         for desc in (
             ModelDescriptor(Family.TRUTH),
             ModelDescriptor(Family.BR),
@@ -414,7 +417,7 @@ class TestDecideGrid:
             ModelDescriptor(Family.AU, alpha=1.0, beta=10.0),
         ):
             with pytest.raises(ValueError, match="dimension mismatch"):
-                decide_grid(desc.family, (desc.params(),), three, S1)
+                decide_matrix(desc.family, (desc.params(),), [three.values], [S1.scores], [S1.n])
 
 
 # --- the array path against the scalar deciders ------------------------------
@@ -422,13 +425,16 @@ class TestDecideGrid:
 # Utilities and scores drawn from small sets, so preference ties, tied and
 # zero poll scores are common; a reported n of None means the score total.
 _utility = st.one_of(st.sampled_from([0.0, 10.0, 20.0]), st.floats(0, 100, allow_nan=False))
+# CV's gains multiply utility differences, so its utilities also reach the
+# float limit, where a gain can overflow to inf for several candidates.
+_cv_utility = st.one_of(_utility, st.sampled_from([1e308, 1.7976931348623157e308]))
 _alpha = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0]), st.floats(0, 2, allow_nan=False))
 _beta = st.one_of(st.sampled_from([0.0, 1.0, 40.0]), st.floats(0, 100, allow_nan=False))
 
 
-def _record(m):
+def _record(m, utility=_utility):
     return st.tuples(
-        st.lists(_utility, min_size=m, max_size=m),
+        st.lists(utility, min_size=m, max_size=m),
         st.lists(st.integers(0, 12), min_size=m, max_size=m),
         st.one_of(st.none(), st.integers(0, 60)),
     ).map(
@@ -439,8 +445,8 @@ def _record(m):
     )
 
 
-def _records(m, max_size=6):
-    return st.lists(_record(m), min_size=1, max_size=max_size)
+def _records(m, max_size=6, utility=_utility):
+    return st.lists(_record(m, utility), min_size=1, max_size=max_size)
 
 
 any_m_records = st.integers(2, 5).flatmap(_records)
@@ -457,11 +463,11 @@ _TIED_TOP = [
 _SUM_ORDER = [(UtilityFunction((0.1, 0.2, 0.3)), Poll((1, 1, 0), 2))]
 
 
-def _matrix(family, points, records):
+def _matrix(family, points, records, context=None):
     U = np.array([u.values for u, _ in records])
     S = np.array([s.scores for _, s in records])
     n = np.array([s.n for _, s in records])
-    got = decide_matrix(family, points, U, S, n)
+    got = decide_matrix(family, points, U, S, n, context)
     assert got.dtype == np.int64 and got.shape == (len(points), len(records))
     return got
 
@@ -539,6 +545,87 @@ class TestDecideMatrixEqualsScalarDeciders:
         # records gets smaller blocks and the same decisions.
         many = records * 300
         assert np.array_equal(_matrix(Family.AU, points, many), np.tile(got, 300))
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 6).flatmap(lambda m: _records(m, max_size=4, utility=_cv_utility)),
+        st.lists(st.sampled_from([1, 2, 3, 5, 8, 16, "n"]), min_size=1, max_size=4),
+    )
+    @example(_TIED, [1, "n"])
+    @example(_TIED_TOP, [2, 16, "n"])
+    @example(_SUM_ORDER, ["n", 1])
+    @example([(UtilityFunction((1e308, 0.0, 1e308, 5.0)), Poll((3, 0, 3, 1), 9))] * 2, [1, 8])
+    def test_cv(self, records, etas):
+        points = [{"eta": eta} for eta in etas]
+        if "n" in etas and any(s.n == 0 for _, s in records):
+            with pytest.raises(ValueError, match="eta must be a positive integer"):
+                _matrix(Family.CV, points, records)
+            return
+        cache = {}
+        want = _scalar(
+            lambda u, s, p: decide_cv(u, s, s.n if p["eta"] == "n" else p["eta"], cache=cache),
+            points,
+            records,
+        )
+        assert np.array_equal(_matrix(Family.CV, points, records), want)
+
+    def test_cv_past_the_term_budget(self):
+        # Seven candidates at eta = 1000: the kernel would take more than
+        # TERM_BUDGET terms, so the table is Monte-Carlo.
+        scores = (7, 6, 5, 4, 3, 2, 1)
+        records = [
+            (UtilityFunction((0, 10, 20, 30, 40, 50, 60)), Poll.from_scores(scores)),
+            (UtilityFunction((60, 50, 40, 30, 20, 10, 0)), Poll(scores, 40)),
+            (UtilityFunction((0, 60, 0, 60, 0, 0, 60)), Poll.from_scores(scores)),
+        ]
+        cache = {}
+        want = _scalar(lambda u, s, p: decide_cv(u, s, 1000, cache=cache), [{}], records)
+        assert [table.method for table in cache.values()] == ["monte_carlo"]
+        ctx = DecisionContext(pivot_cache={})
+        assert np.array_equal(_matrix(Family.CV, [{"eta": 1000}], records, ctx), want)
+        assert ctx.pivot_cache.keys() == cache.keys()
+
+
+def test_cv_builds_each_distinct_table_once(monkeypatch):
+    built = []
+    real = pivot._cv_table
+
+    def counting(poll, eta):
+        built.append((poll.scores, eta))
+        return real(poll, eta)
+
+    monkeypatch.setattr(pivot, "_cv_table", counting)
+    u, v = UtilityFunction((10.0, 5.0, 0.0)), UtilityFunction((0.0, 5.0, 10.0))
+    # Under eta = "n" the first row needs the eta = 16 table and the last
+    # two the eta = 4 ones, which the fixed etas build too.
+    records = [
+        (u, Poll((5, 4, 1), 16)),
+        (v, Poll((5, 4, 1), 10)),
+        (v, Poll((2, 2, 6), 4)),
+        (u, Poll((5, 4, 1), 4)),
+    ]
+    _matrix(Family.CV, [{"eta": 4}, {"eta": 16}, {"eta": "n"}], records)
+    assert sorted(built) == [
+        ((2, 2, 6), 4), ((2, 2, 6), 16), ((5, 4, 1), 4), ((5, 4, 1), 10), ((5, 4, 1), 16),
+    ]
+
+
+@pytest.mark.parametrize("family", [family for family in Family if family is not Family.NN])
+def test_decide_matrix_rejects_mismatched_shapes(family):
+    points = ParameterGrid.default(family).points[:1]
+    u3, u4 = [10.0, 5.0, 0.0], [10.0, 5.0, 0.0, 1.0]
+    for U, S, n in (
+        ([u3], [[30, 20, 10, 40]], [100]),  # a fourth candidate leads the poll
+        ([u4], [[30, 20, 10]], [60]),
+        ([u3, u3], [[30, 20, 10], [10, 20, 30]], [60]),
+        ([u3], [[30, 20, 10]], [60, 60]),
+        ([u3], [[30, 20, 10]], 60),
+        ([[1.0]], [[5]], [5]),  # one candidate
+        (u3, [30, 20, 10], [60]),
+    ):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            decide_matrix(family, points, U, S, n)
 
 
 class TestDecideMatrixDecidesEachRowAlone:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pivot_oracle import closed_form_pair_probs, composition_blocks, exact_pair_probs
+from scalar_deciders import cv_gain_scores
 from stratvote import pivot
 from stratvote.core import Poll, UtilityFunction
 from stratvote.pivot import (
@@ -19,7 +20,6 @@ from stratvote.pivot import (
     _nested_terms,
     _pair_event_weights,
     composition_count,
-    cv_gain_scores,
     decide_cv,
     pivot_table_exact,
     pivot_table_mc,
@@ -250,6 +250,8 @@ class TestMonteCarlo:
 
 
 class TestGains:
+    """The gain definition, on the oracle ``decide_matrix``'s CV path is checked against."""
+
     def test_no_reachable_tie_means_no_gain(self):
         table = pivot_table_exact(Poll.from_scores((5, 0, 0)), 2)
         gains = cv_gain_scores(UtilityFunction((10, 5, 0)), table)

@@ -7,9 +7,10 @@ order, the relative name, a NUL byte and the sha256 of the file's bytes.  A
 change that means to alter report bytes updates the digest here and names
 the change in CHANGES.md.
 
-Two hand-made datasets pin what no workload reaches: ``mixed_dataset`` of
+Three hand-made datasets pin what no workload reaches: ``mixed_dataset`` of
 ``test_evaluation.py`` at m = 3 holds tied polls (unclassified rows) beside
-unjustified and inconsistent votes, and at m = 4 every row is unclassified.
+unjustified and inconsistent votes, at m = 4 every row is unclassified, and
+at m = 5 ``CV`` takes the kernel's nested sums and ``eta = "n"``.
 """
 
 import hashlib
@@ -50,27 +51,30 @@ def test_workload_reports_keep_their_bytes(name, tmp_path, capsys):
     assert tree_sha256(out) == DIGESTS[name]
 
 
-# mixed_dataset's (seed, m) and the families evaluated on it, and the
-# tree digest per mode.
+# mixed_dataset's (seed, m), the families evaluated on it and its CV etas,
+# and the tree digest per mode.
 MIXED = {
-    "m3": (1, 3, "TRUTH,BR,PRAG,CV,LD,LDLB,TMG,AU,NN"),
-    "m4": (3, 4, "TRUTH,BR,PRAG,CV,LD,LDLB,AU"),
+    "m3": (1, 3, "TRUTH,BR,PRAG,CV,LD,LDLB,TMG,AU,NN", "1,4,16"),
+    "m4": (3, 4, "TRUTH,BR,PRAG,CV,LD,LDLB,AU", "1,4,16"),
+    "m5": (5, 5, "CV", "1,4,16,n"),
 }
 MIXED_DIGESTS = {
     ("m3", "loo"): "02553117ac33f122874433e9ddd87ccb85f195d2904dd9e154fbfad857e6392f",
     ("m3", "upper"): "3a994a8c5dceee3454e605ef70ba2e5409aba2a3b598125c963a7f00c044bfe1",
     ("m4", "loo"): "413234bfc2882a8f87bf60ed3ecff42f42dafb89c5b3f3e35aca535827aee2ad",
     ("m4", "upper"): "fe16f292241f6406eb53efd085cf5a653898a0128ef17d0c694ae8ca5f647bea",
+    ("m5", "loo"): "1ad2ab4b12d32cf4b5747471fd34c3620eff03f99072d8eca3ae2f0b05e69ecf",
+    ("m5", "upper"): "066ed9990da639d381eefaee077f5f617c758df66e9d25048eb340da5eb9056e",
 }
 
 
 @pytest.mark.parametrize("name, mode", sorted(MIXED_DIGESTS))
 def test_mixed_reports_keep_their_bytes(name, mode, tmp_path, capsys):
-    seed, m, families = MIXED[name]
+    seed, m, families, etas = MIXED[name]
     save_dataset(mixed_dataset(seed, m), tmp_path / "data")
     argv = [
         "evaluate", "--data", str(tmp_path / "data" / "dataset.csv"), "--families", families,
-        "--cv-etas", "1,4,16", "--mode", mode, "--jobs", "1", "--seed", "1",
+        "--cv-etas", etas, "--mode", mode, "--jobs", "1", "--seed", "1",
         "--out", str(tmp_path / "out"),
     ]
     assert cli.main(argv) == 0
