@@ -28,9 +28,23 @@ cross-entropy with L2 weight decay.
 Training has one path, :func:`train_stack`, which trains F networks of
 equal-sized training sets at once: weights of shape (F, h, d), (F, h),
 (F, c, h) and (F, c), every forward, backward and update step batched over
-the fold axis.  Each step is elementwise, a reduction within one fold, or
-one matrix product per fold, so every network ends with the same weights,
-bit for bit, as one trained alone.  :func:`train` and
+the fold axis.  Every network ends with the same weights, bit for bit, as
+one trained alone, because each step does one network's arithmetic in one
+network's order:
+
+- an elementwise step gives the same bits in any layout;
+- a sum or max over the classes or the rows runs over the leading axis of a
+  C-contiguous copy, class-major (c, F, n) for the softmax and (n, F, k) for
+  the bias gradients, which numpy reduces element after element, as it
+  reduces one network's 3 classes (fewer than its 8-element pairwise
+  threshold) and its rows (a leading axis);
+- the cross-entropy mean and the L2 penalty reduce each fold's own
+  contiguous row, pairwise as one network's;
+- each matrix product is one per fold, and its operands keep the layouts
+  one network's arrays have: a contiguous copy of w1 transposed, say, makes
+  BLAS sum in another order.
+
+:func:`train` and
 :func:`loss_and_grads` are its one-network case.  :func:`fit_folds` trains
 feature and target arrays of any sizes: those of one size train as one
 stack, split only past ``MAX_STACK_ROWS`` training rows per stack.
@@ -38,6 +52,8 @@ stack, split only past ``MAX_STACK_ROWS`` training rows per stack.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -133,43 +149,54 @@ class Hyperparams:
     l2: float = 1e-4
 
     def __post_init__(self) -> None:
-        if self.epochs < 0 or self.learning_rate <= 0 or self.l2 < 0:
-            raise ValueError("invalid hyperparameters")
+        epochs = self.epochs
+        if isinstance(epochs, bool) or not isinstance(epochs, numbers.Integral) or epochs < 0:
+            raise ValueError(f"epochs must be a non-negative integer, got {epochs!r}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
+        if not (math.isfinite(self.l2) and self.l2 >= 0):
+            raise ValueError(f"l2 must be finite and non-negative, got {self.l2}")
 
 
-def init_network(
-    input_dim: int,
-    seed: int,
-    hidden: int = HIDDEN_SIZE,
-    classes: int = NUM_CLASSES,
-) -> Network:
+def init_network(input_dim: int, seed: int) -> Network:
     rng = np.random.default_rng(seed)
     return Network(
-        w1=rng.uniform(-0.5, 0.5, size=(hidden, input_dim)),
-        b1=rng.uniform(-0.5, 0.5, size=hidden),
-        w2=rng.uniform(-0.5, 0.5, size=(classes, hidden)),
-        b2=rng.uniform(-0.5, 0.5, size=classes),
+        w1=rng.uniform(-0.5, 0.5, size=(HIDDEN_SIZE, input_dim)),
+        b1=rng.uniform(-0.5, 0.5, size=HIDDEN_SIZE),
+        w2=rng.uniform(-0.5, 0.5, size=(NUM_CLASSES, HIDDEN_SIZE)),
+        b2=rng.uniform(-0.5, 0.5, size=NUM_CLASSES),
     )
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    e = np.exp(-np.abs(z))
-    d = 1.0 + e
-    return np.where(z >= 0, 1.0 / d, e / d)
+    """Logistic function of ``z``; overwrites ``z``."""
+    positive = z >= 0
+    e = np.exp(np.negative(np.abs(z, out=z), out=z), out=z)
+    d = e + 1.0
+    sigmoid = np.where(positive, 1.0, e)  # 1/d for z >= 0, e/d below
+    sigmoid /= d
+    return sigmoid
 
 
 def _forward(
     params: dict[str, np.ndarray], X: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Hidden activations and log-probabilities of a stack of F networks.
+    """Hidden activations (F, n, h) and class-major log-probabilities (c, F, n).
 
     ``params`` holds w1 (F, h, d), b1 (F, h), w2 (F, c, h), b2 (F, c) and
-    ``X`` is (F, n, d); network f sees only X[f].
+    ``X`` is (F, n, d); network f sees only X[f].  The softmax runs on a
+    C-contiguous class-major copy of the logits, so its max and sum over the
+    classes are reductions over the leading axis.
     """
-    hidden = _sigmoid(X @ params["w1"].transpose(0, 2, 1) + params["b1"][:, None, :])
-    logits = hidden @ params["w2"].transpose(0, 2, 1) + params["b2"][:, None, :]
-    shifted = logits - logits.max(axis=2, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=2, keepdims=True))
+    pre = X @ params["w1"].transpose(0, 2, 1)
+    pre += params["b1"][:, None, :]
+    hidden = _sigmoid(pre)
+    logits = hidden @ params["w2"].transpose(0, 2, 1)
+    log_probs = np.ascontiguousarray(logits.transpose(2, 0, 1))
+    log_probs += params["b2"].T[:, :, None]
+    log_probs -= log_probs.max(axis=0)
+    total = np.exp(log_probs).sum(axis=0)
+    log_probs -= np.log(total, out=total)
     return hidden, log_probs
 
 
@@ -183,7 +210,7 @@ def predict_proba(net: Network, X: np.ndarray) -> np.ndarray:
     if X.shape[1] != net.input_dim:
         raise ValueError(f"expected {net.input_dim} features, got {X.shape[1]}")
     _, log_probs = _forward(_params(net), X[None])
-    return np.exp(log_probs[0])
+    return np.exp(log_probs[:, 0].T)
 
 
 def predict(net: Network, features: np.ndarray) -> int:
@@ -192,28 +219,51 @@ def predict(net: Network, features: np.ndarray) -> int:
     return int(np.argmax(probs[0]))
 
 
+def _target_index(y: np.ndarray) -> np.ndarray:
+    """Flat indices of the (F, n) class targets ``y`` in class-major (c, F, n) arrays."""
+    return y * y.size + np.arange(y.size).reshape(y.shape)
+
+
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """``a.sum(axis=0)`` of an (n, F, k) view, summed row after row.
+
+    The C-contiguous copy turns the sum over n into one reduction over the
+    leading axis, which adds the rows in order, as a sum over n of one
+    fold's (n, k) array does.
+    """
+    return np.ascontiguousarray(a).sum(axis=0)
+
+
 def _stack_loss_and_grads(
     params: dict[str, np.ndarray], X: np.ndarray, target: np.ndarray, l2: float
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Per-fold loss, shape (F,), and gradients of a stack of F networks.
 
-    ``target`` is the boolean one-hot mask (F, n, c) of the class indices.
+    ``target`` holds the :func:`_target_index` of the (F, n) class indices.
     """
-    F, n = X.shape[:2]
+    n = X.shape[1]
     hidden, log_probs = _forward(params, X)
-    ce = -log_probs[target].reshape(F, n).mean(axis=1)
+    flat = log_probs.reshape(-1)
+    ce = -flat[target].mean(axis=1)
     w1, w2 = params["w1"], params["w2"]
     penalty = (w1 ** 2).sum(axis=(1, 2)) + (w2 ** 2).sum(axis=(1, 2))
     loss = ce + 0.5 * l2 * penalty
 
-    # p - 1 at the target and p - 0 == p elsewhere, as one subtraction.
-    d_logits = (np.exp(log_probs) - target) / n
-    dw2 = d_logits.transpose(0, 2, 1) @ hidden + l2 * w2
-    db2 = d_logits.sum(axis=1)
-    d_hidden = d_logits @ w2
-    d_pre = d_hidden * hidden * (1.0 - hidden)
-    dw1 = d_pre.transpose(0, 2, 1) @ X + l2 * w1
-    db1 = d_pre.sum(axis=1)
+    probs = np.exp(log_probs, out=log_probs)
+    np.subtract.at(flat, target, 1.0)
+    probs /= n
+    # The matmul operands keep the layouts of one network's (n, c) arrays:
+    # a different layout can change BLAS's summation and so the bits.
+    d_logits = np.ascontiguousarray(probs.transpose(1, 2, 0))
+    dw2 = d_logits.transpose(0, 2, 1) @ hidden
+    dw2 += l2 * w2
+    db2 = _row_sums(probs.transpose(2, 1, 0))
+    d_pre = d_logits @ w2
+    d_pre *= hidden
+    d_pre *= np.subtract(1.0, hidden, out=hidden)
+    dw1 = d_pre.transpose(0, 2, 1) @ X
+    dw1 += l2 * w1
+    db1 = _row_sums(d_pre.transpose(1, 0, 2))
     return loss, {"w1": dw1, "b1": db1, "w2": dw2, "b2": db2}
 
 
@@ -228,32 +278,26 @@ def loss_and_grads(
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
-    target = np.arange(net.b2.shape[0]) == y[None, :, None]
-    loss, grads = _stack_loss_and_grads(_params(net), X[None], target, l2)
+    loss, grads = _stack_loss_and_grads(_params(net), X[None], _target_index(y[None]), l2)
     return float(loss[0]), {name: g[0] for name, g in grads.items()}
 
 
-def train_stack(
-    X: np.ndarray,
-    y: np.ndarray,
-    hypers: Sequence[Hyperparams],
-    hidden: int = HIDDEN_SIZE,
-    classes: int = NUM_CLASSES,
-) -> list[Network]:
+def train_stack(X: np.ndarray, y: np.ndarray, hypers: Sequence[Hyperparams]) -> list[Network]:
     """Train F networks at once, network f on (X[f], y[f]) with hypers[f].
 
     ``X`` is (F, n, d) and ``y`` is (F, n).  Each network starts from
     ``init_network`` with its own seed; the folds must agree on epochs,
     learning rate and L2.  Every network ends with the same weights, bit
     for bit, as if it were trained alone.  The loss of every fold is
-    checked on every epoch; the first non-finite one aborts the whole
-    stack, naming the epoch and that fold's seed.
+    checked on every epoch, and the weights once after the last; the first
+    non-finite one aborts the whole stack, naming the epoch and that fold's
+    seed.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
     if X.ndim != 3 or X.shape[0] == 0 or X.shape[1] == 0:
         raise ValueError("need a non-empty stack of non-empty 2-d feature matrices")
-    if y.shape != X.shape[:2] or y.min() < 0 or y.max() >= classes:
+    if y.shape != X.shape[:2] or y.min() < 0 or y.max() >= NUM_CLASSES:
         raise ValueError("targets must be class indices aligned with X")
     if len(hypers) != X.shape[0]:
         raise ValueError(f"need one Hyperparams per fold, got {len(hypers)} for {X.shape[0]}")
@@ -262,8 +306,11 @@ def train_stack(
         raise ValueError("folds must share epochs, learning_rate and l2; only seeds may differ")
     ((epochs, rate, l2),) = shared
 
-    target = np.arange(classes) == y[..., None]
-    nets = [init_network(X.shape[2], seed=h.seed, hidden=hidden, classes=classes) for h in hypers]
+    def fold_text(fold: int) -> str:
+        return f"in the fold with seed {hypers[fold].seed}; lr={rate}, l2={l2}"
+
+    target = _target_index(y)
+    nets = [init_network(X.shape[2], seed=h.seed) for h in hypers]
     params = {name: np.stack([getattr(net, name) for net in nets]) for name in _PARAM_NAMES}
     for epoch in range(epochs):
         loss, grads = _stack_loss_and_grads(params, X, target, l2)
@@ -271,29 +318,28 @@ def train_stack(
         if not finite.all():
             fold = int(np.argmin(finite))
             raise ArithmeticError(
-                f"non-finite loss {loss[fold]} at epoch {epoch} in the fold with "
-                f"seed {hypers[fold].seed}; lr={rate}, l2={l2}"
+                f"non-finite loss {loss[fold]} at epoch {epoch} {fold_text(fold)}"
             )
         for name in _PARAM_NAMES:
-            params[name] -= rate * grads[name]
+            grads[name] *= rate
+            params[name] -= grads[name]
+    weights = np.hstack([w.reshape(len(nets), -1) for w in params.values()])
+    finite = np.isfinite(weights).all(axis=1)
+    if not finite.all():
+        fold = int(np.argmin(finite))
+        raise ArithmeticError(f"non-finite weights after epoch {epochs - 1} {fold_text(fold)}")
     for f, net in enumerate(nets):
         for name in _PARAM_NAMES:
             setattr(net, name, params[name][f].copy())
     return nets
 
 
-def train(
-    X: np.ndarray,
-    y: np.ndarray,
-    hyper: Hyperparams = Hyperparams(),
-    hidden: int = HIDDEN_SIZE,
-    classes: int = NUM_CLASSES,
-) -> Network:
+def train(X: np.ndarray, y: np.ndarray, hyper: Hyperparams = Hyperparams()) -> Network:
     """Full-batch gradient descent; deterministic for a fixed seed.
 
     The one-network case of :func:`train_stack`.
     """
-    (net,) = train_stack(np.asarray(X)[None], np.asarray(y)[None], [hyper], hidden, classes)
+    (net,) = train_stack(np.asarray(X)[None], np.asarray(y)[None], [hyper])
     return net
 
 

@@ -426,10 +426,36 @@ class TestTrain:
         with pytest.raises(ArithmeticError, match="non-finite loss"):
             train(X, y, Hyperparams(epochs=200, learning_rate=1e12))
 
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_non_finite_weights_after_the_last_update_abort(self):
+        # The loss is checked before each update; a last update that
+        # overflows is caught by the check on the final weights.
+        X, y = toy_problem()
+        hyper = Hyperparams(epochs=1, learning_rate=1000.0, l2=1e306, seed=7)
+        with pytest.raises(ArithmeticError, match="non-finite weights after epoch 0 ") as err:
+            train(X, y, hyper)
+        assert "in the fold with seed 7;" in str(err.value)
+
     def test_rejects_misaligned_targets(self):
         X, _ = toy_problem()
         with pytest.raises(ValueError):
             train(X, np.zeros(7, dtype=int))
+
+
+class TestHyperparams:
+    @pytest.mark.parametrize("field", ["learning_rate", "l2"])
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_rejects_a_non_finite_rate_or_decay(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            Hyperparams(**{field: value})
+
+    @pytest.mark.parametrize("epochs", [2.5, 3.0, True, "3", -1])
+    def test_rejects_epochs_that_are_not_non_negative_integers(self, epochs):
+        with pytest.raises(ValueError, match="^epochs must be a non-negative integer"):
+            Hyperparams(epochs=epochs)
+
+    def test_accepts_numpy_integer_epochs(self):
+        assert Hyperparams(epochs=np.int64(3)).epochs == 3
 
 
 class TestGradients:
@@ -453,9 +479,13 @@ SEEDS = st.integers(min_value=0, max_value=2**63 - 1)
 
 @st.composite
 def fold_stacks(draw):
-    """(X, y, hypers) for F >= 1 folds of n >= 1 records each."""
-    F = draw(st.integers(min_value=1, max_value=6))
-    n = draw(st.integers(min_value=1, max_value=12))
+    """(X, y, hypers) for 1-24 folds of 1-40 records each.
+
+    Past 8 rows the cross-entropy mean sums pairwise, and past 8 folds every
+    stacked reduction runs over more folds than a stack of one.
+    """
+    F = draw(st.integers(min_value=1, max_value=24))
+    n = draw(st.integers(min_value=1, max_value=40))
     d = draw(st.sampled_from([1, 4, FEATURE_DIM]))
     epochs = draw(st.integers(min_value=0, max_value=40))
     rng = np.random.default_rng(draw(SEEDS))
@@ -487,6 +517,24 @@ class TestStackedTraining:
         for name in ("w1", "b1", "w2", "b2"):
             assert np.array_equal(grads[name], want[name]), name
         assert np.array_equal(predict_proba(net, X[0]), np.exp(_oracle_forward(net, X[0])[1]))
+
+    def test_production_shape_equals_oracle(self):
+        # The nn_folds shape: 12 voters x 12 rounds, one 11-record LOO fold
+        # per record.  Reduction order and BLAS kernels depend on shape and
+        # strides, so this shape is pinned beside the small random stacks.
+        rng = np.random.default_rng(17)
+        voters = [generated_voter(rng, 12) for _ in range(12)]
+        folds = [rows[:i] + rows[i + 1 :] for rows in voters for i in range(12)]
+        X, y = (np.stack(a) for a in fold_arrays(folds))
+        assert X.shape == (144, 11, FEATURE_DIM)
+        hypers = [Hyperparams(epochs=20, seed=500 + f) for f in range(len(folds))]
+        for f, net in enumerate(train_stack(X, y, hypers)):
+            assert_same_weights(net, oracle_train(X[f], y[f], hypers[f]))
+            loss, grads = loss_and_grads(net, X[f], y[f])
+            want_loss, want = oracle_loss_and_grads(net, X[f], y[f])
+            assert loss == want_loss
+            for name in ("w1", "b1", "w2", "b2"):
+                assert np.array_equal(grads[name], want[name]), name
 
     def test_each_fold_uses_its_own_seed(self):
         X, y = toy_problem()
