@@ -643,8 +643,9 @@ def evaluate_families(
     workers = min(jobs, len(voter_rows))
     blocks = [table.select(rows) for rows in _voter_runs(voter_rows, workers)]
     tasks = [(block, grid, mode, seed) for grid in grids for block in blocks]
-    if workers > 1 and any(grid.family is Family.CV for grid in grids):
-        # Load the pivot kernels' scipy once here, not in every worker.
+    if workers > 1 and table.m >= 4 and any(grid.family is Family.CV for grid in grids):
+        # From m = 4 on the pivot kernel takes binomial tails from scipy:
+        # load it once here, not in every worker.
         import scipy.special  # noqa: F401
     with get_context("fork").Pool(processes=workers) if workers > 1 else nullcontext() as pool:
         chunks = pool.imap(_evaluate_voters, tasks) if pool else map(_evaluate_voters, tasks)

@@ -29,6 +29,11 @@ a probability and ``C <= 1``, so an m >= 5 entry is at most
 is absolute: entries far below it, such as pairs that almost never lead,
 can lose their relative precision.  m <= 4 skips nothing.
 
+Every log is libm's, through ``math.log``, and log k! comes from one table,
+grown on demand and shared by every table, that follows cephes ``lgam`` step
+for step; both are bit for bit what scipy's ``xlogy`` and ``gammaln`` give.
+So m <= 3 needs no scipy at all: only the binomial tails of m >= 4 import it.
+
 A table depends on the poll's scores and ``eta`` only, never on its
 reported size ``n``.  :func:`cv_votes` decides CV for a batch of records at
 a list of etas in array operations, building each distinct (scores, eta)
@@ -62,6 +67,69 @@ _MC_CHUNK = 1_000_000
 # held at once.
 _GRID_CELLS = 1 << 21
 _BLOCK_TERMS = 1 << 18
+
+# log k! for every k below its length, grown by _log_factorial in whole
+# chunks of _LOG_FACTORIAL_CHUNK entries.
+_LOG_FACTORIAL_CHUNK = 1 << 16
+_log_factorials = np.zeros(0)
+# cephes lgam's constants: log(sqrt(2 pi)) and the Stirling correction's
+# coefficients below x = 1000, highest power first.
+_LS2PI = 0.91893853320467274178
+_LGAM_A = (
+    8.11614167470508450300e-4,
+    -5.95061904284301438324e-4,
+    7.93650340457716943945e-4,
+    -2.77777777730099687205e-3,
+    8.33333333333331927722e-2,
+)
+
+
+def _log(values: np.ndarray) -> np.ndarray:
+    """libm's log of each of a few values, -inf at 0: ``np.log`` may differ
+    in the last bit."""
+    return np.array([math.log(v) if v > 0 else -math.inf for v in values.tolist()])
+
+
+def _lgam_int(k: np.ndarray) -> np.ndarray:
+    """log k! = log Gamma(k + 1) for integers 0 <= k < 2^53, by cephes lgam's steps.
+
+    Bit for bit ``scipy.special.gammaln(k + 1.0)``: the log of the exact
+    k! for k <= 11, else Stirling's series at x = k + 1 with a correction in
+    1/x^2 (three terms from x = 1000 on).
+    """
+    x = k + 1.0
+    q = (x - 0.5) * np.fromiter(map(math.log, x.tolist()), float, len(x)) - x + _LS2PI
+    p = 1.0 / (x * x)
+    series = _LGAM_A[0]
+    for a in _LGAM_A[1:]:
+        series = series * p + a
+    three_terms = (7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+    series = np.where(x >= 1000.0, three_terms + 0.0833333333333333333333, series)
+    # lgam skips the correction past x = 1e8, where it is below half an ulp
+    # of q, so adding it there changes no bit.
+    q = q + series / x
+    small = k <= 11
+    q[small] = [math.log(math.factorial(j)) for j in k[small].tolist()]
+    return q
+
+
+def _log_factorial(k: np.ndarray | int) -> np.ndarray:
+    """log k! for non-negative integers ``k``, from a table shared by every call."""
+    global _log_factorials
+    try:
+        return _log_factorials[k]
+    except IndexError:  # grow the table to hold the largest k
+        have = len(_log_factorials)
+        need = int(np.max(k)) + 1
+        table = np.empty(-(-need // _LOG_FACTORIAL_CHUNK) * _LOG_FACTORIAL_CHUNK)
+        table[:have] = _log_factorials
+        # A chunk at a time, so that the temporaries stay small.
+        for start in range(have, len(table), _LOG_FACTORIAL_CHUNK):
+            table[start : start + _LOG_FACTORIAL_CHUNK] = _lgam_int(
+                np.arange(start, start + _LOG_FACTORIAL_CHUNK)
+            )
+        _log_factorials = table
+    return _log_factorials[k]
 
 
 def _belief_probabilities(poll: Poll) -> np.ndarray:
@@ -135,26 +203,35 @@ class _Pairs:
         columns (a sole lead) come first, then lead = 0 (a tie).  t runs
         over the range where the others can all stay at most t - 1.
         """
-        from scipy.special import gammaln, xlogy
-
         m = self.share.shape[1] + 2
         t = [np.arange((eta + lead + 2 * m - 3) // m, (eta + lead) // 2 + 1) for lead in (1, 0)]
         top = np.concatenate(t)
         near = np.concatenate([t[0] - 1, t[1]])
         rest = eta - top - near
+        # Only now that the grid fits in memory may the table grow to eta.
+        log_choose = (
+            _log_factorial(eta) - _log_factorial(top) - _log_factorial(near) - _log_factorial(rest)
+        )
+        log_p = _log(self.p)
+        log_px, log_py, log_q = log_p[self.x, None], log_p[self.y, None], _log(self.rest)[:, None]
         step = max(1, _GRID_CELLS // max(len(top), 1))
         for start in range(0, len(self.x), step):
             ids = np.arange(start, min(start + step, len(self.x)))
             log_w = (
-                gammaln(eta + 1.0)
-                - gammaln(top + 1.0)
-                - gammaln(near + 1.0)
-                - gammaln(rest + 1.0)
-                + xlogy(top, self.p[self.x[ids], None])
-                + xlogy(near, self.p[self.y[ids], None])
-                + xlogy(rest, self.rest[ids, None])
+                log_choose
+                + _xlogy(top, log_px[ids])
+                + _xlogy(near, log_py[ids])
+                + _xlogy(rest, log_q[ids])
             )
             yield ids, log_w, top, rest
+
+
+def _xlogy(k: np.ndarray, log_y: np.ndarray) -> np.ndarray:
+    """The (pairs x t) grid ``k * log_y``, 0 where k == 0, for k over t and
+    log_y = log(y) a column over pairs: scipy's ``xlogy(k, y)`` bit for bit,
+    since xlogy is ``k * log(y)`` with libm's log wherever k != 0."""
+    out = np.zeros((len(log_y), len(k)))
+    return np.multiply(k, log_y, out=out, where=k != 0)
 
 
 def _kept_cells(log_w: np.ndarray, w: np.ndarray, others: int) -> np.ndarray:
@@ -167,9 +244,9 @@ def _kept_cells(log_w: np.ndarray, w: np.ndarray, others: int) -> np.ndarray:
 
 
 def _binom_log_pmf(j: np.ndarray, n: np.ndarray, p: np.ndarray) -> np.ndarray:
-    from scipy.special import gammaln, xlog1py, xlogy
+    from scipy.special import xlog1py, xlogy
 
-    log_choose = gammaln(n + 1.0) - gammaln(j + 1.0) - gammaln(n - j + 1.0)
+    log_choose = _log_factorial(n) - _log_factorial(j) - _log_factorial(n - j)
     return log_choose + xlogy(j, p) + xlog1py(n - j, -p)
 
 

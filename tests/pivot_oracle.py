@@ -4,7 +4,9 @@
 sums the multinomial weight of each pivot event, so it serves any m at small
 eta.  ``closed_form_pair_probs`` is the m <= 3 closed form that the exact
 kernel reduces to for one other candidate, kept as it was to pin that
-reduction bit for bit.
+reduction bit for bit.  ``scipy_log_weights`` is the kernel's (pairs x t)
+grid of log-weights as it was computed from scipy's ``gammaln`` and
+``xlogy``, before the kernel took its logs from libm.
 """
 
 from __future__ import annotations
@@ -87,3 +89,23 @@ def closed_form_pair_probs(poll: Poll, eta: int) -> np.ndarray:
     out = np.zeros((poll.m, poll.m))
     out[x, y] = np.exp(log_pmf).sum(axis=1)
     return out
+
+
+def scipy_log_weights(pairs, eta: int) -> np.ndarray:
+    """Every row of ``pivot._Pairs.t_grids(eta)``'s log-weights, from scipy."""
+    from scipy.special import gammaln, xlogy
+
+    m = pairs.share.shape[1] + 2
+    t = [np.arange((eta + lead + 2 * m - 3) // m, (eta + lead) // 2 + 1) for lead in (1, 0)]
+    top = np.concatenate(t)
+    near = np.concatenate([t[0] - 1, t[1]])
+    rest = eta - top - near
+    return (
+        gammaln(eta + 1.0)
+        - gammaln(top + 1.0)
+        - gammaln(near + 1.0)
+        - gammaln(rest + 1.0)
+        + xlogy(top, pairs.p[pairs.x, None])
+        + xlogy(near, pairs.p[pairs.y, None])
+        + xlogy(rest, pairs.rest[:, None])
+    )

@@ -1042,6 +1042,8 @@ def test_cli_import_leaves_scipy_unloaded():
 
 
 def test_cv_pool_loads_scipy_before_forking():
+    # Only m >= 4 tables take binomial tails from scipy, so only then is it
+    # loaded once before the pool forks; m = 3 loads it nowhere.
     import subprocess
     import sys
     from pathlib import Path
@@ -1066,13 +1068,42 @@ class Context:
     def imap(self, fn, tasks):
         return (fn(task) for task in tasks)
 
+def dataset(scores):
+    u = UtilityFunction(tuple(10.0 * k for k in range(len(scores))))
+    return Dataset([VoteRecord(v, 0, Poll(scores, 10), u, 0) for v in ("a", "b")])
+
 seen = []
 evaluation.get_context = lambda method: Context()
-u = UtilityFunction((10.0, 5.0, 0.0))
-ds = Dataset([VoteRecord(v, 0, Poll((5, 3, 2), 10), u, 0) for v in ("a", "b")])
-loo_evaluate(Family.TRUTH, ParameterGrid.default(Family.TRUTH), ds, jobs=2)
-grids = [ParameterGrid.default(f, cv_etas=(4,)) for f in (Family.TRUTH, Family.CV)]
-list(evaluate_families(grids, ds, "loo", jobs=2))  # one pool, CV among its families
-assert seen == [False, True], seen
+three, four = dataset((5, 3, 2)), dataset((4, 3, 2, 1))
+loo_evaluate(Family.TRUTH, ParameterGrid.default(Family.TRUTH), four, jobs=2)
+grids = [ParameterGrid.default(f, cv_etas=(4, 1000)) for f in (Family.TRUTH, Family.CV)]
+list(evaluate_families(grids, three, "loo", jobs=2))  # the tasks run in this process
+assert "scipy" not in sys.modules
+list(evaluate_families(grids, four, "loo", jobs=2))  # one pool, CV among its families
+assert seen == [False, False, True], seen
+"""
+    subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": str(src)}, check=True)
+
+
+def test_three_candidate_cv_runs_leave_scipy_unloaded(tmp_path):
+    # simulate of a CV group, evaluate's default CV grid and predict --model
+    # CV: every m = 3 table takes its logs from libm, not scipy.
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    config = {**workload_configs()["cv_sweep"].config(), "num_voters": 2}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = f"""
+import sys
+from stratvote import cli
+
+d = {str(tmp_path)!r}
+assert cli.main(["simulate", "--config", d + "/config.json", "--seed", "1", "--out", d]) == 0
+assert cli.main(["evaluate", "--data", d, "--families", "CV", "--out", d + "/reports"]) == 0
+argv = ["predict", "--data", d, "--model", "CV", "--eta", "n", "--out", d + "/predicted.csv"]
+assert cli.main(argv) == 0
+assert "scipy" not in sys.modules
 """
     subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": str(src)}, check=True)

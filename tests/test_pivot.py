@@ -8,8 +8,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import gammaln, xlogy
 
-from pivot_oracle import closed_form_pair_probs, composition_blocks, exact_pair_probs
+from pivot_oracle import (
+    closed_form_pair_probs,
+    composition_blocks,
+    exact_pair_probs,
+    scipy_log_weights,
+)
 from scalar_deciders import cv_gain_scores
 from stratvote import pivot
 from stratvote.core import Poll, UtilityFunction
@@ -177,6 +183,50 @@ class TestClosedForm:
         assert [table.method for table in cache.values()] == ["exact"] * 3
 
 
+class TestLogs:
+    """The kernel's logs come from libm and one log-factorial table, bit
+    for bit scipy's ``gammaln`` and ``xlogy``."""
+
+    @pytest.fixture(autouse=True)
+    def empty_table(self, monkeypatch):
+        monkeypatch.setattr(pivot, "_log_factorials", np.zeros(0))
+
+    def test_log_factorial_is_gammaln(self):
+        # Across k = 11 | 12 (k! | Stirling), x = 999 | 1000 (five | three
+        # correction terms) and many chunk boundaries.
+        k = np.arange(2 * 10**6)
+        assert np.array_equal(pivot._log_factorial(k), gammaln(k + 1.0))
+
+    def test_large_arguments_are_gammaln(self):
+        # Past x = 1e8, where lgam drops the correction, up to 2^53: what a
+        # table grown to k would hold.
+        k = np.random.default_rng(3).integers(0, 2**53, 10**6)
+        k = np.concatenate([k, 10**8 + np.arange(-3, 3), [2**53 - 1]])
+        assert np.array_equal(pivot._lgam_int(k), gammaln(k + 1.0))
+
+    def test_table_grown_in_steps_is_gammaln(self):
+        chunk = pivot._LOG_FACTORIAL_CHUNK
+        for k in ([5], np.arange(3 * chunk + 7), 3, [], [chunk - 1, chunk, 9 * chunk + 1], 2):
+            k = np.asarray(k, dtype=np.int64)
+            assert np.array_equal(pivot._log_factorial(k), gammaln(k + 1.0))
+        table = pivot._log_factorials
+        assert len(table) == 10 * chunk
+        assert np.array_equal(table, gammaln(np.arange(len(table)) + 1.0))
+
+    def test_log_is_libm(self):
+        rng = np.random.default_rng(4)
+        edges = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 0.5, 1.0]
+        p = np.concatenate([edges, rng.random(10**5), rng.random(10**4) * 1e-308])
+        assert np.array_equal(pivot._log(p), xlogy(1.0, p))
+
+    def test_xlogy_is_scipy(self):
+        p = np.array([0.0, 5e-324, 1e-310, 1e-300, 1 / 3, 0.5, 1.0])
+        k = np.array([0, 1, 2, 7, 10**6, 2**40])
+        with np.errstate(all="raise"):
+            got = pivot._xlogy(k, pivot._log(p)[:, None])
+        assert np.array_equal(got, xlogy(k, p[:, None]))
+
+
 class TestKernel:
     @given(
         st.sampled_from([(2, 30), (3, 30), (4, 16), (5, 10), (6, 7)]).flatmap(
@@ -192,6 +242,13 @@ class TestKernel:
         got = pivot_table_exact(poll, eta).entries
         want = exact_pair_probs(poll, eta)
         assert np.abs(got - want).max() <= 1e-14
+
+    @given(polls(2, 6, max_score=100), st.integers(min_value=1, max_value=10**4))
+    @settings(max_examples=60, deadline=None)
+    def test_log_weights_are_scipys(self, poll, eta):
+        pairs = pivot._Pairs.of(poll)
+        got = np.concatenate([log_w for _, log_w, _, _ in pairs.t_grids(eta)])
+        assert np.array_equal(got, scipy_log_weights(pairs, eta))
 
     @pytest.mark.parametrize("log_window", [pivot.LOG_WINDOW, 3.0])
     @given(polls(5, 5, max_score=40), st.integers(min_value=1, max_value=300))
