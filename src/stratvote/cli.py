@@ -21,8 +21,10 @@ import sys
 from contextlib import closing
 from pathlib import Path
 
+import numpy as np
+
 from . import models
-from .behavior import SCENARIO_ORDER_TEXT, SCENARIOS, UNCLASSIFIED
+from .behavior import SCENARIO_ORDER_TEXT, SCENARIOS
 from .data import (
     DataError,
     GeneratorConfig,
@@ -35,13 +37,11 @@ from .evaluation import (
     ERROR_CLASSES,
     POLL_BUCKETS,
     SCENARIO_LABELS,
-    ConfusionMatrix,
     EvaluationReport,
     ParameterGrid,
     RecordTable,
     evaluate_families,
-    metrics_from_confusion,
-    parameter_distribution,
+    weighted_f,
 )
 from .models import DecisionContext, Family, ModelDescriptor
 
@@ -173,31 +173,28 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # --- evaluate ------------------------------------------------------------
 
 
-def _weighted_f(counts):
-    """The weighted F of a confusion count, ``""`` when it counts nothing."""
-    return metrics_from_confusion(ConfusionMatrix(counts)).weighted_f if counts.sum() else ""
-
-
 def _scenario_table(
     reports: dict[str, EvaluationReport], mode: str, total_records: int
 ) -> tuple[list[str], list[list]]:
     """One row per scenario, one f-measure column per family."""
     fams = list(reports)
-    per_scenario = {f: reports[f].per_scenario for f in fams}
-    first = per_scenario[fams[0]]
-    labels = [*SCENARIOS, *([UNCLASSIFIED] if first[UNCLASSIFIED].total else [])]
+    per_scenario = np.stack([reports[f].cube.sum(axis=1) for f in fams])
+    # Per family, each scenario's F and then the overall F.
+    scores = weighted_f(np.concatenate([per_scenario, per_scenario.sum(1, keepdims=True)], 1))
+    sizes = per_scenario[0].sum(axis=(1, 2)).tolist()
     rows: list[list] = []
-    for scenario in labels:
-        row: list = [scenario]
+    # UNCLASSIFIED, the last label, gets a row only when it holds records.
+    for s, label in enumerate(SCENARIO_LABELS if sizes[-1] else SCENARIOS):
+        row: list = [label]
         if mode == "loo":
-            row.append(SCENARIO_ORDER_TEXT.get(scenario, ""))
-            row.append(100.0 * first[scenario].total / total_records if total_records else "")
-        row.extend(_weighted_f(per_scenario[f][scenario].counts) for f in fams)
+            row.append(SCENARIO_ORDER_TEXT.get(label, ""))
+            row.append(100.0 * sizes[s] / total_records if total_records else "")
+        row.extend(family_scores[s] for family_scores in scores)
         rows.append(row)
     total_row: list = ["total"]
     if mode == "loo":
         total_row.extend(["", ""])
-    total_row.extend(reports[f].metrics.weighted_f for f in fams)
+    total_row.extend(family_scores[-1] for family_scores in scores)
     rows.append(total_row)
     header = ["scenario"]
     if mode == "loo":
@@ -209,16 +206,10 @@ def _scenario_table(
 def _poll_size_table(report: EvaluationReport) -> tuple[list[str], list[list]]:
     """Per poll-size bucket: overall F plus the four strategic scenarios."""
     strategic = ("C", "D", "E", "F")
-    per_bucket = report.per_bucket
-    out = [
-        [
-            bucket,
-            _weighted_f(per_bucket[bucket].counts),
-            *(_weighted_f(report.cube[SCENARIO_LABELS.index(s), b]) for s in strategic),
-        ]
-        for b, bucket in enumerate(POLL_BUCKETS)
-    ]
-    return ["bucket", "total", *strategic], out
+    cube = report.cube
+    by_scenario = cube[[SCENARIO_LABELS.index(s) for s in strategic]].swapaxes(0, 1)
+    scores = weighted_f(np.concatenate([cube.sum(axis=0)[:, None], by_scenario], axis=1))
+    return ["bucket", "total", *strategic], [[b, *row] for b, row in zip(POLL_BUCKETS, scores)]
 
 
 def _error_table(report: EvaluationReport) -> tuple[list[str], list[list]]:
@@ -232,14 +223,14 @@ def _error_table(report: EvaluationReport) -> tuple[list[str], list[list]]:
 
 
 def _params_table(report: EvaluationReport) -> tuple[list[str], list[list]]:
-    dist = parameter_distribution(report)
-    keys = sorted({k for row in dist for k in row if k not in ("voter_id", "family", "bucket")})
-    header = ["voter_id", "family", "bucket", *keys]
+    """Each voter's fitted point and poll-size tag; only the header for a family without any."""
+    fitted = report.fitted_params
+    keys = sorted({k for point in fitted.values() for k in point})
     rows = [
-        [row["voter_id"], row["family"], row["bucket"], *(row.get(k, "") for k in keys)]
-        for row in dist
+        [vid, report.family, report.voter_bucket[vid], *(fitted[vid].get(k, "") for k in keys)]
+        for vid in sorted(fitted)
     ]
-    return header, rows
+    return ["voter_id", "family", "bucket", *keys], rows if keys else []
 
 
 def _write_family_reports(out_dir: Path, mode: str, report: EvaluationReport) -> None:
@@ -266,8 +257,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed, required=False, command="evaluate")
     families = _parse_families(args.families)
     dataset = load_dataset(args.data)
-    if not dataset.records:
-        raise DataError(f"dataset {args.data} holds no records")
     cv_etas = _parse_etas(args.cv_etas) if args.cv_etas else None
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -356,8 +345,6 @@ def cmd_predict(args: argparse.Namespace) -> int:
     if bool(args.model) == bool(args.params):
         raise UsageError("predict needs exactly one of --model or --params")
     dataset = load_dataset(args.data)
-    if not dataset.records:
-        raise DataError(f"dataset {args.data} holds no records")
 
     if args.model:
         descriptor = _explicit_descriptor(args)

@@ -15,10 +15,10 @@ most ``_RUN_CELLS`` (grid point x record) cells: one call of
 distinct (utilities, scores, n) row of a run once, and each voter reads its
 columns of that matrix back through the inverse index.  That is exact
 because every family decides a record from the record alone.  A report
-keeps the table and one column of predicted candidates, and counts them
-once: one (scenario x poll-size bucket x actual rank x predicted rank)
-cube, whose sums are the per-scenario, per-bucket and overall confusion
-matrices.
+keeps the table, one column of predicted candidates and one fitted point
+per voter, and counts the rest once, when first read: among it one
+(scenario x poll-size bucket x actual rank x predicted rank) cube, whose
+sums are the per-scenario, per-bucket and overall confusion matrices.
 Leave-one-out uses the match-matrix identity: with per-point match counts
 over all rounds, each fold's training score is the total minus that fold's
 column, so one decision matrix per voter serves every fold.  The ``NN``
@@ -29,19 +29,22 @@ summed ratio counts minus the held-out row's, the same identity.
 The table holds only arrays, so a worker's task pickles no record objects.
 :func:`evaluate_families` cuts the voters into one contiguous run per
 worker, of about equal record count (one run, in process, for ``jobs=1``),
-and makes one task per (family, run).  One pool serves every family: the
-tasks go in family order, and each family's report is aggregated and
-yielded as soon as its tasks are back, while the workers go on with the
-later families.  A task decides its voters one run at a time, which bounds
-``AU``'s memory by the run's cells, and hands every ``NN`` training set of
-its voters to one :func:`nn.fit_folds` call, whose stacked per-fold weights
-equal separate training bit for bit.
+and makes one task per (family, run).  A task returns two sequences: its
+rows' predicted candidates and its voters' fitted points.  One pool serves
+every family: the tasks go in family order, and each family's report is
+built from its tasks' concatenated returns as soon as they are back, while
+the workers go on with the later families.  A task decides its voters one
+run at a time, which bounds ``AU``'s memory by the run's cells, and hands
+every ``NN`` training set of its voters to one :func:`nn.fit_folds` call,
+whose stacked per-fold weights equal separate training bit for bit.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass, fields
+from functools import cached_property
+from itertools import chain
 from multiprocessing import get_context
 from typing import Iterator, Mapping, Sequence
 
@@ -107,33 +110,53 @@ class Metrics:
         }
 
 
-def metrics_from_confusion(matrix: ConfusionMatrix) -> Metrics:
-    """Per-class precision/recall/F plus the frequency-weighted F.
+def _scores(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-class precision, recall and F, and the weighted F, of each (m, m) count.
 
-    A class with an empty column (never predicted) gets precision 0, an
-    empty row (never actual) recall 0; the harmonic mean is 0 whenever
-    either side is.  Weights are actual-class frequencies, so empty rows
-    contribute nothing to the weighted F.
+    ``counts`` has shape (..., m, m); the per-class arrays come back with
+    shape (..., m) and the weighted F with shape (...), NaN for an empty
+    count.  A class with an empty column (never predicted) gets precision
+    0, an empty row (never actual) recall 0; the harmonic mean is 0
+    whenever either side is.  Weights are actual-class frequencies, so
+    empty rows contribute nothing to the weighted F.
     """
-    counts = matrix.counts
-    total = counts.sum()
-    if total == 0:
-        raise ValueError("cannot compute metrics for an empty confusion matrix")
-    diag = np.diag(counts).astype(float)
-    col = counts.sum(axis=0).astype(float)
-    row = counts.sum(axis=1).astype(float)
+    # Summation order follows the memory layout: C order makes every
+    # matrix of a stack round as it would alone.
+    counts = np.ascontiguousarray(counts)
+    diag = np.diagonal(counts, axis1=-2, axis2=-1).astype(float)
+    col = counts.sum(axis=-2).astype(float)
+    row = counts.sum(axis=-1).astype(float)
     with np.errstate(divide="ignore", invalid="ignore"):
         precision = np.where(col > 0, diag / np.where(col > 0, col, 1), 0.0)
         recall = np.where(row > 0, diag / np.where(row > 0, row, 1), 0.0)
         denom = precision + recall
         f = np.where(denom > 0, 2 * precision * recall / np.where(denom > 0, denom, 1), 0.0)
-    weighted = float((row * f).sum() / total)
+        weighted = (row * f).sum(axis=-1) / counts.sum(axis=(-2, -1))
+    return precision, recall, f, weighted
+
+
+def metrics_from_confusion(matrix: ConfusionMatrix) -> Metrics:
+    """Per-class precision/recall/F plus the frequency-weighted F of one matrix."""
+    if matrix.total == 0:
+        raise ValueError("cannot compute metrics for an empty confusion matrix")
+    precision, recall, f, weighted = _scores(matrix.counts)
     return Metrics(
-        precision=tuple(float(v) for v in precision),
-        recall=tuple(float(v) for v in recall),
-        f=tuple(float(v) for v in f),
-        weighted_f=weighted,
+        precision=tuple(precision.tolist()),
+        recall=tuple(recall.tolist()),
+        f=tuple(f.tolist()),
+        weighted_f=float(weighted),
     )
+
+
+def weighted_f(counts: np.ndarray):
+    """The weighted F of each (m, m) count of a (..., m, m) stack, ``""`` where it is empty.
+
+    A float for one matrix, nested lists of them for a stack.
+    """
+    counts = np.asarray(counts)
+    scores = np.asarray(_scores(counts)[3]).astype(object)
+    scores[counts.sum(axis=(-2, -1)) == 0] = ""
+    return scores.tolist()
 
 
 # --- parameter grids ---------------------------------------------------------
@@ -393,37 +416,29 @@ def _predict_nn(block: RecordTable, mode: str, seed: int) -> np.ndarray:
     return block.order[np.arange(len(rank)), rank]
 
 
-def _evaluate_voters(task: tuple) -> list[dict]:
-    """Fit and predict a task's voters, one result per voter in order.
+def _evaluate_voters(task: tuple) -> tuple[np.ndarray, list[dict]]:
+    """A task's predicted candidate per row and fitted point per voter, in order.
 
     A pure function of its arguments.  Grid families cut the voters into
     runs of at most ``_RUN_CELLS`` (grid point x row) cells and decide each
     run's distinct rows at once; ``NN`` trains all of the task's networks
-    together.
+    together and fits no point, ``{}`` per voter.
     """
     block, grid, mode, seed = task
     voters = block.voter_rows()
     if grid.family is Family.NN:
-        predicted = _predict_nn(block, mode, seed)
-        fits = [(predicted[rows], {}) for rows in voters]
-    else:
-        fits = []
-        for run in _grid_runs(voters, len(grid.points)):
-            start = run[0].start
-            # Each voter gathers its own columns: the run's full (G, rows)
-            # matrix would add to the peak memory.
-            D, inverse = _decide_rows(grid, block, slice(start, run[-1].stop))
-            for rows in run:
-                columns = D[:, inverse[rows.start - start : rows.stop - start]]
-                fits.append(_fit_grid(grid, columns, block.action[rows], mode))
-    return [
-        {
-            "predicted": predicted,
-            "fitted": fitted,
-            "defaulted": mode != "upper" and rows.stop - rows.start == 1,
-        }
-        for rows, (predicted, fitted) in zip(voters, fits)
-    ]
+        return _predict_nn(block, mode, seed), [{} for _ in voters]
+    predicted, fitted = np.empty(len(block.voter), dtype=np.int64), []
+    for run in _grid_runs(voters, len(grid.points)):
+        start = run[0].start
+        # Each voter gathers its own columns: the run's full (G, rows)
+        # matrix would add to the peak memory.
+        D, inverse = _decide_rows(grid, block, slice(start, run[-1].stop))
+        for rows in run:
+            columns = D[:, inverse[rows.start - start : rows.stop - start]]
+            predicted[rows], point = _fit_grid(grid, columns, block.action[rows], mode)
+            fitted.append(point)
+    return predicted, fitted
 
 
 def _voter_runs(voter_rows: Sequence[slice], k: int) -> list[slice]:
@@ -446,13 +461,15 @@ def _voter_runs(voter_rows: Sequence[slice], k: int) -> list[slice]:
 
 @dataclass(frozen=True)
 class EvaluationReport:
-    """One family's evaluation: the record table, its predictions, and their counts.
+    """One family's evaluation: the record table, its predictions and its fitted points.
 
-    ``predicted[j]`` is the candidate predicted for the table's row j.
+    ``predicted[j]`` is the candidate predicted for the table's row j and
+    ``fitted[i]`` the point fitted to voter ``table.voter_ids[i]`` (``{}``
+    without parameters); the rest is counted from them when first read.
     ``cube[s, b]`` is the confusion matrix, in preference-rank space, of the
     rows of scenario ``SCENARIO_LABELS[s]`` and bucket ``POLL_BUCKETS[b]``;
-    the per-scenario, per-bucket and overall matrices are its sums.  The
-    per-record prediction rows are built only by :meth:`to_dict`.
+    the per-scenario, per-bucket and overall matrices are its sums.  Under
+    ``loo`` a voter of one record has no training round: it is defaulted.
     """
 
     family: str
@@ -460,12 +477,28 @@ class EvaluationReport:
     seed: int
     table: RecordTable
     predicted: np.ndarray
-    cube: np.ndarray
-    per_voter_f: dict[str, float]
-    fitted_params: dict[str, dict]
-    voter_bucket: dict[str, str]
-    defaulted_voters: tuple[str, ...]
-    error_breakdown: dict[str, dict[str, int]]
+    fitted: Sequence[dict]
+
+    def __post_init__(self) -> None:
+        predicted, table = np.asarray(self.predicted, dtype=np.int64), self.table
+        if predicted.shape != table.voter.shape or len(self.fitted) != len(table.voter_ids):
+            raise ValueError("a report needs one prediction per row and one point per voter")
+        predicted.setflags(write=False)
+        object.__setattr__(self, "predicted", predicted)
+
+    def _confusion(self, keys: tuple, sizes: tuple) -> np.ndarray:
+        """Confusion counts per value of the ``keys`` columns, shape (*sizes, m, m)."""
+        table = self.table
+        counts = np.zeros((*sizes, table.m, table.m), dtype=np.int64)
+        np.add.at(counts, (*keys, table.rank_of(table.action), table.rank_of(self.predicted)), 1)
+        return counts
+
+    @cached_property
+    def cube(self) -> np.ndarray:
+        keys = (self.table.scenario, self.table.bucket)
+        cube = self._confusion(keys, (len(SCENARIO_LABELS), len(POLL_BUCKETS)))
+        cube.setflags(write=False)
+        return cube
 
     @property
     def overall(self) -> ConfusionMatrix:
@@ -479,7 +512,35 @@ class EvaluationReport:
     def per_bucket(self) -> dict[str, ConfusionMatrix]:
         return {k: ConfusionMatrix(v) for k, v in zip(POLL_BUCKETS, self.cube.sum(axis=0))}
 
+    @cached_property
+    def per_voter_f(self) -> dict[str, float]:
+        voter_ids = self.table.voter_ids
+        counts = self._confusion((self.table.voter,), (len(voter_ids),))
+        return dict(zip(voter_ids, weighted_f(counts)))
+
+    @cached_property
+    def fitted_params(self) -> dict[str, dict]:
+        return dict(zip(self.table.voter_ids, self.fitted))
+
+    @cached_property
+    def voter_bucket(self) -> dict[str, str]:
+        """The bucket holding most of each voter's records, ties to the earlier one."""
+        table = self.table
+        tally = np.zeros((len(table.voter_ids), len(POLL_BUCKETS)), dtype=np.int64)
+        np.add.at(tally, (table.voter, table.bucket), 1)
+        return {vid: POLL_BUCKETS[b] for vid, b in zip(table.voter_ids, tally.argmax(axis=1))}
+
     @property
+    def defaulted_voters(self) -> tuple[str, ...]:
+        if self.mode != "loo":
+            return ()
+        return tuple(vid for vid, count in self.per_voter_records.items() if count == 1)
+
+    @cached_property
+    def error_breakdown(self) -> dict[str, dict[str, int]]:
+        return _error_counts(self.table, self.predicted)
+
+    @cached_property
     def per_voter_records(self) -> dict[str, int]:
         counts = np.bincount(self.table.voter, minlength=len(self.table.voter_ids))
         return dict(zip(self.table.voter_ids, counts.tolist()))
@@ -580,45 +641,6 @@ def _error_counts(table: RecordTable, predicted: np.ndarray) -> dict[str, dict[s
     }
 
 
-def _aggregate(
-    family: Family,
-    mode: str,
-    seed: int,
-    table: RecordTable,
-    results: Sequence[dict],
-) -> EvaluationReport:
-    m, num_voters = table.m, len(table.voter_ids)
-    predicted = np.concatenate([np.asarray(r["predicted"], dtype=np.int64) for r in results])
-    predicted.setflags(write=False)
-    actual_rank, predicted_rank = table.rank_of(table.action), table.rank_of(predicted)
-    cube = np.zeros((len(SCENARIO_LABELS), len(POLL_BUCKETS), m, m), dtype=np.int64)
-    np.add.at(cube, (table.scenario, table.bucket, actual_rank, predicted_rank), 1)
-    cube.setflags(write=False)
-    per_voter = np.zeros((num_voters, m, m), dtype=np.int64)
-    np.add.at(per_voter, (table.voter, actual_rank, predicted_rank), 1)
-    bucket_tally = np.zeros((num_voters, len(POLL_BUCKETS)), dtype=np.int64)
-    np.add.at(bucket_tally, (table.voter, table.bucket), 1)
-    return EvaluationReport(
-        family=family.value,
-        mode=mode,
-        seed=seed,
-        table=table,
-        predicted=predicted,
-        cube=cube,
-        per_voter_f={
-            vid: metrics_from_confusion(ConfusionMatrix(counts)).weighted_f
-            for vid, counts in zip(table.voter_ids, per_voter)
-        },
-        fitted_params={vid: r["fitted"] for vid, r in zip(table.voter_ids, results)},
-        # The bucket holding most of the voter's records, ties to the earlier one.
-        voter_bucket={
-            vid: POLL_BUCKETS[b] for vid, b in zip(table.voter_ids, bucket_tally.argmax(axis=1))
-        },
-        defaulted_voters=tuple(vid for vid, r in zip(table.voter_ids, results) if r["defaulted"]),
-        error_breakdown=_error_counts(table, predicted),
-    )
-
-
 def evaluate_families(
     grids: Sequence[ParameterGrid],
     dataset: Dataset | RecordTable,
@@ -636,6 +658,8 @@ def evaluate_families(
     use a report while the workers run the later families.  Pass a
     :class:`RecordTable` to annotate a dataset once for other uses too.
     """
+    if mode not in ("loo", "upper"):
+        raise ValueError(f"mode must be 'loo' or 'upper', got {mode!r}")
     table = dataset if isinstance(dataset, RecordTable) else RecordTable.from_dataset(dataset)
     # One task per worker and family: a contiguous run of voters, so every
     # NN network a worker needs for a family trains in one fit_folds call.
@@ -650,8 +674,9 @@ def evaluate_families(
     with get_context("fork").Pool(processes=workers) if workers > 1 else nullcontext() as pool:
         chunks = pool.imap(_evaluate_voters, tasks) if pool else map(_evaluate_voters, tasks)
         for grid in grids:
-            results = [r for _ in blocks for r in next(chunks)]
-            yield _aggregate(grid.family, mode, seed, table, results)
+            predicted, fitted = zip(*(next(chunks) for _ in blocks))
+            predicted, fitted = np.concatenate(predicted), list(chain.from_iterable(fitted))
+            yield EvaluationReport(grid.family.value, mode, seed, table, predicted, fitted)
 
 
 def loo_evaluate(
@@ -668,22 +693,3 @@ def loo_evaluate(
     (report,) = evaluate_families([grid], dataset, "loo", jobs=jobs, seed=seed)
     return report
 
-
-def parameter_distribution(report: EvaluationReport) -> list[dict]:
-    """Per-voter fitted parameters with their poll-size condition tag.
-
-    Families without parameters export nothing.
-    """
-    if all(not params for params in report.fitted_params.values()):
-        return []
-    rows = []
-    for vid in sorted(report.fitted_params):
-        rows.append(
-            {
-                "voter_id": vid,
-                "family": report.family,
-                "bucket": report.voter_bucket[vid],
-                **report.fitted_params[vid],
-            }
-        )
-    return rows

@@ -221,6 +221,17 @@ class TestEvaluate:
         )
         assert code == 2
 
+    def test_header_only_csv_is_a_data_error(self, tmp_path, capsys):
+        path = write_rows(tmp_path, "")
+        out = str(tmp_path / "out")
+        for argv in (
+            ["evaluate", "--data", str(path), "--families", "TRUTH", "--out", out],
+            ["predict", "--data", str(path), "--model", "TRUTH", "--out", out + ".csv"],
+        ):
+            capsys.readouterr()
+            assert main(argv) == 2
+            assert "no records" in capsys.readouterr().err
+
     def test_bad_cv_etas_is_a_usage_error(self, tmp_path, small_dataset):
         code = main(
             [

@@ -29,13 +29,14 @@ from stratvote.evaluation import (
     POLL_BUCKETS,
     RANK_LABELS,
     ConfusionMatrix,
+    EvaluationReport,
     ParameterGrid,
     RecordTable,
     error_breakdown,
     evaluate_families,
     loo_evaluate,
     metrics_from_confusion,
-    parameter_distribution,
+    weighted_f,
 )
 from feature_oracle import find_inconsistent, is_unjustified, scenario_or_none
 from scalar_deciders import decide_au
@@ -132,6 +133,25 @@ class TestMetrics:
     def test_perfect_weighted_f_needs_a_diagonal(self):
         off = ConfusionMatrix(np.array([[5, 1, 0], [0, 3, 0], [0, 0, 2]]))
         assert metrics_from_confusion(off).weighted_f < 1.0
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 9])
+    def test_weighted_f_of_a_stack_equals_each_matrix(self, m):
+        rng = np.random.default_rng(m)
+        for i in range(200):
+            # Sparse counts leave rows, columns and whole matrices empty.
+            shape = (*rng.integers(1, 4, size=rng.integers(1, 3)), m, m)
+            counts = rng.integers(0, 6, size=shape) * (rng.random(shape) < 0.4)
+            if i % 2:  # from m = 9 on, numpy's summation order follows the layout
+                counts = np.asfortranarray(counts)
+            got = np.array(weighted_f(counts), dtype=object).reshape(shape[:-2])
+            for index in np.ndindex(shape[:-2]):
+                if counts[index].sum():
+                    want = metrics_from_confusion(ConfusionMatrix(counts[index])).weighted_f
+                    assert type(got[index]) is float and got[index] == want
+                else:
+                    assert got[index] == ""
+        assert weighted_f(np.zeros((m, m), dtype=np.int64)) == ""
+        assert weighted_f(np.eye(m, dtype=np.int64)) == 1.0
 
     def test_confusion_validation(self):
         with pytest.raises(ValueError):
@@ -365,6 +385,10 @@ class TestEvaluate:
             want = predict_record(net, build_profile(r.voter_id, []), r)
             assert predicted[(r.voter_id, r.round)] == want
 
+    def test_unknown_mode_is_rejected(self):
+        with pytest.raises(ValueError, match="mode must be"):
+            next(evaluate_families([ParameterGrid.default(Family.LD)], au_population(), "LOO"))
+
     def test_per_voter_f_covers_every_voter(self):
         ds = au_population()
         rep = loo_evaluate(Family.TMG, ParameterGrid.default(Family.TMG), ds)
@@ -415,25 +439,28 @@ class TestErrorBreakdown:
 
 
 class TestParameterDistribution:
+    """``cli._params_table``: each voter's fitted point and poll-size tag."""
+
     def test_one_row_per_voter(self):
         ds = au_population()
         rep = loo_evaluate(Family.AU, ParameterGrid.default(Family.AU), ds, jobs=2)
-        rows = parameter_distribution(rep)
-        assert len(rows) == len(ds.by_voter())
-        assert {row["voter_id"] for row in rows} == set(ds.by_voter())
-        for row in rows:
-            assert set(row) >= {"voter_id", "family", "bucket", "alpha", "beta"}
+        header, rows = cli._params_table(rep)
+        assert header == ["voter_id", "family", "bucket", "alpha", "beta"]
+        assert [row[0] for row in rows] == sorted(ds.by_voter())
+        for vid, family, bucket, alpha, beta in rows:
+            assert family == "AU" and bucket == rep.voter_bucket[vid]
+            assert rep.fitted_params[vid] == {"alpha": alpha, "beta": beta}
 
     def test_parameterless_family_exports_nothing(self):
         ds = truthful_population()
         rep = loo_evaluate(Family.TRUTH, ParameterGrid.default(Family.TRUTH), ds)
-        assert parameter_distribution(rep) == []
+        assert cli._params_table(rep) == (["voter_id", "family", "bucket"], [])
 
     def test_rerun_is_identical(self):
         ds = au_population()
         grid = ParameterGrid.default(Family.AU)
-        a = parameter_distribution(loo_evaluate(Family.AU, grid, ds, jobs=2))
-        b = parameter_distribution(loo_evaluate(Family.AU, grid, ds, jobs=2))
+        a = cli._params_table(loo_evaluate(Family.AU, grid, ds, jobs=2))
+        b = cli._params_table(loo_evaluate(Family.AU, grid, ds, jobs=2))
         assert a == b
 
 
@@ -476,8 +503,11 @@ def oracle_block(counts):
     return out
 
 
-def oracle_report(family, mode, seed, dataset, predictions, fitted, defaulted):
-    """``EvaluationReport.to_dict`` counted record by record, one cell at a time."""
+def oracle_report(family, mode, seed, dataset, predictions, fitted):
+    """``EvaluationReport.to_dict`` counted record by record, one cell at a time.
+
+    Under ``loo`` a voter of one record is defaulted: it has no training round.
+    """
     by_voter = dataset.by_voter()
     m = dataset.m
     overall = np.zeros((m, m), dtype=np.int64)
@@ -529,19 +559,25 @@ def oracle_report(family, mode, seed, dataset, predictions, fitted, defaulted):
         "per_voter_records": per_voter_records,
         "fitted_params": dict(fitted),
         "voter_bucket": voter_bucket,
-        "defaulted_voters": list(defaulted),
+        "defaulted_voters": [
+            vid for vid, recs in by_voter.items() if mode == "loo" and len(recs) == 1
+        ],
         "error_breakdown": oracle_error_breakdown(dataset, predictions),
         "predictions": rows,
     }
 
 
+def column_of(table, predictions):
+    """The table's column of the predictions given per (voter id, round)."""
+    keys = zip((table.voter_ids[v] for v in table.voter.tolist()), table.round.tolist())
+    return [predictions[key] for key in keys]
+
+
 def aggregate_predictions(dataset, predictions):
     """The report of the given predictions, one per (voter id, round)."""
-    results = [
-        {"predicted": [predictions[(vid, r.round)] for r in recs], "fitted": {}, "defaulted": 0}
-        for vid, recs in dataset.by_voter().items()
-    ]
-    return evaluation._aggregate(Family.LD, "loo", 0, RecordTable.from_dataset(dataset), results)
+    table = RecordTable.from_dataset(dataset)
+    fitted = [{} for _ in table.voter_ids]
+    return EvaluationReport("LD", "loo", 0, table, column_of(table, predictions), fitted)
 
 
 def oracle_poll_size_table(dataset, predictions):
@@ -615,31 +651,23 @@ class TestRecordTableAggregation:
                 for data in (ds, table):
                     (rep,) = evaluate_families([grid], data, mode, seed=5)
                     want = oracle_report(
-                        family,
-                        mode,
-                        5,
-                        ds,
-                        predictions_of(rep),
-                        rep.fitted_params,
-                        rep.defaulted_voters,
+                        family, mode, 5, ds, predictions_of(rep), rep.fitted_params
                     )
                     assert rep.to_dict() == want
-        # Random predictions fill every cell the evaluations leave empty.
+        # Random predictions fill every cell the evaluations leave empty, and
+        # every third voter keeps one record: defaulted under loo alone.
+        ds = Dataset([r for r in ds.records if int(r.voter_id[1:]) % 3 or r.round == 0])
+        table = RecordTable.from_dataset(ds)
         rng = np.random.default_rng(seed)
         preds = {(rec.voter_id, rec.round): int(rng.integers(m)) for rec in ds.records}
-        results = [
-            {
-                "predicted": [preds[(vid, rec.round)] for rec in recs],
-                "fitted": {"r": 0.5},
-                "defaulted": i % 3 == 0,
-            }
-            for i, (vid, recs) in enumerate(ds.by_voter().items())
-        ]
-        got = evaluation._aggregate(Family.LD, "loo", 9, table, results)
-        fitted = {vid: {"r": 0.5} for vid in ds.by_voter()}
-        defaulted = [vid for i, vid in enumerate(ds.by_voter()) if i % 3 == 0]
-        want = oracle_report(Family.LD, "loo", 9, ds, preds, fitted, defaulted)
-        assert got.to_dict() == want
+        fitted = {vid: {"r": i / 100} for i, vid in enumerate(table.voter_ids)}
+        for mode in ("loo", "upper"):
+            got = EvaluationReport(
+                "LD", mode, 9, table, column_of(table, preds), list(fitted.values())
+            )
+            want = oracle_report(Family.LD, mode, 9, ds, preds, fitted)
+            assert got.to_dict() == want
+            assert got.defaulted_voters == (("v0", "v3", "v6") if mode == "loo" else ())
         assert error_breakdown(ds, preds) == oracle_error_breakdown(ds, preds)
         # The data covers what the table annotates.
         total = want["error_breakdown"]["total"]
@@ -655,8 +683,7 @@ class TestRecordTableAggregation:
         table = RecordTable.from_dataset(
             Dataset([VoteRecord("v", r, poll, u, a) for r, a in enumerate([0, 1, 1])])
         )
-        result = {"predicted": [0, 2, 2], "fitted": {}, "defaulted": False}
-        rep = evaluation._aggregate(Family.LD, "upper", 0, table, [result])
+        rep = EvaluationReport("LD", "upper", 0, table, [0, 2, 2], [{}])
         s, b = table.scenario[0], table.bucket[0]
         assert rep.cube[s, b].tolist() == [[1, 0, 0], [0, 0, 2], [0, 0, 0]]
         assert rep.cube.sum() == rep.overall.total == 3
@@ -683,6 +710,20 @@ class TestRecordTableAggregation:
             assert [v.counts.tolist() for v in rep.per_bucket.values()] == want.sum(0).tolist()
             with pytest.raises(ValueError):
                 rep.cube[0, 0, 0, 0] = 1
+
+    def test_report_keeps_its_inputs_and_counts_once(self):
+        table = RecordTable.from_dataset(mixed_dataset(5, 3, num_voters=2, rounds=2))
+        fitted = [{"r": 0.1}, {"r": 0.2}]
+        for predicted, points in (([0, 1, 2], fitted), ([0, 1, 2, 0], fitted[:1])):
+            with pytest.raises(ValueError, match="one prediction per row"):
+                EvaluationReport("LD", "loo", 0, table, predicted, points)
+        rep = EvaluationReport("LD", "loo", 0, table, [0, 1, 2, 0], fitted)
+        assert rep.predicted.dtype == np.int64
+        assert rep.fitted_params == {"v0": {"r": 0.1}, "v1": {"r": 0.2}}
+        with pytest.raises(ValueError):
+            rep.predicted[0] = 1
+        for name in ("cube", "per_voter_f", "fitted_params", "voter_bucket", "error_breakdown"):
+            assert getattr(rep, name) is getattr(rep, name), name
 
     @pytest.mark.parametrize("m, seed", [(3, 1), (3, 2), (4, 3)])
     def test_poll_size_table_equals_the_per_record_recount(self, m, seed):
@@ -766,9 +807,10 @@ def per_voter_oracle(grid, table, mode):
     """The per-voter fit that deciding each run's distinct rows replaced.
 
     One ``decide_matrix`` call, with a pivot cache of its own, on all of a
-    voter's rows; results as ``evaluation._evaluate_voters`` returns them.
+    voter's rows; the predicted column and fitted points, as
+    ``evaluation._evaluate_voters`` returns them.
     """
-    results = []
+    predicted, fitted = [], []
     for rows in table.voter_rows():
         ctx = DecisionContext(pivot_cache={})
         U, S, n = table.U[rows], table.S[rows], table.n[rows]
@@ -780,14 +822,9 @@ def per_voter_oracle(grid, table, mode):
             picks = np.full(D.shape[1], fit_index)
         else:
             picks = np.argmax(totals[:, None] - M, axis=0)
-        results.append(
-            {
-                "predicted": D[picks, np.arange(D.shape[1])],
-                "fitted": dict(grid.points[fit_index]),
-                "defaulted": mode != "upper" and D.shape[1] == 1,
-            }
-        )
-    return results
+        predicted.extend(D[picks, np.arange(D.shape[1])].tolist())
+        fitted.append(dict(grid.points[fit_index]))
+    return predicted, fitted
 
 
 def shared_rows_dataset(seed, m, sizes=(1, 9, 4, 7, 2, 8, 5)):
@@ -829,8 +866,8 @@ class TestRunsOfVoters:
         for family in (Family.LD, Family.AU, Family.CV, Family.TRUTH):
             grid = ParameterGrid.default(family, m=m, cv_etas=(1, 4, "n"))
             for mode in ("loo", "upper"):
-                results = per_voter_oracle(grid, table, mode)
-                want = evaluation._aggregate(family, mode, 3, table, results).to_dict()
+                oracle = per_voter_oracle(grid, table, mode)
+                want = EvaluationReport(family.value, mode, 3, table, *oracle).to_dict()
                 for jobs in (1, 2, 3):
                     (rep,) = evaluate_families([grid], table, mode, jobs=jobs, seed=3)
                     assert rep.to_dict() == want
@@ -871,7 +908,8 @@ class TestRunsOfVoters:
         assert [v for _, voters in cells for v in voters] == list(range(len(sizes)))
         assert any(len(voters) > 1 for _, voters in cells)
         assert any(size > bound for size, _ in cells)
-        want = evaluation._aggregate(family, "loo", 0, table, per_voter_oracle(grid, table, "loo"))
+        oracle = per_voter_oracle(grid, table, "loo")
+        want = EvaluationReport(family.value, "loo", 0, table, *oracle)
         assert got.to_dict() == want.to_dict()
 
     def test_cv_builds_each_table_once_per_run(self, monkeypatch):
@@ -1032,18 +1070,21 @@ def test_voter_runs_cut_at_the_nearest_boundary(counts, k, stops):
 
 
 def test_cli_import_leaves_scipy_unloaded():
+    import os
     import subprocess
     import sys
     from pathlib import Path
 
     src = Path(__file__).resolve().parent.parent / "src"
     code = "import stratvote.cli, sys; assert 'scipy' not in sys.modules"
-    subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": str(src)}, check=True)
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_cv_pool_loads_scipy_before_forking():
     # Only m >= 4 tables take binomial tails from scipy, so only then is it
     # loaded once before the pool forks; m = 3 loads it nowhere.
+    import os
     import subprocess
     import sys
     from pathlib import Path
@@ -1082,12 +1123,14 @@ assert "scipy" not in sys.modules
 list(evaluate_families(grids, four, "loo", jobs=2))  # one pool, CV among its families
 assert seen == [False, False, True], seen
 """
-    subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": str(src)}, check=True)
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_three_candidate_cv_runs_leave_scipy_unloaded(tmp_path):
     # simulate of a CV group, evaluate's default CV grid and predict --model
     # CV: every m = 3 table takes its logs from libm, not scipy.
+    import os
     import subprocess
     import sys
     from pathlib import Path
@@ -1106,4 +1149,5 @@ argv = ["predict", "--data", d, "--model", "CV", "--eta", "n", "--out", d + "/pr
 assert cli.main(argv) == 0
 assert "scipy" not in sys.modules
 """
-    subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": str(src)}, check=True)
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
