@@ -18,20 +18,21 @@ F     Q'' > Q' > Q
 ``SCENARIO_ORDER_TEXT``, the actions a scenario offers (:func:`ratio_counts`)
 and the generator's polls all read it.  Polls with ties among the three are
 left unclassified and excluded from scenario statistics.  Records are
-classified as (R, m) arrays of utilities and scores (:func:`record_arrays`).
+classified as (R, m) arrays of utilities and scores, the columns of a
+``data.RecordTable``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core import Candidate, Poll, UtilityFunction
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from .data import VoteRecord
+    from .data import RecordTable
 
 SCENARIOS = ("A", "B", "C", "D", "E", "F")
 UNCLASSIFIED = "UNCLASSIFIED"
@@ -53,15 +54,6 @@ VOTER_TYPES = ("TRT", "LB", "OTHER")
 # this leader ratio, else OTHER.
 TRT_THRESHOLD = 0.9
 LB_THRESHOLD = 0.5
-
-
-def record_arrays(records: "Sequence[VoteRecord]"):
-    """Utilities (R, m), int64 scores (R, m), int64 poll sizes and actions of records."""
-    m = records[0].poll.m if records else 0
-    U = np.array([rec.utilities.values for rec in records], dtype=float).reshape(len(records), m)
-    S = np.array([rec.poll.scores for rec in records], dtype=np.int64).reshape(len(records), m)
-    n = np.array([rec.poll.n for rec in records], dtype=np.int64)
-    return U, S, n, np.array([rec.action for rec in records], dtype=np.int64)
 
 
 def _tied(X: np.ndarray) -> np.ndarray:
@@ -198,9 +190,9 @@ class VoterProfile:
     inconsistent_records: frozenset = frozenset()
 
 
-def build_profile(voter_id: str, records: "Sequence[VoteRecord]") -> VoterProfile:
-    """Profile a voter from all of their records; tied utilities raise ``ValueError``."""
-    U, S, _, action = record_arrays(records)
+def build_profile(voter_id: str, rows: "RecordTable") -> VoterProfile:
+    """Profile a voter from all of their table rows; tied utilities raise ``ValueError``."""
+    U, S, action = rows.U, rows.S, rows.action
     ranks = np.argsort(strict_orders(U), axis=1)[np.arange(len(action)), action]
     available, selected = ratio_counts(scenario_ids(U, S), ranks)
     flagged = inconsistent_rows(S, action)

@@ -39,7 +39,6 @@ from .evaluation import (
     SCENARIO_LABELS,
     EvaluationReport,
     ParameterGrid,
-    RecordTable,
     evaluate_families,
     weighted_f,
 )
@@ -121,7 +120,7 @@ def _load_json(path: str | Path, what: str) -> dict:
             return json.load(fh)
     except FileNotFoundError:
         raise DataError(f"{what} not found: {path}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise DataError(f"{what} is not valid JSON ({path}): {exc}")
 
 
@@ -270,10 +269,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             raise DataError(f"cannot apply {family.value} to this dataset: {exc}")
 
     mode = args.mode
-    table = RecordTable.from_dataset(dataset)
     reports: dict[str, EvaluationReport] = {}
     # Closing the stream ends its worker pool, also when a write fails.
-    with closing(evaluate_families(grids, table, mode, jobs=args.jobs, seed=seed)) as stream:
+    with closing(evaluate_families(grids, dataset, mode, jobs=args.jobs, seed=seed)) as stream:
         for grid in grids:
             name = grid.family.value
             try:
@@ -354,7 +352,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     if family is Family.NN:
         raise UsageError("predict cannot apply NN: evaluate trains and scores its networks")
 
-    table = RecordTable.from_dataset(dataset)
+    table = dataset.records
     ctx = DecisionContext(pivot_cache={})
     lines: list[list] = []
     for rows in table.voter_rows():

@@ -1,4 +1,4 @@
-"""Election primitives: polls, utility functions, and preference orders.
+"""Election primitives: polls and utility functions.
 
 Candidates are integer indices ``0 .. m-1``.
 """
@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 Candidate = int
 
@@ -71,9 +71,4 @@ class UtilityFunction:
 
     def __getitem__(self, c: Candidate) -> float:
         return self.values[c]
-
-
-def preference_order(values: Sequence[float]) -> tuple[int, ...]:
-    """Candidates sorted most-preferred first; equal values break by lower index."""
-    return tuple(sorted(range(len(values)), key=lambda c: (-values[c], c)))
 

@@ -1,15 +1,20 @@
-"""Dataset schema, CSV/manifest IO, and the synthetic experiment generator.
+"""Dataset schema, CSV/manifest IO, the record table, and the synthetic experiment generator.
 
 Canonical CSV layout (header required)::
 
     voter_id,round,n,s_1..s_m,u_1..u_m,action
 
 Actions are serialized as 1-based candidate labels ("q2"); bare 1-based
-integers are accepted on input.  The loader rejects a row whose poll size
-``n`` is below 1, whose round, ``n`` or a score is above ``2**63 - 1``
-(evaluation holds them as int64), or whose utilities tie, naming the row.
-A JSON manifest rides alongside the CSV with provenance (source tag, seed,
-per-voter model assignments for synthetic data).
+integers are accepted on input.  A dataset's records are one
+:class:`RecordTable` of columns, from the file to the reports: the loader,
+the generator and the tests build it with :meth:`RecordTable.from_columns`.
+The loader parses each field with Python's ``int`` and ``float`` and
+rejects a row whose poll size ``n`` is below 1, whose round, ``n`` or a
+score is above ``2**63 - 1`` (the table holds them as int64), whose
+utilities tie, or whose round, scores or utilities are negative or not
+finite, naming the row.  A JSON manifest rides alongside the CSV with
+provenance (source tag, seed, per-voter model assignments for synthetic
+data).
 """
 
 from __future__ import annotations
@@ -17,7 +22,8 @@ from __future__ import annotations
 import csv
 import json
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 from itertools import accumulate
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -25,70 +31,170 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import models
-from .behavior import SCENARIO_POSITIONS, SCENARIOS
-from .core import Poll, UtilityFunction, preference_order
+from .behavior import (
+    SCENARIO_POSITIONS,
+    SCENARIOS,
+    inconsistent_rows,
+    scenario_ids,
+    unjustified_rows,
+)
 from .models import DecisionContext, Family, ModelDescriptor
 from .seeding import make_rng
 
 
-# The largest round, poll size or score a row may carry: evaluation holds them as int64.
+# The largest round, poll size or score a row may carry: the table holds them as int64.
 _MAX_COUNT = 2**63 - 1
+
+# Coarse poll-size conditions: bucket b holds n in [edge b-1, edge b), the
+# edges being geometric midpoints of the sizes the buckets are named after.
+POLL_BUCKETS = ("n<10", "n≈100", "n≈1000", "n≈10000")
+_BUCKET_EDGES = (10, 550, 5500)
 
 
 class DataError(Exception):
     """Raised for unreadable, malformed, or invariant-violating datasets."""
 
 
-@dataclass(frozen=True)
-class VoteRecord:
-    """One observed (or generated) vote: who saw what and what they did."""
+def _read_only(column: np.ndarray) -> np.ndarray:
+    column.setflags(write=False)
+    return column
 
-    voter_id: str
-    round: int
-    poll: Poll
-    utilities: UtilityFunction
-    action: int
+
+@dataclass(frozen=True, eq=False)
+class RecordTable:
+    """A dataset's records as read-only columns, one row per record.
+
+    Rows run voter by voter (``voter_ids``, sorted) and by round within a
+    voter; ``voter`` indexes ``voter_ids``.  ``U`` (float64) and ``S``
+    (int64) have shape (R, m); ``round``, ``n`` and ``action`` hold one
+    int64 per row.  :meth:`from_columns` builds and checks a table.  The
+    evaluation columns are derived when first read, so a table that is only
+    generated and saved never computes them: ``order[j]`` is row j's
+    preference order (ties to the lower index) and ``rank[j, c]`` the
+    position of candidate c in it; ``scenario`` indexes ``SCENARIO_LABELS``
+    and ``bucket`` ``POLL_BUCKETS``; ``unjustified`` flags a dominated
+    action (:func:`behavior.unjustified_rows`) and ``inconsistent`` a row
+    that another of its voter's rows contradicts
+    (:func:`behavior.inconsistent_rows`).
+    """
+
+    voter_ids: tuple[str, ...]
+    voter: np.ndarray
+    round: np.ndarray
+    n: np.ndarray
+    U: np.ndarray
+    S: np.ndarray
+    action: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.poll.m != self.utilities.m:
-            raise ValueError(
-                f"poll has {self.poll.m} candidates but utilities have {self.utilities.m}"
-            )
-        self.poll._check_candidate(self.action)
-        if self.round < 0:
-            raise ValueError(f"round must be non-negative, got {self.round}")
+        for name in self._row_fields():
+            _read_only(getattr(self, name))
+
+    @classmethod
+    def _row_fields(cls) -> list[str]:
+        return [f.name for f in fields(cls) if f.name != "voter_ids"]
+
+    @classmethod
+    def from_columns(cls, voter_id: Sequence[str], round, n, S, U, action) -> "RecordTable":
+        """The table of the rows ``(voter_id[j], round[j], n[j], S[j], U[j], action[j])``.
+
+        Rows are sorted into (voter, round) order and m is the width of
+        ``S``.  Raises ``ValueError`` when there is no row, when the columns
+        disagree in length or shape or m < 2, when a row has a poll size
+        below 1, a negative round or score, a negative or non-finite
+        utility or an action outside [0, m), and when two rows share a
+        (voter, round) key.
+        """
+        if not len(voter_id):
+            raise ValueError("a record table needs at least one row")
+        round_, n, action = (np.asarray(c, dtype=np.int64) for c in (round, n, action))
+        S, U = np.asarray(S, dtype=np.int64), np.asarray(U, dtype=float)
+        R = len(voter_id)
+        if S.ndim != 2 or S.shape[1] < 2 or U.shape != S.shape or any(
+            len(c) != R or c.ndim != 1 for c in (S[:, 0], round_, n, action)
+        ):
+            raise ValueError(f"columns disagree in shape: S {S.shape}, U {U.shape}, {R} voter ids")
+        for bad, what in (
+            (n < 1, "poll size n must be positive"),
+            (round_ < 0, "round must be non-negative"),
+            ((S < 0).any(axis=1), "poll scores must be non-negative"),
+            (~((U >= 0) & (U < np.inf)).all(axis=1), "utilities must be finite and non-negative"),
+            ((action < 0) | (action >= S.shape[1]), f"actions must lie in [0, {S.shape[1]})"),
+        ):
+            if bad.any():
+                j = int(np.argmax(bad))
+                raise ValueError(f"{what}: row {j} ({voter_id[j]!r}, round {round_[j]})")
+        voter_ids = tuple(sorted(set(voter_id)))
+        index = {vid: i for i, vid in enumerate(voter_ids)}
+        voter = np.array([index[vid] for vid in voter_id], dtype=np.int64)
+        order = np.lexsort((round_, voter))
+        voter, round_ = voter[order], round_[order]
+        repeated = (voter[1:] == voter[:-1]) & (round_[1:] == round_[:-1])
+        if repeated.any():
+            j = int(np.argmax(repeated)) + 1
+            key = (voter_ids[voter[j]], int(round_[j]))
+            raise ValueError(f"duplicate (voter, round) pair {key}")
+        return cls(voter_ids, voter, round_, n[order], U[order], S[order], action[order])
+
+    def __len__(self) -> int:
+        return len(self.voter)
+
+    @property
+    def m(self) -> int:
+        return self.U.shape[1]
+
+    @cached_property
+    def order(self) -> np.ndarray:
+        return _read_only(np.argsort(-self.U, axis=1, kind="stable"))
+
+    @cached_property
+    def rank(self) -> np.ndarray:
+        return _read_only(np.argsort(self.order, axis=1))
+
+    @cached_property
+    def scenario(self) -> np.ndarray:
+        return _read_only(scenario_ids(self.U, self.S))
+
+    @cached_property
+    def bucket(self) -> np.ndarray:
+        return _read_only(np.searchsorted(_BUCKET_EDGES, self.n, side="right"))
+
+    @cached_property
+    def unjustified(self) -> np.ndarray:
+        return _read_only(unjustified_rows(self.U, self.S, self.action))
+
+    @cached_property
+    def inconsistent(self) -> np.ndarray:
+        flags = [inconsistent_rows(self.S[rows], self.action[rows]) for rows in self.voter_rows()]
+        return _read_only(np.concatenate(flags))
+
+    def rank_of(self, candidates: np.ndarray) -> np.ndarray:
+        """The preference rank of ``candidates[j]`` in row j, for every row."""
+        return self.rank[np.arange(len(self.voter)), candidates]
+
+    def voter_rows(self) -> list[slice]:
+        """The rows of each voter in the table, in ``voter_ids`` order."""
+        starts = np.flatnonzero(np.diff(self.voter, prepend=-1)).tolist()
+        return [slice(start, end) for start, end in zip(starts, [*starts[1:], len(self.voter)])]
+
+    def select(self, rows: slice) -> "RecordTable":
+        """The table of ``rows`` alone; ``voter`` still indexes all ``voter_ids``."""
+        return RecordTable(
+            voter_ids=self.voter_ids,
+            **{name: getattr(self, name)[rows] for name in self._row_fields()},
+        )
 
 
 @dataclass
 class Dataset:
-    records: list[VoteRecord]
-    manifest: dict = field(default_factory=dict)
+    """A record table with its manifest; ``len(dataset.records)`` counts the rows."""
 
-    def __post_init__(self) -> None:
-        ms = {rec.poll.m for rec in self.records}
-        if len(ms) > 1:
-            raise ValueError(f"records mix candidate counts: {sorted(ms)}")
-        seen = set()
-        for rec in self.records:
-            key = (rec.voter_id, rec.round)
-            if key in seen:
-                raise ValueError(f"duplicate (voter, round) pair {key}")
-            seen.add(key)
+    records: RecordTable
+    manifest: dict = field(default_factory=dict)
 
     @property
     def m(self) -> int:
-        if not self.records:
-            raise ValueError("empty dataset has no candidate count")
-        return self.records[0].poll.m
-
-    def by_voter(self) -> dict[str, list[VoteRecord]]:
-        """Records grouped per voter, each group sorted by round."""
-        grouped: dict[str, list[VoteRecord]] = {}
-        for rec in self.records:
-            grouped.setdefault(rec.voter_id, []).append(rec)
-        for recs in grouped.values():
-            recs.sort(key=lambda r: r.round)
-        return dict(sorted(grouped.items()))
+        return self.records.m
 
 
 _ACTION_PREFIX = "q"
@@ -125,23 +231,21 @@ def _header(m: int) -> list[str]:
 
 
 def save_dataset(dataset: Dataset, out_dir: str | Path) -> tuple[Path, Path]:
-    """Write ``dataset.csv`` and ``manifest.json`` under ``out_dir``."""
-    if not dataset.records:
-        raise DataError("refusing to save an empty dataset")
+    """Write ``dataset.csv``, its rows in table order, and ``manifest.json`` under ``out_dir``."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "dataset.csv"
     manifest_path = out / "manifest.json"
-    m = dataset.m
+    table, m = dataset.records, dataset.m
+    columns = (table.voter, table.round, table.n, table.S, table.U, table.action)
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(_header(m))
-        for rec in dataset.records:
+        for voter, round_, n, scores, utilities, action in zip(*(c.tolist() for c in columns)):
             writer.writerow(
-                [rec.voter_id, rec.round, rec.poll.n]
-                + [str(v) for v in rec.poll.scores]
-                + [_format_utility(v) for v in rec.utilities.values]
-                + [format_action(rec.action)]
+                [table.voter_ids[voter], round_, n, *scores]
+                + [_format_utility(v) for v in utilities]
+                + [format_action(action)]
             )
     manifest = dict(dataset.manifest)
     manifest.setdefault("m", m)
@@ -151,7 +255,13 @@ def save_dataset(dataset: Dataset, out_dir: str | Path) -> tuple[Path, Path]:
     return csv_path, manifest_path
 
 
-def _parse_row(row: list[str], m: int, row_num: int) -> VoteRecord:
+def _parse_row(row: list[str], m: int) -> tuple:
+    """One row's voter id, round, n, scores, utilities and action.
+
+    Fields are parsed with Python's ``int`` and ``float``, in field order;
+    ``ValueError`` names the first one that does not parse or is out of
+    range.  :func:`load_dataset` checks the rest of a row as arrays.
+    """
     expected = 3 + 2 * m + 1
     if len(row) != expected:
         raise ValueError(f"expected {expected} fields, got {len(row)}")
@@ -188,14 +298,7 @@ def _parse_row(row: list[str], m: int, row_num: int) -> VoteRecord:
             raise ValueError(f"non-numeric utility {text!r}") from None
     if len(set(utilities)) != m:
         raise ValueError(f"tied utilities {tuple(utilities)}; preferences must be strict")
-    action = parse_action(row[3 + 2 * m], m)
-    return VoteRecord(
-        voter_id=voter_id,
-        round=round_,
-        poll=Poll(scores=tuple(scores), n=n),
-        utilities=UtilityFunction(values=tuple(utilities)),
-        action=action,
-    )
+    return voter_id, round_, n, scores, utilities, parse_action(row[3 + 2 * m], m)
 
 
 def _infer_m(header: list[str]) -> int:
@@ -218,8 +321,10 @@ def load_dataset(path: str | Path) -> Dataset:
     """Load and validate a dataset.
 
     ``path`` may be the CSV file or a directory containing ``dataset.csv``;
-    a sibling ``manifest.json`` is picked up when present.  All invalid rows
-    are reported together, numbered from 1 after the header.
+    a sibling ``manifest.json`` is picked up when present.  Each invalid row
+    is reported with its first problem, numbered from 1 after the header: a
+    field :func:`_parse_row` rejects, else negative scores, else bad
+    utilities, else a negative round, else the key of an earlier valid row.
     """
     p = Path(path)
     if p.is_dir():
@@ -228,35 +333,48 @@ def load_dataset(path: str | Path) -> Dataset:
         raise DataError(f"no such dataset: {p}")
     try:
         with open(p, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            rows = [row for row in reader if row]
-    except OSError as exc:
+            rows = [row for row in csv.reader(fh) if row]
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read {p}: {exc}") from exc
     if not rows:
         raise DataError(f"{p}: no records")
     m = _infer_m(rows[0])
-    records: list[VoteRecord] = []
-    problems: list[str] = []
-    seen: dict[tuple[str, int], int] = {}
+    problems: dict[int, str] = {}  # the first problem of each bad row, by row number
+    parsed, numbers = [], []
     for row_num, row in enumerate(rows[1:], start=1):
         try:
-            rec = _parse_row(row, m, row_num)
+            parsed.append(_parse_row(row, m))
         except ValueError as exc:
-            problems.append(f"row {row_num}: {exc}")
+            problems[row_num] = str(exc)
             continue
-        key = (rec.voter_id, rec.round)
-        if key in seen:
-            problems.append(
-                f"row {row_num}: duplicate (voter, round) {key}, first seen at row {seen[key]}"
-            )
-            continue
-        seen[key] = row_num
-        records.append(rec)
+        numbers.append(row_num)
+    voter_id, round_, n, scores, utilities, action = list(zip(*parsed)) or [()] * 6
+    # Object arrays hold Python ints of any size: a negative one may not fit int64.
+    round_ = np.array(round_, dtype=object)
+    S = np.array(scores, dtype=object).reshape(-1, m)
+    U = np.array(utilities, dtype=float).reshape(-1, m)
+    negative_score = (S < 0).any(axis=1)
+    bad_utility = ~((U >= 0) & (U < np.inf)).all(axis=1)
+    bad = np.zeros(len(parsed), dtype=bool)
+    for failed, reason, got in (
+        (negative_score, "poll scores must be non-negative integers", lambda j: tuple(S[j])),
+        (bad_utility, "utilities must be finite and non-negative", lambda j: tuple(U[j].tolist())),
+        (round_ < 0, "round must be non-negative", lambda j: round_[j]),
+    ):
+        for j in np.flatnonzero(failed & ~bad).tolist():
+            problems[numbers[j]] = f"{reason}, got {got(j)!r}"
+        bad |= failed
+    seen: dict[tuple[str, int], int] = {}
+    for j in np.flatnonzero(~bad).tolist():
+        key = (voter_id[j], round_[j])
+        first = seen.setdefault(key, numbers[j])
+        if first != numbers[j]:
+            problems[numbers[j]] = f"duplicate (voter, round) {key}, first seen at row {first}"
     if problems:
-        shown = "; ".join(problems[:20])
-        more = f" (+{len(problems) - 20} more)" if len(problems) > 20 else ""
-        raise DataError(f"{p}: {shown}{more}")
-    if not records:
+        listed = [f"row {row_num}: {problems[row_num]}" for row_num in sorted(problems)]
+        more = f" (+{len(listed) - 20} more)" if len(listed) > 20 else ""
+        raise DataError(f"{p}: {'; '.join(listed[:20])}{more}")
+    if not parsed:
         raise DataError(f"{p}: no records")
     manifest_path = p.parent / "manifest.json"
     manifest: dict = {}
@@ -264,12 +382,12 @@ def load_dataset(path: str | Path) -> Dataset:
         try:
             with open(manifest_path, encoding="utf-8") as fh:
                 manifest = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
             raise DataError(f"cannot read manifest {manifest_path}: {exc}") from exc
-    try:
-        return Dataset(records=records, manifest=manifest)
-    except ValueError as exc:
-        raise DataError(f"{p}: {exc}") from exc
+    records = RecordTable.from_columns(
+        voter_id, round_.astype(np.int64), n, S.astype(np.int64), U, action
+    )
+    return Dataset(records=records, manifest=manifest)
 
 
 # --- synthetic generation ---------------------------------------------------
@@ -512,20 +630,18 @@ def _strict_sorted_scores(
     raise DataError(f"could not draw a strictly ordered poll of size {n}")
 
 
-def _scenario_poll(
+def _scenario_scores(
     rng: np.random.Generator,
     scenario: str,
     n: int,
-    prefs: Sequence[int],
+    prefs: np.ndarray,
     concentration: float = 1.0,
-) -> Poll:
-    """A strict poll of ``n`` ballots realizing ``scenario`` for ``prefs``."""
-    ordered = _strict_sorted_scores(rng, n, concentration)
-    positions = SCENARIO_POSITIONS[SCENARIOS.index(scenario)]
-    scores = [0, 0, 0]
-    for pref_pos, cand in enumerate(prefs):
-        scores[cand] = ordered[positions[pref_pos]]
-    return Poll(scores=tuple(scores), n=n)
+) -> np.ndarray:
+    """The scores of a strict poll of ``n`` ballots realizing ``scenario`` for ``prefs``."""
+    ordered = np.array(_strict_sorted_scores(rng, n, concentration), dtype=np.int64)
+    scores = np.empty(3, dtype=np.int64)
+    scores[prefs] = ordered[SCENARIO_POSITIONS[SCENARIOS.index(scenario)]]
+    return scores
 
 
 def _scenario_schedule(
@@ -545,33 +661,40 @@ def generate_synthetic(config: GeneratorConfig) -> Dataset:
     """Deterministic synthetic dataset per the configured experiment design.
 
     Per voter: an independent rng (derived from the master seed and the
-    voter id), one sampled model descriptor, one poll size, and per round a
-    permuted reward assignment plus a strict scenario-matching poll.  The
-    model's action is replaced by a uniformly random one with probability
-    ``noise``.
+    voter id), one sampled model descriptor, one poll size, and per drawn
+    round a permuted reward assignment plus a strict scenario-matching
+    poll.  Each drawn round is shown ``repeats`` times, and a shown round's
+    action is replaced by a uniformly random one with probability
+    ``noise``.  A voter's drawn rounds are decided after all of them are
+    drawn, with one :func:`models.decide_matrix` call: decisions draw
+    nothing from the rng, and each row's depends on that row alone.
     """
     ctx = DecisionContext(pivot_cache={})
-    records: list[VoteRecord] = []
+    voter_id: list[str] = []
+    columns: list[tuple] = []  # per voter: n, S, U and action of its shown rounds
     assignments: dict[str, dict] = {}
     noisy_rounds: dict[str, list[int]] = {}
     width = max(3, len(str(config.num_voters)))
     group_weights = [g.weight for g in config.groups]
     size_values = [n for n, _ in config.poll_sizes]
     size_weights = [w for _, w in config.poll_sizes]
-    base_rewards = tuple(sorted(config.rewards, reverse=True))
+    base_rewards = sorted(config.rewards, reverse=True)
     m = 3
 
     num_distinct = -(-config.rounds_per_voter // config.repeats)
+    # The drawn round each shown round repeats.
+    shown = np.arange(config.rounds_per_voter) // config.repeats
 
     for i in range(1, config.num_voters + 1):
         vid = f"v{i:0{width}d}"
         rng = make_rng(config.master_seed, "voter", vid)
         group = _weighted_pick(rng, config.groups, group_weights)
+        family = group.family
+        bad_model = f"group {family.value} drew a bad model for voter {vid}"
         try:
             descriptor = group.sample_descriptor(rng)
         except ValueError as exc:
-            family = group.family.value
-            raise DataError(f"group {family} drew a bad model for voter {vid}: {exc}") from exc
+            raise DataError(f"{bad_model}: {exc}") from exc
         poll_size = _weighted_pick(rng, size_values, size_weights)
         scenarios = _scenario_schedule(config, rng, num_distinct)
         assignments[vid] = {
@@ -579,34 +702,36 @@ def generate_synthetic(config: GeneratorConfig) -> Dataset:
             "params": descriptor.params(),
             "poll_size": poll_size if config.poll_size_mode == "per_voter" else None,
         }
+        n = np.empty(num_distinct, dtype=np.int64)
+        S = np.empty((num_distinct, m), dtype=np.int64)
+        U = np.empty((num_distinct, m))
+        noise = np.full(config.rounds_per_voter, -1)  # a shown round's random action
         for k in range(num_distinct):
             if config.poll_size_mode == "per_round":
                 poll_size = _weighted_pick(rng, size_values, size_weights)
+            # The rewards are distinct and descending: perm is the preference order.
             perm = rng.permutation(m)
-            values = [0.0] * m
-            for rank, cand in enumerate(perm):
-                values[int(cand)] = base_rewards[rank]
-            u = UtilityFunction(values=tuple(values))
-            prefs = preference_order(u.values)
+            U[k, perm] = base_rewards
             conc = config.poll_concentrations[
                 int(rng.integers(len(config.poll_concentrations)))
             ]
-            poll = _scenario_poll(rng, scenarios[k], poll_size, prefs, conc)
-            model_action = models.decide(descriptor, u, poll, ctx)
-            for r in range(
-                k * config.repeats,
-                min((k + 1) * config.repeats, config.rounds_per_voter),
-            ):
-                action = model_action
+            n[k] = poll_size
+            S[k] = _scenario_scores(rng, scenarios[k], poll_size, perm, conc)
+            for r in range(k * config.repeats, min((k + 1) * config.repeats, len(noise))):
                 if config.noise > 0 and rng.random() < config.noise:
-                    action = int(rng.integers(m))
+                    noise[r] = int(rng.integers(m))
                     noisy_rounds.setdefault(vid, []).append(r)
-                records.append(
-                    VoteRecord(
-                        voter_id=vid, round=r, poll=poll, utilities=u, action=action
-                    )
-                )
+        try:  # a point the family cannot take for m = 3, such as PRAG's k = 4
+            (decided,) = models.decide_matrix(family, (descriptor.params(),), U, S, n, ctx)
+        except ValueError as exc:
+            raise DataError(f"{bad_model}: {exc}") from exc
+        action = np.where(noise >= 0, noise, decided[shown])
+        voter_id += [vid] * config.rounds_per_voter
+        columns.append((n[shown], S[shown], U[shown], action))
 
+    n, S, U, action = (np.concatenate(c) for c in zip(*columns))
+    rounds = np.tile(np.arange(config.rounds_per_voter), config.num_voters)
+    records = RecordTable.from_columns(voter_id, rounds, n, S, U, action)
     manifest = {
         "source": "synthetic",
         "m": m,

@@ -6,10 +6,11 @@ candidate labelings.  Rows are the actual action, columns the predicted
 one.
 
 Fitting is a grid argmax of training-set 0/1 accuracy; ties resolve to the
-earliest grid point, which makes refits reproducible.  A
-:class:`RecordTable` annotates the dataset once for every family: arrays of
-utilities, scores, preference ranks, scenario, poll-size bucket, and
-unjustified and inconsistent actions.  Voters are decided in runs of at
+earliest grid point, which makes refits reproducible.  Every family reads
+the dataset's one :class:`data.RecordTable`: columns of utilities, scores,
+poll sizes and actions, and the preference ranks, scenario, poll-size
+bucket and unjustified and inconsistent flags derived from them once, when
+first read.  Voters are decided in runs of at
 most ``_RUN_CELLS`` (grid point x record) cells: one call of
 :func:`models.decide_matrix`, with one ``CV`` pivot cache, decides each
 distinct (utilities, scores, n) row of a run once, and each voter reads its
@@ -26,7 +27,7 @@ baseline has no grid: each of a voter's folds trains its own network on
 the other rounds, reading the same columns: a fold's profile is its voter's
 summed ratio counts minus the held-out row's, the same identity.
 
-The table holds only arrays, so a worker's task pickles no record objects.
+A worker's task pickles only the table's arrays and voter ids.
 :func:`evaluate_families` cuts the voters into one contiguous run per
 worker, of about equal record count (one run, in process, for ``jobs=1``),
 and makes one task per (family, run).  A task returns two sequences: its
@@ -42,7 +43,7 @@ whose stacked per-fold weights equal separate training bit for bit.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from multiprocessing import get_context
@@ -51,23 +52,10 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from . import models, nn as nn_mod
-from .behavior import (
-    RANK_LABELS,
-    SCENARIO_LABELS,
-    inconsistent_rows,
-    ratio_counts,
-    record_arrays,
-    scenario_ids,
-    unjustified_rows,
-)
-from .data import Dataset
+from .behavior import RANK_LABELS, SCENARIO_LABELS, ratio_counts
+from .data import POLL_BUCKETS, Dataset, RecordTable
 from .models import Family, ModelDescriptor
 from .seeding import derive_seed
-
-# Coarse poll-size conditions: bucket b holds n in [edge b-1, edge b), the
-# edges being geometric midpoints of the sizes the buckets are named after.
-POLL_BUCKETS = ("n<10", "n≈100", "n≈1000", "n≈10000")
-_BUCKET_EDGES = (10, 550, 5500)
 
 
 @dataclass(frozen=True)
@@ -224,100 +212,6 @@ class ParameterGrid:
         if family in (Family.TRUTH, Family.BR, Family.NN):
             return cls(family, ({},))
         raise ValueError(f"no default grid for family {family!r}")
-
-
-# --- the record table --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RecordTable:
-    """A dataset's records as read-only columns, annotated once for every family.
-
-    Rows run voter by voter (``voter_ids``, sorted) and by round within a
-    voter, the order of :meth:`Dataset.by_voter`; ``voter`` indexes
-    ``voter_ids``.  ``U`` and ``S`` have shape (R, m), every other array
-    one entry per row.  ``order[j]`` is the record's preference order and
-    ``rank[j, c]`` the position of candidate c in it.  ``scenario`` indexes
-    ``SCENARIO_LABELS`` and ``bucket`` ``POLL_BUCKETS``.  ``unjustified``
-    flags a dominated actual action (:func:`behavior.unjustified_rows`) and
-    ``inconsistent`` a record contradicted by another of its voter's
-    records (:func:`behavior.inconsistent_rows`).
-    """
-
-    voter_ids: tuple[str, ...]
-    voter: np.ndarray
-    round: np.ndarray
-    n: np.ndarray
-    U: np.ndarray
-    S: np.ndarray
-    action: np.ndarray
-    order: np.ndarray
-    rank: np.ndarray
-    scenario: np.ndarray
-    bucket: np.ndarray
-    unjustified: np.ndarray
-    inconsistent: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name in self._row_fields():
-            getattr(self, name).setflags(write=False)
-
-    @classmethod
-    def _row_fields(cls) -> list[str]:
-        return [f.name for f in fields(cls) if f.name != "voter_ids"]
-
-    @classmethod
-    def from_dataset(cls, dataset: Dataset) -> "RecordTable":
-        """Annotate ``dataset``: records go in voter by voter, arrays come out.
-
-        Raises ``ValueError`` when a poll size is below 1, which no bucket holds.
-        """
-        by_voter = dataset.by_voter()
-        if not by_voter:
-            raise ValueError("cannot evaluate an empty dataset")
-        records = [rec for recs in by_voter.values() for rec in recs]
-        U, S, n, action = record_arrays(records)
-        if (n < 1).any():
-            raise ValueError(f"poll size must be positive, got {n[n < 1][0]}")
-        ends = np.cumsum([len(recs) for recs in by_voter.values()]).tolist()
-        order = np.argsort(-U, axis=1, kind="stable")
-        return cls(
-            voter_ids=tuple(by_voter),
-            voter=np.repeat(np.arange(len(by_voter)), np.diff([0, *ends])),
-            round=np.array([rec.round for rec in records], dtype=np.int64),
-            n=n,
-            U=U,
-            S=S,
-            action=action,
-            order=order,
-            rank=np.argsort(order, axis=1),
-            scenario=scenario_ids(U, S),
-            bucket=np.searchsorted(_BUCKET_EDGES, n, side="right"),
-            unjustified=unjustified_rows(U, S, action),
-            inconsistent=np.concatenate(
-                [inconsistent_rows(S[a:b], action[a:b]) for a, b in zip([0, *ends], ends)]
-            ),
-        )
-
-    @property
-    def m(self) -> int:
-        return self.U.shape[1]
-
-    def rank_of(self, candidates: np.ndarray) -> np.ndarray:
-        """The preference rank of ``candidates[j]`` in row j, for every row."""
-        return self.rank[np.arange(len(self.voter)), candidates]
-
-    def voter_rows(self) -> list[slice]:
-        """The rows of each voter in the table, in ``voter_ids`` order."""
-        starts = np.flatnonzero(np.diff(self.voter, prepend=-1)).tolist()
-        return [slice(start, end) for start, end in zip(starts, [*starts[1:], len(self.voter)])]
-
-    def select(self, rows: slice) -> "RecordTable":
-        """The table of ``rows`` alone; ``voter`` still indexes all ``voter_ids``."""
-        return RecordTable(
-            voter_ids=self.voter_ids,
-            **{name: getattr(self, name)[rows] for name in self._row_fields()},
-        )
 
 
 # --- per-voter evaluation ----------------------------------------------------
@@ -606,7 +500,7 @@ ERROR_CLASSES = ("correct", "unjustified", "inconsistent", "unexplained")
 
 
 def error_breakdown(
-    dataset: Dataset | RecordTable, predictions: Mapping[tuple[str, int], int]
+    dataset: Dataset, predictions: Mapping[tuple[str, int], int]
 ) -> dict[str, dict[str, int]]:
     """Classify each prediction per scenario.
 
@@ -615,7 +509,7 @@ def error_breakdown(
     records, else left unexplained.  Keys: scenarios plus "total".
     ``predictions`` maps (voter id, round) to the predicted action.
     """
-    table = dataset if isinstance(dataset, RecordTable) else RecordTable.from_dataset(dataset)
+    table = dataset.records
     predicted = []
     for voter, round_ in zip(table.voter.tolist(), table.round.tolist()):
         key = (table.voter_ids[voter], round_)
@@ -643,7 +537,7 @@ def _error_counts(table: RecordTable, predicted: np.ndarray) -> dict[str, dict[s
 
 def evaluate_families(
     grids: Sequence[ParameterGrid],
-    dataset: Dataset | RecordTable,
+    dataset: Dataset,
     mode: str,
     *,
     jobs: int = 1,
@@ -655,12 +549,11 @@ def evaluate_families(
     the held-out one) or ``"upper"`` (fit and score on all of a voter's
     records: the in-sample ceiling).  Reports come in grid order.  One pool
     of ``min(jobs, voters)`` workers serves every family, so a caller can
-    use a report while the workers run the later families.  Pass a
-    :class:`RecordTable` to annotate a dataset once for other uses too.
+    use a report while the workers run the later families.
     """
     if mode not in ("loo", "upper"):
         raise ValueError(f"mode must be 'loo' or 'upper', got {mode!r}")
-    table = dataset if isinstance(dataset, RecordTable) else RecordTable.from_dataset(dataset)
+    table = dataset.records
     # One task per worker and family: a contiguous run of voters, so every
     # NN network a worker needs for a family trains in one fit_folds call.
     voter_rows = table.voter_rows()
@@ -682,7 +575,7 @@ def evaluate_families(
 def loo_evaluate(
     family: Family,
     grid: ParameterGrid,
-    dataset: Dataset | RecordTable,
+    dataset: Dataset,
     *,
     jobs: int = 1,
     seed: int = 0,

@@ -15,9 +15,8 @@ network serves any candidate labeling.  Features, in order:
 The first 16 come from record columns
 (:func:`record_features`), the last 9 from a profile's summed ratio counts
 (:func:`features`).  :func:`predict_record` and :func:`fit_network` are the
-one-record and one-fold cases over record objects, which they stack with
-:func:`behavior.record_arrays` and classify with one
-:func:`behavior.scenario_ids` call.  Networks live only inside
+one-record and one-fold cases, over a voter's rows of a
+:class:`data.RecordTable`.  Networks live only inside
 ``evaluate``, which trains and scores them and writes none to disk, so a
 :class:`Network` has no serialised form.
 
@@ -60,9 +59,9 @@ from typing import Sequence
 import numpy as np
 
 from .behavior import (
-    SCENARIOS, VOTER_TYPES, VoterProfile, build_profile, ratio_stats, record_arrays, scenario_ids,
-    strict_orders,
+    SCENARIOS, VOTER_TYPES, VoterProfile, build_profile, ratio_stats, strict_orders,
 )
+from .data import RecordTable
 
 FEATURE_DIM = 25
 NUM_CLASSES = 3
@@ -76,7 +75,7 @@ _PARAM_NAMES = ("w1", "b1", "w2", "b2")
 
 
 def record_features(S: np.ndarray, n: np.ndarray, order: np.ndarray, scenario: np.ndarray):
-    """The (R, 16) record-only features, from ``evaluation.RecordTable`` columns.
+    """The (R, 16) record-only features, from ``data.RecordTable`` columns.
 
     ``S`` holds the (R, 3) poll scores, ``n`` the poll sizes, ``order`` each
     record's preference order and ``scenario`` indexes ``SCENARIO_LABELS``.
@@ -103,14 +102,6 @@ def features(base: np.ndarray, available, selected) -> np.ndarray:
     onehot = types[..., None] == np.arange(len(VOTER_TYPES))
     profile = np.concatenate([ratios, np.asarray(available) > 0, onehot], axis=-1)
     return np.hstack([base, np.broadcast_to(profile, (len(base), profile.shape[-1]))])
-
-
-def _columns(records: Sequence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Record features, preference orders and action ranks of records."""
-    U, S, n, action = record_arrays(records)
-    order = strict_orders(U)
-    base = record_features(S, n, order, scenario_ids(U, S))
-    return base, order, np.argsort(order, axis=1)[np.arange(len(action)), action]
 
 
 @dataclass
@@ -344,14 +335,15 @@ def train(X: np.ndarray, y: np.ndarray, hyper: Hyperparams = Hyperparams()) -> N
 
 
 def fit_network(
-    records: Sequence, hyper: Hyperparams = Hyperparams()
+    rows: RecordTable, hyper: Hyperparams = Hyperparams()
 ) -> tuple[Network, VoterProfile]:
-    """Train on one voter's records; the profile comes from the same records."""
-    if not records:
+    """Train on one voter's table rows; the profile comes from the same rows."""
+    if not len(rows):
         raise ValueError("cannot fit a network on zero records")
-    profile = build_profile(records[0].voter_id, records)
-    base, _, ranks = _columns(records)
-    return train(features(base, profile.available, profile.selected), ranks, hyper), profile
+    profile = build_profile(rows.voter_ids[rows.voter[0]], rows)
+    base = record_features(rows.S, rows.n, rows.order, rows.scenario)
+    X = features(base, profile.available, profile.selected)
+    return train(X, rows.rank_of(rows.action), hyper), profile
 
 
 def fit_folds(
@@ -386,10 +378,12 @@ def fit_folds(
     return [fitted[f] for f in range(len(X))]
 
 
-def predict_record(net: Network, profile: VoterProfile, record) -> int:
-    """Predicted candidate (not rank) for a record, from its voter's profile.
+def predict_record(net: Network, profile: VoterProfile, row: RecordTable) -> int:
+    """Predicted candidate (not rank) for a table of one row, from its voter's profile.
 
     Under leave-one-out the profile comes from the voter's other rounds.
+    Tied utilities raise ``ValueError``.
     """
-    base, order, _ = _columns([record])
-    return int(order[0, predict(net, features(base, profile.available, profile.selected))])
+    (order,) = strict_orders(row.U)
+    base = record_features(row.S, row.n, order[None], row.scenario)
+    return int(order[predict(net, features(base, profile.available, profile.selected))])

@@ -23,7 +23,8 @@ from stratvote.behavior import (
     TRT_THRESHOLD,
     VOTER_TYPES,
 )
-from stratvote.core import Candidate, Poll, UtilityFunction, preference_order
+from record_oracle import preference_order
+from stratvote.core import Candidate, Poll, UtilityFunction
 from stratvote.nn import FEATURE_DIM
 
 RATIO_KEYS = ("TRT", "CMP", "LB")

@@ -18,7 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from stratvote.core import Candidate, Poll, UtilityFunction, preference_order
+from record_oracle import preference_order
+from stratvote.core import Candidate, Poll, UtilityFunction
 from stratvote.models import TMG_TYPES, au_score, undominated_set
 from stratvote.pivot import PivotTable, _check_eta, _cv_table
 

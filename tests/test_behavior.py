@@ -23,22 +23,15 @@ from stratvote.behavior import (
     strict_orders,
     unjustified_rows,
 )
-from stratvote.core import Poll, UtilityFunction, preference_order
-from stratvote.data import Dataset, VoteRecord
+from stratvote.core import Poll, UtilityFunction
 from feature_oracle import classify_scenario, find_inconsistent
-from stratvote.evaluation import RecordTable
+from record_oracle import Record, preference_order, table_of
 
 U = UtilityFunction((10.0, 5.0, 0.0))
 
 
 def rec(scores, action, round=0, u=U, voter="v1"):
-    return VoteRecord(
-        voter_id=voter,
-        round=round,
-        poll=Poll.from_scores(tuple(scores)),
-        utilities=u,
-        action=action,
-    )
+    return Record(voter, round, Poll.from_scores(tuple(scores)), u, action)
 
 
 def records(*rows):
@@ -47,7 +40,7 @@ def records(*rows):
 
 def action_ratios(rows):
     """The profile's ratios of the actions that were ever available."""
-    profile = build_profile("v1", rows)
+    profile = build_profile("v1", table_of(rows))
     ratios, _ = ratio_stats(profile.available, profile.selected)
     return {k: r for k, r, a in zip(RATIO_ACTIONS, ratios.tolist(), profile.available) if a > 0}
 
@@ -61,7 +54,7 @@ def inconsistent(rows):
 
 def unjustified(rows):
     """The record table's unjustified flags of one voter's records."""
-    return RecordTable.from_dataset(Dataset(rows)).unjustified.tolist()
+    return table_of(rows).unjustified.tolist()
 
 
 strict_u3 = st.permutations([10.0, 5.0, 0.0]).map(lambda v: UtilityFunction(tuple(v)))
@@ -227,7 +220,7 @@ class TestInconsistent:
         # compares a few rows at a time.
         u = UtilityFunction(tuple(float(c) for c in range(len(drawn[0][0]))))
         rows = [
-            VoteRecord("v1", i, Poll(tuple(scores), 3), u, action)
+            Record("v1", i, Poll(tuple(scores), 3), u, action)
             for i, (scores, action) in enumerate(drawn)
         ]
         want = find_inconsistent(rows)
@@ -237,7 +230,7 @@ class TestInconsistent:
             assert inconsistent(rows) == want
         finally:
             behavior._INCONSISTENT_BLOCK = old_block
-        assert build_profile("v1", rows).inconsistent_records == want
+        assert build_profile("v1", table_of(rows)).inconsistent_records == want
 
 
 class TestActionRatios:
@@ -263,7 +256,7 @@ class TestActionRatios:
 
 
 def voter_type(rows):
-    profile = build_profile("v1", rows)
+    profile = build_profile("v1", table_of(rows))
     return VOTER_TYPES[ratio_stats(profile.available, profile.selected)[1]]
 
 
@@ -307,17 +300,17 @@ class TestProfile:
     def test_profile_flags_unjustified_and_inconsistent_records(self):
         clean = records(((80, 50, 30), 0), ((30, 50, 80), 0))
         assert unjustified(clean) == [False, False]
-        assert build_profile("v1", clean).inconsistent_records == frozenset()
+        assert build_profile("v1", table_of(clean)).inconsistent_records == frozenset()
         contradicting = records(((50, 60, 40), 0), ((55, 60, 40), 1))
         assert unjustified(contradicting) == [False, False]
-        assert build_profile("v1", contradicting).inconsistent_records == {0, 1}
+        assert build_profile("v1", table_of(contradicting)).inconsistent_records == {0, 1}
         dominated = records(((60, 50, 40), 2), ((61, 50, 40), 2))
         assert unjustified(dominated) == [True, True]
-        assert build_profile("v1", dominated).inconsistent_records == frozenset()
+        assert build_profile("v1", table_of(dominated)).inconsistent_records == frozenset()
 
     def test_profile_carries_ratios(self):
         rows = records(*(((80, 50, 30), 0) for _ in range(4)))
-        prof = build_profile("v9", rows)
+        prof = build_profile("v9", table_of(rows))
         assert prof.voter_id == "v9"
         assert (prof.available, prof.selected) == ((4, 0, 0), (4, 0, 0))
         assert voter_type(rows) == "TRT"
@@ -325,4 +318,5 @@ class TestProfile:
 
     def test_tied_utilities_are_rejected(self):
         with pytest.raises(ValueError, match="strictly ordered"):
-            build_profile("v1", [rec((80, 50, 30), 0, u=UtilityFunction((5.0, 5.0, 0.0)))])
+            tied = rec((80, 50, 30), 0, u=UtilityFunction((5.0, 5.0, 0.0)))
+            build_profile("v1", table_of([tied]))

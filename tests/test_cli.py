@@ -14,13 +14,13 @@ from stratvote.core import Poll, UtilityFunction
 from stratvote.data import (
     Dataset,
     GeneratorConfig,
-    VoteRecord,
     format_action,
     generate_synthetic,
     load_dataset,
     save_dataset,
 )
-from stratvote.evaluation import ParameterGrid, RecordTable, loo_evaluate
+from stratvote.evaluation import ParameterGrid, loo_evaluate
+from record_oracle import Record, table_of
 from stratvote.models import Family
 
 HEADER = "voter_id,round,n,s_1,s_2,s_3,u_1,u_2,u_3,action\n"
@@ -112,6 +112,10 @@ class TestSimulate:
                 {"groups": [{"family": "PRAG", "params": {"k": {"type": "value", "value": 0}}}]},
                 "group PRAG drew a bad model for voter v",
             ),
+            (
+                {"groups": [{"family": "PRAG", "params": {"k": {"type": "value", "value": 4}}}]},
+                "group PRAG drew a bad model for voter v001: k must lie in [1, m], got 4",
+            ),
             ({"groups": [{"family": "LD"}]}, "group LD drew a bad model for voter v"),
             (
                 {"groups": [{"family": "AU", "params": {
@@ -147,7 +151,8 @@ class TestSimulate:
             ({"poll_concentrations": [float("inf")]}, "poll_concentrations must be finite"),
         ],
         ids=[
-            "prag-k-0", "ld-without-r", "au-alpha-above-2", "poll-size-above-int64", "negative-reward",
+            "prag-k-0", "prag-k-above-m", "ld-without-r", "au-alpha-above-2",
+            "poll-size-above-int64", "negative-reward",
             "poll-size-weight-nan", "poll-size-weight-inf", "poll-size-weights-overflow",
             "group-weight-nan", "scenario-weight-nan", "scenario-weight-negative",
             "cycle-scenario-weight-inf", "concentration-nan", "concentration-inf",
@@ -330,7 +335,7 @@ class TestEvaluate:
         data = write_rows(
             tmp_path, f"v1,0,{top},{top},30,20,10,5,0,q1\nv1,1,100,50,{top},20,10,5,0,q2\n"
         )
-        table = RecordTable.from_dataset(load_dataset(data))
+        table = load_dataset(data).records
         assert table.n.dtype == np.int64 and table.n.tolist() == [top, 100]
         assert table.S.dtype == np.int64 and table.S[:, :2].tolist() == [[top, 30], [50, top]]
         code = main(
@@ -360,7 +365,7 @@ class TestEvaluate:
             f"v1,{top},100,50,30,20,10,5,0,q1\nv1,1,100,50,30,20,10,5,0,q2\n"
             "v1,2,100,20,30,50,10,5,0,q2\n",
         )
-        table = RecordTable.from_dataset(load_dataset(data))
+        table = load_dataset(data).records
         assert table.round.dtype == np.int64 and table.round.tolist() == [1, 2, top]
         out = tmp_path / "r"
         assert main(["evaluate", "--data", str(data), "--families", "NN", "--out", str(out)]) == 0
@@ -585,6 +590,33 @@ def test_malformed_json_input_is_a_data_error_naming_the_file(
     assert err.startswith("data error:") and str(path) in err
 
 
+@pytest.mark.parametrize(
+    "case", ["csv_evaluate", "csv_predict", "csv_field_over_limit", "manifest", "config", "params"]
+)
+def test_an_unreadable_file_is_a_data_error_naming_it(tmp_path, small_dataset, case, capsys):
+    # Each used to end in an internal error (exit 3): a byte that is not
+    # UTF-8 in each file read, or a CSV field over the csv module's limit.
+    data, json_path = tmp_path / "in", tmp_path / "input.json"
+    data.mkdir()
+    csv_path = data / "dataset.csv"
+    bad = {"manifest": data / "manifest.json", "config": json_path, "params": json_path}
+    bad = bad.get(case, csv_path)
+    rows = small_dataset.read_bytes()
+    voter = b"v" * 200_000 if case == "csv_field_over_limit" else b"v\xff"
+    csv_path.write_bytes(rows.replace(b"v001,", voter + b"01,") if bad == csv_path else rows)
+    if bad != csv_path:
+        bad.write_bytes(b'{"family": "TRUTH", "note": "\xff"}')
+    argv = {
+        "csv_predict": ["predict", "--data", str(data), "--model", "TRUTH"],
+        "config": ["simulate", "--config", str(json_path), "--seed", "1"],
+        "params": ["predict", "--data", str(data), "--params", str(json_path)],
+    }.get(case, ["evaluate", "--data", str(data), "--families", "TRUTH"])
+    capsys.readouterr()
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and str(bad) in err
+
+
 class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
@@ -648,7 +680,7 @@ class TestFuzz:
             data.write_text(text, encoding="utf-8")
             # A CV table at eta = n costs time and memory linear in n, so
             # eta = n runs only on small polls.
-            small = max(rec.poll.n for rec in load_dataset(data).records) <= 30
+            small = load_dataset(data).records.n.max() <= 30
             runs = [
                 ["evaluate", "--data", str(data), "--families", family.value,
                  "--cv-etas", "1,4,n" if small else "1,4", "--out", str(Path(tmp) / "r")]
@@ -697,22 +729,22 @@ class TestReportWriter:
     def test_workload_reports(self, name):
         workload = workload_configs()[name]
         config = GeneratorConfig.from_dict({**workload.config(), "master_seed": 1})
-        table = RecordTable.from_dataset(generate_synthetic(config))
+        dataset = generate_synthetic(config)
         for family in workload.families.split(","):
             etas = workload.cv_etas.split(",") if workload.cv_etas else None
             etas = etas and tuple(e if e == "n" else int(e) for e in etas)
             grid = ParameterGrid.default(Family(family), cv_etas=etas)
-            self.assert_same_text(loo_evaluate(Family(family), grid, table, seed=1).to_dict())
+            self.assert_same_text(loo_evaluate(Family(family), grid, dataset, seed=1).to_dict())
 
     def test_empty_predictions_non_ascii_ids_and_m4(self):
         u = UtilityFunction((4.0, 3.0, 2.0, 1.0))
         records = [
-            VoteRecord(vid, r, Poll((40 + r, 30, 20, 10 * r), 100), u, r % 4)
+            Record(vid, r, Poll((40 + r, 30, 20, 10 * r), 100), u, r % 4)
             for vid in ("voté", "選挙", "\u2603")
             for r in range(3)
         ]
         payload = loo_evaluate(
-            Family.LD, ParameterGrid.default(Family.LD), Dataset(records)
+            Family.LD, ParameterGrid.default(Family.LD), Dataset(table_of(records))
         ).to_dict()
         assert payload["classes"] == ["pref_0", "pref_1", "pref_2", "pref_3"]
         self.assert_same_text(payload)

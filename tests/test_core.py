@@ -8,7 +8,8 @@ from scalar_deciders import (
     winner_set_utility,
     with_vote,
 )
-from stratvote.core import Poll, UtilityFunction, preference_order
+from record_oracle import preference_order
+from stratvote.core import Poll, UtilityFunction
 
 
 def scores(*vals):

@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
+from dataclasses import fields
+
 from stratvote.behavior import SCENARIOS
-from stratvote.core import Poll, UtilityFunction, preference_order
 from stratvote.data import (
     DataError,
-    Dataset,
     GeneratorConfig,
     ParamSampler,
     PopulationGroup,
-    VoteRecord,
+    RecordTable,
     format_action,
     generate_synthetic,
     load_dataset,
@@ -18,6 +18,7 @@ from stratvote.data import (
 )
 from stratvote.models import Family, ModelDescriptor, decide
 from feature_oracle import classify_scenario
+from record_oracle import by_voter, preference_order, records_of
 
 HEADER = "voter_id,round,n,s_1,s_2,s_3,u_1,u_2,u_3,action\n"
 
@@ -26,6 +27,21 @@ def write(tmp_path, body, header=HEADER):
     path = tmp_path / "dataset.csv"
     path.write_text(header + body, encoding="utf-8")
     return path
+
+
+def assert_same_table(a, b):
+    assert a.voter_ids == b.voter_ids
+    for name in RecordTable._row_fields():
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+
+
+def columns(keys, m=3):
+    """Columns of valid rows with the given (voter id, round) keys; action j % m."""
+    R = len(keys)
+    S = [[10 * (c + 1) for c in range(m)]] * R
+    U = [[float(m - c) for c in range(m)]] * R
+    return [[v for v, _ in keys], [r for _, r in keys], [100] * R, S, U, [j % m for j in range(R)]]
 
 
 def truth_config(**kwargs):
@@ -64,14 +80,15 @@ class TestActionCodec:
 class TestLoad:
     def test_canonical_row(self, tmp_path):
         path = write(tmp_path, "v17,3,295,25,70,20,40,30,20,q2\n")
-        ds = load_dataset(path)
-        assert len(ds.records) == 1
-        rec = ds.records[0]
-        assert rec.voter_id == "v17"
-        assert rec.round == 3
-        assert rec.poll == Poll(scores=(25, 70, 20), n=295)
-        assert rec.utilities.values == (40.0, 30.0, 20.0)
-        assert rec.action == 1
+        table = load_dataset(path).records
+        assert len(table) == 1
+        assert table.voter_ids == ("v17",) and table.voter.tolist() == [0]
+        assert table.round.tolist() == [3] and table.n.tolist() == [295]
+        assert table.S.tolist() == [[25, 70, 20]] and table.U.tolist() == [[40.0, 30.0, 20.0]]
+        assert table.action.tolist() == [1]
+        for name in ("voter", "round", "n", "S", "action"):
+            assert getattr(table, name).dtype == np.int64, name
+        assert table.U.dtype == np.float64
 
     def test_directory_path_and_manifest_pickup(self, tmp_path):
         write(tmp_path, "v1,0,100,50,30,20,10,5,0,q1\n")
@@ -128,39 +145,133 @@ class TestLoad:
         with pytest.raises(DataError, match="row 1.*row 2"):
             load_dataset(path)
 
+    def test_each_row_names_its_first_problem_in_row_order(self, tmp_path):
+        # A row's fields are checked in field order; negative scores, then
+        # utilities, then a negative round, are checked after every field
+        # parses; a duplicate is one of an earlier valid row only.
+        big = -(10**30)
+        path = write(
+            tmp_path,
+            "v1,0,100,-5,30,20,10,5,0,q1\n"
+            "v1,0,100,50,30,20,10,5,0,q1\n"
+            f"v1,{big},100,50,30,-1,10,5,0,q1\n"
+            "v1,-1,0,50,30,20,10,5,0,q1\n"
+            "v1,-2,100,50,30,20,nan,5,0,q4\n"
+            "v1,-3,100,50,30,20,inf,5,0,q1\n"
+            f"v1,{big},100,50,30,20,10,5,0,q1\n"
+            "v1,0,100,50,30,20,10,5,0,q2\n"
+            "v1,1,100,50,30,20,10,5,0,q2\n",
+        )
+        with pytest.raises(DataError) as err:
+            load_dataset(path)
+        assert str(err.value) == f"{path}: " + "; ".join([
+            "row 1: poll scores must be non-negative integers, got (-5, 30, 20)",
+            "row 3: poll scores must be non-negative integers, got (50, 30, -1)",
+            "row 4: poll size n must be positive, got 0",
+            "row 5: action 'q4' out of range for m=3",
+            "row 6: utilities must be finite and non-negative, got (inf, 5.0, 0.0)",
+            f"row 7: round must be non-negative, got {big}",
+            "row 8: duplicate (voter, round) ('v1', 0), first seen at row 2",
+        ])
+
+    def test_lists_twenty_problems_then_counts_the_rest(self, tmp_path):
+        path = write(tmp_path, "".join(f"v{i},0,0,1,2,3,10,5,0,q1\n" for i in range(23)))
+        with pytest.raises(DataError) as err:
+            load_dataset(path)
+        text = str(err.value)
+        assert text.count("poll size n must be positive") == 20
+        assert "row 20: " in text and "row 21: " not in text
+        assert text.endswith(" (+3 more)")
+
+    def test_rows_come_in_voter_and_round_order(self, tmp_path):
+        path = write(
+            tmp_path,
+            "v2,0,100,50,30,20,10,5,0,q1\nv1,7,100,50,30,20,10,5,0,q2\n"
+            "v1,3,100,50,30,20,10,5,0,q3\n",
+        )
+        table = load_dataset(path).records
+        assert table.voter_ids == ("v1", "v2")
+        assert table.voter.tolist() == [0, 0, 1]
+        assert table.round.tolist() == [3, 7, 0]
+        assert table.action.tolist() == [2, 1, 0]
+
 
 class TestSaveLoadRoundTrip:
     def test_field_for_field(self, tmp_path):
         ds = generate_synthetic(truth_config())
         save_dataset(ds, tmp_path)
         back = load_dataset(tmp_path / "dataset.csv")
-        assert back.records == ds.records
+        assert_same_table(back.records, ds.records)
         assert back.manifest["config"] == ds.manifest["config"]
 
-    def test_refuses_empty(self, tmp_path):
-        with pytest.raises(DataError):
-            save_dataset(Dataset(records=[]), tmp_path)
+    def test_refuses_empty(self):
+        # No table is empty, so no empty dataset can be saved.
+        with pytest.raises(ValueError, match="at least one row"):
+            RecordTable.from_columns([], [], [], np.empty((0, 3)), np.empty((0, 3)), [])
+
+    def test_saves_rows_in_table_order(self, tmp_path):
+        # A loaded file is saved voter by voter and round by round, not in file order.
+        rows = [
+            "v2,0,100,50,30,20,10,5,0,q1",
+            "v1,1,100,50,30,20,10,5,0,q2",
+            "v1,0,100,50,30,20,10,5,0,q3",
+        ]
+        path = write(tmp_path, "".join(row + "\n" for row in rows))
+        csv_path, _ = save_dataset(load_dataset(path), tmp_path / "out")
+        lines = csv_path.read_text(encoding="utf-8").splitlines()
+        assert lines == [HEADER.strip(), rows[2], rows[1], rows[0]]
 
 
 class TestDataset:
-    def rec(self, vid, rnd, action=0):
-        return VoteRecord(
-            voter_id=vid,
-            round=rnd,
-            poll=Poll.from_scores((50, 30, 20)),
-            utilities=UtilityFunction((10.0, 5.0, 0.0)),
-            action=action,
-        )
-
     def test_duplicate_pair_rejected(self):
-        with pytest.raises(ValueError):
-            Dataset(records=[self.rec("v1", 0), self.rec("v1", 0)])
+        with pytest.raises(ValueError, match=r"duplicate \(voter, round\) pair \('v1', 0\)"):
+            RecordTable.from_columns(*columns([("v1", 0), ("v2", 0), ("v1", 0)]))
 
-    def test_by_voter_sorts_rounds(self):
-        ds = Dataset(records=[self.rec("v2", 1), self.rec("v1", 1), self.rec("v1", 0)])
-        grouped = ds.by_voter()
-        assert list(grouped) == ["v1", "v2"]
-        assert [r.round for r in grouped["v1"]] == [0, 1]
+    def test_rows_sort_by_voter_and_round(self):
+        table = RecordTable.from_columns(*columns([("v2", 1), ("v1", 1), ("v1", 0)]))
+        assert table.voter_ids == ("v1", "v2")
+        assert table.voter.tolist() == [0, 0, 1]
+        assert table.round.tolist() == [0, 1, 1]
+        assert table.action.tolist() == [2, 1, 0]
+        assert table.voter_rows() == [slice(0, 2), slice(2, 3)]
+
+    def test_voter_ids_sort_as_python_strings(self):
+        # A trailing NUL keeps an id apart from its prefix.
+        ids = ["b", "a\x00", "a", "\u00e9"]
+        table = RecordTable.from_columns(*columns([(v, 0) for v in ids]))
+        assert table.voter_ids == tuple(sorted(ids))
+
+    @pytest.mark.parametrize(
+        "column, value, message",
+        [
+            (2, [100, 0], "poll size n must be positive"),
+            (1, [0, -1], "round must be non-negative"),
+            (3, [[1, 2, 3], [1, -2, 3]], "poll scores must be non-negative"),
+            (4, [[3.0, 2.0, 1.0], [3.0, float("nan"), 1.0]], "utilities must be finite"),
+            (4, [[3.0, 2.0, 1.0], [3.0, -1.0, 1.0]], "utilities must be finite"),
+            (5, [0, 3], r"actions must lie in \[0, 3\)"),
+            (3, [[1, 2], [1, 2]], "disagree"),
+            (3, [[1], [2]], "disagree"),
+            (2, [100], "disagree"),
+        ],
+    )
+    def test_invalid_columns_are_rejected(self, column, value, message):
+        cols = columns([("v1", 0), ("v1", 1)])
+        cols[column] = value
+        with pytest.raises(ValueError, match=message):
+            RecordTable.from_columns(*cols)
+
+    def test_columns_are_read_only_and_evaluation_columns_wait_to_be_read(self, tmp_path):
+        ds = generate_synthetic(truth_config())
+        save_dataset(ds, tmp_path)
+        table = ds.records
+        derived = ("order", "rank", "scenario", "bucket", "unjustified", "inconsistent")
+        assert not set(derived) & set(vars(table))
+        for name in [*table._row_fields(), *derived]:
+            with pytest.raises(ValueError):
+                getattr(table, name)[0] = 0
+        assert set(derived) <= set(vars(table))
+        assert {f.name for f in fields(RecordTable)} == {"voter_ids", *table._row_fields()}
 
 
 class TestSamplers:
@@ -229,16 +340,16 @@ class TestGenerate:
     def test_different_seeds_differ(self):
         a = generate_synthetic(truth_config(master_seed=1))
         b = generate_synthetic(truth_config(master_seed=2))
-        assert a.records != b.records
+        assert records_of(a.records) != records_of(b.records)
 
     def test_noise_free_truth_votes_top_choice(self):
         ds = generate_synthetic(truth_config())
-        for rec in ds.records:
+        for rec in records_of(ds.records):
             assert rec.action == preference_order(rec.utilities.values)[0]
 
     def test_generated_polls_are_strictly_ordered(self):
         ds = generate_synthetic(truth_config(num_voters=10))
-        for rec in ds.records:
+        for rec in records_of(ds.records):
             assert len(set(rec.poll.scores)) == 3
             assert classify_scenario(rec.utilities, rec.poll) in SCENARIOS
 
@@ -263,7 +374,7 @@ class TestGenerate:
         )
         ds = generate_synthetic(config)
         assignments = ds.manifest["model_assignments"]
-        for vid, recs in ds.by_voter().items():
+        for vid, recs in by_voter(ds.records).items():
             desc = ModelDescriptor(
                 family=Family(assignments[vid]["family"]),
                 **assignments[vid]["params"],
@@ -276,7 +387,7 @@ class TestGenerate:
         noisy = ds.manifest["noisy_rounds"]
         assert noisy
         clean = {(v, r) for v, rounds in noisy.items() for r in rounds}
-        for rec in ds.records:
+        for rec in records_of(ds.records):
             truthful = preference_order(rec.utilities.values)[0]
             if (rec.voter_id, rec.round) not in clean:
                 assert rec.action == truthful
@@ -285,7 +396,7 @@ class TestGenerate:
         config = truth_config(num_voters=100, rounds_per_voter=60, master_seed=11)
         ds = generate_synthetic(config)
         counts = {s: 0 for s in SCENARIOS}
-        for rec in ds.records:
+        for rec in records_of(ds.records):
             counts[classify_scenario(rec.utilities, rec.poll)] += 1
         total = len(ds.records)
         assert total == 6000
@@ -295,7 +406,7 @@ class TestGenerate:
     def test_scenario_cycle_covers_all_six_per_voter(self):
         config = truth_config(rounds_per_voter=6, scenario_mode="cycle")
         ds = generate_synthetic(config)
-        for recs in ds.by_voter().values():
+        for recs in by_voter(ds.records).values():
             seen = {classify_scenario(r.utilities, r.poll) for r in recs}
             assert seen == set(SCENARIOS)
 
@@ -304,14 +415,14 @@ class TestGenerate:
         # of 1e12 deals without a list of that many labels.
         weights = {"A": 2.5, "C": 0.2, "D": 1e12, "F": 0.0}
         config = truth_config(rounds_per_voter=6, scenario_mode="cycle", scenario_weights=weights)
-        for recs in generate_synthetic(config).by_voter().values():
+        for recs in by_voter(generate_synthetic(config).records).values():
             seen = [classify_scenario(r.utilities, r.poll) for r in recs]
             assert seen == ["A", "A", "C", "D", "D", "D"]
 
     def test_repeats_show_each_context_twice(self):
         config = truth_config(rounds_per_voter=6, repeats=2, scenario_mode="cycle")
         ds = generate_synthetic(config)
-        for recs in ds.by_voter().values():
+        for recs in by_voter(ds.records).values():
             assert len(recs) == 6
             for a, b in zip(recs[0::2], recs[1::2]):
                 assert a.poll == b.poll
@@ -325,5 +436,5 @@ class TestGenerate:
             rounds_per_voter=12,
         )
         ds = generate_synthetic(config)
-        sizes = {rec.poll.n for rec in ds.records}
+        sizes = set(ds.records.n.tolist())
         assert sizes == {8, 100}

@@ -14,13 +14,13 @@ from stratvote.behavior import (
     UNCLASSIFIED,
     build_profile,
 )
-from stratvote.core import Poll, UtilityFunction, preference_order
+from stratvote.core import Poll, UtilityFunction
 from stratvote.data import (
     Dataset,
     GeneratorConfig,
     ParamSampler,
     PopulationGroup,
-    VoteRecord,
+    RecordTable,
     generate_synthetic,
     save_dataset,
 )
@@ -31,7 +31,6 @@ from stratvote.evaluation import (
     ConfusionMatrix,
     EvaluationReport,
     ParameterGrid,
-    RecordTable,
     error_breakdown,
     evaluate_families,
     loo_evaluate,
@@ -39,6 +38,7 @@ from stratvote.evaluation import (
     weighted_f,
 )
 from feature_oracle import find_inconsistent, is_unjustified, scenario_or_none
+from record_oracle import Record, by_voter, preference_order, records_of, table_of
 from scalar_deciders import decide_au
 from test_cli import workload_configs
 from stratvote.models import DecisionContext, Family, decide_matrix
@@ -173,8 +173,8 @@ def poll_size_bucket(n: int) -> str:
 def bucket_column(sizes):
     """The ``bucket`` labels a record table gives polls of these sizes."""
     u = UtilityFunction((3.0, 2.0, 1.0))
-    records = [VoteRecord("v", r, Poll((n, 0, 0), n), u, 0) for r, n in enumerate(sizes)]
-    return [POLL_BUCKETS[b] for b in RecordTable.from_dataset(Dataset(records)).bucket]
+    records = [Record("v", r, Poll((n, 0, 0), n), u, 0) for r, n in enumerate(sizes)]
+    return [POLL_BUCKETS[b] for b in table_of(records).bucket]
 
 
 class TestPollSizeBucket:
@@ -191,8 +191,8 @@ class TestPollSizeBucket:
         ]
 
     def test_rejects_non_positive(self):
-        # The loader rejects such rows, but a library Dataset may hold them.
-        with pytest.raises(ValueError, match="poll size must be positive, got 0"):
+        # No bucket holds them, and no record table either.
+        with pytest.raises(ValueError, match="poll size n must be positive: row 1 "):
             bucket_column([8, 0, 100])
         with pytest.raises(ValueError):
             poll_size_bucket(0)
@@ -201,9 +201,8 @@ class TestPollSizeBucket:
     def test_workload_datasets(self, name):
         workload = workload_configs()[name]
         ds = generate_synthetic(GeneratorConfig.from_dict({**workload.config(), "master_seed": 1}))
-        table = RecordTable.from_dataset(ds)
-        want = [poll_size_bucket(rec.poll.n) for recs in ds.by_voter().values() for rec in recs]
-        assert [POLL_BUCKETS[b] for b in table.bucket] == want
+        want = [poll_size_bucket(rec.poll.n) for rec in records_of(ds.records)]
+        assert [POLL_BUCKETS[b] for b in ds.records.bucket] == want
         assert len(set(want)) > 1
 
 
@@ -240,16 +239,11 @@ class TestParameterGrid:
 
 class TestFitParameters:
     def rec(self, scores, action, round, u=(10.0, 5.0, 0.0)):
-        return VoteRecord(
-            voter_id="v1",
-            round=round,
-            poll=Poll.from_scores(tuple(scores)),
-            utilities=UtilityFunction(tuple(u)),
-            action=action,
-        )
+        poll, utilities = Poll.from_scores(tuple(scores)), UtilityFunction(tuple(u))
+        return Record("v1", round, poll, utilities, action)
 
     def fit(self, grid, records):
-        report = upper_report(grid, Dataset(records=list(records)))
+        report = upper_report(grid, Dataset(table_of(records)))
         return report.fitted_params["v1"]
 
     def test_truthful_voter_is_perfectly_representable(self):
@@ -294,9 +288,10 @@ class TestFitParameters:
     def test_family_mismatch_and_empty_records(self):
         grid = ParameterGrid.default(Family.LD)
         with pytest.raises(ValueError):
-            loo_evaluate(Family.AU, grid, Dataset([self.rec((80, 50, 30), 0, 0)]))
-        with pytest.raises(ValueError):
-            self.fit(grid, [])
+            loo_evaluate(Family.AU, grid, Dataset(table_of([self.rec((80, 50, 30), 0, 0)])))
+        # No dataset holds no records.
+        with pytest.raises(ValueError, match="at least one row"):
+            RecordTable.from_columns([], [], [], np.empty((0, 3)), np.empty((0, 3)), [])
 
 
 class TestEvaluate:
@@ -358,31 +353,30 @@ class TestEvaluate:
 
     def test_single_record_voter_gets_default_point_and_flag(self):
         ds = au_population()
-        keep = [r for r in ds.records if r.voter_id != "v001" or r.round == 0]
-        trimmed = Dataset(records=keep, manifest={})
+        keep = [r for r in records_of(ds.records) if r.voter_id != "v001" or r.round == 0]
+        trimmed = Dataset(table_of(keep))
         rep = loo_evaluate(Family.PRAG, ParameterGrid.default(Family.PRAG), trimmed)
         assert rep.defaulted_voters == ("v001",)
         assert rep.fitted_params["v001"] == {"k": 1}
 
     def test_single_record_nn_voter_predicts_with_its_initial_network(self):
         ds = au_population()
-        keep = [r for r in ds.records if r.voter_id != "v001" or r.round == 0]
-        rep = loo_evaluate(
-            Family.NN, ParameterGrid.default(Family.NN), Dataset(records=keep, manifest={})
-        )
+        records = records_of(ds.records)
+        keep = [r for r in records if r.voter_id != "v001" or r.round == 0]
+        rep = loo_evaluate(Family.NN, ParameterGrid.default(Family.NN), Dataset(table_of(keep)))
         assert rep.defaulted_voters == ("v001",)
         # Every voter keeps one record, each from a different round, so the
         # fold seed must name the voter and the round.
-        voters = sorted({r.voter_id for r in ds.records})
-        keep = [r for r in ds.records if r.round == voters.index(r.voter_id)]
+        voters = list(ds.records.voter_ids)
+        keep = [r for r in records if r.round == voters.index(r.voter_id)]
         rep = loo_evaluate(
-            Family.NN, ParameterGrid.default(Family.NN), Dataset(records=keep, manifest={}), seed=5
+            Family.NN, ParameterGrid.default(Family.NN), Dataset(table_of(keep)), seed=5
         )
         assert rep.defaulted_voters == tuple(voters)
         predicted = predictions_of(rep)
         for r in keep:
             net = init_network(FEATURE_DIM, seed=derive_seed(5, "nn", r.voter_id, r.round))
-            want = predict_record(net, build_profile(r.voter_id, []), r)
+            want = predict_record(net, build_profile(r.voter_id, table_of([])), table_of([r]))
             assert predicted[(r.voter_id, r.round)] == want
 
     def test_unknown_mode_is_rejected(self):
@@ -392,22 +386,17 @@ class TestEvaluate:
     def test_per_voter_f_covers_every_voter(self):
         ds = au_population()
         rep = loo_evaluate(Family.TMG, ParameterGrid.default(Family.TMG), ds)
-        assert sorted(rep.per_voter_f) == list(ds.by_voter())
+        assert sorted(rep.per_voter_f) == list(ds.records.voter_ids)
         assert all(0.0 <= f <= 1.0 for f in rep.per_voter_f.values())
 
 
 class TestErrorBreakdown:
     def rec(self, vid, scores, action, round):
-        return VoteRecord(
-            voter_id=vid,
-            round=round,
-            poll=Poll.from_scores(tuple(scores)),
-            utilities=UtilityFunction((10.0, 5.0, 0.0)),
-            action=action,
-        )
+        poll, utilities = Poll.from_scores(tuple(scores)), UtilityFunction((10.0, 5.0, 0.0))
+        return Record(vid, round, poll, utilities, action)
 
     def test_all_correct(self):
-        ds = Dataset(records=[self.rec("v1", (80, 50, 30), 0, r) for r in range(3)])
+        ds = Dataset(table_of([self.rec("v1", (80, 50, 30), 0, r) for r in range(3)]))
         preds = {("v1", r): 0 for r in range(3)}
         got = error_breakdown(ds, preds)
         assert got["total"]["correct"] == 3
@@ -416,24 +405,21 @@ class TestErrorBreakdown:
         assert got["total"]["unexplained"] == 0
 
     def test_dominated_actual_is_unjustified(self):
-        ds = Dataset(records=[self.rec("v1", (60, 50, 40), 2, 0)])
+        ds = Dataset(table_of([self.rec("v1", (60, 50, 40), 2, 0)]))
         got = error_breakdown(ds, {("v1", 0): 0})
         assert got["total"]["unjustified"] == 1
         assert got["A"]["unjustified"] == 1
 
     def test_contradicted_actual_is_inconsistent(self):
         ds = Dataset(
-            records=[
-                self.rec("v1", (50, 60, 40), 0, 0),
-                self.rec("v1", (55, 60, 41), 1, 1),
-            ]
+            table_of([self.rec("v1", (50, 60, 40), 0, 0), self.rec("v1", (55, 60, 41), 1, 1)])
         )
         got = error_breakdown(ds, {("v1", 0): 0, ("v1", 1): 0})
         assert got["total"]["inconsistent"] == 1
         assert got["total"]["correct"] == 1
 
     def test_residual_errors_are_unexplained(self):
-        ds = Dataset(records=[self.rec("v1", (30, 50, 80), 1, 0)])
+        ds = Dataset(table_of([self.rec("v1", (30, 50, 80), 1, 0)]))
         got = error_breakdown(ds, {("v1", 0): 0})
         assert got["total"]["unexplained"] == 1
 
@@ -446,7 +432,7 @@ class TestParameterDistribution:
         rep = loo_evaluate(Family.AU, ParameterGrid.default(Family.AU), ds, jobs=2)
         header, rows = cli._params_table(rep)
         assert header == ["voter_id", "family", "bucket", "alpha", "beta"]
-        assert [row[0] for row in rows] == sorted(ds.by_voter())
+        assert [row[0] for row in rows] == list(ds.records.voter_ids)
         for vid, family, bucket, alpha, beta in rows:
             assert family == "AU" and bucket == rep.voter_bucket[vid]
             assert rep.fitted_params[vid] == {"alpha": alpha, "beta": beta}
@@ -472,7 +458,7 @@ def oracle_error_breakdown(dataset, predictions):
         label: {cls: 0 for cls in ERROR_CLASSES}
         for label in list(SCENARIOS) + [UNCLASSIFIED, "total"]
     }
-    for vid, recs in dataset.by_voter().items():
+    for vid, recs in by_voter(dataset.records).items():
         inconsistent = find_inconsistent(recs)
         for idx, rec in enumerate(recs):
             scenario = scenario_or_none(rec.utilities, rec.poll) or UNCLASSIFIED
@@ -508,7 +494,7 @@ def oracle_report(family, mode, seed, dataset, predictions, fitted):
 
     Under ``loo`` a voter of one record is defaulted: it has no training round.
     """
-    by_voter = dataset.by_voter()
+    grouped = by_voter(dataset.records)
     m = dataset.m
     overall = np.zeros((m, m), dtype=np.int64)
     per_scenario = {
@@ -516,7 +502,7 @@ def oracle_report(family, mode, seed, dataset, predictions, fitted):
     }
     per_bucket = {label: np.zeros((m, m), dtype=np.int64) for label in POLL_BUCKETS}
     per_voter_f, per_voter_records, voter_bucket, rows = {}, {}, {}, []
-    for vid, recs in by_voter.items():
+    for vid, recs in grouped.items():
         voter_counts = np.zeros((m, m), dtype=np.int64)
         bucket_tally = Counter()
         for rec in recs:
@@ -549,7 +535,7 @@ def oracle_report(family, mode, seed, dataset, predictions, fitted):
         "family": family.value,
         "mode": mode,
         "seed": seed,
-        "num_voters": len(by_voter),
+        "num_voters": len(grouped),
         "num_records": len(rows),
         "classes": list(RANK_LABELS[:m]) if m <= 3 else [f"pref_{i}" for i in range(m)],
         "overall": oracle_block(overall),
@@ -560,7 +546,7 @@ def oracle_report(family, mode, seed, dataset, predictions, fitted):
         "fitted_params": dict(fitted),
         "voter_bucket": voter_bucket,
         "defaulted_voters": [
-            vid for vid, recs in by_voter.items() if mode == "loo" and len(recs) == 1
+            vid for vid, recs in grouped.items() if mode == "loo" and len(recs) == 1
         ],
         "error_breakdown": oracle_error_breakdown(dataset, predictions),
         "predictions": rows,
@@ -575,7 +561,7 @@ def column_of(table, predictions):
 
 def aggregate_predictions(dataset, predictions):
     """The report of the given predictions, one per (voter id, round)."""
-    table = RecordTable.from_dataset(dataset)
+    table = dataset.records
     fitted = [{} for _ in table.voter_ids]
     return EvaluationReport("LD", "loo", 0, table, column_of(table, predictions), fitted)
 
@@ -589,7 +575,7 @@ def oracle_poll_size_table(dataset, predictions):
     """
     m = dataset.m
     per_bucket, cross = {}, {}
-    for rec in dataset.records:
+    for rec in records_of(dataset.records):
         rank_of = {c: i for i, c in enumerate(preference_order(rec.utilities.values))}
         pair = (rank_of[rec.action], rank_of[predictions[(rec.voter_id, rec.round)]])
         bucket = poll_size_bucket(rec.poll.n)
@@ -636,30 +622,27 @@ def mixed_dataset(seed, m, num_voters=7, rounds=8):
                     scores = tuple(int(x) for x in rng.multinomial(n, rng.dirichlet(np.ones(m))))
                 poll = Poll(scores, n)
             action = int(rng.integers(m))
-            records.append(VoteRecord(f"v{v}", r, poll, u, action))
-    return Dataset(records=records)
+            records.append(Record(f"v{v}", r, poll, u, action))
+    return Dataset(table_of(records))
 
 
 class TestRecordTableAggregation:
     @pytest.mark.parametrize("m, seed", [(3, 1), (3, 2), (4, 3)])
     def test_reports_equal_the_per_record_oracle(self, m, seed):
         ds = mixed_dataset(seed, m)
-        table = RecordTable.from_dataset(ds)
         for family in (Family.LD, Family.AU, Family.TRUTH):
             grid = ParameterGrid.default(family, m=m)
             for mode in ("loo", "upper"):
-                for data in (ds, table):
-                    (rep,) = evaluate_families([grid], data, mode, seed=5)
-                    want = oracle_report(
-                        family, mode, 5, ds, predictions_of(rep), rep.fitted_params
-                    )
-                    assert rep.to_dict() == want
+                (rep,) = evaluate_families([grid], ds, mode, seed=5)
+                want = oracle_report(family, mode, 5, ds, predictions_of(rep), rep.fitted_params)
+                assert rep.to_dict() == want
         # Random predictions fill every cell the evaluations leave empty, and
         # every third voter keeps one record: defaulted under loo alone.
-        ds = Dataset([r for r in ds.records if int(r.voter_id[1:]) % 3 or r.round == 0])
-        table = RecordTable.from_dataset(ds)
+        records = records_of(ds.records)
+        ds = Dataset(table_of([r for r in records if int(r.voter_id[1:]) % 3 or r.round == 0]))
+        table = ds.records
         rng = np.random.default_rng(seed)
-        preds = {(rec.voter_id, rec.round): int(rng.integers(m)) for rec in ds.records}
+        preds = {(rec.voter_id, rec.round): int(rng.integers(m)) for rec in records_of(table)}
         fitted = {vid: {"r": i / 100} for i, vid in enumerate(table.voter_ids)}
         for mode in ("loo", "upper"):
             got = EvaluationReport(
@@ -680,9 +663,7 @@ class TestRecordTableAggregation:
     def test_cube_counts_each_record_once_in_its_cell(self):
         # Repeated (actual, predicted) rank pairs add up in one cell.
         u, poll = UtilityFunction((3.0, 2.0, 1.0)), Poll((50, 30, 20), 100)
-        table = RecordTable.from_dataset(
-            Dataset([VoteRecord("v", r, poll, u, a) for r, a in enumerate([0, 1, 1])])
-        )
+        table = table_of([Record("v", r, poll, u, a) for r, a in enumerate([0, 1, 1])])
         rep = EvaluationReport("LD", "upper", 0, table, [0, 2, 2], [{}])
         s, b = table.scenario[0], table.bucket[0]
         assert rep.cube[s, b].tolist() == [[1, 0, 0], [0, 0, 2], [0, 0, 0]]
@@ -692,10 +673,11 @@ class TestRecordTableAggregation:
         for m, seed in ((3, 1), (4, 3)):
             ds = mixed_dataset(seed, m)
             rng = np.random.default_rng(seed)
-            preds = {(rec.voter_id, rec.round): int(rng.integers(m)) for rec in ds.records}
+            records = records_of(ds.records)
+            preds = {(rec.voter_id, rec.round): int(rng.integers(m)) for rec in records}
             rep = aggregate_predictions(ds, preds)
             want = np.zeros((len(SCENARIO_LABELS), len(POLL_BUCKETS), m, m), dtype=np.int64)
-            for rec in ds.records:
+            for rec in records:
                 rank_of = {c: i for i, c in enumerate(preference_order(rec.utilities.values))}
                 scenario = scenario_or_none(rec.utilities, rec.poll) or UNCLASSIFIED
                 cell = (
@@ -712,7 +694,7 @@ class TestRecordTableAggregation:
                 rep.cube[0, 0, 0, 0] = 1
 
     def test_report_keeps_its_inputs_and_counts_once(self):
-        table = RecordTable.from_dataset(mixed_dataset(5, 3, num_voters=2, rounds=2))
+        table = mixed_dataset(5, 3, num_voters=2, rounds=2).records
         fitted = [{"r": 0.1}, {"r": 0.2}]
         for predicted, points in (([0, 1, 2], fitted), ([0, 1, 2, 0], fitted[:1])):
             with pytest.raises(ValueError, match="one prediction per row"):
@@ -729,7 +711,9 @@ class TestRecordTableAggregation:
     def test_poll_size_table_equals_the_per_record_recount(self, m, seed):
         ds = mixed_dataset(seed, m)
         rng = np.random.default_rng(seed)
-        random_preds = {(rec.voter_id, rec.round): int(rng.integers(m)) for rec in ds.records}
+        random_preds = {
+            (rec.voter_id, rec.round): int(rng.integers(m)) for rec in records_of(ds.records)
+        }
         reports = [
             loo_evaluate(Family.LD, ParameterGrid.default(Family.LD), ds),
             upper_report(ParameterGrid.default(Family.TRUTH), ds),
@@ -747,15 +731,15 @@ class TestRecordTableAggregation:
 
     def test_error_breakdown_needs_every_prediction(self):
         ds = mixed_dataset(4, 3)
-        table = RecordTable.from_dataset(ds)
-        preds = {(rec.voter_id, rec.round): 0 for rec in ds.records}
-        assert error_breakdown(table, preds) == oracle_error_breakdown(ds, preds)
-        del preds[(ds.records[-1].voter_id, ds.records[-1].round)]
+        records = records_of(ds.records)
+        preds = {(rec.voter_id, rec.round): 0 for rec in records}
+        assert error_breakdown(ds, preds) == oracle_error_breakdown(ds, preds)
+        del preds[(records[-1].voter_id, records[-1].round)]
         with pytest.raises(ValueError, match="missing prediction"):
-            error_breakdown(table, preds)
+            error_breakdown(ds, preds)
 
     def test_table_is_read_only(self):
-        table = RecordTable.from_dataset(mixed_dataset(5, 3, num_voters=2, rounds=2))
+        table = mixed_dataset(5, 3, num_voters=2, rounds=2).records
         with pytest.raises(ValueError):
             table.U[0, 0] = 1.0
         block = table.select(table.voter_rows()[1])
@@ -767,7 +751,7 @@ class TestRecordTableAggregation:
 
     def test_table_is_columns_only(self):
         # A worker's task pickles arrays and voter ids, no record objects.
-        table = RecordTable.from_dataset(mixed_dataset(5, 3, num_voters=2, rounds=2))
+        table = mixed_dataset(5, 3, num_voters=2, rounds=2).records
         for field in fields(RecordTable):
             value = getattr(table, field.name)
             if field.name == "voter_ids":
@@ -777,7 +761,7 @@ class TestRecordTableAggregation:
                 assert len(value) == 4, field.name
         for family in (Family.LD, Family.NN):
             task = (table.select(table.voter_rows()[0]), ParameterGrid.default(family), "loo", 0)
-            assert b"VoteRecord" not in pickle.dumps(task)
+            assert b"stratvote.core" not in pickle.dumps(task)
 
     def test_evaluate_builds_no_profile(self, tmp_path, monkeypatch):
         # The table flags inconsistent rows from its score and action
@@ -797,7 +781,7 @@ class TestRecordTableAggregation:
         for mode in ("loo", "upper"):
             assert cli.main(argv + ["--mode", mode, "--out", str(tmp_path / mode)]) == 0
         assert calls == []
-        assert RecordTable.from_dataset(ds).inconsistent.any()
+        assert ds.records.inconsistent.any()
 
 
 # --- runs of voters: each distinct row decided once per run ------------------
@@ -842,8 +826,8 @@ def shared_rows_dataset(seed, m, sizes=(1, 9, 4, 7, 2, 8, 5)):
     for v, size in enumerate(sizes):
         for r in range(size):
             u, poll = pool[int(rng.integers(len(pool)))]
-            records.append(VoteRecord(f"v{v}", r, poll, u, int(rng.integers(m))))
-    return Dataset(records=records)
+            records.append(Record(f"v{v}", r, poll, u, int(rng.integers(m))))
+    return Dataset(table_of(records))
 
 
 def row_keys(table, rows=slice(None)):
@@ -860,7 +844,8 @@ class TestRunsOfVoters:
         # LD voters into two runs.
         if run_cells is not None:
             monkeypatch.setattr(evaluation, "_RUN_CELLS", run_cells)
-        table = RecordTable.from_dataset(shared_rows_dataset(8, m))
+        ds = shared_rows_dataset(8, m)
+        table = ds.records
         per_voter = sum(len(row_keys(table, rows)) for rows in table.voter_rows())
         assert len(row_keys(table)) < per_voter < len(table.voter)
         for family in (Family.LD, Family.AU, Family.CV, Family.TRUTH):
@@ -869,7 +854,7 @@ class TestRunsOfVoters:
                 oracle = per_voter_oracle(grid, table, mode)
                 want = EvaluationReport(family.value, mode, 3, table, *oracle).to_dict()
                 for jobs in (1, 2, 3):
-                    (rep,) = evaluate_families([grid], table, mode, jobs=jobs, seed=3)
+                    (rep,) = evaluate_families([grid], ds, mode, jobs=jobs, seed=3)
                     assert rep.to_dict() == want
 
     @pytest.mark.parametrize("family, run_cells", [(Family.LD, 101 * 75), (Family.AU, None)])
@@ -882,7 +867,7 @@ class TestRunsOfVoters:
         sizes = (30, 40, 50, 200, 5, 60)
         rng = np.random.default_rng(3)
         records = [
-            VoteRecord(
+            Record(
                 f"v{v}",
                 r,
                 Poll.from_scores(tuple(int(x) for x in rng.integers(0, 50, size=3))),
@@ -901,8 +886,9 @@ class TestRunsOfVoters:
             return real(fam, points, U, S, n, context)
 
         monkeypatch.setattr(models, "decide_matrix", recording)
-        table = RecordTable.from_dataset(Dataset(records))
-        got = loo_evaluate(family, grid, table)
+        ds = Dataset(table_of(records))
+        table = ds.records
+        got = loo_evaluate(family, grid, ds)
         cells = [(points * sum(sizes[v] for v in voters), voters) for points, voters in calls]
         assert all(size <= bound or len(voters) == 1 for size, voters in cells)
         assert [v for _, voters in cells for v in voters] == list(range(len(sizes)))
@@ -921,7 +907,8 @@ class TestRunsOfVoters:
             return real(poll, eta)
 
         monkeypatch.setattr(pivot, "_cv_table", counting)
-        table = RecordTable.from_dataset(shared_rows_dataset(9, 3))
+        ds = shared_rows_dataset(9, 3)
+        table = ds.records
         etas = (1, 4, "n")
         grid = ParameterGrid.default(Family.CV, cv_etas=etas)
 
@@ -933,12 +920,12 @@ class TestRunsOfVoters:
             }
 
         # Every voter in one run: each table is built once.
-        loo_evaluate(Family.CV, grid, table)
+        loo_evaluate(Family.CV, grid, ds)
         assert sorted(keys) == sorted(tables(slice(None)))
         # Every voter in a run of their own: once per voter that needs it.
         monkeypatch.setattr(evaluation, "_RUN_CELLS", 1)
         keys.clear()
-        loo_evaluate(Family.CV, grid, table)
+        loo_evaluate(Family.CV, grid, ds)
         per_voter = [key for rows in table.voter_rows() for key in tables(rows)]
         assert sorted(keys) == sorted(per_voter)
         assert len(per_voter) > len(tables(slice(None)))
@@ -984,8 +971,8 @@ class TestWorkerPool:
         context = RecordingContext(sizes, tasks)
         monkeypatch.setattr(evaluation, "get_context", lambda method: context)
         # Voters of 1 to 6 records: v0 holds 1, v1 holds 2, and so on.
-        records = mixed_dataset(5, 3, num_voters=6, rounds=6).records
-        ds = Dataset([r for r in records if r.round <= int(r.voter_id[1:])])
+        records = records_of(mixed_dataset(5, 3, num_voters=6, rounds=6).records)
+        ds = Dataset(table_of([r for r in records if r.round <= int(r.voter_id[1:])]))
         grid = ParameterGrid.default(family)
         pooled = loo_evaluate(family, grid, ds, jobs=jobs)
         workers = min(jobs, 6)
@@ -1093,8 +1080,7 @@ def test_cv_pool_loads_scipy_before_forking():
     code = """
 import sys
 from stratvote import evaluation
-from stratvote.core import Poll, UtilityFunction
-from stratvote.data import Dataset, VoteRecord
+from stratvote.data import Dataset, RecordTable
 from stratvote.evaluation import ParameterGrid, evaluate_families, loo_evaluate
 from stratvote.models import Family
 
@@ -1110,8 +1096,8 @@ class Context:
         return (fn(task) for task in tasks)
 
 def dataset(scores):
-    u = UtilityFunction(tuple(10.0 * k for k in range(len(scores))))
-    return Dataset([VoteRecord(v, 0, Poll(scores, 10), u, 0) for v in ("a", "b")])
+    U = [[10.0 * k for k in range(len(scores))]] * 2
+    return Dataset(RecordTable.from_columns(["a", "b"], [0, 0], [10, 10], [scores] * 2, U, [0, 0]))
 
 seen = []
 evaluation.get_context = lambda method: Context()

@@ -19,7 +19,8 @@ from scalar_deciders import (
     winner_set_utility,
 )
 from stratvote import pivot
-from stratvote.core import Poll, UtilityFunction, preference_order
+from record_oracle import preference_order
+from stratvote.core import Poll, UtilityFunction
 from stratvote.evaluation import ParameterGrid
 from stratvote.models import (
     AU_EPSILON,

@@ -3,10 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from feature_oracle import action_rank, action_ratios, features_from_parts, voter_type
+from record_oracle import Record, by_voter, preference_order, table_of
 from stratvote import nn
-from stratvote.behavior import VOTER_TYPES, build_profile, ratio_stats
-from stratvote.core import Poll, UtilityFunction, preference_order
-from stratvote.data import Dataset, VoteRecord
+from stratvote.behavior import (
+    VOTER_TYPES, build_profile, ratio_counts, ratio_stats, scenario_ids, strict_orders,
+)
+from stratvote.core import Poll, UtilityFunction
+from stratvote.data import Dataset
 from stratvote.evaluation import ParameterGrid, evaluate_families
 from stratvote.models import Family
 from stratvote.seeding import derive_seed
@@ -29,31 +32,44 @@ U = UtilityFunction((10.0, 5.0, 0.0))
 
 
 def rec(scores, action, round=0, u=U, voter="v1"):
-    return VoteRecord(
-        voter_id=voter,
-        round=round,
-        poll=Poll.from_scores(tuple(scores)),
-        utilities=u,
-        action=action,
-    )
+    return Record(voter, round, Poll.from_scores(tuple(scores)), u, action)
 
 
 def truthful_rows():
     return [rec((80, 50, 30), 0, round=i) for i in range(5)]
 
 
+def columns(records, m=3):
+    """The program's record features, action ranks and scenario ids of records.
+
+    Built from arrays, not a table, so a poll size may be 0.
+    """
+    U_ = np.array([r.utilities.values for r in records], dtype=float).reshape(-1, m)
+    S = np.array([r.poll.scores for r in records], dtype=np.int64).reshape(-1, m)
+    n = np.array([r.poll.n for r in records], dtype=np.int64)
+    action = np.array([r.action for r in records], dtype=np.int64)
+    order, scenario = strict_orders(U_), scenario_ids(U_, S)
+    ranks = np.argsort(order, axis=1)[np.arange(len(action)), action]
+    return nn.record_features(S, n, order, scenario), ranks, scenario
+
+
+def profile_counts(records):
+    """The summed ratio counts of records: the profile evaluate gives their fold."""
+    _, ranks, scenario = columns(records)
+    available, selected = ratio_counts(scenario, ranks)
+    return available.sum(axis=0), selected.sum(axis=0)
+
+
 def features(u, s, profile_records):
     """The program's feature row of one record under the profile of ``profile_records``."""
-    profile = build_profile("v1", profile_records)
-    base, _, _ = nn._columns([VoteRecord("v1", 0, s, u, 0)])
-    return nn.features(base, profile.available, profile.selected)[0]
+    base, _, _ = columns([Record("v1", 0, s, u, 0)], m=u.m)
+    return nn.features(base, *profile_counts(profile_records))[0]
 
 
 def training_set(records, profile_records):
     """The program's features and rank targets of records under one profile."""
-    profile = build_profile("v1", profile_records)
-    base, _, ranks = nn._columns(records)
-    return nn.features(base, profile.available, profile.selected), ranks
+    base, ranks, _ = columns(records)
+    return nn.features(base, *profile_counts(profile_records)), ranks
 
 
 def toy_problem(seed=12):
@@ -188,8 +204,9 @@ class TestFeatures:
                 truthful_rows(),
             )
         r = rec((80, 50, 30), 0, u=UtilityFunction((5.0, 5.0, 0.0)))
+        profile = build_profile("v1", table_of(truthful_rows()))
         with pytest.raises(ValueError, match="strictly ordered"):
-            predict_record(init_network(FEATURE_DIM, seed=5), build_profile("v1", truthful_rows()), r)
+            predict_record(init_network(FEATURE_DIM, seed=5), profile, table_of([r]))
 
     @given(
         st.permutations([10.0, 5.0, 0.0]),
@@ -208,12 +225,13 @@ class TestFeatures:
         r = rec((50, 80, 30), 1, u=UtilityFunction((0.0, 10.0, 5.0)))
         net = init_network(FEATURE_DIM, seed=5)
         rank = predict(net, features(r.utilities, r.poll, truthful_rows()))
-        assert predict_record(net, build_profile("v1", truthful_rows()), r) == (1, 2, 0)[rank]
+        profile = build_profile("v1", table_of(truthful_rows()))
+        assert predict_record(net, profile, table_of([r])) == (1, 2, 0)[rank]
 
     def test_action_rank(self):
         u = UtilityFunction((0.0, 10.0, 5.0))
-        _, _, ranks = nn._columns([rec((50, 80, 30), 1, u=u), rec((50, 80, 30), 0, u=u)])
-        assert ranks.tolist() == [0, 2]
+        table = table_of([rec((50, 80, 30), 1, u=u), rec((50, 80, 30), 0, round=1, u=u)])
+        assert table.rank_of(table.action).tolist() == [0, 2]
 
 
 # --- the columnar features against the scalar oracle -------------------------
@@ -231,7 +249,7 @@ def oracle_records(draw, min_size=1, max_size=8, n_min=0, voter="v1"):
         u = UtilityFunction(tuple(draw(st.permutations([10.0, 5.0, 0.0]))))
         scores = draw(POLL_SCORES)
         n = draw(st.integers(min_value=n_min, max_value=400))
-        rows.append(VoteRecord(voter, i, Poll(scores, n), u, draw(st.integers(0, 2))))
+        rows.append(Record(voter, i, Poll(scores, n), u, draw(st.integers(0, 2))))
     return rows
 
 
@@ -254,7 +272,7 @@ class TestColumnarFeaturesEqualTheOracle:
             (80, 50, 30), (80, 30, 50), (50, 80, 30), (50, 30, 80), (30, 80, 50), (30, 50, 80),
             (50, 50, 30), (0, 0, 0),
         ) for n in (0, 7, sum(scores))]
-        rows = [VoteRecord("v1", i, p, u, i % 3) for i, p in enumerate(polls)]
+        rows = [Record("v1", i, p, u, i % 3) for i, p in enumerate(polls)]
         X, _ = training_set(rows, rows)
         assert_same_bits(X, np.stack([features_from_parts(u, p, rows) for p in polls]))
         scenario_onehot = X[:, 10:16]
@@ -269,7 +287,7 @@ def oracle_datasets(draw):
     rows = []
     for v in range(voters):
         rows += draw(oracle_records(max_size=5, n_min=1, voter=f"v{v}"))
-    return Dataset(rows)
+    return Dataset(table_of(rows))
 
 
 def capture_nn(monkeypatch):
@@ -304,7 +322,7 @@ def test_each_fold_and_query_equals_the_oracle_on_its_profile(dataset):
             seen = capture_nn(monkeypatch)
             list(evaluate_families([ParameterGrid.default(Family.NN)], dataset, mode, seed=3))
         folds = iter(seen["folds"])
-        for vid, recs in dataset.by_voter().items():
+        for vid, recs in by_voter(dataset.records).items():
             if mode == "upper":
                 cases = [("all", recs, recs)]
             else:
@@ -586,13 +604,14 @@ class TestVoterPipeline:
             scores = tuple(int(v) for v in rng.permutation([30, 50, 80]))
             q = preference_order(u.values)[0]
             rows.append(rec(scores, q, round=i, u=u))
-        net, profile = fit_network(rows, Hyperparams(epochs=300))
+        net, profile = fit_network(table_of(rows), Hyperparams(epochs=300))
         for r in rows:
-            assert predict_record(net, profile, r) == preference_order(r.utilities.values)[0]
+            want = preference_order(r.utilities.values)[0]
+            assert predict_record(net, profile, table_of([r])) == want
 
     def test_fit_rejects_empty(self):
         with pytest.raises(ValueError):
-            fit_network([])
+            fit_network(table_of([]))
 
     def test_fit_folds_equals_fit_network_per_fold(self):
         rows = [rec(s, a, round=i) for i, (s, a) in enumerate(
@@ -601,9 +620,9 @@ class TestVoterPipeline:
         folds = [rows[:i] + rows[i + 1 :] for i in range(len(rows))]
         hypers = [Hyperparams(epochs=60, seed=10 + i) for i in range(len(rows))]
         for net, fold, hyper in zip(fit_folds(*fold_arrays(folds), hypers), folds, hypers):
-            want_net, want_profile = fit_network(fold, hyper)
+            want_net, want_profile = fit_network(table_of(fold), hyper)
             assert_same_weights(net, want_net)
-            assert want_profile == build_profile("v1", fold)
+            assert want_profile == build_profile("v1", table_of(fold))
 
     def test_fit_folds_rejects_an_empty_fold(self):
         X, y = fold_arrays([[rec((80, 50, 30), 0)]])
@@ -660,7 +679,7 @@ class TestMixedSizeFolds:
         fitted = fit_folds(*fold_arrays(folds), hypers)
         assert len(fitted) == len(folds)
         for net, fold, hyper in zip(fitted, folds, hypers):
-            want_net, _ = fit_network(fold, hyper)
+            want_net, _ = fit_network(table_of(fold), hyper)
             assert_same_weights(net, want_net)
 
     def test_one_stack_per_fold_size(self, monkeypatch):
@@ -697,7 +716,7 @@ def test_profile_type_is_voter_type(seed, rounds):
     # The profile's counts give the oracle's ratios, absent where the action
     # was never available, and the type its thresholds define.
     rows = generated_voter(np.random.default_rng(seed), rounds)
-    profile = build_profile("v1", rows)
+    profile = build_profile("v1", table_of(rows))
     ratios, kind = ratio_stats(profile.available, profile.selected)
     present = [k for k, a in zip(("TRT", "CMP", "LB"), profile.available) if a > 0]
     want = action_ratios(rows)
