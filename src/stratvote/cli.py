@@ -144,7 +144,7 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(_report_json(payload) + "\n", encoding="utf-8")
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: Path, header: list[str], rows: list) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -353,21 +353,24 @@ def cmd_predict(args: argparse.Namespace) -> int:
         raise UsageError("predict cannot apply NN: evaluate trains and scores its networks")
 
     table = dataset.records
-    ctx = DecisionContext(pivot_cache={})
-    lines: list[list] = []
+    # Each distinct parameter point decides all of its voters' rows in one call.
+    point_rows: dict[ModelDescriptor, list[np.ndarray]] = {}
     for rows in table.voter_rows():
         vid = table.voter_ids[table.voter[rows.start]]
         desc = descriptor if args.model else _descriptor_from_params(family, fitted, vid)
+        point_rows.setdefault(desc, []).append(np.arange(rows.start, rows.stop))
+    ctx = DecisionContext(pivot_cache={})
+    predicted = np.empty(len(table.voter), dtype=np.int64)
+    for desc, parts in point_rows.items():
+        rows = np.concatenate(parts)
         try:
-            (predicted,) = models.decide_matrix(
+            predicted[rows] = models.decide_matrix(
                 family, (desc.params(),), table.U[rows], table.S[rows], table.n[rows], ctx
-            )
+            )[0]
         except ValueError as exc:
             raise DataError(f"cannot apply {family.value} to this dataset: {exc}")
-        lines.extend(
-            [vid, round_, format_action(c)]
-            for round_, c in zip(table.round[rows].tolist(), predicted.tolist())
-        )
+    vids = [table.voter_ids[v] for v in table.voter.tolist()]
+    lines = list(zip(vids, table.round.tolist(), map(format_action, predicted.tolist())))
 
     out = Path(args.out)
     if out.parent and not out.parent.exists():

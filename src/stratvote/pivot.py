@@ -38,9 +38,9 @@ A table depends on the poll's scores and ``eta`` only, never on its
 reported size ``n``.  :func:`cv_votes` decides CV for a batch of records at
 a list of etas in array operations, building each distinct (scores, eta)
 table once, and :func:`decide_cv` is its one-record case.  Both are pure
-functions of (utilities, poll, eta): a table comes from the kernel unless
-the nested sums would take more than ``TERM_BUDGET`` terms (never for
-m <= 4), and past that from ``MC_SAMPLES`` draws seeded from the scores and
+functions of (utilities, poll, eta): a table comes from the kernel, which
+refuses it once the nested sums take more than ``TERM_BUDGET`` terms (never
+for m <= 4), and then from ``MC_SAMPLES`` draws seeded from the scores and
 ``eta``, so every voter who sees the same poll gets the same table.
 """
 
@@ -234,15 +234,6 @@ def _xlogy(k: np.ndarray, log_y: np.ndarray) -> np.ndarray:
     return np.multiply(k, log_y, out=out, where=k != 0)
 
 
-def _kept_cells(log_w: np.ndarray, w: np.ndarray, others: int) -> np.ndarray:
-    """Grid cells whose ``C`` is computed: nonzero weight and, where ``C``
-    is a nested sum (three or more others), within the row's window."""
-    keep = w > 0
-    if others >= 3:
-        keep &= log_w >= log_w.max(axis=1, keepdims=True) - LOG_WINDOW
-    return keep
-
-
 def _binom_log_pmf(j: np.ndarray, n: np.ndarray, p: np.ndarray) -> np.ndarray:
     from scipy.special import xlog1py, xlogy
 
@@ -296,15 +287,36 @@ def _expand(first: np.ndarray, width: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return row, first[row] + np.arange(len(row)) - np.repeat(np.cumsum(width) - width, width)
 
 
-def _fits(r: np.ndarray, c: np.ndarray, ids: np.ndarray, share: np.ndarray) -> np.ndarray:
+class _OverBudget(ValueError):
+    """A table's nested sums would take more than ``TERM_BUDGET`` terms."""
+
+
+@dataclass
+class _TermBudget:
+    """The nested-sum terms that the table ``table`` names may still take."""
+
+    table: str
+    left: int
+
+    def take(self, terms: int) -> None:
+        self.left -= terms
+        if self.left < 0:
+            raise _OverBudget(f"{self.table} takes more than TERM_BUDGET = {TERM_BUDGET} terms")
+
+
+def _fits(
+    r: np.ndarray, c: np.ndarray, ids: np.ndarray, share: np.ndarray, budget: _TermBudget
+) -> np.ndarray:
     """``C(r, c)`` row by row: the chance that r ballots over pair ids'
     others, with shares ``share[ids]`` (two or more columns), leave every
-    count at most c."""
+    count at most c.  A nested sum takes its terms from ``budget`` first."""
     p = share[ids, 0]
-    fits = _binom_interval(np.maximum(r - c, 0), np.minimum(c, r), r, p)
+    lo, hi = np.maximum(r - c, 0), np.minimum(c, r)
     if share.shape[1] == 2:
-        return fits
+        return _binom_interval(lo, hi, r, p)
     first, width = _window(r, c, p, share.shape[1])
+    budget.take(int(width.sum()))
+    fits = _binom_interval(lo, hi, r, p)
     ends = np.cumsum(width)
     start = 0
     # About _BLOCK_TERMS terms at a time, a row's terms all in one block.
@@ -314,7 +326,7 @@ def _fits(r: np.ndarray, c: np.ndarray, ids: np.ndarray, share: np.ndarray) -> n
         row, j = _expand(first[start:stop], width[start:stop])
         row += start
         weight = np.exp(_binom_log_pmf(j, r[row], p[row]))
-        inner = _fits(r[row] - j, c[row], ids[row], share[:, 1:])
+        inner = _fits(r[row] - j, c[row], ids[row], share[:, 1:], budget)
         fits[start:stop] += np.bincount(row - start, weights=weight * inner, minlength=stop - start)
         start = stop
     return fits
@@ -322,39 +334,21 @@ def _fits(r: np.ndarray, c: np.ndarray, ids: np.ndarray, share: np.ndarray) -> n
 
 def _pivot_sums(poll: Poll, eta: int) -> np.ndarray:
     pairs = _Pairs.of(poll)
+    budget = _TermBudget(f"the pivot table of {poll.scores} at eta {eta}", TERM_BUDGET)
     out = np.zeros((poll.m, poll.m))
     others = pairs.share.shape[1]
     for ids, log_w, top, rest in pairs.t_grids(eta):
         w = np.exp(log_w)
         if others >= 2:
-            keep = _kept_cells(log_w, w, others)
+            # C is computed where the weight is nonzero and, if nested, in the window.
+            keep = w > 0
+            if others >= 3:
+                keep &= log_w >= log_w.max(axis=1, keepdims=True) - LOG_WINDOW
             i, j = np.nonzero(keep)
             w = np.where(keep, w, 0.0)
-            w[i, j] *= _fits(rest[j], top[j] - 1, ids[i], pairs.share)
+            w[i, j] *= _fits(rest[j], top[j] - 1, ids[i], pairs.share, budget)
         out[pairs.x[ids], pairs.y[ids]] = w.sum(axis=1)
     return out
-
-
-def _nested_terms(poll: Poll, eta: int, limit: float) -> int:
-    """Terms the nested sums of the exact kernel take for ``(poll.scores,
-    eta)``, counted up to just past ``limit``; 0 for m <= 4, which has none."""
-    total = 0
-    if poll.m < 5:
-        return total
-    pairs = _Pairs.of(poll)
-    for ids, log_w, top, rest in pairs.t_grids(eta):
-        i, j = np.nonzero(_kept_cells(log_w, np.exp(log_w), pairs.share.shape[1]))
-        r, c, ids, share = rest[j], top[j] - 1, ids[i], pairs.share
-        while share.shape[1] >= 3:
-            first, width = _window(r, c, share[ids, 0], share.shape[1])
-            total += int(width.sum())
-            if total > limit or share.shape[1] == 3:
-                break
-            row, j = _expand(first, width)
-            r, c, ids, share = r[row] - j, c[row], ids[row], share[:, 1:]
-        if total > limit:
-            break
-    return total
 
 
 def pivot_table_exact(poll: Poll, eta: int) -> PivotTable:
@@ -362,6 +356,7 @@ def pivot_table_exact(poll: Poll, eta: int) -> PivotTable:
 
     For m >= 5 the nested sums skip terms below the window of
     ``LOG_WINDOW`` (see the module notes); m <= 4 is exact to rounding.
+    Raises ``ValueError`` past ``TERM_BUDGET`` nested-sum terms (never for m <= 4).
     """
     eta = _check_eta(eta)
     probs = _pivot_sums(poll, eta)
@@ -427,14 +422,15 @@ def pivot_table_mc(poll: Poll, eta: int, samples: int, seed: int) -> PivotTable:
 def _cv_table(poll: Poll, eta: int) -> PivotTable:
     """The table CV decides with, a function of ``(poll.scores, eta)``.
 
-    Exact unless the kernel's nested sums would take more than
-    ``TERM_BUDGET`` terms (never for m <= 4), else ``MC_SAMPLES`` draws
-    seeded from the scores and ``eta``.
+    Exact unless the kernel refuses the table for taking more than
+    ``TERM_BUDGET`` nested-sum terms (never for m <= 4), else
+    ``MC_SAMPLES`` draws seeded from the scores and ``eta``.
     """
-    if _nested_terms(poll, eta, TERM_BUDGET) <= TERM_BUDGET:
+    try:
         return pivot_table_exact(poll, eta)
-    seed = derive_seed(0, "cv-pivot", eta, *poll.scores)
-    return pivot_table_mc(poll, eta, MC_SAMPLES, seed)
+    except _OverBudget:
+        pass  # sample outside the handler, once the refused kernel's arrays are freed
+    return pivot_table_mc(poll, eta, MC_SAMPLES, derive_seed(0, "cv-pivot", eta, *poll.scores))
 
 
 def _cached_table(cache: dict, scores: tuple, eta: int) -> np.ndarray:

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import tempfile
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from stratvote import cli
+from stratvote import cli, models
 from stratvote.cli import main
 from stratvote.core import Poll, UtilityFunction
 from stratvote.data import (
@@ -21,7 +22,7 @@ from stratvote.data import (
 )
 from stratvote.evaluation import ParameterGrid, loo_evaluate
 from record_oracle import Record, table_of
-from stratvote.models import Family
+from stratvote.models import Family, ModelDescriptor
 
 HEADER = "voter_id,round,n,s_1,s_2,s_3,u_1,u_2,u_3,action\n"
 EX1_HEADER = "voter_id,round,n," + ",".join(
@@ -504,6 +505,38 @@ class TestPredict:
                     for row in report["predictions"]
                 ]
                 assert out.read_text().splitlines() == ["voter_id,round,predicted", *want], family
+
+    def test_one_decision_call_per_distinct_point(self, tmp_path, monkeypatch):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(workload_configs()["many_voters"].config()))
+        assert main(["simulate", "--config", str(config), "--seed", "1",
+                     "--out", str(tmp_path / "data")]) == 0
+        data = str(tmp_path / "data" / "dataset.csv")
+        report = tmp_path / "reports" / "upper_AU_report.json"
+        assert main(["evaluate", "--data", data, "--families", "AU", "--mode", "upper",
+                     "--seed", "1", "--out", str(tmp_path / "reports")]) == 0
+        fitted = json.loads(report.read_text())["fitted_params"]
+        points = {ModelDescriptor(Family.AU, **params) for params in fitted.values()}
+        calls = []
+        real = models.decide_matrix
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(models, "decide_matrix", counting)
+        # The CSV bytes predict wrote when it decided voter by voter.
+        for route, n_points, digest in (
+            (["--model", "AU", "--alpha", "1", "--beta", "12"], 1,
+             "4ac11928100a5e0daa05f3e78b50c9eae21b259b322481a1e20214d594ad9493"),
+            (["--params", str(report)], len(points),
+             "34be9519fabbf41c94a3ccc13d3e4eb307cd0b829396a039ac7c99f4af575cc3"),
+        ):
+            calls.clear()
+            out = tmp_path / "pred.csv"
+            assert main(["predict", "--data", data, *route, "--out", str(out)]) == 0
+            assert len(calls) == n_points and n_points < len(fitted)
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, route
 
     def test_needs_exactly_one_of_model_and_params(self, tmp_path, small_dataset, capsys):
         out = str(tmp_path / "pred.csv")

@@ -23,7 +23,6 @@ from stratvote.pivot import (
     MC_SAMPLES,
     TERM_BUDGET,
     _mc_draws,
-    _nested_terms,
     _pair_event_weights,
     composition_count,
     decide_cv,
@@ -272,6 +271,49 @@ class TestKernel:
         assert four < 2.0 and five < 2.0, (four, five)
 
 
+class TestTermBudget:
+    """The kernel refuses a table once its nested sums pass ``TERM_BUDGET``,
+    and CV then samples it."""
+
+    # (scores, eta, nested-sum terms) on both sides of the budget; the terms
+    # were counted by a separate pass over the nested sums before the kernel
+    # counted them itself.
+    SWEEP = [
+        ((25, 70, 20, 100, 80), 1000, 125_577),
+        ((40, 18, 84, 2, 48), 10**5, 5_876_925),
+        ((30, 25, 20, 12, 8, 5), 150, 575_580),
+        ((30, 25, 20, 12, 8, 5), 300, 2_523_217),
+        ((20, 19, 18, 16, 14, 13), 150, 607_060),
+        ((20, 19, 18, 16, 14, 13), 300, 4_379_301),
+        ((10,) * 6, 2000, 206_856_960),
+        ((22, 18, 16, 14, 12, 10, 8), 64, 724_080),
+        ((22, 18, 16, 14, 12, 10, 8), 150, 18_659_435),
+        ((7, 6, 5, 4, 3, 2, 1), 64, 723_692),
+        ((7, 6, 5, 4, 3, 2, 1), 150, 17_820_866),
+    ]
+
+    @pytest.mark.parametrize("scores, eta, terms", SWEEP)
+    def test_exact_within_the_budget_else_refused(self, scores, eta, terms):
+        poll = Poll.from_scores(scores)
+        if terms <= TERM_BUDGET:
+            assert pivot_table_exact(poll, eta).method == "exact"
+        else:
+            with pytest.raises(ValueError, match="TERM_BUDGET"):
+                pivot_table_exact(poll, eta)
+
+    def test_budget_boundary(self, monkeypatch):
+        # S1 at eta = 10^4 takes 334,309 nested-sum terms.
+        want = pivot_table_exact(S1, 10**4).entries
+        monkeypatch.setattr(pivot, "TERM_BUDGET", 334_309)
+        assert np.array_equal(pivot_table_exact(S1, 10**4).entries, want)
+        assert pivot._cv_table(S1, 10**4).method == "exact"
+        monkeypatch.setattr(pivot, "TERM_BUDGET", 334_308)
+        with pytest.raises(ValueError, match=r"\(25, 70, 20, 100, 80\) at eta 10000"):
+            pivot_table_exact(S1, 10**4)
+        table = pivot._cv_table(S1, 10**4)
+        assert (table.method, table.samples) == ("monte_carlo", MC_SAMPLES)
+
+
 class TestMonteCarlo:
     def test_even_race_estimate(self):
         got = pivot_table_mc(Poll.from_scores((1, 1, 0)), 2, 10**6, seed=0).entries[0, 1]
@@ -356,7 +398,10 @@ class TestDecideCv:
         assert [table.method for table in cache.values()] == ["exact"]
 
     def test_mc_path_is_reproducible(self):
-        assert _nested_terms(S7, 1000, TERM_BUDGET) > TERM_BUDGET
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="TERM_BUDGET"):
+            pivot_table_exact(S7, 1000)
+        assert time.perf_counter() - start < 1.0
         first = decide_cv(U7, S7, 1000)
         assert decide_cv(U7, S7, 1000) == first
 
