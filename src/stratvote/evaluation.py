@@ -46,12 +46,11 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from multiprocessing import get_context
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from . import models, nn as nn_mod
+from . import models
 from .behavior import RANK_LABELS, SCENARIO_LABELS, ratio_counts
 from .data import POLL_BUCKETS, Dataset, RecordTable
 from .models import Family, ModelDescriptor
@@ -277,6 +276,8 @@ def _predict_nn(block: RecordTable, mode: str, seed: int) -> np.ndarray:
     sums, less the held-out row's under LOO, where a single-record voter's
     empty fold leaves its seeded initial network as the default point.
     """
+    from . import nn as nn_mod  # only NN runs need the network code
+
     target = block.rank_of(block.action)
     base = nn_mod.record_features(block.S, block.n, block.order, block.scenario)
     voters, held_out = block.voter_rows(), mode == "loo"
@@ -535,6 +536,13 @@ def _error_counts(table: RecordTable, predicted: np.ndarray) -> dict[str, dict[s
     }
 
 
+def get_context(method: str):
+    """``multiprocessing.get_context(method)``, imported only when a pool is made."""
+    import multiprocessing
+
+    return multiprocessing.get_context(method)
+
+
 def evaluate_families(
     grids: Sequence[ParameterGrid],
     dataset: Dataset,
@@ -564,6 +572,8 @@ def evaluate_families(
         # From m = 4 on the pivot kernel takes binomial tails from scipy:
         # load it once here, not in every worker.
         import scipy.special  # noqa: F401
+    if workers > 1 and any(grid.family is Family.NN for grid in grids):
+        from . import nn  # noqa: F401  # likewise the network code
     with get_context("fork").Pool(processes=workers) if workers > 1 else nullcontext() as pool:
         chunks = pool.imap(_evaluate_voters, tasks) if pool else map(_evaluate_voters, tasks)
         for grid in grids:

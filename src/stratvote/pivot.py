@@ -30,8 +30,9 @@ is absolute: entries far below it, such as pairs that almost never lead,
 can lose their relative precision.  m <= 4 skips nothing.
 
 Every log is libm's, through ``math.log``, and log k! comes from one table,
-grown on demand and shared by every table, that follows cephes ``lgam`` step
-for step; both are bit for bit what scipy's ``xlogy`` and ``gammaln`` give.
+shared by every table and grown to the largest k asked for (at least
+doubling), that follows cephes ``lgam`` step for step; both are bit for bit
+what scipy's ``xlogy`` and ``gammaln`` give.
 So m <= 3 needs no scipy at all: only the binomial tails of m >= 4 import it.
 
 A table depends on the poll's scores and ``eta`` only, never on its
@@ -68,8 +69,9 @@ _MC_CHUNK = 1_000_000
 _GRID_CELLS = 1 << 21
 _BLOCK_TERMS = 1 << 18
 
-# log k! for every k below its length, grown by _log_factorial in whole
-# chunks of _LOG_FACTORIAL_CHUNK entries.
+# log k! for every k below its length, grown by _log_factorial to the
+# largest k asked for, or to twice its length if that is more; it computes
+# at most _LOG_FACTORIAL_CHUNK entries at a time.
 _LOG_FACTORIAL_CHUNK = 1 << 16
 _log_factorials = np.zeros(0)
 # cephes lgam's constants: log(sqrt(2 pi)) and the Stirling correction's
@@ -121,13 +123,14 @@ def _log_factorial(k: np.ndarray | int) -> np.ndarray:
     except IndexError:  # grow the table to hold the largest k
         have = len(_log_factorials)
         need = int(np.max(k)) + 1
-        table = np.empty(-(-need // _LOG_FACTORIAL_CHUNK) * _LOG_FACTORIAL_CHUNK)
+        # At least doubling keeps the copying linear in the final length
+        # over a run of ever larger etas; no entry's bits depend on it.
+        table = np.empty(max(need, 2 * have))
         table[:have] = _log_factorials
         # A chunk at a time, so that the temporaries stay small.
         for start in range(have, len(table), _LOG_FACTORIAL_CHUNK):
-            table[start : start + _LOG_FACTORIAL_CHUNK] = _lgam_int(
-                np.arange(start, start + _LOG_FACTORIAL_CHUNK)
-            )
+            stop = min(start + _LOG_FACTORIAL_CHUNK, len(table))
+            table[start:stop] = _lgam_int(np.arange(start, stop))
         _log_factorials = table
     return _log_factorials[k]
 

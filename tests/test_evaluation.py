@@ -1063,14 +1063,20 @@ def test_cli_import_leaves_scipy_unloaded():
     from pathlib import Path
 
     src = Path(__file__).resolve().parent.parent / "src"
-    code = "import stratvote.cli, sys; assert 'scipy' not in sys.modules"
+    code = """
+import sys
+import stratvote.cli
+loaded = [m for m in ("scipy", "multiprocessing", "stratvote.nn") if m in sys.modules]
+assert not loaded, loaded
+"""
     env = {**os.environ, "PYTHONPATH": str(src)}
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_cv_pool_loads_scipy_before_forking():
     # Only m >= 4 tables take binomial tails from scipy, so only then is it
-    # loaded once before the pool forks; m = 3 loads it nowhere.
+    # loaded once before the pool forks; m = 3 loads it nowhere.  Likewise
+    # the network code is loaded before the fork only when NN is pooled.
     import os
     import subprocess
     import sys
@@ -1086,7 +1092,7 @@ from stratvote.models import Family
 
 class Context:
     def Pool(self, processes):
-        seen.append("scipy.special" in sys.modules)
+        seen.append(("scipy.special" in sys.modules, "stratvote.nn" in sys.modules))
         return self
     def __enter__(self):
         return self
@@ -1107,7 +1113,10 @@ grids = [ParameterGrid.default(f, cv_etas=(4, 1000)) for f in (Family.TRUTH, Fam
 list(evaluate_families(grids, three, "loo", jobs=2))  # the tasks run in this process
 assert "scipy" not in sys.modules
 list(evaluate_families(grids, four, "loo", jobs=2))  # one pool, CV among its families
-assert seen == [False, False, True], seen
+assert "stratvote.nn" not in sys.modules
+grids = [ParameterGrid.default(f) for f in (Family.TRUTH, Family.NN)]
+list(evaluate_families(grids, three, "loo", jobs=2))
+assert seen == [(False, False), (False, False), (True, False), (True, True)], seen
 """
     env = {**os.environ, "PYTHONPATH": str(src)}
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
@@ -1115,7 +1124,8 @@ assert seen == [False, False, True], seen
 
 def test_three_candidate_cv_runs_leave_scipy_unloaded(tmp_path):
     # simulate of a CV group, evaluate's default CV grid and predict --model
-    # CV: every m = 3 table takes its logs from libm, not scipy.
+    # CV: every m = 3 table takes its logs from libm, not scipy, and none of
+    # them makes a pool or trains a network.
     import os
     import subprocess
     import sys
@@ -1130,10 +1140,12 @@ from stratvote import cli
 
 d = {str(tmp_path)!r}
 assert cli.main(["simulate", "--config", d + "/config.json", "--seed", "1", "--out", d]) == 0
-assert cli.main(["evaluate", "--data", d, "--families", "CV", "--out", d + "/reports"]) == 0
+argv = ["evaluate", "--data", d, "--families", "CV", "--jobs", "1", "--out", d + "/reports"]
+assert cli.main(argv) == 0
 argv = ["predict", "--data", d, "--model", "CV", "--eta", "n", "--out", d + "/predicted.csv"]
 assert cli.main(argv) == 0
-assert "scipy" not in sys.modules
+loaded = [m for m in ("scipy", "multiprocessing", "stratvote.nn") if m in sys.modules]
+assert not loaded, loaded
 """
     env = {**os.environ, "PYTHONPATH": str(src)}
     subprocess.run([sys.executable, "-c", code], env=env, check=True)

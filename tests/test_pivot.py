@@ -204,12 +204,30 @@ class TestLogs:
         assert np.array_equal(pivot._lgam_int(k), gammaln(k + 1.0))
 
     def test_table_grown_in_steps_is_gammaln(self):
+        # The table grows to the largest k + 1 asked for, or to twice its
+        # length when that is more, and only when a k falls outside it.
         chunk = pivot._LOG_FACTORIAL_CHUNK
-        for k in ([5], np.arange(3 * chunk + 7), 3, [], [chunk - 1, chunk, 9 * chunk + 1], 2):
+        steps = [
+            ([5], 6),
+            ([7], 12),  # doubles
+            (np.arange(3 * chunk + 7), 3 * chunk + 7),
+            (3, 3 * chunk + 7),
+            ([], 3 * chunk + 7),
+            ([chunk - 1, chunk, 9 * chunk + 1], 9 * chunk + 2),
+            (2, 9 * chunk + 2),
+            ([9 * chunk + 2], 18 * chunk + 4),  # doubles
+        ]
+        for k, length in steps:
             k = np.asarray(k, dtype=np.int64)
             assert np.array_equal(pivot._log_factorial(k), gammaln(k + 1.0))
+            assert len(pivot._log_factorials) == length
         table = pivot._log_factorials
-        assert len(table) == 10 * chunk
+        assert np.array_equal(table, gammaln(np.arange(len(table)) + 1.0))
+
+    def test_one_table_fills_only_what_its_eta_needs(self):
+        pivot_table_exact(Poll.from_scores((5, 3, 2)), 10**4)
+        table = pivot._log_factorials
+        assert len(table) == 10**4 + 1
         assert np.array_equal(table, gammaln(np.arange(len(table)) + 1.0))
 
     def test_log_is_libm(self):
