@@ -19,6 +19,7 @@ import json
 import os
 import sys
 from contextlib import closing
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,7 @@ from .behavior import SCENARIO_ORDER_TEXT, SCENARIOS
 from .data import (
     DataError,
     GeneratorConfig,
+    RecordTable,
     format_action,
     generate_synthetic,
     load_dataset,
@@ -124,24 +126,54 @@ def _load_json(path: str | Path, what: str) -> dict:
         raise DataError(f"{what} is not valid JSON ({path}): {exc}")
 
 
-# Encodes one prediction row, a flat dict three levels deep, as indent=2 would
-# lay out its items, with the C encoder that indent itself turns off.
-_ROW_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
+def _row_text(table: RecordTable) -> tuple[list[str], list[str]]:
+    """Each row's ``predictions`` text before and after the two fields its family predicts.
+
+    A row's eight fields stand in key order, as ``json.dumps(sort_keys=True,
+    indent=2)`` lays them out: ``actual``, ``actual_rank`` and ``bucket``,
+    then ``predicted`` and ``predicted_rank``, then ``round``, ``scenario``
+    and ``voter_id``.  All but the middle two come from the table alone, so
+    every family of a run shares this text.  Strings are escaped as
+    ``json.dumps`` escapes them.
+    """
+    buckets = [encode_basestring_ascii(label) for label in POLL_BUCKETS]
+    scenarios = [encode_basestring_ascii(label) for label in SCENARIO_LABELS]
+    voters = [encode_basestring_ascii(vid) for vid in table.voter_ids]
+    head = [
+        '    {\n      "actual": %d,\n      "actual_rank": %d,\n      "bucket": %s,\n      '
+        % (action, rank, buckets[bucket])
+        for action, rank, bucket in zip(
+            table.action.tolist(), table.rank_of(table.action).tolist(), table.bucket.tolist()
+        )
+    ]
+    tail = [
+        ',\n      "round": %d,\n      "scenario": %s,\n      "voter_id": %s\n    }'
+        % (round_, scenarios[scenario], voters[voter])
+        for round_, scenario, voter in zip(
+            table.round.tolist(), table.scenario.tolist(), table.voter.tolist()
+        )
+    ]
+    return head, tail
 
 
-def _report_json(payload: dict) -> str:
-    """``json.dumps(payload, sort_keys=True, indent=2)``, its ``predictions`` rows encoded fast."""
-    rows = payload.get("predictions")
-    text = json.dumps({**payload, "predictions": []}, sort_keys=True, indent=2)
-    if not rows:
-        return text
-    body = ",\n".join("    {\n      " + _ROW_ENCODER.encode(row)[1:-1] + "\n    }" for row in rows)
+def _report_text(report: EvaluationReport, shared: tuple[list[str], list[str]]) -> str:
+    """The report file's text: ``json.dumps(sort_keys=True, indent=2)`` of its summary and rows.
+
+    ``shared`` is :func:`_row_text` of the report's table; each row's middle
+    is one of the m * m texts of a (predicted, predicted_rank) pair.
+    """
+    table, (head, tail) = report.table, shared
+    m = table.m
+    middle = ['"predicted": %d,\n      "predicted_rank": %d' % divmod(k, m) for k in range(m * m)]
+    picks = (report.predicted * m + table.rank_of(report.predicted)).tolist()
+    text = json.dumps({**report.to_dict(), "predictions": []}, sort_keys=True, indent=2)
     # Only a top-level key starts a line with exactly two spaces.
-    return text.replace('\n  "predictions": []', '\n  "predictions": [\n' + body + "\n  ]", 1)
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(_report_json(payload) + "\n", encoding="utf-8")
+    before, after = text.split('\n  "predictions": []')
+    # One join of the shared pieces: part 4j + 1 starts row j, part 4j + 4 ends it.
+    parts = [",\n"] * (4 * len(picks) + 1)
+    parts[0], parts[-1] = before + '\n  "predictions": [\n', "\n  ]" + after + "\n"
+    parts[1::4], parts[2::4], parts[3::4] = head, [middle[k] for k in picks], tail
+    return "".join(parts)
 
 
 def _write_csv(path: Path, header: list[str], rows: list) -> None:
@@ -232,10 +264,13 @@ def _params_table(report: EvaluationReport) -> tuple[list[str], list[list]]:
     return ["voter_id", "family", "bucket", *keys], rows if keys else []
 
 
-def _write_family_reports(out_dir: Path, mode: str, report: EvaluationReport) -> None:
-    """One family's report JSON and its four CSV tables."""
+def _write_family_reports(
+    out_dir: Path, mode: str, report: EvaluationReport, shared: tuple[list[str], list[str]]
+) -> None:
+    """One family's report JSON, ``shared`` being :func:`_row_text`, and its four CSV tables."""
     name = report.family
-    _write_json(out_dir / f"{mode}_{name}_report.json", report.to_dict())
+    text = _report_text(report, shared)
+    (out_dir / f"{mode}_{name}_report.json").write_text(text, encoding="utf-8")
     records = report.per_voter_records
     _write_csv(
         out_dir / f"{mode}_{name}_per_voter_f.csv",
@@ -269,6 +304,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             raise DataError(f"cannot apply {family.value} to this dataset: {exc}")
 
     mode = args.mode
+    shared = None  # every family's report rows share it
     reports: dict[str, EvaluationReport] = {}
     # Closing the stream ends its worker pool, also when a write fails.
     with closing(evaluate_families(grids, dataset, mode, jobs=args.jobs, seed=seed)) as stream:
@@ -279,7 +315,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             except ValueError as exc:
                 raise DataError(f"cannot apply {name} to this dataset: {exc}")
             # Written while the workers run the later families.
-            _write_family_reports(out_dir, mode, report)
+            if shared is None:
+                shared = _row_text(dataset.records)
+            _write_family_reports(out_dir, mode, report, shared)
             reports[name] = report
 
     header, rows = _scenario_table(reports, mode, len(dataset.records))

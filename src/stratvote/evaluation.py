@@ -172,8 +172,21 @@ class ParameterGrid:
     def __post_init__(self) -> None:
         if not self.points:
             raise ValueError("parameter grid is empty")
+        # A descriptor checks its key set, then each value on its own, so a
+        # point whose key set and (name, type, value) entries have all passed
+        # before is valid: only the others are built, in order.
+        passed_keys, passed_items = set(), set()
         for point in self.points:
+            try:
+                keys, items = frozenset(point), {(k, type(v), v) for k, v in point.items()}
+            except (AttributeError, TypeError):  # not a mapping, or an unhashable value
+                keys = items = None
+            if keys in passed_keys and items <= passed_items:
+                continue
             ModelDescriptor(family=self.family, **point)  # validates
+            if keys is not None:
+                passed_keys.add(keys)
+                passed_items |= items
 
     @classmethod
     def default(
@@ -445,18 +458,20 @@ class EvaluationReport:
         return metrics_from_confusion(self.overall)
 
     def to_dict(self) -> dict:
+        """The report's summary: every field of its report JSON but the per-row ``predictions``."""
+
         def block(matrix: ConfusionMatrix) -> dict:
             out = {"confusion": matrix.counts.tolist()}
             if matrix.total > 0:
                 out["metrics"] = metrics_from_confusion(matrix).to_dict()
             return out
 
-        table, overall = self.table, self.overall
+        overall = self.overall
         return {
             "family": self.family,
             "mode": self.mode,
             "seed": self.seed,
-            "num_voters": len(table.voter_ids),
+            "num_voters": len(self.table.voter_ids),
             "num_records": overall.total,
             "classes": list(RANK_LABELS[: overall.m])
             if overall.m <= 3
@@ -472,28 +487,6 @@ class EvaluationReport:
             "error_breakdown": {
                 k: dict(sorted(v.items())) for k, v in sorted(self.error_breakdown.items())
             },
-            "predictions": [
-                {
-                    "voter_id": table.voter_ids[voter],
-                    "round": round_,
-                    "scenario": SCENARIO_LABELS[scenario],
-                    "bucket": POLL_BUCKETS[bucket],
-                    "actual": actual,
-                    "predicted": guess,
-                    "actual_rank": a_rank,
-                    "predicted_rank": p_rank,
-                }
-                for voter, round_, scenario, bucket, actual, guess, a_rank, p_rank in zip(
-                    table.voter.tolist(),
-                    table.round.tolist(),
-                    table.scenario.tolist(),
-                    table.bucket.tolist(),
-                    table.action.tolist(),
-                    self.predicted.tolist(),
-                    table.rank_of(table.action).tolist(),
-                    table.rank_of(self.predicted).tolist(),
-                )
-            ],
         }
 
 

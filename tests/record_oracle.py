@@ -6,15 +6,17 @@ The package holds a dataset's records only as the columns of a
 record at a time, so they read a :class:`Record` of a ``core.Poll`` and a
 ``core.UtilityFunction``.  :func:`table_of` builds the table of such
 records through ``RecordTable.from_columns``, and :func:`records_of` reads
-a table's rows back as records, in table order.
+a table's rows back as records, in table order.  :func:`report_payload` is
+the JSON object a report file holds, its ``predictions`` one dict per row.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
+from stratvote.behavior import SCENARIO_LABELS
 from stratvote.core import Poll, UtilityFunction
-from stratvote.data import RecordTable
+from stratvote.data import POLL_BUCKETS, RecordTable
 
 
 def preference_order(values: Sequence[float]) -> tuple[int, ...]:
@@ -72,3 +74,31 @@ def by_voter(table: RecordTable) -> dict[str, list[Record]]:
     for record in records_of(table):
         grouped.setdefault(record.voter_id, []).append(record)
     return grouped
+
+
+def report_payload(report) -> dict:
+    """An ``EvaluationReport``'s summary with its ``predictions``: one dict per row, in order."""
+    table = report.table
+    rows = [
+        {
+            "voter_id": table.voter_ids[voter],
+            "round": round_,
+            "scenario": SCENARIO_LABELS[scenario],
+            "bucket": POLL_BUCKETS[bucket],
+            "actual": actual,
+            "predicted": guess,
+            "actual_rank": a_rank,
+            "predicted_rank": p_rank,
+        }
+        for voter, round_, scenario, bucket, actual, guess, a_rank, p_rank in zip(
+            table.voter.tolist(),
+            table.round.tolist(),
+            table.scenario.tolist(),
+            table.bucket.tolist(),
+            table.action.tolist(),
+            report.predicted.tolist(),
+            table.rank_of(table.action).tolist(),
+            table.rank_of(report.predicted).tolist(),
+        )
+    ]
+    return {**report.to_dict(), "predictions": rows}

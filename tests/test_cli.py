@@ -11,17 +11,20 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from stratvote import cli, models
 from stratvote.cli import main
+from stratvote.behavior import SCENARIO_LABELS, UNCLASSIFIED
 from stratvote.core import Poll, UtilityFunction
 from stratvote.data import (
+    POLL_BUCKETS,
     Dataset,
     GeneratorConfig,
+    RecordTable,
     format_action,
     generate_synthetic,
     load_dataset,
     save_dataset,
 )
-from stratvote.evaluation import ParameterGrid, loo_evaluate
-from record_oracle import Record, table_of
+from stratvote.evaluation import EvaluationReport, ParameterGrid, loo_evaluate
+from record_oracle import Record, report_payload, table_of
 from stratvote.models import Family, ModelDescriptor
 
 HEADER = "voter_id,round,n,s_1,s_2,s_3,u_1,u_2,u_3,action\n"
@@ -751,15 +754,47 @@ def workload_configs():
     return module.WORKLOADS
 
 
+HOSTILE_IDS = (
+    'quo"te', "back\\slash", "ctl\x01char", "line\u2028sep", "astral\U0001f600id", "voté", "選挙"
+)
+
+
+def hostile_table(m, seed=4):
+    """Voters whose ids need escaping, rounds 0 and 2**63 - 1, every bucket and scenario.
+
+    Every fourth poll is tied, so unclassified; for m = 3 the others are
+    strict, and the seed puts them in all six scenarios.
+    """
+    rng = np.random.default_rng(seed)
+    rows = []
+    for v, vid in enumerate(HOSTILE_IDS):
+        for i, round_ in enumerate((0, 1, 2, 3, 4, 5, 2**63 - 1)):
+            n = (8, 100, 1000, 10000)[(v + i) % 4]
+            scores = [n // m] * m if (v + i) % 4 == 3 else rng.permutation(m) * (n // (2 * m))
+            utilities = rng.permutation(m) * 10.0 + 1
+            rows.append((vid, round_, n, scores, utilities, int(rng.integers(m))))
+    return RecordTable.from_columns(*zip(*rows))
+
+
+def tree_bytes(out):
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
 class TestReportWriter:
     """The report writer gives the bytes of ``json.dumps(sort_keys=True, indent=2)``."""
 
     @staticmethod
-    def assert_same_text(payload):
-        assert cli._report_json(payload) == json.dumps(payload, sort_keys=True, indent=2)
+    def assert_same_bytes(out, report):
+        """Writes the report and checks it against the oracle; returns the file's JSON."""
+        out.mkdir(exist_ok=True)
+        cli._write_family_reports(out, report.mode, report, cli._row_text(report.table))
+        path = out / f"{report.mode}_{report.family}_report.json"
+        want = json.dumps(report_payload(report), sort_keys=True, indent=2) + "\n"
+        assert path.read_bytes() == want.encode("utf-8")
+        return json.loads(path.read_text(encoding="utf-8"))
 
     @pytest.mark.parametrize("name", ["cv_sweep", "many_voters", "nn_folds"])
-    def test_workload_reports(self, name):
+    def test_workload_reports(self, tmp_path, name):
         workload = workload_configs()[name]
         config = GeneratorConfig.from_dict({**workload.config(), "master_seed": 1})
         dataset = generate_synthetic(config)
@@ -767,18 +802,57 @@ class TestReportWriter:
             etas = workload.cv_etas.split(",") if workload.cv_etas else None
             etas = etas and tuple(e if e == "n" else int(e) for e in etas)
             grid = ParameterGrid.default(Family(family), cv_etas=etas)
-            self.assert_same_text(loo_evaluate(Family(family), grid, dataset, seed=1).to_dict())
+            report = loo_evaluate(Family(family), grid, dataset, seed=1)
+            self.assert_same_bytes(tmp_path, report)
 
-    def test_empty_predictions_non_ascii_ids_and_m4(self):
+    def test_empty_predictions_non_ascii_ids_and_m4(self, tmp_path):
         u = UtilityFunction((4.0, 3.0, 2.0, 1.0))
         records = [
             Record(vid, r, Poll((40 + r, 30, 20, 10 * r), 100), u, r % 4)
             for vid in ("voté", "選挙", "\u2603")
             for r in range(3)
         ]
-        payload = loo_evaluate(
-            Family.LD, ParameterGrid.default(Family.LD), Dataset(table_of(records))
-        ).to_dict()
-        assert payload["classes"] == ["pref_0", "pref_1", "pref_2", "pref_3"]
-        self.assert_same_text(payload)
-        self.assert_same_text({**payload, "predictions": []})
+        dataset = Dataset(table_of(records))
+        report = loo_evaluate(Family.LD, ParameterGrid.default(Family.LD), dataset)
+        assert report.to_dict()["classes"] == ["pref_0", "pref_1", "pref_2", "pref_3"]
+        self.assert_same_bytes(tmp_path, report)
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_hostile_ids_rounds_scenarios_and_buckets(self, tmp_path, m):
+        table = hostile_table(m)
+        assert set(table.voter_ids) == set(HOSTILE_IDS) and 2**63 - 1 in table.round.tolist()
+        labels = set(SCENARIO_LABELS) if m == 3 else {UNCLASSIFIED}
+        assert {SCENARIO_LABELS[s] for s in table.scenario.tolist()} == labels
+        assert {POLL_BUCKETS[b] for b in table.bucket.tolist()} == set(POLL_BUCKETS)
+        predicted = np.random.default_rng(m).integers(m, size=len(table))
+        fitted = [{"r": i / 8} for i in range(len(table.voter_ids))]
+        for mode in ("loo", "upper"):
+            report = EvaluationReport("LD", mode, 2**63 - 1, table, predicted, fitted)
+            got = self.assert_same_bytes(tmp_path, report)
+            keys = [(row["voter_id"], row["round"]) for row in got["predictions"]]
+            rows = zip(table.voter.tolist(), table.round.tolist())
+            assert keys == [(table.voter_ids[v], r) for v, r in rows]
+
+    def test_shared_row_text_is_built_once_per_evaluate(self, tmp_path, monkeypatch):
+        calls = []
+        real = cli._row_text
+
+        def counting(table):
+            calls.append(len(table))
+            return real(table)
+
+        monkeypatch.setattr(cli, "_row_text", counting)
+        data = tmp_path / "data"
+        save_dataset(Dataset(hostile_table(3)), data)
+        families = "TRUTH,BR,PRAG,LD,LDLB,TMG,AU"
+        trees = []
+        for jobs in ("1", "3"):
+            out = tmp_path / f"r{jobs}"
+            argv = ["evaluate", "--data", str(data), "--families", families, "--jobs", jobs]
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main([*argv, "--out", str(out)]) == 0
+            trees.append(tree_bytes(out))
+        assert calls == [len(HOSTILE_IDS) * 7] * 2
+        assert len(trees[0]) == 7 * 5 + 1 and trees[0] == trees[1]
+        report = json.loads(trees[0]["loo_AU_report.json"])
+        assert {row["voter_id"] for row in report["predictions"]} == set(HOSTILE_IDS)

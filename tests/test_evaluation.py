@@ -38,10 +38,17 @@ from stratvote.evaluation import (
     weighted_f,
 )
 from feature_oracle import find_inconsistent, is_unjustified, scenario_or_none
-from record_oracle import Record, by_voter, preference_order, records_of, table_of
+from record_oracle import (
+    Record,
+    by_voter,
+    preference_order,
+    records_of,
+    report_payload,
+    table_of,
+)
 from scalar_deciders import decide_au
 from test_cli import workload_configs
-from stratvote.models import DecisionContext, Family, decide_matrix
+from stratvote.models import DecisionContext, Family, ModelDescriptor, decide_matrix
 from stratvote.nn import FEATURE_DIM, init_network, predict_record
 from stratvote.seeding import derive_seed
 
@@ -236,6 +243,46 @@ class TestParameterGrid:
         with pytest.raises(ValueError):
             ParameterGrid(Family.PRAG, ())
 
+    @pytest.mark.parametrize(
+        "index, bad",
+        [
+            (-1, {"alpha": 2.05, "beta": 100}),
+            (700, {"alpha": 0.5, "beta": float("nan")}),
+            (3, {"alpha": 0.5, "beta": 3, "k": 1}),
+            (3, {"alpha": 0.5}),
+            (1500, {"alpha": [0.5], "beta": 3}),
+        ],
+    )
+    def test_first_bad_point_raises_what_its_descriptor_raises(self, index, bad):
+        with pytest.raises(Exception) as want:
+            ModelDescriptor(family=Family.AU, **bad)
+        points = list(ParameterGrid.default(Family.AU).points)
+        assert len(points) == 2296
+        points[index] = bad
+        if index != -1:
+            points[-1] = {"alpha": 0.5, "beta": -1}  # a later bad point
+        with pytest.raises(type(want.value)) as got:
+            ParameterGrid(Family.AU, tuple(points))
+        assert str(got.value) == str(want.value)
+
+    def test_each_distinct_key_set_and_value_is_validated_once(self, monkeypatch):
+        built = []
+        real = evaluation.ModelDescriptor
+
+        def counting(**point):
+            built.append(point)
+            return real(**point)
+
+        monkeypatch.setattr(evaluation, "ModelDescriptor", counting)
+        ParameterGrid.default(Family.AU)
+        # The first point, then each further alpha (41) and beta (56).
+        assert len(built) == 1 + 40 + 55
+        built.clear()
+        # A value equal to one that passed but of another type is checked anew.
+        ParameterGrid(Family.CV, ({"eta": 4}, {"eta": 4.0}, {"eta": 4}, {"eta": "n"}))
+        assert [point["eta"] for point in built] == [4, 4.0, "n"]
+        assert [type(point["eta"]) for point in built] == [int, float, str]
+
 
 class TestFitParameters:
     def rec(self, scores, action, round, u=(10.0, 5.0, 0.0)):
@@ -347,8 +394,8 @@ class TestEvaluate:
         grid = ParameterGrid.default(Family.AU)
         serial = loo_evaluate(Family.AU, grid, ds, jobs=1)
         parallel = loo_evaluate(Family.AU, grid, ds, jobs=4)
-        assert json.dumps(serial.to_dict(), sort_keys=True) == json.dumps(
-            parallel.to_dict(), sort_keys=True
+        assert json.dumps(report_payload(serial), sort_keys=True) == json.dumps(
+            report_payload(parallel), sort_keys=True
         )
 
     def test_single_record_voter_gets_default_point_and_flag(self):
@@ -490,7 +537,7 @@ def oracle_block(counts):
 
 
 def oracle_report(family, mode, seed, dataset, predictions, fitted):
-    """``EvaluationReport.to_dict`` counted record by record, one cell at a time.
+    """A report's JSON object (:func:`report_payload`) counted record by record, one cell at a time.
 
     Under ``loo`` a voter of one record is defaulted: it has no training round.
     """
@@ -635,7 +682,7 @@ class TestRecordTableAggregation:
             for mode in ("loo", "upper"):
                 (rep,) = evaluate_families([grid], ds, mode, seed=5)
                 want = oracle_report(family, mode, 5, ds, predictions_of(rep), rep.fitted_params)
-                assert rep.to_dict() == want
+                assert report_payload(rep) == want
         # Random predictions fill every cell the evaluations leave empty, and
         # every third voter keeps one record: defaulted under loo alone.
         records = records_of(ds.records)
@@ -649,7 +696,7 @@ class TestRecordTableAggregation:
                 "LD", mode, 9, table, column_of(table, preds), list(fitted.values())
             )
             want = oracle_report(Family.LD, mode, 9, ds, preds, fitted)
-            assert got.to_dict() == want
+            assert report_payload(got) == want
             assert got.defaulted_voters == (("v0", "v3", "v6") if mode == "loo" else ())
         assert error_breakdown(ds, preds) == oracle_error_breakdown(ds, preds)
         # The data covers what the table annotates.
@@ -852,10 +899,10 @@ class TestRunsOfVoters:
             grid = ParameterGrid.default(family, m=m, cv_etas=(1, 4, "n"))
             for mode in ("loo", "upper"):
                 oracle = per_voter_oracle(grid, table, mode)
-                want = EvaluationReport(family.value, mode, 3, table, *oracle).to_dict()
+                want = report_payload(EvaluationReport(family.value, mode, 3, table, *oracle))
                 for jobs in (1, 2, 3):
                     (rep,) = evaluate_families([grid], ds, mode, jobs=jobs, seed=3)
-                    assert rep.to_dict() == want
+                    assert report_payload(rep) == want
 
     @pytest.mark.parametrize("family, run_cells", [(Family.LD, 101 * 75), (Family.AU, None)])
     def test_no_call_exceeds_the_cell_bound_but_a_single_voter(
@@ -896,7 +943,7 @@ class TestRunsOfVoters:
         assert any(size > bound for size, _ in cells)
         oracle = per_voter_oracle(grid, table, "loo")
         want = EvaluationReport(family.value, "loo", 0, table, *oracle)
-        assert got.to_dict() == want.to_dict()
+        assert report_payload(got) == report_payload(want)
 
     def test_cv_builds_each_table_once_per_run(self, monkeypatch):
         keys = []
@@ -960,7 +1007,7 @@ class TestWorkerPool:
         serial = loo_evaluate(Family.LD, ParameterGrid.default(Family.LD), ds)
         pooled = loo_evaluate(Family.LD, ParameterGrid.default(Family.LD), ds, jobs=jobs)
         assert sizes == ([workers] if workers else [])
-        assert pooled.to_dict() == serial.to_dict()
+        assert report_payload(pooled) == report_payload(serial)
 
     @pytest.mark.parametrize("family", [Family.LD, Family.NN])
     @pytest.mark.parametrize("jobs", [2, 3, 5, 8])
@@ -981,7 +1028,7 @@ class TestWorkerPool:
         assert voters == sorted(voters)
         assert sorted(set(voters)) == list(range(6))
         assert sum(len(block.voter) for block, *_ in tasks) == len(ds.records)
-        assert pooled.to_dict() == loo_evaluate(family, grid, ds).to_dict()
+        assert report_payload(pooled) == report_payload(loo_evaluate(family, grid, ds))
 
     @pytest.mark.parametrize("jobs", [2, 3])
     def test_every_family_shares_one_pool(self, monkeypatch, jobs):
@@ -1006,7 +1053,7 @@ class TestWorkerPool:
         assert sizes == [workers]
         assert [grid for _, grid, *_ in tasks] == [grid for grid in grids for _ in range(workers)]
         serial = evaluate_families(grids, ds, "loo")
-        assert [r.to_dict() for r in pooled] == [r.to_dict() for r in serial]
+        assert [report_payload(r) for r in pooled] == [report_payload(r) for r in serial]
         assert sizes == [workers]
 
 
