@@ -258,9 +258,10 @@ def save_dataset(dataset: Dataset, out_dir: str | Path) -> tuple[Path, Path]:
 def _parse_row(row: list[str], m: int) -> tuple:
     """One row's voter id, round, n, scores, utilities and action.
 
-    Fields are parsed with Python's ``int`` and ``float``, in field order;
-    ``ValueError`` names the first one that does not parse or is out of
-    range.  :func:`load_dataset` checks the rest of a row as arrays.
+    ``ValueError`` names the row's first problem.  Fields are parsed with
+    Python's ``int`` and ``float`` in field order, each checked as it
+    parses; once all of them parse, the row is checked for negative
+    scores, then bad utilities, then a negative round.
     """
     expected = 3 + 2 * m + 1
     if len(row) != expected:
@@ -298,7 +299,14 @@ def _parse_row(row: list[str], m: int) -> tuple:
             raise ValueError(f"non-numeric utility {text!r}") from None
     if len(set(utilities)) != m:
         raise ValueError(f"tied utilities {tuple(utilities)}; preferences must be strict")
-    return voter_id, round_, n, scores, utilities, parse_action(row[3 + 2 * m], m)
+    action = parse_action(row[3 + 2 * m], m)
+    if min(scores) < 0:
+        raise ValueError(f"poll scores must be non-negative integers, got {tuple(scores)!r}")
+    if not all(0 <= u < np.inf for u in utilities):
+        raise ValueError(f"utilities must be finite and non-negative, got {tuple(utilities)!r}")
+    if round_ < 0:
+        raise ValueError(f"round must be non-negative, got {round_!r}")
+    return voter_id, round_, n, scores, utilities, action
 
 
 def _infer_m(header: list[str]) -> int:
@@ -322,9 +330,11 @@ def load_dataset(path: str | Path) -> Dataset:
 
     ``path`` may be the CSV file or a directory containing ``dataset.csv``;
     a sibling ``manifest.json`` is picked up when present.  Each invalid row
-    is reported with its first problem, numbered from 1 after the header: a
-    field :func:`_parse_row` rejects, else negative scores, else bad
-    utilities, else a negative round, else the key of an earlier valid row.
+    is reported with its first problem, numbered from 1 after the header:
+    the first one :func:`_parse_row` finds (a field that does not parse or
+    is out of range, in field order, else negative scores, else bad
+    utilities, else a negative round), else the key of an earlier valid row.
+    Every row is checked in that one pass.
     """
     p = Path(path)
     if p.is_dir():
@@ -340,36 +350,17 @@ def load_dataset(path: str | Path) -> Dataset:
         raise DataError(f"{p}: no records")
     m = _infer_m(rows[0])
     problems: dict[int, str] = {}  # the first problem of each bad row, by row number
-    parsed, numbers = [], []
+    parsed, seen = [], {}  # the valid rows, and the row number of each one's key
     for row_num, row in enumerate(rows[1:], start=1):
         try:
-            parsed.append(_parse_row(row, m))
+            record = _parse_row(row, m)
         except ValueError as exc:
             problems[row_num] = str(exc)
             continue
-        numbers.append(row_num)
-    voter_id, round_, n, scores, utilities, action = list(zip(*parsed)) or [()] * 6
-    # Object arrays hold Python ints of any size: a negative one may not fit int64.
-    round_ = np.array(round_, dtype=object)
-    S = np.array(scores, dtype=object).reshape(-1, m)
-    U = np.array(utilities, dtype=float).reshape(-1, m)
-    negative_score = (S < 0).any(axis=1)
-    bad_utility = ~((U >= 0) & (U < np.inf)).all(axis=1)
-    bad = np.zeros(len(parsed), dtype=bool)
-    for failed, reason, got in (
-        (negative_score, "poll scores must be non-negative integers", lambda j: tuple(S[j])),
-        (bad_utility, "utilities must be finite and non-negative", lambda j: tuple(U[j].tolist())),
-        (round_ < 0, "round must be non-negative", lambda j: round_[j]),
-    ):
-        for j in np.flatnonzero(failed & ~bad).tolist():
-            problems[numbers[j]] = f"{reason}, got {got(j)!r}"
-        bad |= failed
-    seen: dict[tuple[str, int], int] = {}
-    for j in np.flatnonzero(~bad).tolist():
-        key = (voter_id[j], round_[j])
-        first = seen.setdefault(key, numbers[j])
-        if first != numbers[j]:
-            problems[numbers[j]] = f"duplicate (voter, round) {key}, first seen at row {first}"
+        first = seen.setdefault(record[:2], row_num)
+        if first != row_num:
+            problems[row_num] = f"duplicate (voter, round) {record[:2]}, first seen at row {first}"
+        parsed.append(record)
     if problems:
         listed = [f"row {row_num}: {problems[row_num]}" for row_num in sorted(problems)]
         more = f" (+{len(listed) - 20} more)" if len(listed) > 20 else ""
@@ -384,10 +375,7 @@ def load_dataset(path: str | Path) -> Dataset:
                 manifest = json.load(fh)
         except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
             raise DataError(f"cannot read manifest {manifest_path}: {exc}") from exc
-    records = RecordTable.from_columns(
-        voter_id, round_.astype(np.int64), n, S.astype(np.int64), U, action
-    )
-    return Dataset(records=records, manifest=manifest)
+    return Dataset(records=RecordTable.from_columns(*zip(*parsed)), manifest=manifest)
 
 
 # --- synthetic generation ---------------------------------------------------

@@ -53,7 +53,7 @@ import numpy as np
 from . import models
 from .behavior import RANK_LABELS, SCENARIO_LABELS, ratio_counts
 from .data import POLL_BUCKETS, Dataset, RecordTable
-from .models import Family, ModelDescriptor
+from .models import Family
 from .seeding import derive_seed
 
 
@@ -160,10 +160,10 @@ _DEFAULT_BETAS = tuple(range(51)) + tuple(range(60, 101, 10))
 class ParameterGrid:
     """Ordered candidate parameter points for one family.
 
-    Every point is validated as a :class:`ModelDescriptor`.  The whole tuple
-    is handed to :func:`models.decide_matrix`, which returns one row of
-    decisions per point in this order; fitting ties resolve to the earliest
-    point.
+    Every point is checked by :func:`models.check_points`, as a descriptor
+    is.  The whole tuple is handed to :func:`models.decide_matrix`, which
+    returns one row of decisions per point in this order; fitting ties
+    resolve to the earliest point.
     """
 
     family: Family
@@ -172,21 +172,7 @@ class ParameterGrid:
     def __post_init__(self) -> None:
         if not self.points:
             raise ValueError("parameter grid is empty")
-        # A descriptor checks its key set, then each value on its own, so a
-        # point whose key set and (name, type, value) entries have all passed
-        # before is valid: only the others are built, in order.
-        passed_keys, passed_items = set(), set()
-        for point in self.points:
-            try:
-                keys, items = frozenset(point), {(k, type(v), v) for k, v in point.items()}
-            except (AttributeError, TypeError):  # not a mapping, or an unhashable value
-                keys = items = None
-            if keys in passed_keys and items <= passed_items:
-                continue
-            ModelDescriptor(family=self.family, **point)  # validates
-            if keys is not None:
-                passed_keys.add(keys)
-                passed_items |= items
+        models.check_points(self.family, self.points)
 
     @classmethod
     def default(

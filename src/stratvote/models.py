@@ -33,7 +33,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Sequence
+from numbers import Real
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -72,6 +73,62 @@ _FAMILY_PARAMS = {
 }
 
 
+# Each parameter's one rule: an array test of the real numbers it takes
+# (none for voter_type), the strings it takes, and what a value must be.
+_RULES = {
+    "k": (lambda x: (x >= 1) & (x % 1 == 0), (), "k must be a positive integer"),
+    "r": (lambda x: (x >= 0) & (x <= 1), (), "r must lie in [0, 1]"),
+    "eta": (lambda x: (x >= 1) & (x % 1 == 0), ("n",), "eta must be a positive integer or 'n'"),
+    "voter_type": (lambda x: x > np.inf, TMG_TYPES, f"voter_type must be one of {TMG_TYPES}"),
+    "alpha": (lambda x: (x >= 0) & (x <= 2), (), "alpha must lie in [0, 2]"),
+    "beta": (lambda x: x >= 0, (), "beta must be non-negative"),
+}
+
+
+@np.errstate(invalid="ignore")  # for NaN and inf
+def _passes(name: str, values: Sequence) -> np.ndarray:
+    """Which of ``values`` keep ``name``'s rule; a column of Python numbers is tested in numpy."""
+    test, words, _ = _RULES[name]
+    if set(map(type, values)) <= {bool, int, float}:
+        x = np.asarray(values)  # of objects only for an int past int64
+    else:  # NaN for each value that is not a real number
+        x = np.array([v if isinstance(v, Real) else np.nan for v in values], dtype=object)
+    ok = np.asarray(test(x), dtype=bool)
+    return ok | [isinstance(v, str) and v in words for v in values] if words else ok
+
+
+def check_points(family: Family, points: Sequence[Mapping]) -> dict[str, list]:
+    """The column of each of ``family``'s parameters over ``points``, all checked.
+
+    A descriptor, a grid and :func:`decide_matrix` all check here.  A point
+    gives the family's parameters and no other (``None`` is not given), each
+    keeping its rule in ``_RULES``.  ``ValueError`` names the first bad
+    point's first problem: a parameter given or missing, in ``_RULES``
+    order, then a value, in the family's order.  PRAG's k <= m and TMG's
+    m = 3 are checked where m is known.
+    """
+    family = Family(family)
+    names = _FAMILY_PARAMS[family]
+    # Dicts of as many keys as the family has parameters: one missing reads None, which fails.
+    if set(map(type, points)) <= {dict} and set(map(len, points)) <= {len(names)}:
+        columns = {name: [point.get(name) for point in points] for name in names}
+        if all(_passes(name, column).all() for name, column in columns.items()):
+            return columns
+    for point in points:  # one at a time, to name the first bad one
+        if not isinstance(point, Mapping):
+            raise TypeError(f"a parameter point must be a mapping, got {point!r}")
+        for name in [*(key for key in point if key not in _RULES), *_RULES]:
+            given = point.get(name) is not None
+            if given and name not in names:
+                raise ValueError(f"{family.value} does not take parameter {name!r}")
+            if not given and name in names:
+                raise ValueError(f"{family.value} requires parameter {name!r}")
+        for name in names:
+            if not _passes(name, [point[name]])[0]:
+                raise ValueError(f"{_RULES[name][2]}, got {point[name]!r}")
+    return {name: [point[name] for point in points] for name in names}
+
+
 @dataclass(frozen=True)
 class ModelDescriptor:
     """A model family plus its parameter assignment.
@@ -91,29 +148,7 @@ class ModelDescriptor:
     def __post_init__(self) -> None:
         family = Family(self.family)
         object.__setattr__(self, "family", family)
-        allowed = _FAMILY_PARAMS[family]
-        for name in ("k", "r", "eta", "voter_type", "alpha", "beta"):
-            value = getattr(self, name)
-            if name not in allowed:
-                if value is not None:
-                    raise ValueError(f"{family.value} does not take parameter {name!r}")
-                continue
-            if value is None:
-                raise ValueError(f"{family.value} requires parameter {name!r}")
-        if family is Family.PRAG and (int(self.k) != self.k or self.k < 1):
-            raise ValueError(f"k must be a positive integer, got {self.k!r}")
-        if family is Family.CV and self.eta != "n":
-            if int(self.eta) != self.eta or self.eta < 1:
-                raise ValueError(f"eta must be a positive integer or 'n', got {self.eta!r}")
-        if family in (Family.LD, Family.LDLB) and not 0.0 <= self.r <= 1.0:
-            raise ValueError(f"r must lie in [0, 1], got {self.r!r}")
-        if family is Family.TMG and self.voter_type not in TMG_TYPES:
-            raise ValueError(f"voter_type must be one of {TMG_TYPES}, got {self.voter_type!r}")
-        if family is Family.AU:
-            if not 0.0 <= self.alpha <= 2.0:
-                raise ValueError(f"alpha must lie in [0, 2], got {self.alpha!r}")
-            if not self.beta >= 0.0:
-                raise ValueError(f"beta must be non-negative, got {self.beta!r}")
+        check_points(family, [{name: getattr(self, name) for name in _RULES}])
 
     def params(self) -> dict:
         return {name: getattr(self, name) for name in _FAMILY_PARAMS[self.family]}
@@ -151,9 +186,6 @@ def _as_rows(u: UtilityFunction, s: Poll) -> tuple[np.ndarray, np.ndarray, np.nd
 
 def _possible_winners(S: np.ndarray, n: np.ndarray, radii: Sequence[float]) -> np.ndarray:
     """``possible[i, j, c]``: ``S[j, c] >= max(S[j]) - 2*r_i*n[j]``, shape (len(radii), R, m)."""
-    for r in radii:
-        if not 0.0 <= r <= 1.0:
-            raise ValueError(f"r must lie in [0, 1], got {r}")
     threshold = S.max(axis=1)[None, :] - 2.0 * np.asarray(radii, dtype=float)[:, None] * n[None, :]
     return S[None, :, :] >= threshold[:, :, None]
 
@@ -172,6 +204,7 @@ def undominated_set(u: UtilityFunction, s: Poll, r: float) -> frozenset:
     exactly one is removed); with a single possible winner no vote can
     matter and every candidate is undominated.
     """
+    check_points(Family.LD, [{"r": r}])
     possible = _possible_winner_list(u, s, r)
     if len(possible) == 1:
         return frozenset(range(s.m))
@@ -215,12 +248,6 @@ def _au_scores(
     """
     al = np.asarray(alphas, dtype=float)
     be = np.asarray(betas, dtype=float)
-    bad = ~((al >= 0.0) & (al <= 2.0))
-    if bad.any():
-        raise ValueError(f"alpha must lie in [0, 2], got {al[bad][0]}")
-    bad = ~(be >= 0.0)
-    if bad.any():
-        raise ValueError(f"beta must be non-negative, got {be[bad][0]}")
     alpha_values, alpha_index = np.unique(al, return_inverse=True)
     beta_values, beta_index = np.unique(be, return_inverse=True)
     eu = np.power(AU_EPSILON + U, alpha_values[:, None, None])
@@ -237,6 +264,7 @@ def au_score(
 ) -> float:
     """Attainability-utility score ``(eps+u)^alpha * (eps+a)^(2-alpha)``."""
     s._check_candidate(c)
+    check_points(Family.AU, [{"alpha": alpha, "beta": beta}])
     _, scores = next(_au_scores(*_as_rows(u, s), (alpha,), (beta,)))
     return float(scores[0, 0, c])
 
@@ -289,25 +317,25 @@ def decide_matrix(
     family = Family(family)
     if family is Family.NN:
         raise ValueError("NN has no grid; a trained network predicts through nn.predict_record")
+    columns = check_points(family, points)
     U, S, n = _checked_rows(U, S, n)
     R = len(U)
     if family is Family.CV:
         cache = context.pivot_cache if context is not None else None
-        return pivot_mod.cv_votes(U, S, n, [p["eta"] for p in points], cache)
+        return pivot_mod.cv_votes(U, S, n, columns["eta"], cache)
     # Each array family picks a preference rank per (point, record): 0 is
     # the most preferred candidate.  Columns are put in preference order
     # first, so an argmax breaks ties toward the more preferred candidate.
     order = np.argsort(-U, axis=1, kind="stable")
     by_preference = (np.arange(R)[:, None], order)
     if family in (Family.LD, Family.LDLB):
-        possible = _possible_winners(S[by_preference], n, [p["r"] for p in points])
+        possible = _possible_winners(S[by_preference], n, columns["r"])
         rank = np.argmax(possible, axis=-1)
         if family is Family.LD:
             rank = np.where(possible.sum(axis=-1) >= 2, rank, 0)
     elif family is Family.AU:
-        alphas, betas = [p["alpha"] for p in points], [p["beta"] for p in points]
         rank = np.empty((len(points), R), dtype=np.int64)
-        for block, scores in _au_scores(U[by_preference], S[by_preference], n, alphas, betas):
+        for block, scores in _au_scores(U[by_preference], S[by_preference], n, *columns.values()):
             rank[block] = np.argmax(scores, axis=-1)
     elif family is Family.BR:
         values = _best_response_values(U, S)[by_preference]
@@ -315,16 +343,16 @@ def decide_matrix(
     elif family is Family.TRUTH:
         rank = np.zeros((len(points), R), dtype=np.int64)
     elif family is Family.PRAG:
-        rank = _pragmatist_ranks([p["k"] for p in points], poll_positions(S, order))
+        rank = _pragmatist_ranks(columns["k"], poll_positions(S, order))
     else:  # Family.TMG
-        rank = _tmg_ranks([p["voter_type"] for p in points], poll_positions(S, order))
+        rank = _tmg_ranks(columns["voter_type"], poll_positions(S, order))
     return order[np.arange(R), rank].astype(np.int64, copy=False)
 
 
 def _pragmatist_ranks(ks: Sequence[int], position: np.ndarray) -> np.ndarray:
     """PRAG preference ranks, shape (P, R): the first rank polled in the top k."""
     for k in ks:
-        if not 1 <= k <= position.shape[1]:
+        if k > position.shape[1]:
             raise ValueError(f"k must lie in [1, m], got {k}")
     return np.argmax(position[None] < np.array(ks)[:, None, None], axis=-1)
 
@@ -339,9 +367,6 @@ def _tmg_ranks(voter_types: Sequence[str], position: np.ndarray) -> np.ndarray:
     R, m = position.shape
     if m != 3:
         raise ValueError("TMG types are defined for exactly three candidates")
-    for voter_type in voter_types:
-        if voter_type not in TMG_TYPES:
-            raise ValueError(f"voter_type must be one of {TMG_TYPES}, got {voter_type!r}")
     compromise = (position[:, 0] == m - 1).astype(np.int64)
     ranks = {
         "TRT": np.zeros(R, dtype=np.int64),

@@ -120,3 +120,67 @@ def test_an_attribute_read_on_an_object_is_no_call():
     # perfbench's attribute reads count by name.
     by_name = _referenced(on_object, any_attribute=True)
     assert _uncalled({"models": defining, "cli": ast.parse("")}, by_name) == []
+
+
+def _package() -> dict[str, ast.Module]:
+    return {stem: _parse(PACKAGE / f"{stem}.py") for stem in sorted(MODULES)}
+
+
+def _unreferenced_private(modules: dict[str, ast.Module]) -> list[str]:
+    """The private module-level functions that no part of the package references."""
+    unreferenced = []
+    for name, tree in modules.items():
+        others = set().union(*(_referenced(t) for n, t in modules.items() if n != name))
+        for node in tree.body:
+            if not isinstance(node, ast.FunctionDef) or not node.name.startswith("_"):
+                continue
+            rest = ast.Module(body=[n for n in tree.body if n is not node], type_ignores=[])
+            if node.name not in others | _referenced(rest):
+                unreferenced.append(f"stratvote.{name}.{node.name}")
+    return unreferenced
+
+
+def _private_reads(modules: dict[str, ast.Module]) -> list[str]:
+    """Each read of another module's private name: ``from .pivot import _x`` or ``pivot._x``."""
+    reads = []
+    for name, tree in modules.items():
+        module_names = _module_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                source = (node.module or "").removeprefix("stratvote.")
+                if source in MODULES and (node.level or node.module.startswith("stratvote")):
+                    private = [a.name for a in node.names if a.name.startswith("_")]
+                    reads += [f"{name} imports {source}.{p}" for p in private]
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in module_names
+                and node.attr.startswith("_")
+            ):
+                reads.append(f"{name} reads {node.value.id}.{node.attr}")
+    return reads
+
+
+def test_every_private_function_is_referenced_in_the_package():
+    unreferenced = _unreferenced_private(_package())
+    assert not unreferenced, f"private functions nothing in the package references: {unreferenced}"
+
+
+def test_no_module_reads_another_modules_private_names():
+    reads = _private_reads(_package())
+    assert not reads, f"private names read across modules: {reads}"
+
+
+def test_the_private_name_checks_can_fail():
+    helper = "def _helper():\n    return _helper()\n"  # recursion is no reference
+    assert _unreferenced_private({"models": ast.parse(helper)}) == ["stratvote.models._helper"]
+    for caller in ("from .models import _helper\n", "x = _helper\n"):
+        modules = {"models": ast.parse(helper), "cli": ast.parse(caller)}
+        assert _unreferenced_private(modules) == []
+    for reader, read in (
+        ("from .models import _RULES\n", "cli imports models._RULES"),
+        ("from stratvote.models import _RULES\n", "cli imports models._RULES"),
+        ("from . import models as m\nm._RULES\n", "cli reads m._RULES"),
+    ):
+        assert _private_reads({"cli": ast.parse(reader)}) == [read]
+    assert _private_reads({"cli": ast.parse("from .models import RULES\nreport._RULES\n")}) == []

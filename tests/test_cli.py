@@ -153,6 +153,22 @@ class TestSimulate:
             ),
             ({"poll_concentrations": [float("nan")]}, "poll_concentrations must be finite"),
             ({"poll_concentrations": [float("inf")]}, "poll_concentrations must be finite"),
+            # A sampler that draws a non-number for a numeric parameter.
+            (
+                {"groups": [{"family": "AU", "params": {
+                    "alpha": {"type": "value", "value": "x"},
+                    "beta": {"type": "value", "value": 1},
+                }}]},
+                "group AU drew a bad model for voter v001: alpha must lie in [0, 2], got 'x'",
+            ),
+            (
+                {"groups": [{"family": "CV", "params": {"eta": {"type": "value", "value": [4]}}}]},
+                "group CV drew a bad model for voter v001: eta must be a positive integer or 'n'",
+            ),
+            (
+                {"groups": [{"family": "PRAG", "params": {"k": {"type": "value", "value": "2"}}}]},
+                "group PRAG drew a bad model for voter v001: k must be a positive integer, got '2'",
+            ),
         ],
         ids=[
             "prag-k-0", "prag-k-above-m", "ld-without-r", "au-alpha-above-2",
@@ -160,6 +176,7 @@ class TestSimulate:
             "poll-size-weight-nan", "poll-size-weight-inf", "poll-size-weights-overflow",
             "group-weight-nan", "scenario-weight-nan", "scenario-weight-negative",
             "cycle-scenario-weight-inf", "concentration-nan", "concentration-inf",
+            "au-alpha-string", "cv-eta-list", "prag-k-string",
         ],
     )
     def test_bad_configs_are_data_errors(self, tmp_path, changes, message, capsys):

@@ -174,6 +174,17 @@ class TestLoad:
             "row 8: duplicate (voter, round) ('v1', 0), first seen at row 2",
         ])
 
+    def test_huge_negative_score_is_named_not_overflowed(self, tmp_path):
+        # -10**30 does not fit int64: the row's own check names it, before
+        # any column is built.
+        big = -(10**30)
+        path = write(tmp_path, f"v1,0,100,50,30,20,10,5,0,q1\nv1,1,100,50,{big},20,10,5,0,q1\n")
+        with pytest.raises(DataError) as err:
+            load_dataset(path)
+        assert str(err.value) == (
+            f"{path}: row 2: poll scores must be non-negative integers, got (50, {big}, 20)"
+        )
+
     def test_lists_twenty_problems_then_counts_the_rest(self, tmp_path):
         path = write(tmp_path, "".join(f"v{i},0,0,1,2,3,10,5,0,q1\n" for i in range(23)))
         with pytest.raises(DataError) as err:

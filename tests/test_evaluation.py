@@ -251,6 +251,9 @@ class TestParameterGrid:
             (3, {"alpha": 0.5, "beta": 3, "k": 1}),
             (3, {"alpha": 0.5}),
             (1500, {"alpha": [0.5], "beta": 3}),
+            (1500, {"alpha": "x", "beta": 3}),
+            (2000, {"alpha": 0.5, "beta": "3"}),
+            (10, {"alpha": 0.5, "beta": [3]}),
         ],
     )
     def test_first_bad_point_raises_what_its_descriptor_raises(self, index, bad):
@@ -264,24 +267,17 @@ class TestParameterGrid:
         with pytest.raises(type(want.value)) as got:
             ParameterGrid(Family.AU, tuple(points))
         assert str(got.value) == str(want.value)
+        # decide_matrix checks a grid's points the same way.
+        with pytest.raises(type(want.value)) as got:
+            models.decide_matrix(Family.AU, points, [[10.0, 5.0, 0.0]], [[50, 30, 20]], [100])
+        assert str(got.value) == str(want.value)
 
-    def test_each_distinct_key_set_and_value_is_validated_once(self, monkeypatch):
+    def test_default_grid_builds_no_descriptor(self, monkeypatch):
         built = []
-        real = evaluation.ModelDescriptor
-
-        def counting(**point):
-            built.append(point)
-            return real(**point)
-
-        monkeypatch.setattr(evaluation, "ModelDescriptor", counting)
-        ParameterGrid.default(Family.AU)
-        # The first point, then each further alpha (41) and beta (56).
-        assert len(built) == 1 + 40 + 55
-        built.clear()
-        # A value equal to one that passed but of another type is checked anew.
-        ParameterGrid(Family.CV, ({"eta": 4}, {"eta": 4.0}, {"eta": 4}, {"eta": "n"}))
-        assert [point["eta"] for point in built] == [4, 4.0, "n"]
-        assert [type(point["eta"]) for point in built] == [int, float, str]
+        monkeypatch.setattr(models.ModelDescriptor, "__post_init__", lambda self: built.append(self))
+        for family in Family:
+            ParameterGrid.default(family)
+        assert built == []
 
 
 class TestFitParameters:
