@@ -40,11 +40,10 @@ from .evaluation import (
     POLL_BUCKETS,
     SCENARIO_LABELS,
     EvaluationReport,
-    ParameterGrid,
     evaluate_families,
     weighted_f,
 )
-from .models import DecisionContext, Family, ModelDescriptor
+from .models import DecisionContext, Family, ModelDescriptor, ParameterGrid
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -291,7 +290,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed, required=False, command="evaluate")
     families = _parse_families(args.families)
     dataset = load_dataset(args.data)
-    cv_etas = _parse_etas(args.cv_etas) if args.cv_etas else None
+    cv_etas = _parse_etas(args.cv_etas) if args.cv_etas is not None else None
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -400,10 +399,10 @@ def cmd_predict(args: argparse.Namespace) -> int:
     ctx = DecisionContext(pivot_cache={})
     predicted = np.empty(len(table.voter), dtype=np.int64)
     for desc, parts in point_rows.items():
-        rows = np.concatenate(parts)
+        rows, grid = np.concatenate(parts), ParameterGrid(family, (desc.params(),))
         try:
             predicted[rows] = models.decide_matrix(
-                family, (desc.params(),), table.U[rows], table.S[rows], table.n[rows], ctx
+                grid, table.U[rows], table.S[rows], table.n[rows], ctx
             )[0]
         except ValueError as exc:
             raise DataError(f"cannot apply {family.value} to this dataset: {exc}")

@@ -654,10 +654,12 @@ def generate_synthetic(config: GeneratorConfig) -> Dataset:
     poll.  Each drawn round is shown ``repeats`` times, and a shown round's
     action is replaced by a uniformly random one with probability
     ``noise``.  A voter's drawn rounds are decided after all of them are
-    drawn, with one :func:`models.decide_matrix` call: decisions draw
+    drawn, with one :func:`models.decide_matrix` call on its descriptor's
+    one-point grid, built once per distinct descriptor: decisions draw
     nothing from the rng, and each row's depends on that row alone.
     """
     ctx = DecisionContext(pivot_cache={})
+    grids: dict[models.ModelDescriptor, models.ParameterGrid] = {}
     voter_id: list[str] = []
     columns: list[tuple] = []  # per voter: n, S, U and action of its shown rounds
     assignments: dict[str, dict] = {}
@@ -709,8 +711,10 @@ def generate_synthetic(config: GeneratorConfig) -> Dataset:
                 if config.noise > 0 and rng.random() < config.noise:
                     noise[r] = int(rng.integers(m))
                     noisy_rounds.setdefault(vid, []).append(r)
+        if descriptor not in grids:
+            grids[descriptor] = models.ParameterGrid(family, (descriptor.params(),))
         try:  # a point the family cannot take for m = 3, such as PRAG's k = 4
-            (decided,) = models.decide_matrix(family, (descriptor.params(),), U, S, n, ctx)
+            (decided,) = models.decide_matrix(grids[descriptor], U, S, n, ctx)
         except ValueError as exc:
             raise DataError(f"{bad_model}: {exc}") from exc
         action = np.where(noise >= 0, noise, decided[shown])

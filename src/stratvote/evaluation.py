@@ -10,11 +10,12 @@ earliest grid point, which makes refits reproducible.  Every family reads
 the dataset's one :class:`data.RecordTable`: columns of utilities, scores,
 poll sizes and actions, and the preference ranks, scenario, poll-size
 bucket and unjustified and inconsistent flags derived from them once, when
-first read.  Voters are decided in runs of at
-most ``_RUN_CELLS`` (grid point x record) cells: one call of
-:func:`models.decide_matrix`, with one ``CV`` pivot cache, decides each
-distinct (utilities, scores, n) row of a run once, and each voter reads its
-columns of that matrix back through the inverse index.  That is exact
+first read.  A family's :class:`models.ParameterGrid` is checked once, when
+it is built, and every run of voters decides from its columns.  Voters are
+decided in runs of at most ``_RUN_CELLS`` (grid point x record) cells: one
+call of :func:`models.decide_matrix`, with one ``CV`` pivot cache, decides
+each distinct (utilities, scores, n) row of a run once, and each voter reads
+its columns of that matrix back through the inverse index.  That is exact
 because every family decides a record from the record alone.  A report
 keeps the table, one column of predicted candidates and one fitted point
 per voter, and counts the rest once, when first read: among it one
@@ -53,7 +54,7 @@ import numpy as np
 from . import models
 from .behavior import RANK_LABELS, SCENARIO_LABELS, ratio_counts
 from .data import POLL_BUCKETS, Dataset, RecordTable
-from .models import Family
+from .models import Family, ParameterGrid
 from .seeding import derive_seed
 
 
@@ -146,72 +147,6 @@ def weighted_f(counts: np.ndarray):
     return scores.tolist()
 
 
-# --- parameter grids ---------------------------------------------------------
-
-_DEFAULT_CV_ETAS: tuple = (
-    1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 10000,
-    16384, 20000, "n",
-)
-_DEFAULT_ALPHAS = tuple(round(0.05 * i, 2) for i in range(41))
-_DEFAULT_BETAS = tuple(range(51)) + tuple(range(60, 101, 10))
-
-
-@dataclass(frozen=True)
-class ParameterGrid:
-    """Ordered candidate parameter points for one family.
-
-    Every point is checked by :func:`models.check_points`, as a descriptor
-    is.  The whole tuple is handed to :func:`models.decide_matrix`, which
-    returns one row of decisions per point in this order; fitting ties
-    resolve to the earliest point.
-    """
-
-    family: Family
-    points: tuple[dict, ...]
-
-    def __post_init__(self) -> None:
-        if not self.points:
-            raise ValueError("parameter grid is empty")
-        models.check_points(self.family, self.points)
-
-    @classmethod
-    def default(
-        cls,
-        family: Family,
-        *,
-        m: int = 3,
-        cv_etas: Sequence | None = None,
-    ) -> "ParameterGrid":
-        """The family's default grid for ``m``-candidate data.
-
-        ``m`` caps the ``PRAG`` grid, k in {1, 2, 3}, at k <= m.  ``TMG``
-        and ``NN`` raise ``ValueError`` unless ``m == 3``, so a family the
-        data cannot take fails before any family is evaluated.
-        """
-        family = Family(family)
-        if family is Family.TMG and m != 3:
-            raise ValueError("TMG types are defined for exactly three candidates")
-        if family is Family.NN and m != 3:
-            raise ValueError("the classifier is defined for exactly three candidates")
-        if family is Family.PRAG:
-            return cls(family, tuple({"k": k} for k in (1, 2, 3) if k <= m))
-        if family in (Family.LD, Family.LDLB):
-            return cls(family, tuple({"r": round(0.01 * i, 2)} for i in range(101)))
-        if family is Family.CV:
-            etas = tuple(cv_etas) if cv_etas is not None else _DEFAULT_CV_ETAS
-            return cls(family, tuple({"eta": e} for e in etas))
-        if family is Family.AU:
-            return cls(
-                family,
-                tuple({"alpha": a, "beta": b} for a in _DEFAULT_ALPHAS for b in _DEFAULT_BETAS),
-            )
-        if family is Family.TMG:
-            return cls(family, tuple({"voter_type": t} for t in ("TRT", "CMP", "LB")))
-        if family in (Family.TRUTH, Family.BR, Family.NN):
-            return cls(family, ({},))
-        raise ValueError(f"no default grid for family {family!r}")
-
-
 # --- per-voter evaluation ----------------------------------------------------
 
 # Cells (grid points x rows) one run of voters may hold: the run's distinct
@@ -250,7 +185,7 @@ def _decide_rows(
     U, S, n = block.U[rows], block.S[rows], block.n[rows]
     key = np.column_stack([U.view(np.int64), S, n])
     _, first, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
-    D = models.decide_matrix(grid.family, grid.points, U[first], S[first], n[first])
+    D = models.decide_matrix(grid, U[first], S[first], n[first])
     return D, inverse.reshape(-1)
 
 

@@ -31,7 +31,7 @@ preferred candidate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from numbers import Real
 from typing import Iterator, Mapping, Sequence
@@ -100,12 +100,13 @@ def _passes(name: str, values: Sequence) -> np.ndarray:
 def check_points(family: Family, points: Sequence[Mapping]) -> dict[str, list]:
     """The column of each of ``family``'s parameters over ``points``, all checked.
 
-    A descriptor, a grid and :func:`decide_matrix` all check here.  A point
-    gives the family's parameters and no other (``None`` is not given), each
-    keeping its rule in ``_RULES``.  ``ValueError`` names the first bad
-    point's first problem: a parameter given or missing, in ``_RULES``
-    order, then a value, in the family's order.  PRAG's k <= m and TMG's
-    m = 3 are checked where m is known.
+    A descriptor and a :class:`ParameterGrid` check here, once, when they
+    are built; :func:`decide_matrix` reads a grid's columns unchecked.  A
+    point gives the family's parameters and no other (``None`` is not
+    given), each keeping its rule in ``_RULES``.  ``ValueError`` names the
+    first bad point's first problem: a parameter given or missing, in
+    ``_RULES`` order, then a value, in the family's order.  PRAG's k <= m
+    and TMG's m = 3 are checked where m is known.
     """
     family = Family(family)
     names = _FAMILY_PARAMS[family]
@@ -158,6 +159,60 @@ class ModelDescriptor:
         return f"{self.family.value}({inner})" if inner else self.family.value
 
 
+_DEFAULT_CV_ETAS: tuple = (*(2**k for k in range(14)), 10000, 16384, 20000, "n")
+_DEFAULT_ALPHAS = tuple(round(0.05 * i, 2) for i in range(41))
+_DEFAULT_BETAS = tuple(range(51)) + tuple(range(60, 101, 10))
+
+
+@dataclass(frozen=True)
+class ParameterGrid:
+    """Ordered candidate parameter points for one family, checked once.
+
+    The points are checked by :func:`check_points` when the grid is built,
+    as a descriptor's are, and ``columns`` keeps what it returns: each
+    parameter's values in point order.  :func:`decide_matrix` decides from
+    those columns, one row of decisions per point in this order; fitting
+    ties resolve to the earliest point.  An empty grid raises ``ValueError``.
+    """
+
+    family: Family
+    points: tuple[dict, ...]
+    columns: dict[str, list] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if not self.points:
+            raise ValueError("parameter grid is empty")
+        object.__setattr__(self, "columns", check_points(self.family, self.points))
+        object.__setattr__(self, "family", Family(self.family))
+
+    @classmethod
+    def default(cls, family: Family, *, m: int = 3, cv_etas: Sequence | None = None):
+        """The family's default grid for ``m``-candidate data.
+
+        ``m`` caps the ``PRAG`` grid, k in {1, 2, 3}, at k <= m.  ``TMG``
+        and ``NN`` raise ``ValueError`` unless ``m == 3``, so a family the
+        data cannot take fails before any family is evaluated.
+        """
+        family = Family(family)
+        if family is Family.TMG and m != 3:
+            raise ValueError("TMG types are defined for exactly three candidates")
+        if family is Family.NN and m != 3:
+            raise ValueError("the classifier is defined for exactly three candidates")
+        if family is Family.PRAG:
+            return cls(family, tuple({"k": k} for k in (1, 2, 3) if k <= m))
+        if family in (Family.LD, Family.LDLB):
+            return cls(family, tuple({"r": round(0.01 * i, 2)} for i in range(101)))
+        if family is Family.CV:
+            etas = tuple(cv_etas) if cv_etas is not None else _DEFAULT_CV_ETAS
+            return cls(family, tuple({"eta": e} for e in etas))
+        if family is Family.AU:
+            points = ({"alpha": a, "beta": b} for a in _DEFAULT_ALPHAS for b in _DEFAULT_BETAS)
+            return cls(family, tuple(points))
+        if family is Family.TMG:
+            return cls(family, tuple({"voter_type": t} for t in TMG_TYPES))
+        return cls(family, ({},))  # TRUTH, BR and NN take no parameters
+
+
 @dataclass
 class DecisionContext:
     """Runtime inputs beyond (u, s).
@@ -190,11 +245,6 @@ def _possible_winners(S: np.ndarray, n: np.ndarray, radii: Sequence[float]) -> n
     return S[None, :, :] >= threshold[:, :, None]
 
 
-def _possible_winner_list(u: UtilityFunction, s: Poll, r: float) -> list[int]:
-    _, S, n = _as_rows(u, s)
-    return [int(c) for c in np.flatnonzero(_possible_winners(S, n, (r,))[0, 0])]
-
-
 def undominated_set(u: UtilityFunction, s: Poll, r: float) -> frozenset:
     """Candidates not locally dominated at uncertainty radius ``r``.
 
@@ -205,7 +255,8 @@ def undominated_set(u: UtilityFunction, s: Poll, r: float) -> frozenset:
     matter and every candidate is undominated.
     """
     check_points(Family.LD, [{"r": r}])
-    possible = _possible_winner_list(u, s, r)
+    _, S, n = _as_rows(u, s)
+    possible = np.flatnonzero(_possible_winners(S, n, (r,))[0, 0]).tolist()
     if len(possible) == 1:
         return frozenset(range(s.m))
     dropped = min(possible, key=lambda c: (u[c], -c))
@@ -276,8 +327,8 @@ def au_decisions_grid(
     betas: Sequence[float],
 ) -> np.ndarray:
     """AU decisions for the points ``(alphas[i], betas[i])``, shape (P,)."""
-    points = [{"alpha": a, "beta": b} for a, b in zip(alphas, betas, strict=True)]
-    return decide_matrix(Family.AU, points, *_as_rows(u, s))[:, 0]
+    points = tuple({"alpha": a, "beta": b} for a, b in zip(alphas, betas, strict=True))
+    return decide_matrix(ParameterGrid(Family.AU, points), *_as_rows(u, s))[:, 0]
 
 
 def _best_response_values(U: np.ndarray, S: np.ndarray) -> np.ndarray:
@@ -296,28 +347,27 @@ def _best_response_values(U: np.ndarray, S: np.ndarray) -> np.ndarray:
 
 
 def decide_matrix(
-    family: Family,
-    points: Sequence[dict],
+    grid: ParameterGrid,
     U: np.ndarray,
     S: np.ndarray,
     n: np.ndarray,
     context: DecisionContext | None = None,
 ) -> np.ndarray:
-    """Decisions of ``family`` at every (parameter point, record), int64 shape (P, R).
+    """Decisions of the grid's family at every (grid point, record), int64 shape (P, R).
 
     Record j has utilities ``U[j]`` and poll scores ``S[j]`` (both (R, m))
-    from a poll of reported size ``n[j]``.  ``points`` are parameter dicts
-    as in :meth:`ModelDescriptor.params`.  Every family decides every
-    point and record in array operations; CV through :func:`pivot.cv_votes`,
-    which resolves ``eta="n"`` against each poll and builds each distinct
-    (scores, eta) table once, shared through ``context.pivot_cache`` when
-    given.  Mismatched shapes raise ``ValueError``, and so does NN: a
-    trained network predicts through :func:`nn.predict_record`.
+    from a poll of reported size ``n[j]``.  The grid's ``columns`` were
+    checked when it was built; only what needs the records is checked here:
+    the shapes, PRAG's k <= m, TMG's m = 3 and CV's scores and resolved
+    ``eta="n"``.  Every family decides every point and record in array
+    operations; CV through :func:`pivot.cv_votes`, which builds each
+    distinct (scores, eta) table once, shared through ``context.pivot_cache``
+    when given.  Mismatched shapes raise ``ValueError``, and so does NN:
+    ``evaluate`` trains and predicts its networks.
     """
-    family = Family(family)
+    family, columns, P = grid.family, grid.columns, len(grid.points)
     if family is Family.NN:
         raise ValueError("NN has no grid; a trained network predicts through nn.predict_record")
-    columns = check_points(family, points)
     U, S, n = _checked_rows(U, S, n)
     R = len(U)
     if family is Family.CV:
@@ -334,14 +384,14 @@ def decide_matrix(
         if family is Family.LD:
             rank = np.where(possible.sum(axis=-1) >= 2, rank, 0)
     elif family is Family.AU:
-        rank = np.empty((len(points), R), dtype=np.int64)
+        rank = np.empty((P, R), dtype=np.int64)
         for block, scores in _au_scores(U[by_preference], S[by_preference], n, *columns.values()):
             rank[block] = np.argmax(scores, axis=-1)
     elif family is Family.BR:
         values = _best_response_values(U, S)[by_preference]
-        rank = np.broadcast_to(np.argmax(values, axis=-1), (len(points), R))
+        rank = np.broadcast_to(np.argmax(values, axis=-1), (P, R))
     elif family is Family.TRUTH:
-        rank = np.zeros((len(points), R), dtype=np.int64)
+        rank = np.zeros((P, R), dtype=np.int64)
     elif family is Family.PRAG:
         rank = _pragmatist_ranks(columns["k"], poll_positions(S, order))
     else:  # Family.TMG
@@ -383,5 +433,5 @@ def decide(
     context: DecisionContext | None = None,
 ) -> Candidate:
     """The descriptor's decision: the one-point, one-record case of :func:`decide_matrix`."""
-    point = (descriptor.params(),)
-    return int(decide_matrix(descriptor.family, point, *_as_rows(u, s), context)[0, 0])
+    grid = ParameterGrid(descriptor.family, (descriptor.params(),))
+    return int(decide_matrix(grid, *_as_rows(u, s), context)[0, 0])

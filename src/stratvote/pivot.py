@@ -135,14 +135,14 @@ def _log_factorial(k: np.ndarray | int) -> np.ndarray:
     return _log_factorials[k]
 
 
-def _belief_probabilities(poll: Poll) -> np.ndarray:
+def _belief_probabilities(scores: tuple[int, ...]) -> np.ndarray:
     # Normalized by the score total (not the reported n) so the result is a
     # distribution even for polls whose reported size was rounded.  An
     # all-zero poll carries no information: fall back to uniform.
-    total = sum(poll.scores)
+    total = sum(scores)
     if total == 0:
-        return np.full(poll.m, 1.0 / poll.m)
-    return np.asarray(poll.scores, dtype=float) / float(total)
+        return np.full(len(scores), 1.0 / len(scores))
+    return np.asarray(scores, dtype=float) / float(total)
 
 
 @dataclass(frozen=True)
@@ -189,9 +189,10 @@ class _Pairs:
     share: np.ndarray
 
     @staticmethod
-    def of(poll: Poll) -> "_Pairs":
-        p = np.append(_belief_probabilities(poll), np.zeros(max(0, 3 - poll.m)))
-        x, y = np.array([(x, y) for x in range(poll.m) for y in range(poll.m) if x != y]).T
+    def of(scores: tuple[int, ...]) -> "_Pairs":
+        m = len(scores)
+        p = np.append(_belief_probabilities(scores), np.zeros(max(0, 3 - m)))
+        x, y = np.array([(x, y) for x in range(m) for y in range(m) if x != y]).T
         other = [[k for k in range(len(p)) if k != a and k != b] for a, b in zip(x, y)]
         others = -np.sort(-p[other], axis=1)
         tails = np.cumsum(others[:, ::-1], axis=1)[:, ::-1]
@@ -335,10 +336,10 @@ def _fits(
     return fits
 
 
-def _pivot_sums(poll: Poll, eta: int) -> np.ndarray:
-    pairs = _Pairs.of(poll)
-    budget = _TermBudget(f"the pivot table of {poll.scores} at eta {eta}", TERM_BUDGET)
-    out = np.zeros((poll.m, poll.m))
+def _pivot_sums(scores: tuple[int, ...], eta: int) -> np.ndarray:
+    pairs = _Pairs.of(scores)
+    budget = _TermBudget(f"the pivot table of {scores} at eta {eta}", TERM_BUDGET)
+    out = np.zeros((len(scores), len(scores)))
     others = pairs.share.shape[1]
     for ids, log_w, top, rest in pairs.t_grids(eta):
         w = np.exp(log_w)
@@ -361,9 +362,12 @@ def pivot_table_exact(poll: Poll, eta: int) -> PivotTable:
     ``LOG_WINDOW`` (see the module notes); m <= 4 is exact to rounding.
     Raises ``ValueError`` past ``TERM_BUDGET`` nested-sum terms (never for m <= 4).
     """
-    eta = _check_eta(eta)
-    probs = _pivot_sums(poll, eta)
-    return PivotTable(entries=np.clip(probs, 0.0, 1.0), method="exact", eta=eta)
+    return _exact_table(poll.scores, _check_eta(eta))
+
+
+def _exact_table(scores: tuple[int, ...], eta: int) -> PivotTable:
+    """:func:`pivot_table_exact` of the score row ``scores``, eta already checked."""
+    return PivotTable(np.clip(_pivot_sums(scores, eta), 0.0, 1.0), "exact", eta)
 
 
 def _pair_event_weights(block: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -395,8 +399,8 @@ def _pair_event_weights(block: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return out
 
 
-def _mc_draws(poll: Poll, eta: int, samples: int, seed: int) -> Iterator[np.ndarray]:
-    p = _belief_probabilities(poll)
+def _mc_draws(scores: tuple[int, ...], eta: int, samples: int, seed: int) -> Iterator[np.ndarray]:
+    p = _belief_probabilities(scores)
     rng = np.random.default_rng(seed)
     remaining = samples
     # Fixed chunk size keeps memory bounded and the draw sequence (hence the
@@ -413,35 +417,29 @@ def pivot_table_mc(poll: Poll, eta: int, samples: int, seed: int) -> PivotTable:
     Deterministic for fixed ``(poll, eta, samples, seed)``; the same draws
     serve every pair.
     """
-    eta = _check_eta(eta)
-    hits = np.zeros((poll.m, poll.m))
-    for block in _mc_draws(poll, eta, samples, seed):
+    return _mc_table(poll.scores, _check_eta(eta), samples, seed)
+
+
+def _mc_table(scores: tuple[int, ...], eta: int, samples: int, seed: int) -> PivotTable:
+    """:func:`pivot_table_mc` of the score row ``scores``, eta already checked."""
+    hits = np.zeros((len(scores), len(scores)))
+    for block in _mc_draws(scores, eta, samples, seed):
         hits += _pair_event_weights(block, np.ones(block.shape[0]))
-    return PivotTable(
-        entries=hits / samples, method="monte_carlo", eta=eta, samples=samples, seed=seed
-    )
+    return PivotTable(hits / samples, "monte_carlo", eta, samples, seed)
 
 
-def _cv_table(poll: Poll, eta: int) -> PivotTable:
-    """The table CV decides with, a function of ``(poll.scores, eta)``.
+def _cv_table(scores: tuple[int, ...], eta: int) -> PivotTable:
+    """The table CV decides with, a function of the score row ``scores`` and ``eta``.
 
     Exact unless the kernel refuses the table for taking more than
     ``TERM_BUDGET`` nested-sum terms (never for m <= 4), else
     ``MC_SAMPLES`` draws seeded from the scores and ``eta``.
     """
     try:
-        return pivot_table_exact(poll, eta)
+        return _exact_table(scores, eta)
     except _OverBudget:
         pass  # sample outside the handler, once the refused kernel's arrays are freed
-    return pivot_table_mc(poll, eta, MC_SAMPLES, derive_seed(0, "cv-pivot", eta, *poll.scores))
-
-
-def _cached_table(cache: dict, scores: tuple, eta: int) -> np.ndarray:
-    """The entries of the ``(scores, eta)`` table, built into ``cache`` if missing."""
-    key = (scores, _check_eta(eta))
-    if key not in cache:
-        cache[key] = _cv_table(Poll.from_scores(scores), key[1])
-    return cache[key].entries
+    return _mc_table(scores, eta, MC_SAMPLES, derive_seed(0, "cv-pivot", eta, *scores))
 
 
 def cv_votes(
@@ -449,17 +447,23 @@ def cv_votes(
 ) -> np.ndarray:
     """CV decisions at every (eta, record), int64 shape (len(etas), R).
 
-    Record j has utilities ``U[j]`` and poll scores ``S[j]`` (both (R, m))
-    from a poll of reported size ``n[j]``, the eta ``"n"`` stands for.  Each
-    distinct ``(scores, eta)`` table is taken from ``cache`` or built once
-    into it; ``cache`` may be shared by any calls.  A record votes for the
-    largest gain ``sum_x P(x, c) * (u(c) - u(x))``, ties broken toward the
-    higher poll score, then the higher utility, then the lower index; in
-    particular a voter whose belief shows no reachable tie at all follows
-    the poll leader.
+    Record j has utilities ``U[j]`` and int64 poll scores ``S[j]`` (both
+    (R, m)) from a poll of reported size ``n[j]``, the eta ``"n"`` stands
+    for.  A negative score raises ``ValueError`` before any table is built,
+    naming the first bad row; each eta is checked once, before its tables,
+    and ``"n"`` names the first ``n[j]`` below 1.  Each distinct ``(scores,
+    eta)`` table is taken from ``cache`` or built once into it from the
+    score row alone; ``cache`` may be shared by any calls.  A record votes
+    for the largest gain ``sum_x P(x, c) * (u(c) - u(x))``, ties broken
+    toward the higher poll score, then the higher utility, then the lower
+    index; in particular a voter whose belief shows no reachable tie at all
+    follows the poll leader.
     """
     cache = {} if cache is None else cache
     R, m = S.shape
+    if (S < 0).any():
+        bad = tuple(S[(S < 0).any(axis=1)][0].tolist())
+        raise ValueError(f"poll scores must be non-negative integers, got {bad!r}")
     scores = list(map(tuple, S.tolist()))
     rows = np.arange(R)
     # Candidates in tie-break order, so that an argmax keeps the first best.
@@ -468,10 +472,14 @@ def cv_votes(
     diff = U[:, None, :] - U[:, :, None]
     votes = np.empty((len(etas), R), dtype=np.int64)
     for i, eta in enumerate(etas):
-        row_etas = n.tolist() if eta == "n" else [eta] * R
+        # Each eta is checked once; "n" fails at its first row below 1.
+        row_etas = n.tolist() if eta == "n" else [_check_eta(eta)] * R
+        if eta == "n" and (n < 1).any():
+            _check_eta(n[n < 1][0].item())
         distinct: dict = {}
         index = [distinct.setdefault(key, len(distinct)) for key in zip(scores, row_etas)]
-        T = np.array([_cached_table(cache, *key) for key in distinct]).reshape(-1, m, m)
+        cache.update((key, _cv_table(*key)) for key in distinct if key not in cache)
+        T = np.array([cache[key].entries for key in distinct]).reshape(-1, m, m)
         # gains[j, c] = sum_x P(x, c) * (U[j, c] - U[j, x]), summed in x order.
         gains = (T[index] * diff).sum(axis=1)
         votes[i] = order[rows, gains[ranked].argmax(axis=1)]

@@ -44,7 +44,7 @@ def exact_pair_probs(poll: Poll, eta: int) -> np.ndarray:
     """Every ``P(x, y)`` by summing over all compositions of ``eta``."""
     from scipy.special import gammaln, xlogy
 
-    p = _belief_probabilities(poll)
+    p = _belief_probabilities(poll.scores)
     log_fact = gammaln(np.arange(eta + 1) + 1.0)
     log_total = log_fact[eta]
     acc = np.zeros((poll.m, poll.m))
@@ -69,7 +69,7 @@ def closed_form_pair_probs(poll: Poll, eta: int) -> np.ndarray:
     """
     from scipy.special import gammaln, xlogy
 
-    p = np.append(_belief_probabilities(poll), np.zeros(3 - poll.m))
+    p = np.append(_belief_probabilities(poll.scores), np.zeros(3 - poll.m))
     x, y = np.array([(x, y) for x in range(poll.m) for y in range(poll.m) if x != y]).T
     z = 3 - x - y
     # lead = 1 is the sole-lead family, lead = 0 the tie family.

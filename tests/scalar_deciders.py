@@ -185,7 +185,7 @@ def decide_cv(
     key = (s.scores, eta)
     table = cache.get(key) if cache is not None else None
     if table is None:
-        table = _cv_table(s, eta)
+        table = _cv_table(s.scores, eta)
         if cache is not None:
             cache[key] = table
     gains = cv_gain_scores(u, table)

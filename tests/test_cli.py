@@ -258,14 +258,22 @@ class TestEvaluate:
             assert main(argv) == 2
             assert "no records" in capsys.readouterr().err
 
-    def test_bad_cv_etas_is_a_usage_error(self, tmp_path, small_dataset):
-        code = main(
-            [
-                "evaluate", "--data", str(small_dataset), "--families", "CV",
-                "--cv-etas", "1,x", "--out", str(tmp_path),
-            ]
-        )
-        assert code == 1
+    def test_bad_cv_etas_is_a_usage_error(self, tmp_path, small_dataset, capsys):
+        # An empty list is no request for the default grid.
+        for etas, message in (
+            ("1,x", "entries must be integers or 'n'"),
+            ("", "must name at least one sample size"),
+            (",,", "must name at least one sample size"),
+        ):
+            code = main(
+                [
+                    "evaluate", "--data", str(small_dataset), "--families", "CV",
+                    "--cv-etas", etas, "--out", str(tmp_path / "r"),
+                ]
+            )
+            assert code == 1, etas
+            assert message in capsys.readouterr().err
+            assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("etas", ["0", "-3", "1,0"])
     def test_non_positive_cv_eta_is_a_usage_error(self, tmp_path, small_dataset, etas, capsys):
@@ -455,6 +463,26 @@ class TestEvaluate:
             for name in names:
                 assert (out / name).read_bytes() == (outs[0] / name).read_bytes()
 
+    @pytest.mark.parametrize("mode", ["loo", "upper"])
+    def test_shuffled_rows_do_not_change_report_bytes(self, tmp_path, mode):
+        # The loader sorts rows by (voter, round), so the order in the file
+        # reaches neither the distinct rows of a run nor the CV tables' cache.
+        from test_evaluation import mixed_dataset
+
+        csv_path, _ = save_dataset(mixed_dataset(1, 3), tmp_path / "data")
+        header, *rows = csv_path.read_text(encoding="utf-8").splitlines(keepends=True)
+        shuffled = [rows[i] for i in np.random.default_rng(5).permutation(len(rows))]
+        assert shuffled != rows
+        shuffled_path = write_rows(tmp_path, "".join(shuffled), header=header)
+        families = "TRUTH,BR,PRAG,CV,LD,LDLB,TMG,AU,NN"
+        trees = []
+        for data, out in ((csv_path, tmp_path / "r"), (shuffled_path, tmp_path / "s")):
+            argv = ["evaluate", "--data", str(data), "--families", families, "--mode", mode]
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main([*argv, "--cv-etas", "1,4,n", "--seed", "2", "--out", str(out)]) == 0
+            trees.append(tree_bytes(out))
+        assert len(trees[0]) == 9 * 5 + 1 and trees[1] == trees[0]
+
     def test_rerun_is_byte_identical(self, tmp_path, small_dataset):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         base = ["evaluate", "--data", str(small_dataset), "--families", "NN,TMG"]
@@ -541,7 +569,7 @@ class TestPredict:
         real = models.decide_matrix
 
         def counting(*args, **kwargs):
-            calls.append(args[1])
+            calls.append(args[0])
             return real(*args, **kwargs)
 
         monkeypatch.setattr(models, "decide_matrix", counting)

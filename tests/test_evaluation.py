@@ -267,10 +267,28 @@ class TestParameterGrid:
         with pytest.raises(type(want.value)) as got:
             ParameterGrid(Family.AU, tuple(points))
         assert str(got.value) == str(want.value)
-        # decide_matrix checks a grid's points the same way.
-        with pytest.raises(type(want.value)) as got:
-            models.decide_matrix(Family.AU, points, [[10.0, 5.0, 0.0]], [[50, 30, 20]], [100])
-        assert str(got.value) == str(want.value)
+
+    def test_evaluate_checks_no_point_again(self, monkeypatch):
+        # A grid is checked once, when it is built; every run of voters
+        # reads its columns.  Deciding checks only what needs the records.
+        workload = workload_configs()["many_voters"]
+        ds = generate_synthetic(GeneratorConfig.from_dict({**workload.config(), "master_seed": 1}))
+        families = [Family(f) for f in workload.families.split(",")] + [Family.CV]
+        grids = [ParameterGrid.default(f, cv_etas=(1, 4, "n")) for f in families]
+        checked = []
+        real = models.check_points
+
+        def counting(family, points):
+            checked.append(family)
+            return real(family, points)
+
+        monkeypatch.setattr(models, "check_points", counting)
+        monkeypatch.setattr(evaluation, "_RUN_CELLS", 20_000)  # many runs per family
+        reports = list(evaluate_families(grids, ds, "loo", seed=1))
+        assert [r.family for r in reports] == [f.value for f in families]
+        assert checked == []
+        ParameterGrid.default(Family.AU)  # the counter counts
+        assert checked == [Family.AU]
 
     def test_default_grid_builds_no_descriptor(self, monkeypatch):
         built = []
@@ -841,7 +859,7 @@ def per_voter_oracle(grid, table, mode):
     for rows in table.voter_rows():
         ctx = DecisionContext(pivot_cache={})
         U, S, n = table.U[rows], table.S[rows], table.n[rows]
-        D = decide_matrix(grid.family, grid.points, U, S, n, ctx)
+        D = decide_matrix(grid, U, S, n, ctx)
         M = D == table.action[rows][None, :]
         totals = M.sum(axis=1)
         fit_index = int(np.argmax(totals))
@@ -924,9 +942,10 @@ class TestRunsOfVoters:
         calls = []
         real = models.decide_matrix
 
-        def recording(fam, points, U, S, n, context=None):
-            calls.append((len(points), sorted(set((U.max(axis=1) // 100).astype(int).tolist()))))
-            return real(fam, points, U, S, n, context)
+        def recording(grid, U, S, n, context=None):
+            voters = sorted(set((U.max(axis=1) // 100).astype(int).tolist()))
+            calls.append((len(grid.points), voters))
+            return real(grid, U, S, n, context)
 
         monkeypatch.setattr(models, "decide_matrix", recording)
         ds = Dataset(table_of(records))
@@ -945,9 +964,9 @@ class TestRunsOfVoters:
         keys = []
         real = pivot._cv_table
 
-        def counting(poll, eta):
-            keys.append((poll.scores, eta))
-            return real(poll, eta)
+        def counting(scores, eta):
+            keys.append((scores, eta))
+            return real(scores, eta)
 
         monkeypatch.setattr(pivot, "_cv_table", counting)
         ds = shared_rows_dataset(9, 3)

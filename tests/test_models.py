@@ -21,12 +21,12 @@ from scalar_deciders import (
 from stratvote import pivot
 from record_oracle import preference_order
 from stratvote.core import Poll, UtilityFunction
-from stratvote.evaluation import ParameterGrid
 from stratvote.models import (
     AU_EPSILON,
     DecisionContext,
     Family,
     ModelDescriptor,
+    ParameterGrid,
     _as_rows,
     _attainability,
     au_score,
@@ -339,7 +339,8 @@ class TestDecideGrid:
     @given(any_m_instance, radius_grids)
     def test_ld_grid_votes_most_preferred_undominated(self, instance, radii):
         u, s = instance
-        got = decide_matrix(Family.LD, [{"r": r} for r in radii], *_as_rows(u, s))[:, 0]
+        grid = ParameterGrid(Family.LD, [{"r": r} for r in radii])
+        got = decide_matrix(grid, *_as_rows(u, s))[:, 0]
         want = [max(undominated_set(u, s, r), key=lambda c: (u[c], -c)) for r in radii]
         assert got.dtype == np.int64
         assert got.tolist() == want
@@ -348,8 +349,8 @@ class TestDecideGrid:
     def test_ldlb_grid_votes_sole_possible_winner(self, instance, radii):
         u, s = instance
         points = [{"r": r} for r in radii]
-        ld = decide_matrix(Family.LD, points, *_as_rows(u, s))[:, 0]
-        lb = decide_matrix(Family.LDLB, points, *_as_rows(u, s))[:, 0]
+        ld = decide_matrix(ParameterGrid(Family.LD, points), *_as_rows(u, s))[:, 0]
+        lb = decide_matrix(ParameterGrid(Family.LDLB, points), *_as_rows(u, s))[:, 0]
         for i, r in enumerate(radii):
             w = possible_winners(s, r)
             assert lb[i] == (w[0] if len(w) == 1 else ld[i])
@@ -368,7 +369,7 @@ class TestDecideGrid:
     def test_au_grid_matches_each_point(self, instance, pairs):
         u, s = instance
         points = [{"alpha": a, "beta": b} for a, b in pairs]
-        got = decide_matrix(Family.AU, points, *_as_rows(u, s))[:, 0]
+        got = decide_matrix(ParameterGrid(Family.AU, points), *_as_rows(u, s))[:, 0]
         assert got.tolist() == [decide_au(u, s, a, b) for a, b in pairs]
 
     def test_decide_is_the_one_point_grid(self):
@@ -383,31 +384,31 @@ class TestDecideGrid:
             ModelDescriptor(Family.LDLB, r=0.01),
             ModelDescriptor(Family.AU, alpha=1.8, beta=30.0),
         ):
-            grid = decide_matrix(desc.family, (desc.params(),), *_as_rows(U1, S1), ctx)
-            assert grid.shape == (1, 1) and grid.dtype == np.int64
-            assert decide(desc, U1, S1, ctx) == grid[0, 0]
+            D = decide_matrix(ParameterGrid(desc.family, (desc.params(),)), *_as_rows(U1, S1), ctx)
+            assert D.shape == (1, 1) and D.dtype == np.int64
+            assert decide(desc, U1, S1, ctx) == D[0, 0]
 
     def test_grid_follows_point_order(self):
-        points = [{"k": k} for k in (1, 4, 2)]
-        assert decide_matrix(Family.PRAG, points, *_as_rows(U1, S1)).tolist() == [[3], [0], [3]]
+        def decided(family, points):
+            return decide_matrix(ParameterGrid(family, points), *_as_rows(U1, S1)).tolist()
+
+        assert decided(Family.PRAG, [{"k": k} for k in (1, 4, 2)]) == [[3], [0], [3]]
         radii = [{"r": r} for r in (0.08, 0.01, 1.0)]
-        assert decide_matrix(Family.LD, radii, *_as_rows(U1, S1)).tolist() == [[1], [0], [0]]
-        assert decide_matrix(Family.LDLB, radii, *_as_rows(U1, S1)).tolist() == [[1], [3], [0]]
+        assert decided(Family.LD, radii) == [[1], [0], [0]]
+        assert decided(Family.LDLB, radii) == [[1], [3], [0]]
 
     def test_scalar_errors_are_still_raised(self):
         three = UtilityFunction((10, 5, 0))
-        with pytest.raises(ValueError, match="r must lie"):
-            decide_matrix(Family.LD, [{"r": 0.1}, {"r": 1.5}], *_as_rows(U1, S1))
-        with pytest.raises(ValueError, match="r must lie"):
-            decide_matrix(Family.LDLB, [{"r": -0.1}], *_as_rows(U1, S1))
-        with pytest.raises(ValueError, match="k must lie"):
-            decide_matrix(Family.PRAG, [{"k": 2}, {"k": 6}], *_as_rows(U1, S1))
-        with pytest.raises(ValueError, match="three candidates"):
-            decide_matrix(Family.TMG, [{"voter_type": "TRT"}], *_as_rows(U1, S1))
-        with pytest.raises(ValueError, match="alpha must lie"):
-            decide_matrix(Family.AU, [{"alpha": 2.5, "beta": 10.0}], *_as_rows(U1, S1))
-        with pytest.raises(ValueError, match="beta must be non-negative"):
-            decide_matrix(Family.AU, [{"alpha": 1.0, "beta": -1.0}], *_as_rows(U1, S1))
+        for family, points, message in (
+            (Family.LD, [{"r": 0.1}, {"r": 1.5}], "r must lie"),
+            (Family.LDLB, [{"r": -0.1}], "r must lie"),
+            (Family.PRAG, [{"k": 2}, {"k": 6}], "k must lie"),
+            (Family.TMG, [{"voter_type": "TRT"}], "three candidates"),
+            (Family.AU, [{"alpha": 2.5, "beta": 10.0}], "alpha must lie"),
+            (Family.AU, [{"alpha": 1.0, "beta": -1.0}], "beta must be non-negative"),
+        ):
+            with pytest.raises(ValueError, match=message):  # the value rules, as the grid is built
+                decide_matrix(ParameterGrid(family, points), *_as_rows(U1, S1))
         for desc in (
             ModelDescriptor(Family.TRUTH),
             ModelDescriptor(Family.BR),
@@ -418,7 +419,8 @@ class TestDecideGrid:
             ModelDescriptor(Family.AU, alpha=1.0, beta=10.0),
         ):
             with pytest.raises(ValueError, match="dimension mismatch"):
-                decide_matrix(desc.family, (desc.params(),), [three.values], [S1.scores], [S1.n])
+                grid = ParameterGrid(desc.family, (desc.params(),))
+                decide_matrix(grid, [three.values], [S1.scores], [S1.n])
 
 
 # --- the array path against the scalar deciders ------------------------------
@@ -468,7 +470,7 @@ def _matrix(family, points, records, context=None):
     U = np.array([u.values for u, _ in records])
     S = np.array([s.scores for _, s in records])
     n = np.array([s.n for _, s in records])
-    got = decide_matrix(family, points, U, S, n, context)
+    got = decide_matrix(ParameterGrid(family, points), U, S, n, context)
     assert got.dtype == np.int64 and got.shape == (len(points), len(records))
     return got
 
@@ -592,9 +594,9 @@ def test_cv_builds_each_distinct_table_once(monkeypatch):
     built = []
     real = pivot._cv_table
 
-    def counting(poll, eta):
-        built.append((poll.scores, eta))
-        return real(poll, eta)
+    def counting(scores, eta):
+        built.append((scores, eta))
+        return real(scores, eta)
 
     monkeypatch.setattr(pivot, "_cv_table", counting)
     u, v = UtilityFunction((10.0, 5.0, 0.0)), UtilityFunction((0.0, 5.0, 10.0))
@@ -614,7 +616,7 @@ def test_cv_builds_each_distinct_table_once(monkeypatch):
 
 @pytest.mark.parametrize("family", [family for family in Family if family is not Family.NN])
 def test_decide_matrix_rejects_mismatched_shapes(family):
-    points = ParameterGrid.default(family).points[:1]
+    grid = ParameterGrid(family, ParameterGrid.default(family).points[:1])
     u3, u4 = [10.0, 5.0, 0.0], [10.0, 5.0, 0.0, 1.0]
     for U, S, n in (
         ([u3], [[30, 20, 10, 40]], [100]),  # a fourth candidate leads the poll
@@ -626,7 +628,7 @@ def test_decide_matrix_rejects_mismatched_shapes(family):
         (u3, [30, 20, 10], [60]),
     ):
         with pytest.raises(ValueError, match="dimension mismatch"):
-            decide_matrix(family, points, U, S, n)
+            decide_matrix(grid, U, S, n)
 
 
 class TestDecideMatrixDecidesEachRowAlone:

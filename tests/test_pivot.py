@@ -17,7 +17,7 @@ from pivot_oracle import (
     scipy_log_weights,
 )
 from scalar_deciders import cv_gain_scores
-from stratvote import pivot
+from stratvote import models, pivot
 from stratvote.core import Poll, UtilityFunction
 from stratvote.pivot import (
     MC_SAMPLES,
@@ -161,7 +161,7 @@ class TestClosedForm:
     def test_kernel_is_the_closed_form(self, poll, eta):
         # One other candidate: C is 1 on the summed range, so the kernel is
         # the m <= 3 closed form operation for operation.
-        assert np.array_equal(pivot._pivot_sums(poll, eta), closed_form_pair_probs(poll, eta))
+        assert np.array_equal(pivot._pivot_sums(poll.scores, eta), closed_form_pair_probs(poll, eta))
 
     def test_huge_electorate_is_fast_and_bounded(self):
         start = time.perf_counter()
@@ -263,7 +263,7 @@ class TestKernel:
     @given(polls(2, 6, max_score=100), st.integers(min_value=1, max_value=10**4))
     @settings(max_examples=60, deadline=None)
     def test_log_weights_are_scipys(self, poll, eta):
-        pairs = pivot._Pairs.of(poll)
+        pairs = pivot._Pairs.of(poll.scores)
         got = np.concatenate([log_w for _, log_w, _, _ in pairs.t_grids(eta)])
         assert np.array_equal(got, scipy_log_weights(pairs, eta))
 
@@ -273,9 +273,9 @@ class TestKernel:
     def test_window_tail_stays_within_its_bound(self, log_window, poll, eta):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(pivot, "LOG_WINDOW", math.inf)
-            full = pivot._pivot_sums(poll, eta)
+            full = pivot._pivot_sums(poll.scores, eta)
             patch.setattr(pivot, "LOG_WINDOW", log_window)
-            windowed = pivot._pivot_sums(poll, eta)
+            windowed = pivot._pivot_sums(poll.scores, eta)
         bound = (poll.m - 3) * (eta + 2) * math.exp(-log_window)
         assert np.all(np.abs(full - windowed) <= bound + 4 * np.finfo(float).eps * full)
 
@@ -324,11 +324,11 @@ class TestTermBudget:
         want = pivot_table_exact(S1, 10**4).entries
         monkeypatch.setattr(pivot, "TERM_BUDGET", 334_309)
         assert np.array_equal(pivot_table_exact(S1, 10**4).entries, want)
-        assert pivot._cv_table(S1, 10**4).method == "exact"
+        assert pivot._cv_table(S1.scores, 10**4).method == "exact"
         monkeypatch.setattr(pivot, "TERM_BUDGET", 334_308)
         with pytest.raises(ValueError, match=r"\(25, 70, 20, 100, 80\) at eta 10000"):
             pivot_table_exact(S1, 10**4)
-        table = pivot._cv_table(S1, 10**4)
+        table = pivot._cv_table(S1.scores, 10**4)
         assert (table.method, table.samples) == ("monte_carlo", MC_SAMPLES)
 
 
@@ -350,7 +350,7 @@ class TestMonteCarlo:
     def test_table_counts_the_literal_events_in_its_draws(self):
         poll = Poll.from_scores((3, 2, 1))
         t = pivot_table_mc(poll, 4, 10**4, seed=3)
-        draws = np.concatenate(list(_mc_draws(poll, 4, 10**4, 3)))
+        draws = np.concatenate(list(_mc_draws(poll.scores, 4, 10**4, 3)))
         for x, y in itertools.permutations(range(3), 2):
             assert t.entries[x, y] == _pivot_event_mask(draws, x, y).sum() / 10**4
 
@@ -468,6 +468,58 @@ class TestDecideCv:
             if gains[c] > gains[want]:
                 want = c
         assert decide_cv(u, poll, eta) == want
+
+
+class TestCvVotesInputs:
+    """``cv_votes`` checks its inputs once per call, and builds its tables
+    from score rows: no ``Poll`` per table."""
+
+    U = np.array([[10.0, 5.0, 0.0], [0.0, 5.0, 10.0], [5.0, 10.0, 0.0], [0.0, 10.0, 5.0]])
+    S = np.array([[5, 4, 1], [3, -1, 5], [2, 2, 6], [-7, 0, 1]], dtype=np.int64)
+    NEGATIVE = "poll scores must be non-negative integers, got (3, -1, 5)"
+
+    def test_a_negative_score_names_the_first_bad_row(self):
+        n = self.S.clip(0).sum(axis=1)
+        for etas in ((4,), ("n",), (1, 16, "n")):
+            with pytest.raises(ValueError) as got:
+                pivot.cv_votes(self.U, self.S, n, etas)
+            assert str(got.value) == self.NEGATIVE
+        grid = models.ParameterGrid(models.Family.CV, ({"eta": 8}, {"eta": "n"}))
+        with pytest.raises(ValueError) as got:
+            models.decide_matrix(grid, self.U, self.S, n)
+        assert str(got.value) == self.NEGATIVE
+
+    def test_a_bad_eta_is_named(self):
+        S, n = self.S.clip(0), np.array([10, 0, -2, 7])
+        for etas, bad in (((0,), 0), ((4, -3), -3), ((2.5,), 2.5), ((1, "n"), 0)):
+            with pytest.raises(ValueError) as got:
+                pivot.cv_votes(self.U, S, n, etas)
+            assert str(got.value) == f"eta must be a positive integer, got {bad!r}"
+        assert pivot.cv_votes(self.U, S, n, (4.0, 2)).shape == (2, 4)
+
+    def test_a_negative_score_comes_before_a_bad_eta(self):
+        with pytest.raises(ValueError) as got:
+            pivot.cv_votes(self.U, self.S, np.array([10, 0, 10, 1]), (0, "n"))
+        assert str(got.value) == self.NEGATIVE
+
+    def test_no_poll_is_built_for_a_table(self, monkeypatch):
+        built = []
+        real = Poll.__post_init__
+
+        def counting(poll):
+            built.append(poll.scores)
+            real(poll)
+
+        monkeypatch.setattr(Poll, "__post_init__", counting)
+        S, cache = self.S.clip(0), {}
+        votes = pivot.cv_votes(self.U, S, S.sum(axis=1), (1, 4, "n"), cache)
+        five = np.array([S1.scores, S1.scores[::-1]], dtype=np.int64)
+        pivot.cv_votes(np.array([U1.values] * 2), five, five.sum(axis=1), (8, 32), cache)
+        rows = [(tuple(row), sum(row)) for row in S.tolist()]
+        want = {(r, eta) for r, total in rows for eta in (1, 4, total)}
+        want |= {(r, eta) for r in (S1.scores, S1.scores[::-1]) for eta in (8, 32)}
+        assert votes.shape == (3, 4) and cache.keys() == want
+        assert built == []
 
 
 def _pivot_event_mask(block, x, y):
