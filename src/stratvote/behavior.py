@@ -56,18 +56,10 @@ TRT_THRESHOLD = 0.9
 LB_THRESHOLD = 0.5
 
 
-def _tied(X: np.ndarray) -> np.ndarray:
+def tied_rows(X: np.ndarray) -> np.ndarray:
     """Whether each row of ``X`` holds two equal entries (-0.0 equals 0.0)."""
     X = np.sort(X, axis=1)
     return (X[:, 1:] == X[:, :-1]).any(axis=1)
-
-
-def strict_orders(U: np.ndarray) -> np.ndarray:
-    """Each row's preference order, most preferred first; raises ``ValueError`` if utilities tie."""
-    tied = _tied(U)
-    if tied.any():
-        raise ValueError(f"utilities must be strictly ordered, got {tuple(U[tied][0].tolist())}")
-    return np.argsort(-U, axis=1, kind="stable")
 
 
 def poll_positions(S: np.ndarray, order: np.ndarray) -> np.ndarray:
@@ -85,7 +77,7 @@ def scenario_ids(U: np.ndarray, S: np.ndarray) -> np.ndarray:
     """
     ids = np.full(len(U), SCENARIO_LABELS.index(UNCLASSIFIED))
     if U.shape[1] == S.shape[1] == 3:
-        strict = ~(_tied(U) | _tied(S))
+        strict = ~(tied_rows(U) | tied_rows(S))
         positions = poll_positions(S[strict], np.argsort(-U[strict], axis=1, kind="stable"))
         ids[strict] = (positions[:, None, :] == SCENARIO_POSITIONS).all(axis=2).argmax(axis=1)
     return ids
@@ -182,23 +174,17 @@ def ratio_stats(available, selected) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class VoterProfile:
-    """One voter's summed :func:`ratio_counts` and inconsistent record indices."""
+    """One voter's :func:`ratio_counts`, summed over their records: per
+    ``RATIO_ACTIONS`` entry, how often it was available and how often taken."""
 
-    voter_id: str
     available: tuple[int, ...]
     selected: tuple[int, ...]
-    inconsistent_records: frozenset = frozenset()
 
 
-def build_profile(voter_id: str, rows: "RecordTable") -> VoterProfile:
-    """Profile a voter from all of their table rows; tied utilities raise ``ValueError``."""
-    U, S, action = rows.U, rows.S, rows.action
-    ranks = np.argsort(strict_orders(U), axis=1)[np.arange(len(action)), action]
-    available, selected = ratio_counts(scenario_ids(U, S), ranks)
-    flagged = inconsistent_rows(S, action)
+def build_profile(rows: "RecordTable") -> VoterProfile:
+    """The profile of a voter's table rows, from the table's scenario and rank columns."""
+    available, selected = ratio_counts(rows.scenario, rows.rank_of(rows.action))
     return VoterProfile(
-        voter_id=voter_id,
         available=tuple(available.sum(axis=0).tolist()),
         selected=tuple(selected.sum(axis=0).tolist()),
-        inconsistent_records=frozenset(np.flatnonzero(flagged).tolist()),
     )

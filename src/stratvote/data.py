@@ -36,6 +36,7 @@ from .behavior import (
     SCENARIOS,
     inconsistent_rows,
     scenario_ids,
+    tied_rows,
     unjustified_rows,
 )
 from .models import DecisionContext, Family, ModelDescriptor
@@ -67,10 +68,10 @@ class RecordTable:
     Rows run voter by voter (``voter_ids``, sorted) and by round within a
     voter; ``voter`` indexes ``voter_ids``.  ``U`` (float64) and ``S``
     (int64) have shape (R, m); ``round``, ``n`` and ``action`` hold one
-    int64 per row.  :meth:`from_columns` builds and checks a table.  The
-    evaluation columns are derived when first read, so a table that is only
-    generated and saved never computes them: ``order[j]`` is row j's
-    preference order (ties to the lower index) and ``rank[j, c]`` the
+    int64 per row.  :meth:`from_columns` builds and checks a table, so no
+    row's utilities tie.  The evaluation columns are derived when first
+    read, so a table that is only generated and saved never computes them:
+    ``order[j]`` is row j's strict preference order and ``rank[j, c]`` the
     position of candidate c in it; ``scenario`` indexes ``SCENARIO_LABELS``
     and ``bucket`` ``POLL_BUCKETS``; ``unjustified`` flags a dominated
     action (:func:`behavior.unjustified_rows`) and ``inconsistent`` a row
@@ -102,8 +103,8 @@ class RecordTable:
         ``S``.  Raises ``ValueError`` when there is no row, when the columns
         disagree in length or shape or m < 2, when a row has a poll size
         below 1, a negative round or score, a negative or non-finite
-        utility or an action outside [0, m), and when two rows share a
-        (voter, round) key.
+        utility, two equal utilities or an action outside [0, m), and when
+        two rows share a (voter, round) key.
         """
         if not len(voter_id):
             raise ValueError("a record table needs at least one row")
@@ -119,6 +120,7 @@ class RecordTable:
             (round_ < 0, "round must be non-negative"),
             ((S < 0).any(axis=1), "poll scores must be non-negative"),
             (~((U >= 0) & (U < np.inf)).all(axis=1), "utilities must be finite and non-negative"),
+            (tied_rows(U), "utilities must be strictly ordered"),
             ((action < 0) | (action >= S.shape[1]), f"actions must lie in [0, {S.shape[1]})"),
         ):
             if bad.any():
@@ -517,6 +519,9 @@ class GeneratorConfig:
         if not self.groups:
             raise ValueError("population mix is empty")
         _check_weights("groups", [g.weight for g in self.groups])
+        for n, _ in self.poll_sizes:
+            if not isinstance(n, int) or isinstance(n, bool):
+                raise TypeError(f"poll sizes must be integers, got {n!r}")
         if not self.poll_sizes or any(n < 2 for n, _ in self.poll_sizes):
             raise ValueError("poll sizes must be >= 2")
         if any(n > _MAX_COUNT for n, _ in self.poll_sizes):
@@ -568,9 +573,7 @@ class GeneratorConfig:
             PopulationGroup.from_dict(g) for g in spec["groups"]
         )
         if "poll_sizes" in kwargs:
-            kwargs["poll_sizes"] = tuple(
-                (int(n), float(w)) for n, w in spec["poll_sizes"]
-            )
+            kwargs["poll_sizes"] = tuple((n, float(w)) for n, w in spec["poll_sizes"])
         if "rewards" in kwargs:
             kwargs["rewards"] = tuple(float(v) for v in spec["rewards"])
         if "poll_concentrations" in kwargs:

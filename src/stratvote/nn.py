@@ -58,9 +58,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .behavior import (
-    SCENARIOS, VOTER_TYPES, VoterProfile, build_profile, ratio_stats, strict_orders,
-)
+from .behavior import SCENARIOS, VOTER_TYPES, VoterProfile, build_profile, ratio_stats
 from .data import RecordTable
 
 FEATURE_DIM = 25
@@ -340,7 +338,7 @@ def fit_network(
     """Train on one voter's table rows; the profile comes from the same rows."""
     if not len(rows):
         raise ValueError("cannot fit a network on zero records")
-    profile = build_profile(rows.voter_ids[rows.voter[0]], rows)
+    profile = build_profile(rows)
     base = record_features(rows.S, rows.n, rows.order, rows.scenario)
     X = features(base, profile.available, profile.selected)
     return train(X, rows.rank_of(rows.action), hyper), profile
@@ -382,8 +380,7 @@ def predict_record(net: Network, profile: VoterProfile, row: RecordTable) -> int
     """Predicted candidate (not rank) for a table of one row, from its voter's profile.
 
     Under leave-one-out the profile comes from the voter's other rounds.
-    Tied utilities raise ``ValueError``.
     """
-    (order,) = strict_orders(row.U)
-    base = record_features(row.S, row.n, order[None], row.scenario)
+    (order,) = row.order
+    base = record_features(row.S, row.n, row.order, row.scenario)
     return int(order[predict(net, features(base, profile.available, profile.selected))])

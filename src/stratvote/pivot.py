@@ -449,18 +449,20 @@ def cv_votes(
 
     Record j has utilities ``U[j]`` and int64 poll scores ``S[j]`` (both
     (R, m)) from a poll of reported size ``n[j]``, the eta ``"n"`` stands
-    for.  A negative score raises ``ValueError`` before any table is built,
-    naming the first bad row; each eta is checked once, before its tables,
-    and ``"n"`` names the first ``n[j]`` below 1.  Each distinct ``(scores,
-    eta)`` table is taken from ``cache`` or built once into it from the
-    score row alone; ``cache`` may be shared by any calls.  A record votes
-    for the largest gain ``sum_x P(x, c) * (u(c) - u(x))``, ties broken
-    toward the higher poll score, then the higher utility, then the lower
-    index; in particular a voter whose belief shows no reachable tie at all
-    follows the poll leader.
+    for.  Fewer than two columns, then a negative score (naming the first
+    bad row), raise ``ValueError`` before any table is built; each eta is
+    checked once, before its tables, and ``"n"`` names the first ``n[j]``
+    below 1.  Each distinct ``(scores, eta)`` table is taken from ``cache``
+    or built once into it from the score row alone; ``cache`` may be shared
+    by any calls.  A record votes for the largest gain
+    ``sum_x P(x, c) * (u(c) - u(x))``, ties broken toward the higher poll
+    score, then the higher utility, then the lower index; in particular a
+    voter whose belief shows no reachable tie at all follows the poll leader.
     """
     cache = {} if cache is None else cache
     R, m = S.shape
+    if m < 2:
+        raise ValueError("a poll needs at least two candidates")
     if (S < 0).any():
         bad = tuple(S[(S < 0).any(axis=1)][0].tolist())
         raise ValueError(f"poll scores must be non-negative integers, got {bad!r}")

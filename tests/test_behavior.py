@@ -20,10 +20,10 @@ from stratvote.behavior import (
     ratio_stats,
     scenario_ids,
     scenario_or_none,
-    strict_orders,
     unjustified_rows,
 )
 from stratvote.core import Poll, UtilityFunction
+from stratvote.data import DataError, load_dataset
 from feature_oracle import classify_scenario, find_inconsistent
 from record_oracle import Record, preference_order, table_of
 
@@ -40,7 +40,7 @@ def records(*rows):
 
 def action_ratios(rows):
     """The profile's ratios of the actions that were ever available."""
-    profile = build_profile("v1", table_of(rows))
+    profile = build_profile(table_of(rows))
     ratios, _ = ratio_stats(profile.available, profile.selected)
     return {k: r for k, r, a in zip(RATIO_ACTIONS, ratios.tolist(), profile.available) if a > 0}
 
@@ -55,6 +55,11 @@ def inconsistent(rows):
 def unjustified(rows):
     """The record table's unjustified flags of one voter's records."""
     return table_of(rows).unjustified.tolist()
+
+
+def flagged(rows):
+    """The indices of the record table's inconsistent flags, of one voter's records."""
+    return set(np.flatnonzero(table_of(rows).inconsistent).tolist())
 
 
 strict_u3 = st.permutations([10.0, 5.0, 0.0]).map(lambda v: UtilityFunction(tuple(v)))
@@ -151,11 +156,18 @@ class TestScenario:
     @pytest.mark.parametrize(
         "values, text", [((5.0, 5.0, 0.0), "(5.0, 5.0, 0.0)"), ((0.0, 1.0, -0.0), "(0.0, 1.0, -0.0)")]
     )
-    def test_tied_utilities_have_no_strict_order(self, values, text):
-        rows = np.array([[3.0, 2.0, 1.0], values])
-        with pytest.raises(ValueError, match=rf"^utilities must be strictly ordered, got {re.escape(text)}$"):
-            strict_orders(rows)
-        assert strict_orders(rows[:1]).tolist() == [[0, 1, 2]]
+    def test_tied_utilities_have_no_strict_order(self, values, text, tmp_path):
+        # A record table holds no tied row, so every order it derives is
+        # strict: from_columns names the tied row, the loader its values.
+        strict = rec((80, 50, 30), 0, u=UtilityFunction((3.0, 2.0, 1.0)))
+        assert table_of([strict]).order.tolist() == [[0, 1, 2]]
+        with pytest.raises(ValueError) as got:
+            table_of([strict, rec((80, 50, 30), 0, round=7, u=UtilityFunction(values))])
+        assert str(got.value) == "utilities must be strictly ordered: row 1 ('v1', round 7)"
+        path, header = tmp_path / "tied.csv", "voter_id,round,n,s_1,s_2,s_3,u_1,u_2,u_3,action"
+        path.write_text(f"{header}\nv1,7,8,5,2,1,{','.join(map(str, values))},q1\n")
+        with pytest.raises(DataError, match=re.escape(f"row 1: tied utilities {text};")):
+            load_dataset(path)
 
 
 class TestUnjustified:
@@ -230,7 +242,7 @@ class TestInconsistent:
             assert inconsistent(rows) == want
         finally:
             behavior._INCONSISTENT_BLOCK = old_block
-        assert build_profile("v1", table_of(rows)).inconsistent_records == want
+        assert flagged(rows) == want
 
 
 class TestActionRatios:
@@ -256,7 +268,7 @@ class TestActionRatios:
 
 
 def voter_type(rows):
-    profile = build_profile("v1", table_of(rows))
+    profile = build_profile(table_of(rows))
     return VOTER_TYPES[ratio_stats(profile.available, profile.selected)[1]]
 
 
@@ -298,25 +310,26 @@ class TestProfile:
         assert unjustified(twice) == [True, True]
 
     def test_profile_flags_unjustified_and_inconsistent_records(self):
+        # The record table holds both flags; a profile holds only ratio counts.
         clean = records(((80, 50, 30), 0), ((30, 50, 80), 0))
         assert unjustified(clean) == [False, False]
-        assert build_profile("v1", table_of(clean)).inconsistent_records == frozenset()
+        assert flagged(clean) == set()
         contradicting = records(((50, 60, 40), 0), ((55, 60, 40), 1))
         assert unjustified(contradicting) == [False, False]
-        assert build_profile("v1", table_of(contradicting)).inconsistent_records == {0, 1}
+        assert flagged(contradicting) == {0, 1}
         dominated = records(((60, 50, 40), 2), ((61, 50, 40), 2))
         assert unjustified(dominated) == [True, True]
-        assert build_profile("v1", table_of(dominated)).inconsistent_records == frozenset()
+        assert flagged(dominated) == set()
 
     def test_profile_carries_ratios(self):
         rows = records(*(((80, 50, 30), 0) for _ in range(4)))
-        prof = build_profile("v9", table_of(rows))
-        assert prof.voter_id == "v9"
+        prof = build_profile(table_of(rows))
         assert (prof.available, prof.selected) == ((4, 0, 0), (4, 0, 0))
         assert voter_type(rows) == "TRT"
         assert action_ratios(rows) == {"TRT": 1.0}
 
     def test_tied_utilities_are_rejected(self):
+        # No table holds a tied row, so no profile is built from one.
+        tied = rec((80, 50, 30), 0, u=UtilityFunction((5.0, 5.0, 0.0)))
         with pytest.raises(ValueError, match="strictly ordered"):
-            tied = rec((80, 50, 30), 0, u=UtilityFunction((5.0, 5.0, 0.0)))
-            build_profile("v1", table_of([tied]))
+            table_of([tied])

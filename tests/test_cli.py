@@ -129,6 +129,9 @@ class TestSimulate:
                 "group AU drew a bad model for voter v",
             ),
             ({"poll_sizes": [[10**20, 1]]}, "poll sizes must be at most 2**63 - 1"),
+            # A poll size is an integer, as num_voters is: none is cut to one.
+            ({"poll_sizes": [[8.7, 1], [100, 1]]}, "poll sizes must be integers, got 8.7"),
+            ({"poll_sizes": [["9", 1]]}, "poll sizes must be integers, got '9'"),
             ({"rewards": [10, 5, -1]}, "rewards must be finite and non-negative"),
             # JSON reads a bare NaN or Infinity.  Each of these used to exit 0,
             # quietly picking the last item or dropping a label, or exit 3.
@@ -172,7 +175,7 @@ class TestSimulate:
         ],
         ids=[
             "prag-k-0", "prag-k-above-m", "ld-without-r", "au-alpha-above-2",
-            "poll-size-above-int64", "negative-reward",
+            "poll-size-above-int64", "poll-size-float", "poll-size-string", "negative-reward",
             "poll-size-weight-nan", "poll-size-weight-inf", "poll-size-weights-overflow",
             "group-weight-nan", "scenario-weight-nan", "scenario-weight-negative",
             "cycle-scenario-weight-inf", "concentration-nan", "concentration-inf",
@@ -482,6 +485,51 @@ class TestEvaluate:
                 assert main([*argv, "--cv-etas", "1,4,n", "--seed", "2", "--out", str(out)]) == 0
             trees.append(tree_bytes(out))
         assert len(trees[0]) == 9 * 5 + 1 and trees[1] == trees[0]
+
+    @pytest.mark.parametrize("mode", ["loo", "upper"])
+    @pytest.mark.parametrize("dataset", ["many_voters", "m4"])
+    def test_relabelled_candidates_give_the_same_reports(self, tmp_path, dataset, mode):
+        # Relabelling the candidates of a CSV with strict polls and strict
+        # utilities changes only the candidate indices that the reports
+        # print: every CSV keeps its bytes, and each report JSON is equal
+        # once `actual` and `predicted` are named back.  NN is left out (its
+        # features hold candidate indices), and so is m >= 5 (the Monte-Carlo
+        # table's seed follows column order).
+        if dataset == "many_voters":
+            config, sim = tmp_path / "config.json", tmp_path / "sim"
+            config.write_text(json.dumps(workload_configs()["many_voters"].config()))
+            argv = ["simulate", "--config", str(config), "--seed", "1", "--out", str(sim)]
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0
+            table, perm = load_dataset(sim).records, np.array([2, 0, 1])
+            families = "TRUTH,BR,PRAG,LD,LDLB,TMG,AU,CV"
+        else:
+            table, perm = strict_m4_table(), np.array([2, 0, 3, 1])
+            families = "TRUTH,BR,PRAG,LD,LDLB,AU,CV"
+        # Column k of the relabelled table is column perm[k] of the table.
+        inverse = np.argsort(perm)
+        vids = [table.voter_ids[v] for v in table.voter.tolist()]
+        relabelled = RecordTable.from_columns(
+            vids, table.round, table.n, table.S[:, perm], table.U[:, perm], inverse[table.action]
+        )
+        trees = []
+        for name, records in (("a", table), ("b", relabelled)):
+            csv_path, _ = save_dataset(Dataset(records), tmp_path / name)
+            argv = ["evaluate", "--data", str(csv_path), "--families", families, "--mode", mode]
+            out = tmp_path / f"{name}_out"
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main([*argv, "--cv-etas", "1,4,16,n", "--seed", "1", "--out", str(out)]) == 0
+            trees.append(tree_bytes(out))
+        assert trees[1].keys() == trees[0].keys()
+        for name, data in trees[0].items():
+            if name.endswith(".csv"):
+                assert trees[1][name] == data, name
+                continue
+            report = json.loads(trees[1][name])
+            for row in report["predictions"]:
+                row["actual"] = int(perm[row["actual"]])
+                row["predicted"] = int(perm[row["predicted"]])
+            assert report == json.loads(data), name
 
     def test_rerun_is_byte_identical(self, tmp_path, small_dataset):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
@@ -819,6 +867,21 @@ def hostile_table(m, seed=4):
             utilities = rng.permutation(m) * 10.0 + 1
             rows.append((vid, round_, n, scores, utilities, int(rng.integers(m))))
     return RecordTable.from_columns(*zip(*rows))
+
+
+def strict_m4_table(voters=12, rounds=6, seed=6):
+    """Four candidates: every poll and every voter's utilities strict, actions at random."""
+    rng = np.random.default_rng(seed)
+    S = np.array([rng.choice(60, size=4, replace=False) for _ in range(voters * rounds)])
+    U = np.array([rng.choice(20, size=4, replace=False) for _ in range(voters * rounds)])
+    return RecordTable.from_columns(
+        [f"v{i // rounds:02d}" for i in range(voters * rounds)],
+        np.tile(np.arange(rounds), voters),
+        S.sum(axis=1),
+        S,
+        U.astype(float),
+        rng.integers(0, 4, size=voters * rounds),
+    )
 
 
 def tree_bytes(out):

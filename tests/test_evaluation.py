@@ -437,7 +437,7 @@ class TestEvaluate:
         predicted = predictions_of(rep)
         for r in keep:
             net = init_network(FEATURE_DIM, seed=derive_seed(5, "nn", r.voter_id, r.round))
-            want = predict_record(net, build_profile(r.voter_id, table_of([])), table_of([r]))
+            want = predict_record(net, build_profile(table_of([])), table_of([r]))
             assert predicted[(r.voter_id, r.round)] == want
 
     def test_unknown_mode_is_rejected(self):
@@ -832,9 +832,9 @@ class TestRecordTableAggregation:
         calls = []
         real = behavior.build_profile
 
-        def counting(vid, recs, **kwargs):
-            calls.append(vid)
-            return real(vid, recs, **kwargs)
+        def counting(rows):
+            calls.append(rows)
+            return real(rows)
 
         for module in (behavior, evaluation, nn, cli):
             monkeypatch.setattr(module, "build_profile", counting, raising=False)

@@ -6,7 +6,7 @@ from feature_oracle import action_rank, action_ratios, features_from_parts, vote
 from record_oracle import Record, by_voter, preference_order, table_of
 from stratvote import nn
 from stratvote.behavior import (
-    VOTER_TYPES, build_profile, ratio_counts, ratio_stats, scenario_ids, strict_orders,
+    VOTER_TYPES, build_profile, ratio_counts, ratio_stats, scenario_ids,
 )
 from stratvote.core import Poll, UtilityFunction
 from stratvote.data import Dataset
@@ -42,13 +42,14 @@ def truthful_rows():
 def columns(records, m=3):
     """The program's record features, action ranks and scenario ids of records.
 
-    Built from arrays, not a table, so a poll size may be 0.
+    Built from arrays, not a table, so a poll size may be 0; the records'
+    utilities must not tie, as a table's do not.
     """
     U_ = np.array([r.utilities.values for r in records], dtype=float).reshape(-1, m)
     S = np.array([r.poll.scores for r in records], dtype=np.int64).reshape(-1, m)
     n = np.array([r.poll.n for r in records], dtype=np.int64)
     action = np.array([r.action for r in records], dtype=np.int64)
-    order, scenario = strict_orders(U_), scenario_ids(U_, S)
+    order, scenario = np.argsort(-U_, axis=1, kind="stable"), scenario_ids(U_, S)
     ranks = np.argsort(order, axis=1)[np.arange(len(action)), action]
     return nn.record_features(S, n, order, scenario), ranks, scenario
 
@@ -197,16 +198,11 @@ class TestFeatures:
             )
 
     def test_rejects_tied_utilities(self):
-        with pytest.raises(ValueError, match="strictly ordered"):
-            features(
-                UtilityFunction((5.0, 5.0, 0.0)),
-                Poll.from_scores((80, 50, 30)),
-                truthful_rows(),
-            )
+        # Features rank candidates by a strict preference order: no record
+        # table holds a tied row, so predict_record never features one.
         r = rec((80, 50, 30), 0, u=UtilityFunction((5.0, 5.0, 0.0)))
-        profile = build_profile("v1", table_of(truthful_rows()))
         with pytest.raises(ValueError, match="strictly ordered"):
-            predict_record(init_network(FEATURE_DIM, seed=5), profile, table_of([r]))
+            table_of([r])
 
     @given(
         st.permutations([10.0, 5.0, 0.0]),
@@ -225,7 +221,7 @@ class TestFeatures:
         r = rec((50, 80, 30), 1, u=UtilityFunction((0.0, 10.0, 5.0)))
         net = init_network(FEATURE_DIM, seed=5)
         rank = predict(net, features(r.utilities, r.poll, truthful_rows()))
-        profile = build_profile("v1", table_of(truthful_rows()))
+        profile = build_profile(table_of(truthful_rows()))
         assert predict_record(net, profile, table_of([r])) == (1, 2, 0)[rank]
 
     def test_action_rank(self):
@@ -622,7 +618,7 @@ class TestVoterPipeline:
         for net, fold, hyper in zip(fit_folds(*fold_arrays(folds), hypers), folds, hypers):
             want_net, want_profile = fit_network(table_of(fold), hyper)
             assert_same_weights(net, want_net)
-            assert want_profile == build_profile("v1", table_of(fold))
+            assert want_profile == build_profile(table_of(fold))
 
     def test_fit_folds_rejects_an_empty_fold(self):
         X, y = fold_arrays([[rec((80, 50, 30), 0)]])
@@ -716,7 +712,7 @@ def test_profile_type_is_voter_type(seed, rounds):
     # The profile's counts give the oracle's ratios, absent where the action
     # was never available, and the type its thresholds define.
     rows = generated_voter(np.random.default_rng(seed), rounds)
-    profile = build_profile("v1", table_of(rows))
+    profile = build_profile(table_of(rows))
     ratios, kind = ratio_stats(profile.available, profile.selected)
     present = [k for k, a in zip(("TRT", "CMP", "LB"), profile.available) if a > 0]
     want = action_ratios(rows)

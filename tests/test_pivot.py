@@ -497,6 +497,14 @@ class TestCvVotesInputs:
             assert str(got.value) == f"eta must be a positive integer, got {bad!r}"
         assert pivot.cv_votes(self.U, S, n, (4.0, 2)).shape == (2, 4)
 
+    def test_fewer_than_two_candidates_is_named(self):
+        # The column count is checked before any pair table is built.
+        for m in (0, 1):
+            S = np.ones((2, m), dtype=np.int64)
+            with pytest.raises(ValueError) as got:
+                pivot.cv_votes(np.ones((2, m)), S, np.array([2, 2]), (4, "n"))
+            assert str(got.value) == "a poll needs at least two candidates"
+
     def test_a_negative_score_comes_before_a_bad_eta(self):
         with pytest.raises(ValueError) as got:
             pivot.cv_votes(self.U, self.S, np.array([10, 0, 10, 1]), (0, "n"))
