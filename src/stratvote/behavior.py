@@ -68,18 +68,21 @@ def poll_positions(S: np.ndarray, order: np.ndarray) -> np.ndarray:
     return np.argsort(ranking, axis=1)[np.arange(len(order))[:, None], order]
 
 
-def scenario_ids(U: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """Each record's scenario as an index into ``SCENARIO_LABELS``, shape (R,).
-
-    A record has a scenario when it has three candidates with strictly
-    ordered utilities and pairwise distinct scores; every other record is
-    ``UNCLASSIFIED``.
-    """
-    ids = np.full(len(U), SCENARIO_LABELS.index(UNCLASSIFIED))
-    if U.shape[1] == S.shape[1] == 3:
-        strict = ~(tied_rows(U) | tied_rows(S))
-        positions = poll_positions(S[strict], np.argsort(-U[strict], axis=1, kind="stable"))
+def order_scenarios(order: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """Each record's scenario (an index into ``SCENARIO_LABELS``) from its strict
+    preference order and scores: ``UNCLASSIFIED`` unless m = 3 and the scores differ."""
+    ids = np.full(len(S), SCENARIO_LABELS.index(UNCLASSIFIED))
+    if order.shape[1] == S.shape[1] == 3:
+        strict = ~tied_rows(S)
+        positions = poll_positions(S[strict], order[strict])
         ids[strict] = (positions[:, None, :] == SCENARIO_POSITIONS).all(axis=2).argmax(axis=1)
+    return ids
+
+
+def scenario_ids(U: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """:func:`order_scenarios` by U's orders; a row whose utilities tie is unclassified."""
+    ids = order_scenarios(np.argsort(-U, axis=1, kind="stable"), S)
+    ids[tied_rows(U)] = SCENARIO_LABELS.index(UNCLASSIFIED)
     return ids
 
 

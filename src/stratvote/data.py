@@ -8,13 +8,14 @@ Actions are serialized as 1-based candidate labels ("q2"); bare 1-based
 integers are accepted on input.  A dataset's records are one
 :class:`RecordTable` of columns, from the file to the reports: the loader,
 the generator and the tests build it with :meth:`RecordTable.from_columns`.
-The loader parses each field with Python's ``int`` and ``float`` and
-rejects a row whose poll size ``n`` is below 1, whose round, ``n`` or a
-score is above ``2**63 - 1`` (the table holds them as int64), whose
-utilities tie, or whose round, scores or utilities are negative or not
-finite, naming the row.  A JSON manifest rides alongside the CSV with
-provenance (source tag, seed, per-voter model assignments for synthetic
-data).
+Every row keeps the rules of ``_ROW_RULES``, named in this order: a voter
+id that is a non-empty string with no surrounding whitespace; a round, a
+poll size n at least 1 and scores, all at most ``2**63 - 1`` (they are held
+as int64); strictly ordered utilities; non-negative scores; finite,
+non-negative utilities; a non-negative round; an action in [0, m).  No two
+rows share a (voter, round) key.  A JSON manifest rides alongside the CSV
+with provenance (source tag, seed, per-voter model assignments for
+synthetic data).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import csv
 import json
 from bisect import bisect_right
+from collections import namedtuple
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import accumulate
@@ -35,7 +37,7 @@ from .behavior import (
     SCENARIO_POSITIONS,
     SCENARIOS,
     inconsistent_rows,
-    scenario_ids,
+    order_scenarios,
     tied_rows,
     unjustified_rows,
 )
@@ -45,6 +47,37 @@ from .seeding import make_rng
 
 # The largest round, poll size or score a row may carry: the table holds them as int64.
 _MAX_COUNT = 2**63 - 1
+
+# The columns a row rule reads, in input order: ``voter`` indexes ``ids``, and
+# an integer column holds Python ints (dtype object) when one is past int64.
+_Rows = namedtuple("_Rows", "ids voter round n S U action")
+_RowRule = namedtuple("_RowRule", "name broken problem")
+
+# The rules every record keeps, in the order a row's first broken rule is
+# named: per rule, its name, the rows that break it, and row j's problem in
+# the loader's words, with the value that shows it.
+_ROW_RULES = tuple(_RowRule(*rule) for rule in (
+    ("voter_id",
+     lambda r: ~np.array([isinstance(v, str) and v == v.strip() != "" for v in r.ids])[r.voter],
+     lambda r, j: "voter_id must be a non-empty string with no surrounding whitespace, "
+     f"got {r.ids[r.voter[j]]!r}"),
+    ("round_max", lambda r: r.round > _MAX_COUNT,
+     lambda r, j: f"round {r.round[j]} is above 2**63 - 1"),
+    ("n_min", lambda r: r.n < 1, lambda r, j: f"poll size n must be positive, got {r.n[j]}"),
+    ("n_max", lambda r: r.n > _MAX_COUNT, lambda r, j: f"poll size n {r.n[j]} is above 2**63 - 1"),
+    ("score_max", lambda r: (r.S > _MAX_COUNT).any(axis=1),
+     lambda r, j: f"score {r.S[j][r.S[j] > _MAX_COUNT][0]} is above 2**63 - 1"),
+    ("strict_utilities", lambda r: tied_rows(r.U),
+     lambda r, j: f"tied utilities {tuple(r.U[j].tolist())}; preferences must be strict"),
+    ("score_min", lambda r: (r.S < 0).any(axis=1),
+     lambda r, j: f"poll scores must be non-negative integers, got {tuple(r.S[j].tolist())}"),
+    ("utility_range", lambda r: ~((r.U >= 0) & (r.U < np.inf)).all(axis=1),
+     lambda r, j: f"utilities must be finite and non-negative, got {tuple(r.U[j].tolist())}"),
+    ("round_min", lambda r: r.round < 0,
+     lambda r, j: f"round must be non-negative, got {r.round[j]}"),
+    ("action_range", lambda r: (r.action < 0) | (r.action >= r.S.shape[1]),
+     lambda r, j: f"action {format_action(r.action[j])!r} out of range for m={r.S.shape[1]}"),
+))
 
 # Coarse poll-size conditions: bucket b holds n in [edge b-1, edge b), the
 # edges being geometric midpoints of the sizes the buckets are named after.
@@ -99,44 +132,16 @@ class RecordTable:
     def from_columns(cls, voter_id: Sequence[str], round, n, S, U, action) -> "RecordTable":
         """The table of the rows ``(voter_id[j], round[j], n[j], S[j], U[j], action[j])``.
 
-        Rows are sorted into (voter, round) order and m is the width of
-        ``S``.  Raises ``ValueError`` when there is no row, when the columns
-        disagree in length or shape or m < 2, when a row has a poll size
-        below 1, a negative round or score, a negative or non-finite
-        utility, two equal utilities or an action outside [0, m), and when
-        two rows share a (voter, round) key.
+        Rows are sorted into (voter, round) order and m is the width of ``S``.
+        Raises ``ValueError`` when there is no row or the columns disagree in
+        length or shape or m < 2, else with the problem of the first row that
+        is not a record (:func:`_check_rows`), then ``: row j (voter_id, round r)``.
         """
-        if not len(voter_id):
-            raise ValueError("a record table needs at least one row")
-        round_, n, action = (np.asarray(c, dtype=np.int64) for c in (round, n, action))
-        S, U = np.asarray(S, dtype=np.int64), np.asarray(U, dtype=float)
-        R = len(voter_id)
-        if S.ndim != 2 or S.shape[1] < 2 or U.shape != S.shape or any(
-            len(c) != R or c.ndim != 1 for c in (S[:, 0], round_, n, action)
-        ):
-            raise ValueError(f"columns disagree in shape: S {S.shape}, U {U.shape}, {R} voter ids")
-        for bad, what in (
-            (n < 1, "poll size n must be positive"),
-            (round_ < 0, "round must be non-negative"),
-            ((S < 0).any(axis=1), "poll scores must be non-negative"),
-            (~((U >= 0) & (U < np.inf)).all(axis=1), "utilities must be finite and non-negative"),
-            (tied_rows(U), "utilities must be strictly ordered"),
-            ((action < 0) | (action >= S.shape[1]), f"actions must lie in [0, {S.shape[1]})"),
-        ):
-            if bad.any():
-                j = int(np.argmax(bad))
-                raise ValueError(f"{what}: row {j} ({voter_id[j]!r}, round {round_[j]})")
-        voter_ids = tuple(sorted(set(voter_id)))
-        index = {vid: i for i, vid in enumerate(voter_ids)}
-        voter = np.array([index[vid] for vid in voter_id], dtype=np.int64)
-        order = np.lexsort((round_, voter))
-        voter, round_ = voter[order], round_[order]
-        repeated = (voter[1:] == voter[:-1]) & (round_[1:] == round_[:-1])
-        if repeated.any():
-            j = int(np.argmax(repeated)) + 1
-            key = (voter_ids[voter[j]], int(round_[j]))
-            raise ValueError(f"duplicate (voter, round) pair {key}")
-        return cls(voter_ids, voter, round_, n[order], U[order], S[order], action[order])
+        checked = _check_rows(voter_id, round, n, S, U, action, range(len(voter_id)))
+        if isinstance(checked, dict):
+            j = min(checked)
+            raise ValueError(f"{checked[j]}: row {j} ({voter_id[j]!r}, round {round[j]})")
+        return checked
 
     def __len__(self) -> int:
         return len(self.voter)
@@ -155,7 +160,7 @@ class RecordTable:
 
     @cached_property
     def scenario(self) -> np.ndarray:
-        return _read_only(scenario_ids(self.U, self.S))
+        return _read_only(order_scenarios(self.order, self.S))
 
     @cached_property
     def bucket(self) -> np.ndarray:
@@ -185,6 +190,46 @@ class RecordTable:
             voter_ids=self.voter_ids,
             **{name: getattr(self, name)[rows] for name in self._row_fields()},
         )
+
+
+def _check_rows(voter_id, round_, n, S, U, action, numbers) -> RecordTable | dict[int, str]:
+    """The table of the rows of :meth:`RecordTable.from_columns`, or the first
+    problem of each row that is not a record, by row index j: the first rule
+    of ``_ROW_RULES`` it breaks, else the repeat of the (voter, round) key of
+    an earlier row that keeps every rule, named as ``numbers[first]``.
+    """
+    if not (R := len(voter_id)):
+        raise ValueError("a record table needs at least one row")
+    integers = (round_, n, S, action)
+    try:
+        round_, n, S, action = (np.asarray(c, dtype=np.int64) for c in integers)
+    except OverflowError:  # rules see Python ints, so that -10**30 is a negative round
+        round_, n, S, action = (np.asarray(c, dtype=object) for c in integers)
+    U = np.asarray(U, dtype=float)
+    if S.ndim != 2 or S.shape[1] < 2 or U.shape != S.shape or any(
+        len(c) != R or c.ndim != 1 for c in (S[:, 0], round_, n, action)
+    ):
+        raise ValueError(f"columns disagree in shape: S {S.shape}, U {U.shape}, {R} voter ids")
+    ids = sorted(set(voter_id), key=str)  # a bad id need not be a string
+    index = {vid: i for i, vid in enumerate(ids)}
+    voter = np.array([index[vid] for vid in voter_id], dtype=np.int64)
+    rows = _Rows(ids, voter, round_, n, S, U, action)
+    broken = np.array([rule.broken(rows) for rule in _ROW_RULES])
+    bad = broken.any(axis=0)
+    problems = {
+        j: _ROW_RULES[broken[:, j].argmax()].problem(rows, j) for j in np.flatnonzero(bad).tolist()
+    }
+    kept = np.flatnonzero(~bad)
+    order = kept[np.lexsort((round_[kept].astype(np.int64), rows.voter[kept]))]
+    voter, round_ = rows.voter[order], round_[order].astype(np.int64)
+    repeat = np.r_[False, (voter[1:] == voter[:-1]) & (round_[1:] == round_[:-1])]
+    first = np.maximum.accumulate(np.where(repeat, 0, np.arange(len(order))))
+    for i in np.flatnonzero(repeat).tolist():
+        key, seen = (ids[voter[i]], int(round_[i])), numbers[order[first[i]]]
+        problems[int(order[i])] = f"duplicate (voter, round) {key}, first seen at row {seen}"
+    if problems:
+        return problems
+    return RecordTable(tuple(ids), voter, round_, n[order], U[order], S[order], action[order])
 
 
 @dataclass
@@ -224,12 +269,8 @@ def _format_utility(v: float) -> str:
 
 
 def _header(m: int) -> list[str]:
-    return (
-        ["voter_id", "round", "n"]
-        + [f"s_{i}" for i in range(1, m + 1)]
-        + [f"u_{i}" for i in range(1, m + 1)]
-        + ["action"]
-    )
+    candidates = range(1, m + 1)
+    return ["voter_id", "round", "n", *(f"{c}_{i}" for c in "su" for i in candidates), "action"]
 
 
 def save_dataset(dataset: Dataset, out_dir: str | Path) -> tuple[Path, Path]:
@@ -258,57 +299,23 @@ def save_dataset(dataset: Dataset, out_dir: str | Path) -> tuple[Path, Path]:
 
 
 def _parse_row(row: list[str], m: int) -> tuple:
-    """One row's voter id, round, n, scores, utilities and action.
+    """One row's stripped voter id, round, n, scores, utilities and action.
 
-    ``ValueError`` names the row's first problem.  Fields are parsed with
-    Python's ``int`` and ``float`` in field order, each checked as it
-    parses; once all of them parse, the row is checked for negative
-    scores, then bad utilities, then a negative round.
+    ``ValueError`` names the first field, in field order, that does not parse
+    with Python's ``int`` or ``float`` or, for the action, :func:`parse_action`.
+    The values are judged by the rules of ``_ROW_RULES``.
     """
-    expected = 3 + 2 * m + 1
-    if len(row) != expected:
-        raise ValueError(f"expected {expected} fields, got {len(row)}")
-    voter_id = row[0].strip()
-    if not voter_id:
-        raise ValueError("empty voter_id")
-    try:
-        round_ = int(row[1])
-    except ValueError:
-        raise ValueError(f"non-integer round {row[1]!r}") from None
-    if round_ > _MAX_COUNT:
-        raise ValueError(f"round {round_} is above 2**63 - 1")
-    try:
-        n = int(row[2])
-    except ValueError:
-        raise ValueError(f"non-integer n {row[2]!r}") from None
-    if n < 1:
-        raise ValueError(f"poll size n must be positive, got {n}")
-    if n > _MAX_COUNT:
-        raise ValueError(f"poll size n {n} is above 2**63 - 1")
-    scores = []
-    for text in row[3 : 3 + m]:
+    if len(row) != 2 * m + 4:
+        raise ValueError(f"expected {2 * m + 4} fields, got {len(row)}")
+    casts = [(int, "non-integer round"), (int, "non-integer n"), *[(int, "non-integer score")] * m]
+    values = []
+    for (cast, what), text in zip(casts + [(float, "non-numeric utility")] * m, row[1:]):
         try:
-            scores.append(int(text))
+            values.append(cast(text))
         except ValueError:
-            raise ValueError(f"non-integer score {text!r}") from None
-        if scores[-1] > _MAX_COUNT:
-            raise ValueError(f"score {scores[-1]} is above 2**63 - 1")
-    utilities = []
-    for text in row[3 + m : 3 + 2 * m]:
-        try:
-            utilities.append(float(text))
-        except ValueError:
-            raise ValueError(f"non-numeric utility {text!r}") from None
-    if len(set(utilities)) != m:
-        raise ValueError(f"tied utilities {tuple(utilities)}; preferences must be strict")
-    action = parse_action(row[3 + 2 * m], m)
-    if min(scores) < 0:
-        raise ValueError(f"poll scores must be non-negative integers, got {tuple(scores)!r}")
-    if not all(0 <= u < np.inf for u in utilities):
-        raise ValueError(f"utilities must be finite and non-negative, got {tuple(utilities)!r}")
-    if round_ < 0:
-        raise ValueError(f"round must be non-negative, got {round_!r}")
-    return voter_id, round_, n, scores, utilities, action
+            raise ValueError(f"{what} {text!r}") from None
+    round_, n, *values = values
+    return row[0].strip(), round_, n, values[:m], values[m:], parse_action(row[-1], m)
 
 
 def _infer_m(header: list[str]) -> int:
@@ -319,8 +326,7 @@ def _infer_m(header: list[str]) -> int:
     if len(body) % 2 != 0:
         raise DataError(f"header has unpaired score/utility columns: {header!r}")
     m = len(body) // 2
-    want = [f"s_{i}" for i in range(1, m + 1)] + [f"u_{i}" for i in range(1, m + 1)]
-    if body != want:
+    if body != _header(m)[3:-1]:
         raise DataError(f"header columns {body!r} do not match the s_i/u_i schema")
     if m < 2:
         raise DataError("schema needs at least two candidates")
@@ -333,10 +339,12 @@ def load_dataset(path: str | Path) -> Dataset:
     ``path`` may be the CSV file or a directory containing ``dataset.csv``;
     a sibling ``manifest.json`` is picked up when present.  Each invalid row
     is reported with its first problem, numbered from 1 after the header:
-    the first one :func:`_parse_row` finds (a field that does not parse or
-    is out of range, in field order, else negative scores, else bad
-    utilities, else a negative round), else the key of an earlier valid row.
-    Every row is checked in that one pass.
+    the first field that does not parse, in field order (an action outside
+    1..m included); else the first rule it breaks, in this order: an empty
+    voter id (ids are stripped), a round above ``2**63 - 1``, a poll size n
+    below 1 or above ``2**63 - 1``, a score above ``2**63 - 1``, tied
+    utilities, a negative score, a negative or non-finite utility, a
+    negative round; else the repeat of an earlier valid row's (voter, round).
     """
     p = Path(path)
     if p.is_dir():
@@ -352,17 +360,16 @@ def load_dataset(path: str | Path) -> Dataset:
         raise DataError(f"{p}: no records")
     m = _infer_m(rows[0])
     problems: dict[int, str] = {}  # the first problem of each bad row, by row number
-    parsed, seen = [], {}  # the valid rows, and the row number of each one's key
+    parsed, numbers = [], []  # the rows that parse, and their row numbers
     for row_num, row in enumerate(rows[1:], start=1):
         try:
-            record = _parse_row(row, m)
+            parsed.append(_parse_row(row, m))
+            numbers.append(row_num)
         except ValueError as exc:
             problems[row_num] = str(exc)
-            continue
-        first = seen.setdefault(record[:2], row_num)
-        if first != row_num:
-            problems[row_num] = f"duplicate (voter, round) {record[:2]}, first seen at row {first}"
-        parsed.append(record)
+    checked = _check_rows(*zip(*parsed), numbers) if parsed else {}
+    if isinstance(checked, dict):
+        problems.update((numbers[j], problem) for j, problem in checked.items())
     if problems:
         listed = [f"row {row_num}: {problems[row_num]}" for row_num in sorted(problems)]
         more = f" (+{len(listed) - 20} more)" if len(listed) > 20 else ""
@@ -377,7 +384,7 @@ def load_dataset(path: str | Path) -> Dataset:
                 manifest = json.load(fh)
         except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
             raise DataError(f"cannot read manifest {manifest_path}: {exc}") from exc
-    return Dataset(records=RecordTable.from_columns(*zip(*parsed)), manifest=manifest)
+    return Dataset(records=checked, manifest=manifest)
 
 
 # --- synthetic generation ---------------------------------------------------
@@ -392,7 +399,8 @@ def _sampler_from_dict(spec: Mapping) -> "ParamSampler":
     if kind == "choices":
         return ParamSampler.choices(list(spec["values"]))
     if kind == "uniform":
-        return ParamSampler.uniform(float(spec["low"]), float(spec["high"]))
+        low, high = (_number(spec[end], f"a uniform sampler's {end}") for end in ("low", "high"))
+        return ParamSampler.uniform(low, high)
     raise ValueError(f"unknown sampler type {kind!r}")
 
 
@@ -450,9 +458,7 @@ class PopulationGroup:
             raise ValueError("the learned baseline cannot generate data")
 
     def sample_descriptor(self, rng: np.random.Generator) -> ModelDescriptor:
-        kwargs = {
-            name: self.params[name].sample(rng) for name in sorted(self.params)
-        }
+        kwargs = {name: self.params[name].sample(rng) for name in sorted(self.params)}
         return ModelDescriptor(family=self.family, **kwargs)
 
     def to_dict(self) -> dict:
@@ -471,7 +477,7 @@ class PopulationGroup:
             raise TypeError(f"group params must map names to samplers, got {params!r}")
         return cls(
             family=Family(spec["family"]),
-            weight=float(spec.get("weight", 1.0)),
+            weight=_number(spec.get("weight", 1.0), "group weight"),
             params={k: _sampler_from_dict(v) for k, v in params.items()},
         )
 
@@ -535,7 +541,7 @@ class GeneratorConfig:
             raise ValueError(f"unknown scenario_mode {self.scenario_mode!r}")
         if self.poll_size_mode not in ("per_voter", "per_round"):
             raise ValueError(f"unknown poll_size_mode {self.poll_size_mode!r}")
-        if not 0.0 <= self.noise <= 1.0:
+        if not 0.0 <= _number(self.noise, "noise") <= 1.0:
             raise ValueError("noise must be within [0, 1]")
         if len(self.rewards) != 3 or len(set(self.rewards)) != 3:
             raise ValueError("rewards must be three distinct values")
@@ -569,24 +575,27 @@ class GeneratorConfig:
         if not isinstance(spec, Mapping):
             raise TypeError(f"a generator config must be an object, got {spec!r}")
         kwargs = dict(spec)
-        kwargs["groups"] = tuple(
-            PopulationGroup.from_dict(g) for g in spec["groups"]
-        )
+        kwargs["groups"] = tuple(PopulationGroup.from_dict(g) for g in spec["groups"])
         if "poll_sizes" in kwargs:
-            kwargs["poll_sizes"] = tuple((n, float(w)) for n, w in spec["poll_sizes"])
-        if "rewards" in kwargs:
-            kwargs["rewards"] = tuple(float(v) for v in spec["rewards"])
-        if "poll_concentrations" in kwargs:
-            kwargs["poll_concentrations"] = tuple(
-                float(c) for c in spec["poll_concentrations"]
-            )
+            sizes = spec["poll_sizes"]
+            kwargs["poll_sizes"] = tuple((n, _number(w, "each poll size weight")) for n, w in sizes)
+        for name in ("rewards", "poll_concentrations"):
+            if name in kwargs:
+                kwargs[name] = tuple(_number(v, f"each of {name}") for v in spec[name])
         return cls(**kwargs)
+
+
+def _number(value, what: str) -> float:
+    """A config number as a float: an int or a float, not a string or a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{what} must be a number, got {value!r}")
+    return float(value)
 
 
 def _check_weights(name: str, weights: Sequence[float]) -> None:
     """Sampling weights must be finite and non-negative, with a positive, finite sum."""
     for w in weights:
-        if not 0.0 <= w < np.inf:
+        if not 0.0 <= _number(w, f"each weight of {name}") < np.inf:
             raise ValueError(f"{name}: weights must be finite and non-negative, got {w!r}")
     if not 0.0 < sum(weights) < np.inf:
         raise ValueError(f"{name}: weights must have a positive, finite sum")
@@ -606,38 +615,25 @@ def _weighted_pick(rng: np.random.Generator, items: Sequence, weights: Sequence[
     return items[-1]
 
 
-def _strict_sorted_scores(
-    rng: np.random.Generator, n: int, concentration: float = 1.0
-) -> tuple[int, ...]:
-    # Rejection-sample a strictly ordered 3-way split of n ballots.  Flat
-    # Dirichlet shares keep gaps diverse; larger concentrations give closer
-    # races.  Acceptance is ~70% at n=8 and approaches 1 for large n.
-    alpha = (concentration,) * 3
+def _scenario_scores(
+    rng: np.random.Generator, scenario: str, n: int, prefs: np.ndarray, concentration: float = 1.0
+) -> np.ndarray:
+    """The scores of a strict poll of ``n`` ballots realizing ``scenario`` for ``prefs``.
+
+    Rejection-samples a strictly ordered 3-way split of the ballots: flat
+    Dirichlet shares keep gaps diverse, larger concentrations give closer
+    races.  Acceptance is ~70% at n=8 and approaches 1 for large n.
+    """
     for _ in range(_MAX_POLL_TRIES):
-        shares = rng.dirichlet(alpha)
-        draw = rng.multinomial(n, shares)
-        if len(set(draw.tolist())) == 3:
-            return tuple(int(v) for v in sorted(draw, reverse=True))
+        ordered = np.sort(rng.multinomial(n, rng.dirichlet((concentration,) * 3)))[::-1]
+        if ordered[0] > ordered[1] > ordered[2]:
+            scores = np.empty(3, dtype=np.int64)
+            scores[prefs] = ordered[SCENARIO_POSITIONS[SCENARIOS.index(scenario)]]
+            return scores
     raise DataError(f"could not draw a strictly ordered poll of size {n}")
 
 
-def _scenario_scores(
-    rng: np.random.Generator,
-    scenario: str,
-    n: int,
-    prefs: np.ndarray,
-    concentration: float = 1.0,
-) -> np.ndarray:
-    """The scores of a strict poll of ``n`` ballots realizing ``scenario`` for ``prefs``."""
-    ordered = np.array(_strict_sorted_scores(rng, n, concentration), dtype=np.int64)
-    scores = np.empty(3, dtype=np.int64)
-    scores[prefs] = ordered[SCENARIO_POSITIONS[SCENARIOS.index(scenario)]]
-    return scores
-
-
-def _scenario_schedule(
-    config: GeneratorConfig, rng: np.random.Generator, count: int
-) -> list[str]:
+def _scenario_schedule(config: GeneratorConfig, rng: np.random.Generator, count: int) -> list[str]:
     labels = [s for s in SCENARIOS if config.scenario_weights.get(s, 0.0) > 0]
     weights = [config.scenario_weights[s] for s in labels]
     if config.scenario_mode == "sample":

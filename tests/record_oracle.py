@@ -8,6 +8,10 @@ record at a time, so they read a :class:`Record` of a ``core.Poll`` and a
 records through ``RecordTable.from_columns``, and :func:`records_of` reads
 a table's rows back as records, in table order.  :func:`report_payload` is
 the JSON object a report file holds, its ``predictions`` one dict per row.
+:func:`parse_row` and :func:`file_problems` state the loader's row contract
+one CSV row at a time, each rule checked where its field is read: the
+package's loader must accept exactly the files they accept, and name the
+same problem for a row with one problem.
 """
 
 from __future__ import annotations
@@ -102,3 +106,87 @@ def report_payload(report) -> dict:
         )
     ]
     return {**report.to_dict(), "predictions": rows}
+
+
+# The largest round, poll size or score a CSV row may carry.
+MAX_COUNT = 2**63 - 1
+
+
+def parse_row(row: list[str], m: int) -> tuple:
+    """One CSV row's voter id, round, n, scores, utilities and action.
+
+    ``ValueError`` names the row's first problem.  Fields are parsed with
+    Python's ``int`` and ``float`` in field order, each checked as it
+    parses; once all of them parse, the row is checked for negative
+    scores, then bad utilities, then a negative round.
+    """
+    expected = 3 + 2 * m + 1
+    if len(row) != expected:
+        raise ValueError(f"expected {expected} fields, got {len(row)}")
+    voter_id = row[0].strip()
+    if not voter_id:
+        raise ValueError(
+            "voter_id must be a non-empty string with no surrounding whitespace, got ''"
+        )
+    try:
+        round_ = int(row[1])
+    except ValueError:
+        raise ValueError(f"non-integer round {row[1]!r}") from None
+    if round_ > MAX_COUNT:
+        raise ValueError(f"round {round_} is above 2**63 - 1")
+    try:
+        n = int(row[2])
+    except ValueError:
+        raise ValueError(f"non-integer n {row[2]!r}") from None
+    if n < 1:
+        raise ValueError(f"poll size n must be positive, got {n}")
+    if n > MAX_COUNT:
+        raise ValueError(f"poll size n {n} is above 2**63 - 1")
+    scores = []
+    for text in row[3 : 3 + m]:
+        try:
+            scores.append(int(text))
+        except ValueError:
+            raise ValueError(f"non-integer score {text!r}") from None
+        if scores[-1] > MAX_COUNT:
+            raise ValueError(f"score {scores[-1]} is above 2**63 - 1")
+    utilities = []
+    for text in row[3 + m : 3 + 2 * m]:
+        try:
+            utilities.append(float(text))
+        except ValueError:
+            raise ValueError(f"non-numeric utility {text!r}") from None
+    if len(set(utilities)) != m:
+        raise ValueError(f"tied utilities {tuple(utilities)}; preferences must be strict")
+    raw = row[3 + 2 * m].strip().lower().removeprefix("q")
+    try:
+        action = int(raw) - 1
+    except ValueError:
+        raise ValueError(f"unparseable action {row[3 + 2 * m]!r}") from None
+    if not 0 <= action < m:
+        raise ValueError(f"action {row[3 + 2 * m]!r} out of range for m={m}")
+    if min(scores) < 0:
+        raise ValueError(f"poll scores must be non-negative integers, got {tuple(scores)!r}")
+    if not all(0 <= u < float("inf") for u in utilities):
+        raise ValueError(f"utilities must be finite and non-negative, got {tuple(utilities)!r}")
+    if round_ < 0:
+        raise ValueError(f"round must be non-negative, got {round_!r}")
+    return voter_id, round_, n, scores, utilities, action
+
+
+def file_problems(rows: Sequence[list[str]], m: int) -> dict[int, str]:
+    """The first problem of each bad row of a CSV body, by row number from 1:
+    its :func:`parse_row` problem, else the repeat of the (voter, round) key
+    of an earlier row that :func:`parse_row` accepts."""
+    problems: dict[int, str] = {}
+    seen: dict[tuple, int] = {}
+    for row_num, row in enumerate(rows, start=1):
+        try:
+            record = parse_row(row, m)
+        except ValueError as exc:
+            problems[row_num] = str(exc)
+            continue
+        first = seen.setdefault(record[:2], row_num)
+        if first != row_num:
+            problems[row_num] = f"duplicate (voter, round) {record[:2]}, first seen at row {first}"
+    return problems

@@ -158,12 +158,14 @@ class TestScenario:
     )
     def test_tied_utilities_have_no_strict_order(self, values, text, tmp_path):
         # A record table holds no tied row, so every order it derives is
-        # strict: from_columns names the tied row, the loader its values.
+        # strict: from_columns and the loader name the tied values alike.
         strict = rec((80, 50, 30), 0, u=UtilityFunction((3.0, 2.0, 1.0)))
         assert table_of([strict]).order.tolist() == [[0, 1, 2]]
         with pytest.raises(ValueError) as got:
             table_of([strict, rec((80, 50, 30), 0, round=7, u=UtilityFunction(values))])
-        assert str(got.value) == "utilities must be strictly ordered: row 1 ('v1', round 7)"
+        assert str(got.value) == (
+            f"tied utilities {text}; preferences must be strict: row 1 ('v1', round 7)"
+        )
         path, header = tmp_path / "tied.csv", "voter_id,round,n,s_1,s_2,s_3,u_1,u_2,u_3,action"
         path.write_text(f"{header}\nv1,7,8,5,2,1,{','.join(map(str, values))},q1\n")
         with pytest.raises(DataError, match=re.escape(f"row 1: tied utilities {text};")):
@@ -331,5 +333,5 @@ class TestProfile:
     def test_tied_utilities_are_rejected(self):
         # No table holds a tied row, so no profile is built from one.
         tied = rec((80, 50, 30), 0, u=UtilityFunction((5.0, 5.0, 0.0)))
-        with pytest.raises(ValueError, match="strictly ordered"):
+        with pytest.raises(ValueError, match="preferences must be strict"):
             table_of([tied])

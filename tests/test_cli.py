@@ -133,6 +133,33 @@ class TestSimulate:
             ({"poll_sizes": [[8.7, 1], [100, 1]]}, "poll sizes must be integers, got 8.7"),
             ({"poll_sizes": [["9", 1]]}, "poll sizes must be integers, got '9'"),
             ({"rewards": [10, 5, -1]}, "rewards must be finite and non-negative"),
+            # A number given as a string or a bool is no number: none is converted.
+            ({"rewards": ["10", "5", "0"]}, "each of rewards must be a number, got '10'"),
+            (
+                {"groups": [{"family": "TRUTH", "weight": "2"}]},
+                "group weight must be a number, got '2'",
+            ),
+            (
+                {"groups": [{"family": "TRUTH", "weight": True}]},
+                "group weight must be a number, got True",
+            ),
+            (
+                {"groups": [{"family": "AU", "params": {
+                    "alpha": {"type": "uniform", "low": "0.5", "high": 1},
+                    "beta": {"type": "value", "value": 1},
+                }}]},
+                "a uniform sampler's low must be a number, got '0.5'",
+            ),
+            ({"poll_sizes": [[8, "1"]]}, "each poll size weight must be a number, got '1'"),
+            (
+                {"poll_concentrations": ["3"]},
+                "each of poll_concentrations must be a number, got '3'",
+            ),
+            (
+                {"scenario_weights": {"A": True}},
+                "each weight of scenario_weights must be a number, got True",
+            ),
+            ({"noise": True}, "noise must be a number, got True"),
             # JSON reads a bare NaN or Infinity.  Each of these used to exit 0,
             # quietly picking the last item or dropping a label, or exit 3.
             ({"poll_sizes": [[8, float("nan")], [100, 1]]}, "poll_sizes: weights must be finite"),
@@ -176,6 +203,8 @@ class TestSimulate:
         ids=[
             "prag-k-0", "prag-k-above-m", "ld-without-r", "au-alpha-above-2",
             "poll-size-above-int64", "poll-size-float", "poll-size-string", "negative-reward",
+            "reward-strings", "group-weight-string", "group-weight-bool", "uniform-low-string",
+            "poll-size-weight-string", "concentration-string", "scenario-weight-bool", "noise-bool",
             "poll-size-weight-nan", "poll-size-weight-inf", "poll-size-weights-overflow",
             "group-weight-nan", "scenario-weight-nan", "scenario-weight-negative",
             "cycle-scenario-weight-inf", "concentration-nan", "concentration-inf",

@@ -1,11 +1,16 @@
-import numpy as np
-import pytest
-
+import csv
+import re
 from dataclasses import fields
 
-from stratvote.behavior import SCENARIOS
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from stratvote import data
+from stratvote.behavior import SCENARIOS, scenario_ids
 from stratvote.data import (
     DataError,
+    Dataset,
     GeneratorConfig,
     ParamSampler,
     PopulationGroup,
@@ -18,7 +23,7 @@ from stratvote.data import (
 )
 from stratvote.models import Family, ModelDescriptor, decide
 from feature_oracle import classify_scenario
-from record_oracle import by_voter, preference_order, records_of
+from record_oracle import by_voter, file_problems, preference_order, records_of
 
 HEADER = "voter_id,round,n,s_1,s_2,s_3,u_1,u_2,u_3,action\n"
 
@@ -34,6 +39,24 @@ def assert_same_table(a, b):
     for name in RecordTable._row_fields():
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and np.array_equal(x, y), name
+
+
+def write_rows(tmp_path, rows):
+    """A CSV of ``rows`` (lists of fields) under the three-candidate header."""
+    path = tmp_path / "dataset.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([HEADER.strip().split(","), *rows])
+    return path
+
+
+def named_problems(path) -> dict[int, str]:
+    """The problem the loader names for each bad row of ``path``, by row number."""
+    try:
+        load_dataset(path)
+    except DataError as err:
+        body = str(err).removeprefix(f"{path}: ")
+        return {int(k): v for k, v in re.findall(r"row (\d+): (.*?)(?=; row \d+: |$)", body)}
+    return {}
 
 
 def columns(keys, m=3):
@@ -235,8 +258,23 @@ class TestSaveLoadRoundTrip:
 
 class TestDataset:
     def test_duplicate_pair_rejected(self):
-        with pytest.raises(ValueError, match=r"duplicate \(voter, round\) pair \('v1', 0\)"):
+        with pytest.raises(ValueError) as err:
             RecordTable.from_columns(*columns([("v1", 0), ("v2", 0), ("v1", 0)]))
+        assert str(err.value) == (
+            "duplicate (voter, round) ('v1', 0), first seen at row 0: row 2 ('v1', round 0)"
+        )
+
+    def test_names_the_first_bad_row_and_its_first_problem(self):
+        # Row 1 breaks two rules and row 2 one; a repeat of a bad row's key is no repeat.
+        cols = columns([("v1", 0), ("v1", 1), ("v1", 2), ("v1", 1)])
+        cols[1][1], cols[2][1], cols[2][2] = -1, 0, 0
+        with pytest.raises(ValueError) as err:
+            RecordTable.from_columns(*cols)
+        assert str(err.value) == "poll size n must be positive, got 0: row 1 ('v1', round -1)"
+        assert data._check_rows(*cols, range(4)) == {
+            1: "poll size n must be positive, got 0",
+            2: "poll size n must be positive, got 0",
+        }
 
     def test_rows_sort_by_voter_and_round(self):
         table = RecordTable.from_columns(*columns([("v2", 1), ("v1", 1), ("v1", 0)]))
@@ -260,10 +298,18 @@ class TestDataset:
             (3, [[1, 2, 3], [1, -2, 3]], "poll scores must be non-negative"),
             (4, [[3.0, 2.0, 1.0], [3.0, float("nan"), 1.0]], "utilities must be finite"),
             (4, [[3.0, 2.0, 1.0], [3.0, -1.0, 1.0]], "utilities must be finite"),
-            (5, [0, 3], r"actions must lie in \[0, 3\)"),
+            (5, [0, 3], r"action 'q4' out of range for m=3: row 1 \('v1', round 1\)"),
             (3, [[1, 2], [1, 2]], "disagree"),
             (3, [[1], [2]], "disagree"),
             (2, [100], "disagree"),
+            (5, [-1, 0], r"action 'q0' out of range for m=3: row 0 \('v1', round 0\)"),
+            (0, ["v1", ""], "voter_id must be a non-empty string with no surrounding whitespace"),
+            (0, ["v1", " v1"], r"whitespace, got ' v1': row 1 \(' v1', round 1\)"),
+            (0, ["v1", "v1\t"], r"whitespace, got 'v1\\t'"),
+            (0, [5, "v1"], r"non-empty string with no surrounding whitespace, got 5: row 0"),
+            (1, [0, -(10**30)], f"round must be non-negative, got {-(10**30)}: row 1"),
+            (2, [100, 2**64], f"poll size n {2**64} is above 2\\*\\*63 - 1: row 1"),
+            (3, [[1, 2, 3], [1, -(2**64), 3]], rf"got \(1, {-(2**64)}, 3\): row 1"),
         ],
     )
     def test_invalid_columns_are_rejected(self, column, value, message):
@@ -283,6 +329,186 @@ class TestDataset:
                 getattr(table, name)[0] = 0
         assert set(derived) <= set(vars(table))
         assert {f.name for f in fields(RecordTable)} == {"voter_ids", *table._row_fields()}
+
+
+BIG, HUGE = 2**63, 10**30  # one past int64, and far past it on either side
+
+# One CSV row per rule of data._ROW_RULES that breaks only that rule, and the
+# problem the rule names.  A rule with no case here fails the contract test.
+RULE_CASES = {
+    "voter_id": (
+        "  ,0,100,50,30,20,10,5,0,q1",
+        "voter_id must be a non-empty string with no surrounding whitespace, got ''",
+    ),
+    "round_max": (f"v1,{BIG},100,50,30,20,10,5,0,q1", f"round {BIG} is above 2**63 - 1"),
+    "n_min": ("v1,0,0,50,30,20,10,5,0,q1", "poll size n must be positive, got 0"),
+    "n_max": (f"v1,0,{BIG},50,30,20,10,5,0,q1", f"poll size n {BIG} is above 2**63 - 1"),
+    "score_max": (f"v1,0,100,50,{HUGE},{BIG},10,5,0,q1", f"score {HUGE} is above 2**63 - 1"),
+    "strict_utilities": (
+        "v1,0,100,50,30,20,0.0,5,-0.0,q1",
+        "tied utilities (0.0, 5.0, -0.0); preferences must be strict",
+    ),
+    "score_min": (
+        f"v1,0,100,50,{-HUGE},20,10,5,0,q1",
+        f"poll scores must be non-negative integers, got (50, {-HUGE}, 20)",
+    ),
+    "utility_range": (
+        "v1,0,100,50,30,20,10,nan,0,q1",
+        "utilities must be finite and non-negative, got (10.0, nan, 0.0)",
+    ),
+    "round_min": (f"v1,{-HUGE},100,50,30,20,10,5,0,q1", f"round must be non-negative, got {-HUGE}"),
+    "action_range": ("v1,0,100,50,30,20,10,5,0,q4", "action 'q4' out of range for m=3"),
+}
+RULE_NAMES = [rule.name for rule in data._ROW_RULES]
+
+
+def case_columns(line):
+    """The one-row columns of a rule case, parsed here rather than by the loader."""
+    voter_id, round_, n, *fields_ = line.split(",")
+    scores, utilities = [int(v) for v in fields_[:3]], [float(v) for v in fields_[3:6]]
+    action = int(fields_[6].removeprefix("q")) - 1
+    return [voter_id.strip()], [int(round_)], [int(n)], [scores], [utilities], [action]
+
+
+class TestRowContract:
+    def test_every_rule_has_one_case(self):
+        assert sorted(RULE_CASES) == sorted(RULE_NAMES)
+        assert len(set(RULE_NAMES)) == len(RULE_NAMES)
+
+    @pytest.mark.parametrize("name", RULE_NAMES)
+    def test_loader_and_from_columns_name_the_broken_rule(self, tmp_path, name):
+        line, problem = RULE_CASES[name]
+        cols = case_columns(line)
+        rows = data._Rows(
+            cols[0], np.zeros(1, dtype=np.int64),
+            *(np.array(c, dtype=object) for c in cols[1:4]),
+            np.array(cols[4]), np.array(cols[5], dtype=object),
+        )
+        assert [rule.name for rule in data._ROW_RULES if rule.broken(rows).any()] == [name]
+        path = write(tmp_path, line + "\n")
+        with pytest.raises(DataError) as err:
+            load_dataset(path)
+        assert str(err.value) == f"{path}: row 1: {problem}"
+        with pytest.raises(ValueError) as err:
+            RecordTable.from_columns(*cols)
+        assert str(err.value) == f"{problem}: row 0 ({cols[0][0]!r}, round {cols[1][0]})"
+
+
+# Field edits that each break one rule of a valid row, or make a field
+# unparseable, keyed by the fields they edit (the tie edits u_1 and u_2).
+FAULTS = {
+    "voter_id": [[""], ["  "]],
+    "round": [[str(BIG)], ["-1"], [str(-HUGE)], ["x"], ["1.5"]],
+    "n": [["0"], ["-3"], [str(-HUGE)], [str(BIG)], ["n"]],
+    "s_1": [[str(BIG)], [str(HUGE)], ["-1"], [str(-HUGE)], ["2.0"]],
+    "u_1,u_2": [["5", "5"], ["0.0", "-0.0"], ["0", "-0"]],
+    "u_3": [["nan"], ["inf"], ["-inf"], ["-1"], ["1e400"], ["abc"]],
+    "action": [["q0"], ["q4"], ["qx"], ["0"], [""]],
+}
+FIELD_INDEX = {name: i for i, name in enumerate(HEADER.strip().split(","))}
+
+
+@st.composite
+def faulty_rows(draw):
+    """A CSV row with up to two field faults, and sometimes a wrong field
+    count, and its number of faults.  Keys repeat often and ids may be
+    padded, so that repeats follow bad rows."""
+    row = [
+        draw(st.sampled_from(["v1", "v2", " v1", "v2\t"])),
+        str(draw(st.integers(0, 2))),
+        str(draw(st.sampled_from([1, 7, BIG - 1]))),
+        *(str(draw(st.sampled_from([0, 3, BIG - 1]))) for _ in range(3)),
+        *(repr(u) for u in draw(st.permutations([0.0, 0.5, 10.0, 1e300]))[:3]),
+        draw(st.sampled_from(["q1", "q2", "3"])),
+    ]
+    slots = draw(st.lists(st.sampled_from(sorted(FAULTS)), max_size=2, unique=True))
+    for slot in slots:
+        for name, value in zip(slot.split(","), draw(st.sampled_from(FAULTS[slot]))):
+            row[FIELD_INDEX[name]] = value
+    if draw(st.integers(0, 9)) == 0:  # a wrong field count
+        row = row[:-1] if slots else row + ["extra"]
+        slots = slots + ["count"]
+    return row, len(slots)
+
+
+class TestLoaderMatchesTheRowOracle:
+    @settings(
+        max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(st.lists(faulty_rows(), min_size=1, max_size=12))
+    def test_accepts_what_the_oracle_accepts_and_names_single_problems_alike(
+        self, tmp_path, drawn
+    ):
+        rows = [row for row, _ in drawn]
+        path = write_rows(tmp_path, rows)
+        want, got = file_problems(rows, 3), named_problems(path)
+        assert sorted(got) == sorted(want)
+        for row_num, (_, faults) in enumerate(drawn, start=1):
+            if faults <= 1:
+                assert got.get(row_num) == want.get(row_num), rows[row_num - 1]
+        if not want:
+            loaded = {(r.voter_id, r.round) for r in records_of(load_dataset(path).records)}
+            assert loaded == {(row[0].strip(), int(row[1])) for row in rows}
+
+    def test_the_oracle_and_the_loader_order_a_rows_problems_differently(self, tmp_path):
+        # Parse problems come before rules now: the oracle names the big
+        # round, which it reads first; the loader the n that does not parse.
+        row = ["v1", str(BIG), "x", "50", "30", "20", "10", "5", "0", "q1"]
+        assert file_problems([row], 3) == {1: f"round {BIG} is above 2**63 - 1"}
+        assert named_problems(write_rows(tmp_path, [row])) == {1: "non-integer n 'x'"}
+
+
+# Rows of tables that from_columns may accept or refuse: ids may be empty,
+# padded or any short text; counts run to the int64 limit; utilities include
+# -0.0 and the largest floats.
+voter_ids = st.one_of(st.sampled_from(["", " v1", "v1 ", "v1", "v2"]), st.text(max_size=4))
+counts = st.one_of(st.integers(0, 3), st.integers(0, 2**63 - 1))
+table_rows = st.tuples(
+    voter_ids,
+    counts,
+    st.integers(1, 2**63 - 1),
+    st.lists(counts, min_size=3, max_size=3),
+    st.lists(
+        st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(0, 1e308)),
+        min_size=3,
+        max_size=3,
+        unique=True,
+    ),
+    st.integers(0, 2),
+)
+
+
+class TestTableProperties:
+    @settings(
+        max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(st.lists(table_rows, min_size=1, max_size=4))
+    def test_every_table_from_columns_accepts_loads_back_equal(self, tmp_path, rows):
+        try:
+            table = RecordTable.from_columns(*(list(c) for c in zip(*rows)))
+        except ValueError:
+            return
+        save_dataset(Dataset(table), tmp_path)
+        assert_same_table(load_dataset(tmp_path / "dataset.csv").records, table)
+
+    @settings(deadline=None)
+    @given(
+        st.integers(2, 4).flatmap(
+            lambda m: st.lists(
+                st.tuples(
+                    st.permutations([0.0, 1.0, 2.5, 7.0][:m]),
+                    st.lists(st.integers(0, 3), min_size=m, max_size=m),
+                ),
+                min_size=1,
+                max_size=8,
+            )
+        )
+    )
+    def test_scenario_column_equals_scenario_ids(self, drawn):
+        U, S = [u for u, _ in drawn], [s for _, s in drawn]
+        R = len(drawn)
+        table = RecordTable.from_columns(["v"] * R, range(R), [9] * R, S, U, [0] * R)
+        assert table.scenario.tolist() == scenario_ids(table.U, table.S).tolist()
 
 
 class TestSamplers:

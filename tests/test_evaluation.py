@@ -199,7 +199,7 @@ class TestPollSizeBucket:
 
     def test_rejects_non_positive(self):
         # No bucket holds them, and no record table either.
-        with pytest.raises(ValueError, match="poll size n must be positive: row 1 "):
+        with pytest.raises(ValueError, match="poll size n must be positive, got 0: row 1 "):
             bucket_column([8, 0, 100])
         with pytest.raises(ValueError):
             poll_size_bucket(0)

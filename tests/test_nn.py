@@ -201,7 +201,7 @@ class TestFeatures:
         # Features rank candidates by a strict preference order: no record
         # table holds a tied row, so predict_record never features one.
         r = rec((80, 50, 30), 0, u=UtilityFunction((5.0, 5.0, 0.0)))
-        with pytest.raises(ValueError, match="strictly ordered"):
+        with pytest.raises(ValueError, match="preferences must be strict"):
             table_of([r])
 
     @given(
