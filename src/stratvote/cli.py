@@ -155,17 +155,20 @@ def _row_text(table: RecordTable) -> tuple[list[str], list[str]]:
     return head, tail
 
 
-def _report_text(report: EvaluationReport, shared: tuple[list[str], list[str]]) -> str:
+def _report_text(
+    report: EvaluationReport, summary: dict, shared: tuple[list[str], list[str]]
+) -> str:
     """The report file's text: ``json.dumps(sort_keys=True, indent=2)`` of its summary and rows.
 
-    ``shared`` is :func:`_row_text` of the report's table; each row's middle
-    is one of the m * m texts of a (predicted, predicted_rank) pair.
+    ``summary`` is ``report.to_dict()`` and ``shared`` :func:`_row_text` of
+    the report's table; each row's middle is one of the m * m texts of a
+    (predicted, predicted_rank) pair.
     """
     table, (head, tail) = report.table, shared
     m = table.m
     middle = ['"predicted": %d,\n      "predicted_rank": %d' % divmod(k, m) for k in range(m * m)]
     picks = (report.predicted * m + table.rank_of(report.predicted)).tolist()
-    text = json.dumps({**report.to_dict(), "predictions": []}, sort_keys=True, indent=2)
+    text = json.dumps({**summary, "predictions": []}, sort_keys=True, indent=2)
     # Only a top-level key starts a line with exactly two spaces.
     before, after = text.split('\n  "predictions": []')
     # One join of the shared pieces: part 4j + 1 starts row j, part 4j + 4 ends it.
@@ -242,23 +245,23 @@ def _poll_size_table(report: EvaluationReport) -> tuple[list[str], list[list]]:
     return ["bucket", "total", *strategic], [[b, *row] for b, row in zip(POLL_BUCKETS, scores)]
 
 
-def _error_table(report: EvaluationReport) -> tuple[list[str], list[list]]:
-    rows = []
-    for label in [*SCENARIO_LABELS, "total"]:
-        counts = report.error_breakdown.get(label, {})
-        if label != "total" and not any(counts.values()):
-            continue
-        rows.append([label, *(counts.get(c, 0) for c in ERROR_CLASSES)])
+def _error_table(summary: dict) -> tuple[list[str], list[list]]:
+    """A report summary's error classes per scenario that holds records, then the total."""
+    rows = [
+        [label, *(counts[c] for c in ERROR_CLASSES)]
+        for label, counts in summary["error_breakdown"].items()
+        if label == "total" or any(counts.values())
+    ]
     return ["scenario", *ERROR_CLASSES], rows
 
 
-def _params_table(report: EvaluationReport) -> tuple[list[str], list[list]]:
+def _params_table(summary: dict) -> tuple[list[str], list[list]]:
     """Each voter's fitted point and poll-size tag; only the header for a family without any."""
-    fitted = report.fitted_params
+    fitted, buckets = summary["fitted_params"], summary["voter_bucket"]
     keys = sorted({k for point in fitted.values() for k in point})
     rows = [
-        [vid, report.family, report.voter_bucket[vid], *(fitted[vid].get(k, "") for k in keys)]
-        for vid in sorted(fitted)
+        [vid, summary["family"], buckets[vid], *(point.get(k, "") for k in keys)]
+        for vid, point in fitted.items()
     ]
     return ["voter_id", "family", "bucket", *keys], rows if keys else []
 
@@ -266,21 +269,25 @@ def _params_table(report: EvaluationReport) -> tuple[list[str], list[list]]:
 def _write_family_reports(
     out_dir: Path, mode: str, report: EvaluationReport, shared: tuple[list[str], list[str]]
 ) -> None:
-    """One family's report JSON, ``shared`` being :func:`_row_text`, and its four CSV tables."""
-    name = report.family
-    text = _report_text(report, shared)
+    """One family's report JSON, ``shared`` being :func:`_row_text`, and its four CSV tables.
+
+    The JSON and the per-voter, error and parameter tables are written
+    from one summary, ``report.to_dict()``.
+    """
+    name, summary = report.family, report.to_dict()
+    text = _report_text(report, summary, shared)
     (out_dir / f"{mode}_{name}_report.json").write_text(text, encoding="utf-8")
-    records = report.per_voter_records
+    records = summary["per_voter_records"]
     _write_csv(
         out_dir / f"{mode}_{name}_per_voter_f.csv",
         ["voter_id", "records", "f"],
-        [[vid, records[vid], report.per_voter_f[vid]] for vid in sorted(report.per_voter_f)],
+        [[vid, records[vid], f] for vid, f in summary["per_voter_f"].items()],
     )
     header, rows = _poll_size_table(report)
     _write_csv(out_dir / f"{mode}_{name}_poll_size_f.csv", header, rows)
-    header, rows = _error_table(report)
+    header, rows = _error_table(summary)
     _write_csv(out_dir / f"{mode}_{name}_error_breakdown.csv", header, rows)
-    header, rows = _params_table(report)
+    header, rows = _params_table(summary)
     _write_csv(out_dir / f"{mode}_{name}_params.csv", header, rows)
 
 

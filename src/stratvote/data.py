@@ -133,9 +133,10 @@ class RecordTable:
         """The table of the rows ``(voter_id[j], round[j], n[j], S[j], U[j], action[j])``.
 
         Rows are sorted into (voter, round) order and m is the width of ``S``.
-        Raises ``ValueError`` when there is no row or the columns disagree in
-        length or shape or m < 2, else with the problem of the first row that
-        is not a record (:func:`_check_rows`), then ``: row j (voter_id, round r)``.
+        Raises ``ValueError`` when there is no row, a round, n, score or
+        action is a float with a fraction, or the columns disagree in length
+        or shape or m < 2, else with the problem of the first row that is not
+        a record (:func:`_check_rows`), then ``: row j (voter_id, round r)``.
         """
         checked = _check_rows(voter_id, round, n, S, U, action, range(len(voter_id)))
         if isinstance(checked, dict):
@@ -192,6 +193,22 @@ class RecordTable:
         )
 
 
+def _whole(name: str, column):
+    """``column`` as a signed integer array when it reads as one, else as
+    given, an array as Python numbers, once none of its values is a float
+    with a fraction or not finite, which the int64 cast would truncate:
+    ``ValueError`` names the first.  The cast takes Python numbers one by
+    one, so a value past int64 raises ``OverflowError``, never wraps around.
+    """
+    values = np.asarray(column)
+    if values.dtype.kind == "i":
+        return values
+    bad = [v for v in values.ravel().tolist() if isinstance(v, float) and not v.is_integer()]
+    if bad:
+        raise ValueError(f"{name} must be a whole number, got {bad[0]!r}")
+    return values.tolist() if isinstance(column, np.ndarray) else column
+
+
 def _check_rows(voter_id, round_, n, S, U, action, numbers) -> RecordTable | dict[int, str]:
     """The table of the rows of :meth:`RecordTable.from_columns`, or the first
     problem of each row that is not a record, by row index j: the first rule
@@ -200,7 +217,8 @@ def _check_rows(voter_id, round_, n, S, U, action, numbers) -> RecordTable | dic
     """
     if not (R := len(voter_id)):
         raise ValueError("a record table needs at least one row")
-    integers = (round_, n, S, action)
+    named = zip(("round", "poll size n", "score", "action"), (round_, n, S, action))
+    integers = [_whole(name, column) for name, column in named]
     try:
         round_, n, S, action = (np.asarray(c, dtype=np.int64) for c in integers)
     except OverflowError:  # rules see Python ints, so that -10**30 is a negative round
@@ -589,7 +607,10 @@ def _number(value, what: str) -> float:
     """A config number as a float: an int or a float, not a string or a bool."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"{what} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an int past the float range
+        raise ValueError(f"{what} must be a finite number, got an integer too large") from None
 
 
 def _check_weights(name: str, weights: Sequence[float]) -> None:

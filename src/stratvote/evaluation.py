@@ -18,9 +18,10 @@ each distinct (utilities, scores, n) row of a run once, and each voter reads
 its columns of that matrix back through the inverse index.  That is exact
 because every family decides a record from the record alone.  A report
 keeps the table, one column of predicted candidates and one fitted point
-per voter, and counts the rest once, when first read: among it one
-(scenario x poll-size bucket x actual rank x predicted rank) cube, whose
-sums are the per-scenario, per-bucket and overall confusion matrices.
+per voter.  It counts one (scenario x poll-size bucket x actual rank x
+predicted rank) cube when first read, whose sums are the per-scenario,
+per-bucket and overall confusion matrices, and derives its summary, the
+per-voter columns among it, in one place: :meth:`EvaluationReport.to_dict`.
 Leave-one-out uses the match-matrix identity: with per-point match counts
 over all rounds, each fold's training score is the total minus that fold's
 column, so one decision matrix per voter serves every fold.  The ``NN``
@@ -31,8 +32,9 @@ summed ratio counts minus the held-out row's, the same identity.
 A worker's task pickles only the table's arrays and voter ids.
 :func:`evaluate_families` cuts the voters into one contiguous run per
 worker, of about equal record count (one run, in process, for ``jobs=1``),
-and makes one task per (family, run).  A task returns two sequences: its
-rows' predicted candidates and its voters' fitted points.  One pool serves
+and makes one task per (family, run).  A task returns two int64 arrays:
+its rows' predicted candidates and its voters' fitted points as indices
+into the grid, which the parent maps to ``grid.points``.  One pool serves
 every family: the tasks go in family order, and each family's report is
 built from its tasks' concatenated returns as soon as they are back, while
 the workers go on with the later families.  A task decides its voters one
@@ -46,7 +48,6 @@ from __future__ import annotations
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -189,10 +190,8 @@ def _decide_rows(
     return D, inverse.reshape(-1)
 
 
-def _fit_grid(
-    grid: ParameterGrid, D: np.ndarray, action: np.ndarray, mode: str
-) -> tuple[np.ndarray, dict]:
-    """One voter's predictions and in-sample fit from its (G, R) decision matrix."""
+def _fit_grid(D: np.ndarray, action: np.ndarray, mode: str) -> tuple[np.ndarray, int]:
+    """One voter's predictions and fitted grid point's index from its (G, R) decision matrix."""
     M = D == action[None, :]
     totals = M.sum(axis=1)
     fit_index = int(np.argmax(totals))
@@ -200,7 +199,7 @@ def _fit_grid(
         picks = np.full(D.shape[1], fit_index)
     else:
         picks = np.argmax(totals[:, None] - M, axis=0)
-    return D[picks, np.arange(D.shape[1])], dict(grid.points[fit_index])
+    return D[picks, np.arange(D.shape[1])], fit_index
 
 
 def _predict_nn(block: RecordTable, mode: str, seed: int) -> np.ndarray:
@@ -245,18 +244,19 @@ def _predict_nn(block: RecordTable, mode: str, seed: int) -> np.ndarray:
     return block.order[np.arange(len(rank)), rank]
 
 
-def _evaluate_voters(task: tuple) -> tuple[np.ndarray, list[dict]]:
-    """A task's predicted candidate per row and fitted point per voter, in order.
+def _evaluate_voters(task: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """A task's predicted candidate per row and fitted point's grid index per voter.
 
-    A pure function of its arguments.  Grid families cut the voters into
-    runs of at most ``_RUN_CELLS`` (grid point x row) cells and decide each
-    run's distinct rows at once; ``NN`` trains all of the task's networks
-    together and fits no point, ``{}`` per voter.
+    Two int64 arrays, in order, and a pure function of the task.  Grid
+    families cut the voters into runs of at most ``_RUN_CELLS`` (grid point
+    x row) cells and decide each run's distinct rows at once; ``NN`` trains
+    all of the task's networks together and fits no point: index 0 of its
+    one-point grid ``({},)`` for every voter.
     """
     block, grid, mode, seed = task
     voters = block.voter_rows()
     if grid.family is Family.NN:
-        return _predict_nn(block, mode, seed), [{} for _ in voters]
+        return _predict_nn(block, mode, seed), np.zeros(len(voters), dtype=np.int64)
     predicted, fitted = np.empty(len(block.voter), dtype=np.int64), []
     for run in _grid_runs(voters, len(grid.points)):
         start = run[0].start
@@ -265,9 +265,9 @@ def _evaluate_voters(task: tuple) -> tuple[np.ndarray, list[dict]]:
         D, inverse = _decide_rows(grid, block, slice(start, run[-1].stop))
         for rows in run:
             columns = D[:, inverse[rows.start - start : rows.stop - start]]
-            predicted[rows], point = _fit_grid(grid, columns, block.action[rows], mode)
-            fitted.append(point)
-    return predicted, fitted
+            predicted[rows], fit_index = _fit_grid(columns, block.action[rows], mode)
+            fitted.append(fit_index)
+    return predicted, np.array(fitted, dtype=np.int64)
 
 
 def _voter_runs(voter_rows: Sequence[slice], k: int) -> list[slice]:
@@ -294,11 +294,12 @@ class EvaluationReport:
 
     ``predicted[j]`` is the candidate predicted for the table's row j and
     ``fitted[i]`` the point fitted to voter ``table.voter_ids[i]`` (``{}``
-    without parameters); the rest is counted from them when first read.
-    ``cube[s, b]`` is the confusion matrix, in preference-rank space, of the
-    rows of scenario ``SCENARIO_LABELS[s]`` and bucket ``POLL_BUCKETS[b]``;
-    the per-scenario, per-bucket and overall matrices are its sums.  Under
-    ``loo`` a voter of one record has no training round: it is defaulted.
+    without parameters).  ``cube[s, b]``, counted when first read, is the
+    confusion matrix, in preference-rank space, of the rows of scenario
+    ``SCENARIO_LABELS[s]`` and bucket ``POLL_BUCKETS[b]``; the overall
+    matrix is its sum.  Everything else a report states is derived by
+    :meth:`to_dict`.  Under ``loo`` a voter of one record has no training
+    round: it is defaulted.
     """
 
     family: str
@@ -334,80 +335,47 @@ class EvaluationReport:
         return ConfusionMatrix(self.cube.sum(axis=(0, 1)))
 
     @property
-    def per_scenario(self) -> dict[str, ConfusionMatrix]:
-        return {k: ConfusionMatrix(v) for k, v in zip(SCENARIO_LABELS, self.cube.sum(axis=1))}
-
-    @property
-    def per_bucket(self) -> dict[str, ConfusionMatrix]:
-        return {k: ConfusionMatrix(v) for k, v in zip(POLL_BUCKETS, self.cube.sum(axis=0))}
-
-    @cached_property
-    def per_voter_f(self) -> dict[str, float]:
-        voter_ids = self.table.voter_ids
-        counts = self._confusion((self.table.voter,), (len(voter_ids),))
-        return dict(zip(voter_ids, weighted_f(counts)))
-
-    @cached_property
-    def fitted_params(self) -> dict[str, dict]:
-        return dict(zip(self.table.voter_ids, self.fitted))
-
-    @cached_property
-    def voter_bucket(self) -> dict[str, str]:
-        """The bucket holding most of each voter's records, ties to the earlier one."""
-        table = self.table
-        tally = np.zeros((len(table.voter_ids), len(POLL_BUCKETS)), dtype=np.int64)
-        np.add.at(tally, (table.voter, table.bucket), 1)
-        return {vid: POLL_BUCKETS[b] for vid, b in zip(table.voter_ids, tally.argmax(axis=1))}
-
-    @property
-    def defaulted_voters(self) -> tuple[str, ...]:
-        if self.mode != "loo":
-            return ()
-        return tuple(vid for vid, count in self.per_voter_records.items() if count == 1)
-
-    @cached_property
-    def error_breakdown(self) -> dict[str, dict[str, int]]:
-        return _error_counts(self.table, self.predicted)
-
-    @cached_property
-    def per_voter_records(self) -> dict[str, int]:
-        counts = np.bincount(self.table.voter, minlength=len(self.table.voter_ids))
-        return dict(zip(self.table.voter_ids, counts.tolist()))
-
-    @property
     def metrics(self) -> Metrics:
         return metrics_from_confusion(self.overall)
 
     def to_dict(self) -> dict:
-        """The report's summary: every field of its report JSON but the per-row ``predictions``."""
+        """The report's summary: every field of its report JSON but the per-row ``predictions``.
 
-        def block(matrix: ConfusionMatrix) -> dict:
-            out = {"confusion": matrix.counts.tolist()}
-            if matrix.total > 0:
-                out["metrics"] = metrics_from_confusion(matrix).to_dict()
+        Each per-voter entry runs in ``table.voter_ids`` order, which is
+        sorted.  ``voter_bucket`` is the bucket holding most of a voter's
+        records, ties to the earlier one.
+        """
+
+        def block(counts: np.ndarray) -> dict:
+            out = {"confusion": counts.tolist()}
+            if counts.any():
+                out["metrics"] = metrics_from_confusion(ConfusionMatrix(counts)).to_dict()
             return out
 
-        overall = self.overall
+        table, cube = self.table, self.cube
+        voter_ids, m = table.voter_ids, table.m
+        records = np.bincount(table.voter, minlength=len(voter_ids)).tolist()
+        voter_f = weighted_f(self._confusion((table.voter,), (len(voter_ids),)))
+        tally = np.zeros((len(voter_ids), len(POLL_BUCKETS)), dtype=np.int64)
+        np.add.at(tally, (table.voter, table.bucket), 1)
         return {
             "family": self.family,
             "mode": self.mode,
             "seed": self.seed,
-            "num_voters": len(self.table.voter_ids),
-            "num_records": overall.total,
-            "classes": list(RANK_LABELS[: overall.m])
-            if overall.m <= 3
-            else [f"pref_{i}" for i in range(overall.m)],
-            "overall": block(overall),
-            "scenarios": {k: block(v) for k, v in sorted(self.per_scenario.items())},
-            "poll_buckets": {k: block(v) for k, v in self.per_bucket.items()},
-            "per_voter_f": dict(sorted(self.per_voter_f.items())),
-            "per_voter_records": dict(sorted(self.per_voter_records.items())),
-            "fitted_params": dict(sorted(self.fitted_params.items())),
-            "voter_bucket": dict(sorted(self.voter_bucket.items())),
-            "defaulted_voters": list(self.defaulted_voters),
-            "error_breakdown": {
-                k: dict(sorted(v.items())) for k, v in sorted(self.error_breakdown.items())
-            },
+            "num_voters": len(voter_ids),
+            "num_records": len(table.voter),
+            "classes": list(RANK_LABELS[:m]) if m <= 3 else [f"pref_{i}" for i in range(m)],
+            "overall": block(cube.sum(axis=(0, 1))),
+            "scenarios": dict(zip(SCENARIO_LABELS, map(block, cube.sum(axis=1)))),
+            "poll_buckets": dict(zip(POLL_BUCKETS, map(block, cube.sum(axis=0)))),
+            "per_voter_f": dict(zip(voter_ids, voter_f)),
+            "per_voter_records": dict(zip(voter_ids, records)),
+            "fitted_params": dict(zip(voter_ids, self.fitted)),
+            "voter_bucket": {vid: POLL_BUCKETS[b] for vid, b in zip(voter_ids, tally.argmax(1))},
+            "defaulted_voters": [
+                vid for vid, count in zip(voter_ids, records) if self.mode == "loo" and count == 1
+            ],
+            "error_breakdown": _error_counts(table, self.predicted),
         }
 
 
@@ -491,9 +459,9 @@ def evaluate_families(
     with get_context("fork").Pool(processes=workers) if workers > 1 else nullcontext() as pool:
         chunks = pool.imap(_evaluate_voters, tasks) if pool else map(_evaluate_voters, tasks)
         for grid in grids:
-            predicted, fitted = zip(*(next(chunks) for _ in blocks))
-            predicted, fitted = np.concatenate(predicted), list(chain.from_iterable(fitted))
-            yield EvaluationReport(grid.family.value, mode, seed, table, predicted, fitted)
+            predicted, fitted = map(np.concatenate, zip(*(next(chunks) for _ in blocks)))
+            points = [grid.points[i] for i in fitted.tolist()]
+            yield EvaluationReport(grid.family.value, mode, seed, table, predicted, points)
 
 
 def loo_evaluate(

@@ -10,8 +10,8 @@ belongs in those tests, as their oracle, and not in the package.
 
 A reference is a name read or imported.  In the package, the acceptance
 tests and the README example, an attribute read counts only on a name bound
-to a ``stratvote`` module (``nn_mod.fit_folds``): ``report.error_breakdown``
-is no call of ``evaluation.error_breakdown``.  ``perfbench/`` reaches the
+to a ``stratvote`` module (``nn_mod.fit_folds``): ``report.cube`` would
+reference no module-level ``evaluation.cube``.  ``perfbench/`` reaches the
 modules through a dict (``modules["pivot"].composition_count``), so there
 every attribute read counts by its name.
 """

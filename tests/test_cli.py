@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -183,6 +184,18 @@ class TestSimulate:
             ),
             ({"poll_concentrations": [float("nan")]}, "poll_concentrations must be finite"),
             ({"poll_concentrations": [float("inf")]}, "poll_concentrations must be finite"),
+            # An integer past the float range used to end in exit 3 (OverflowError).
+            ({"rewards": [10**400, 5, 0]}, "each of rewards must be a finite number"),
+            (
+                {"groups": [{"family": "TRUTH", "weight": 10**400}]},
+                "group weight must be a finite number",
+            ),
+            (
+                {"groups": [{"family": "LD", "params": {
+                    "r": {"type": "uniform", "low": 0, "high": 10**400},
+                }}]},
+                "a uniform sampler's high must be a finite number",
+            ),
             # A sampler that draws a non-number for a numeric parameter.
             (
                 {"groups": [{"family": "AU", "params": {
@@ -208,6 +221,8 @@ class TestSimulate:
             "poll-size-weight-nan", "poll-size-weight-inf", "poll-size-weights-overflow",
             "group-weight-nan", "scenario-weight-nan", "scenario-weight-negative",
             "cycle-scenario-weight-inf", "concentration-nan", "concentration-inf",
+            "reward-past-float-range", "group-weight-past-float-range",
+            "uniform-high-past-float-range",
             "au-alpha-string", "cv-eta-list", "prag-k-string",
         ],
     )
@@ -969,6 +984,59 @@ class TestReportWriter:
             keys = [(row["voter_id"], row["round"]) for row in got["predictions"]]
             rows = zip(table.voter.tolist(), table.round.tolist())
             assert keys == [(table.voter_ids[v], r) for v, r in rows]
+
+    @pytest.mark.parametrize("mode", ["loo", "upper"])
+    def test_csv_tables_agree_with_the_report_json(self, tmp_path, small_dataset, mode):
+        # The hostile table fills every scenario and bucket; the simulated
+        # data leaves the unclassified scenario and three buckets empty.
+        def table(prefix, name, numbers):
+            """A CSV's header and rows, the cells from column ``numbers`` on
+            read back as JSON reads numbers ("" stays)."""
+            with open(f"{prefix}_{name}.csv", newline="", encoding="utf-8") as fh:
+                header, *rows = csv.reader(fh)
+            return header, [
+                [json.loads(c) if i >= numbers and c else c for i, c in enumerate(row)]
+                for row in rows
+            ]
+
+        hostile = tmp_path / "hostile"
+        save_dataset(Dataset(hostile_table(3)), hostile)
+        empty = set()
+        for data in (hostile, small_dataset):
+            out = tmp_path / "out" / data.name
+            argv = ["evaluate", "--data", str(data), "--families", "AU,TRUTH", "--mode", mode]
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main([*argv, "--out", str(out)]) == 0
+            for family in ("AU", "TRUTH"):
+                prefix = out / f"{mode}_{family}"
+                report = json.loads(Path(f"{prefix}_report.json").read_text("utf-8"))
+                f, records = report["per_voter_f"], report["per_voter_records"]
+                assert table(prefix, "per_voter_f", 1) == (
+                    ["voter_id", "records", "f"], [[vid, records[vid], f[vid]] for vid in f]
+                )
+                header, rows = table(prefix, "params", 3)
+                fitted, buckets = report["fitted_params"], report["voter_bucket"]
+                keys = header[3:]
+                assert keys == sorted({k for point in fitted.values() for k in point})
+                want = [
+                    [vid, family, buckets[vid], *(point[k] for k in keys)]
+                    for vid, point in fitted.items()
+                ]
+                assert rows == (want if keys else []) and len(keys) == (family == "AU") * 2
+                header, rows = table(prefix, "error_breakdown", 1)
+                breakdown = report["error_breakdown"]
+                empty |= {label for label, counts in breakdown.items() if not any(counts.values())}
+                assert {row[0]: dict(zip(header[1:], row[1:])) for row in rows} == {
+                    label: counts
+                    for label, counts in breakdown.items()
+                    if label == "total" or any(counts.values())
+                }
+                _, rows = table(prefix, "poll_size_f", 1)
+                assert [row[:2] for row in rows] == [
+                    [bucket, block["metrics"]["weighted_f"] if "metrics" in block else ""]
+                    for bucket, block in report["poll_buckets"].items()
+                ]
+        assert UNCLASSIFIED in empty
 
     def test_shared_row_text_is_built_once_per_evaluate(self, tmp_path, monkeypatch):
         calls = []

@@ -310,6 +310,17 @@ class TestDataset:
             (1, [0, -(10**30)], f"round must be non-negative, got {-(10**30)}: row 1"),
             (2, [100, 2**64], f"poll size n {2**64} is above 2\\*\\*63 - 1: row 1"),
             (3, [[1, 2, 3], [1, -(2**64), 3]], rf"got \(1, {-(2**64)}, 3\): row 1"),
+            # A fraction is refused, not cut off by the int64 cast.
+            (1, [0, 1.5], "^round must be a whole number, got 1.5$"),
+            (2, [100, 7.9], "^poll size n must be a whole number, got 7.9$"),
+            (3, np.array([[1.0, 2, 3], [1.9, 2, 3]]), "^score must be a whole number, got 1.9$"),
+            (5, [0, 0.7], "^action must be a whole number, got 0.7$"),
+            (1, [0, float("nan")], "^round must be a whole number, got nan$"),
+            (2, [100, float("inf")], "^poll size n must be a whole number, got inf$"),
+            (1, [10**30, 1.5], "^round must be a whole number, got 1.5$"),
+            # An unsigned array past int64 is judged by value, not wrapped around.
+            (1, np.array([0, 2**63], dtype=np.uint64), rf"round {2**63} is above 2\*\*63 - 1"),
+            (2, np.array([100, 1e30]), r"poll size n 1e\+30 is above 2\*\*63 - 1: row 1"),
         ],
     )
     def test_invalid_columns_are_rejected(self, column, value, message):
@@ -317,6 +328,14 @@ class TestDataset:
         cols[column] = value
         with pytest.raises(ValueError, match=message):
             RecordTable.from_columns(*cols)
+
+    def test_whole_floats_in_integer_columns_read_as_integers(self):
+        with pytest.raises(ValueError, match="^round must be a whole number, got 1.5$"):
+            RecordTable.from_columns(["v"], [1.5], [7.9], [[1.9, 2, 3]], [[3.0, 2.0, 1.0]], [0.7])
+        cols = columns([("v1", 0), ("v1", 1)])
+        cols[1], cols[2], cols[5] = [0.0, 1.0], np.array([100.0, 100.0]), [0.0, 1.0]
+        want = RecordTable.from_columns(*columns([("v1", 0), ("v1", 1)]))
+        assert_same_table(RecordTable.from_columns(*cols), want)
 
     def test_columns_are_read_only_and_evaluation_columns_wait_to_be_read(self, tmp_path):
         ds = generate_synthetic(truth_config())

@@ -305,7 +305,7 @@ class TestFitParameters:
 
     def fit(self, grid, records):
         report = upper_report(grid, Dataset(table_of(records)))
-        return report.fitted_params["v1"]
+        return report.to_dict()["fitted_params"]["v1"]
 
     def test_truthful_voter_is_perfectly_representable(self):
         # Scenario F rounds force utility weight; leader-following points fail.
@@ -391,13 +391,10 @@ class TestEvaluate:
     def test_breakdowns_sum_to_overall(self):
         ds = au_population(seed=33, noise=0.15)
         rep = loo_evaluate(Family.LD, ParameterGrid.default(Family.LD), ds, jobs=2)
-        scenario_total = sum(
-            (m.counts for m in rep.per_scenario.values()),
-            start=np.zeros((3, 3), dtype=np.int64),
-        )
-        bucket_total = sum(
-            (m.counts for m in rep.per_bucket.values()),
-            start=np.zeros((3, 3), dtype=np.int64),
+        summary = rep.to_dict()
+        scenario_total, bucket_total = (
+            np.sum([v["confusion"] for v in summary[key].values()], axis=0, dtype=np.int64)
+            for key in ("scenarios", "poll_buckets")
         )
         assert np.array_equal(scenario_total, rep.overall.counts)
         assert np.array_equal(bucket_total, rep.overall.counts)
@@ -416,16 +413,16 @@ class TestEvaluate:
         ds = au_population()
         keep = [r for r in records_of(ds.records) if r.voter_id != "v001" or r.round == 0]
         trimmed = Dataset(table_of(keep))
-        rep = loo_evaluate(Family.PRAG, ParameterGrid.default(Family.PRAG), trimmed)
-        assert rep.defaulted_voters == ("v001",)
-        assert rep.fitted_params["v001"] == {"k": 1}
+        summary = loo_evaluate(Family.PRAG, ParameterGrid.default(Family.PRAG), trimmed).to_dict()
+        assert summary["defaulted_voters"] == ["v001"]
+        assert summary["fitted_params"]["v001"] == {"k": 1}
 
     def test_single_record_nn_voter_predicts_with_its_initial_network(self):
         ds = au_population()
         records = records_of(ds.records)
         keep = [r for r in records if r.voter_id != "v001" or r.round == 0]
         rep = loo_evaluate(Family.NN, ParameterGrid.default(Family.NN), Dataset(table_of(keep)))
-        assert rep.defaulted_voters == ("v001",)
+        assert rep.to_dict()["defaulted_voters"] == ["v001"]
         # Every voter keeps one record, each from a different round, so the
         # fold seed must name the voter and the round.
         voters = list(ds.records.voter_ids)
@@ -433,7 +430,7 @@ class TestEvaluate:
         rep = loo_evaluate(
             Family.NN, ParameterGrid.default(Family.NN), Dataset(table_of(keep)), seed=5
         )
-        assert rep.defaulted_voters == tuple(voters)
+        assert rep.to_dict()["defaulted_voters"] == voters
         predicted = predictions_of(rep)
         for r in keep:
             net = init_network(FEATURE_DIM, seed=derive_seed(5, "nn", r.voter_id, r.round))
@@ -446,9 +443,11 @@ class TestEvaluate:
 
     def test_per_voter_f_covers_every_voter(self):
         ds = au_population()
-        rep = loo_evaluate(Family.TMG, ParameterGrid.default(Family.TMG), ds)
-        assert sorted(rep.per_voter_f) == list(ds.records.voter_ids)
-        assert all(0.0 <= f <= 1.0 for f in rep.per_voter_f.values())
+        per_voter_f = loo_evaluate(Family.TMG, ParameterGrid.default(Family.TMG), ds).to_dict()[
+            "per_voter_f"
+        ]
+        assert list(per_voter_f) == list(ds.records.voter_ids)
+        assert all(0.0 <= f <= 1.0 for f in per_voter_f.values())
 
 
 class TestErrorBreakdown:
@@ -490,24 +489,24 @@ class TestParameterDistribution:
 
     def test_one_row_per_voter(self):
         ds = au_population()
-        rep = loo_evaluate(Family.AU, ParameterGrid.default(Family.AU), ds, jobs=2)
-        header, rows = cli._params_table(rep)
+        summary = loo_evaluate(Family.AU, ParameterGrid.default(Family.AU), ds, jobs=2).to_dict()
+        header, rows = cli._params_table(summary)
         assert header == ["voter_id", "family", "bucket", "alpha", "beta"]
         assert [row[0] for row in rows] == list(ds.records.voter_ids)
         for vid, family, bucket, alpha, beta in rows:
-            assert family == "AU" and bucket == rep.voter_bucket[vid]
-            assert rep.fitted_params[vid] == {"alpha": alpha, "beta": beta}
+            assert family == "AU" and bucket == summary["voter_bucket"][vid]
+            assert summary["fitted_params"][vid] == {"alpha": alpha, "beta": beta}
 
     def test_parameterless_family_exports_nothing(self):
         ds = truthful_population()
         rep = loo_evaluate(Family.TRUTH, ParameterGrid.default(Family.TRUTH), ds)
-        assert cli._params_table(rep) == (["voter_id", "family", "bucket"], [])
+        assert cli._params_table(rep.to_dict()) == (["voter_id", "family", "bucket"], [])
 
     def test_rerun_is_identical(self):
         ds = au_population()
         grid = ParameterGrid.default(Family.AU)
-        a = cli._params_table(loo_evaluate(Family.AU, grid, ds, jobs=2))
-        b = cli._params_table(loo_evaluate(Family.AU, grid, ds, jobs=2))
+        a = cli._params_table(loo_evaluate(Family.AU, grid, ds, jobs=2).to_dict())
+        b = cli._params_table(loo_evaluate(Family.AU, grid, ds, jobs=2).to_dict())
         assert a == b
 
 
@@ -695,7 +694,8 @@ class TestRecordTableAggregation:
             grid = ParameterGrid.default(family, m=m)
             for mode in ("loo", "upper"):
                 (rep,) = evaluate_families([grid], ds, mode, seed=5)
-                want = oracle_report(family, mode, 5, ds, predictions_of(rep), rep.fitted_params)
+                fitted = rep.to_dict()["fitted_params"]
+                want = oracle_report(family, mode, 5, ds, predictions_of(rep), fitted)
                 assert report_payload(rep) == want
         # Random predictions fill every cell the evaluations leave empty, and
         # every third voter keeps one record: defaulted under loo alone.
@@ -711,7 +711,8 @@ class TestRecordTableAggregation:
             )
             want = oracle_report(Family.LD, mode, 9, ds, preds, fitted)
             assert report_payload(got) == want
-            assert got.defaulted_voters == (("v0", "v3", "v6") if mode == "loo" else ())
+            defaulted = ["v0", "v3", "v6"] if mode == "loo" else []
+            assert got.to_dict()["defaulted_voters"] == defaulted
         assert error_breakdown(ds, preds) == oracle_error_breakdown(ds, preds)
         # The data covers what the table annotates.
         total = want["error_breakdown"]["total"]
@@ -749,8 +750,10 @@ class TestRecordTableAggregation:
                 )
                 want[cell] += 1
             assert rep.cube.dtype == np.int64 and np.array_equal(rep.cube, want)
-            assert [v.counts.tolist() for v in rep.per_scenario.values()] == want.sum(1).tolist()
-            assert [v.counts.tolist() for v in rep.per_bucket.values()] == want.sum(0).tolist()
+            summary = rep.to_dict()
+            for key, axis in (("scenarios", 1), ("poll_buckets", 0)):
+                got = [block["confusion"] for block in summary[key].values()]
+                assert got == want.sum(axis).tolist(), key
             with pytest.raises(ValueError):
                 rep.cube[0, 0, 0, 0] = 1
 
@@ -762,11 +765,10 @@ class TestRecordTableAggregation:
                 EvaluationReport("LD", "loo", 0, table, predicted, points)
         rep = EvaluationReport("LD", "loo", 0, table, [0, 1, 2, 0], fitted)
         assert rep.predicted.dtype == np.int64
-        assert rep.fitted_params == {"v0": {"r": 0.1}, "v1": {"r": 0.2}}
+        assert rep.to_dict()["fitted_params"] == {"v0": {"r": 0.1}, "v1": {"r": 0.2}}
         with pytest.raises(ValueError):
             rep.predicted[0] = 1
-        for name in ("cube", "per_voter_f", "fitted_params", "voter_bucket", "error_breakdown"):
-            assert getattr(rep, name) is getattr(rep, name), name
+        assert rep.cube is rep.cube
 
     @pytest.mark.parametrize("m, seed", [(3, 1), (3, 2), (4, 3)])
     def test_poll_size_table_equals_the_per_record_recount(self, m, seed):
@@ -853,7 +855,7 @@ def per_voter_oracle(grid, table, mode):
 
     One ``decide_matrix`` call, with a pivot cache of its own, on all of a
     voter's rows; the predicted column and fitted points, as
-    ``evaluation._evaluate_voters`` returns them.
+    ``evaluation.evaluate_families`` hands them to a report.
     """
     predicted, fitted = [], []
     for rows in table.voter_rows():
@@ -917,6 +919,20 @@ class TestRunsOfVoters:
                 for jobs in (1, 2, 3):
                     (rep,) = evaluate_families([grid], ds, mode, jobs=jobs, seed=3)
                     assert report_payload(rep) == want
+
+    @pytest.mark.parametrize("family", [Family.LD, Family.NN])
+    def test_a_task_returns_two_int64_arrays(self, family):
+        table = mixed_dataset(5, 3, num_voters=3, rounds=3).records
+        grid = ParameterGrid.default(family)
+        predicted, fitted = evaluation._evaluate_voters((table, grid, "loo", 0))
+        assert predicted.dtype == fitted.dtype == np.int64
+        assert predicted.shape == (len(table),) and fitted.shape == (len(table.voter_ids),)
+        if family is Family.NN:  # an index into the one-point grid ({},)
+            assert fitted.tolist() == [0, 0, 0]
+        else:
+            want_predicted, want_points = per_voter_oracle(grid, table, "loo")
+            assert predicted.tolist() == want_predicted
+            assert [grid.points[i] for i in fitted.tolist()] == want_points
 
     @pytest.mark.parametrize("family, run_cells", [(Family.LD, 101 * 75), (Family.AU, None)])
     def test_no_call_exceeds_the_cell_bound_but_a_single_voter(
