@@ -551,6 +551,8 @@ class GeneratorConfig:
         if any(n > _MAX_COUNT for n, _ in self.poll_sizes):
             raise ValueError("poll sizes must be at most 2**63 - 1")
         _check_weights("poll_sizes", [w for _, w in self.poll_sizes])
+        if not isinstance(self.scenario_weights, Mapping):
+            raise TypeError(f"scenario_weights must be an object, got {self.scenario_weights!r}")
         unknown = set(self.scenario_weights) - set(SCENARIOS)
         if unknown:
             raise ValueError(f"unknown scenarios {sorted(unknown)}")

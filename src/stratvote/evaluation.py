@@ -38,7 +38,9 @@ into the grid, which the parent maps to ``grid.points``.  One pool serves
 every family: the tasks go in family order, and each family's report is
 built from its tasks' concatenated returns as soon as they are back, while
 the workers go on with the later families.  A task decides its voters one
-run at a time, which bounds ``AU``'s memory by the run's cells, and hands
+run at a time and frees a run's decisions before it decides the next, which
+bounds ``AU``'s memory by one run's cells, of which ``AU`` scores only the
+rows where its vote can vary (:func:`models.decide_matrix`); it hands
 every ``NN`` training set of its voters to one :func:`nn.fit_folds` call,
 whose stacked per-fold weights equal separate training bit for bit.
 """
@@ -267,6 +269,7 @@ def _evaluate_voters(task: tuple) -> tuple[np.ndarray, np.ndarray]:
             columns = D[:, inverse[rows.start - start : rows.stop - start]]
             predicted[rows], fit_index = _fit_grid(columns, block.action[rows], mode)
             fitted.append(fit_index)
+        del D, columns  # one run's decisions at a time: freed before the next run's
     return predicted, np.array(fitted, dtype=np.int64)
 
 
@@ -450,12 +453,16 @@ def evaluate_families(
     workers = min(jobs, len(voter_rows))
     blocks = [table.select(rows) for rows in _voter_runs(voter_rows, workers)]
     tasks = [(block, grid, mode, seed) for grid in grids for block in blocks]
-    if workers > 1 and table.m >= 4 and any(grid.family is Family.CV for grid in grids):
-        # From m = 4 on the pivot kernel takes binomial tails from scipy:
-        # load it once here, not in every worker.
-        import scipy.special  # noqa: F401
-    if workers > 1 and any(grid.family is Family.NN for grid in grids):
-        from . import nn  # noqa: F401  # likewise the network code
+    # What a pooled family loads, load once here, not in every worker.
+    pooled = {grid.family for grid in grids} if workers > 1 else set()
+    if Family.CV in pooled:
+        from . import pivot  # noqa: F401
+    if Family.CV in pooled and table.m >= 4:
+        import scipy.special  # noqa: F401  # binomial tails, from m = 4 on
+    if Family.NN in pooled:
+        from . import nn  # noqa: F401
+    if Family.NN in pooled or (Family.CV in pooled and table.m >= 5):
+        import hashlib  # noqa: F401  # OpenSSL: NN folds and m >= 5 tables derive seeds
     with get_context("fork").Pool(processes=workers) if workers > 1 else nullcontext() as pool:
         chunks = pool.imap(_evaluate_voters, tasks) if pool else map(_evaluate_voters, tasks)
         for grid in grids:

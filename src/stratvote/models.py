@@ -38,7 +38,6 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from . import pivot as pivot_mod
 from .behavior import poll_positions
 from .core import Candidate, Poll, UtilityFunction
 
@@ -89,10 +88,11 @@ _RULES = {
 def _passes(name: str, values: Sequence) -> np.ndarray:
     """Which of ``values`` keep ``name``'s rule; a column of Python numbers is tested in numpy."""
     test, words, _ = _RULES[name]
-    if set(map(type, values)) <= {bool, int, float}:
+    if set(map(type, values)) <= {int, float}:
         x = np.asarray(values)  # of objects only for an int past int64
-    else:  # NaN for each value that is not a real number
-        x = np.array([v if isinstance(v, Real) else np.nan for v in values], dtype=object)
+    else:  # NaN for each value that is not a real number: a bool is not one
+        real = [v if isinstance(v, Real) and not isinstance(v, bool) else np.nan for v in values]
+        x = np.array(real, dtype=object)
     ok = np.asarray(test(x), dtype=bool)
     return ok | [isinstance(v, str) and v in words for v in values] if words else ok
 
@@ -226,11 +226,14 @@ class DecisionContext:
 
 def _checked_rows(U, S, n) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``U``, ``S`` and ``n`` as float and int64 arrays, ``U`` and ``S`` both
-    (R, m) with m >= 2 and ``n`` (R,); ``ValueError`` otherwise."""
+    (R, m) with m >= 2, ``U`` finite and non-negative as in every record, and
+    ``n`` (R,); ``ValueError`` otherwise."""
     U, S = np.asarray(U, dtype=float), np.asarray(S, dtype=np.int64)
     n = np.asarray(n, dtype=np.int64)
     if U.ndim != 2 or U.shape[1] < 2 or S.shape != U.shape or n.shape != U.shape[:1]:
         raise ValueError(f"utility/poll dimension mismatch: U {U.shape}, S {S.shape}, n {n.shape}")
+    if not ((U >= 0) & (U < np.inf)).all():
+        raise ValueError("utilities must be finite and non-negative")
     return U, S, n
 
 
@@ -303,7 +306,7 @@ def _au_scores(
     beta_values, beta_index = np.unique(be, return_inverse=True)
     eu = np.power(AU_EPSILON + U, alpha_values[:, None, None])
     ea = AU_EPSILON + _attainability(S, n, beta_values)
-    step = max(1, _AU_BLOCK // U.size)
+    step = max(1, _AU_BLOCK // max(U.size, 1))
     for start in range(0, len(al), step):
         block = slice(start, start + step)
         exponent = (2.0 - al[block])[:, None, None]
@@ -358,12 +361,16 @@ def decide_matrix(
     Record j has utilities ``U[j]`` and poll scores ``S[j]`` (both (R, m))
     from a poll of reported size ``n[j]``.  The grid's ``columns`` were
     checked when it was built; only what needs the records is checked here:
-    the shapes, PRAG's k <= m, TMG's m = 3 and CV's scores and resolved
-    ``eta="n"``.  Every family decides every point and record in array
+    the shapes, finite non-negative utilities, PRAG's k <= m, TMG's m = 3
+    and CV's scores and resolved ``eta="n"``.  Every family decides every point and record in array
     operations; CV through :func:`pivot.cv_votes`, which builds each
     distinct (scores, eta) table once, shared through ``context.pivot_cache``
-    when given.  Mismatched shapes raise ``ValueError``, and so does NN:
-    ``evaluate`` trains and predicts its networks.
+    when given.  AU scores only the records where a less preferred
+    candidate polls above Q, the most preferred.  In every other record
+    each candidate is weakly dominated by Q, each step of a score is
+    monotone and ties go to Q, so every point votes Q.  Mismatched shapes
+    raise ``ValueError``, and so does NN: ``evaluate`` trains and predicts
+    its networks.
     """
     family, columns, P = grid.family, grid.columns, len(grid.points)
     if family is Family.NN:
@@ -371,8 +378,10 @@ def decide_matrix(
     U, S, n = _checked_rows(U, S, n)
     R = len(U)
     if family is Family.CV:
+        from . import pivot  # only CV grids need the pivot tables
+
         cache = context.pivot_cache if context is not None else None
-        return pivot_mod.cv_votes(U, S, n, columns["eta"], cache)
+        return pivot.cv_votes(U, S, n, columns["eta"], cache)
     # Each array family picks a preference rank per (point, record): 0 is
     # the most preferred candidate.  Columns are put in preference order
     # first, so an argmax breaks ties toward the more preferred candidate.
@@ -384,9 +393,21 @@ def decide_matrix(
         if family is Family.LD:
             rank = np.where(possible.sum(axis=-1) >= 2, rank, 0)
     elif family is Family.AU:
-        rank = np.empty((P, R), dtype=np.int64)
-        for block, scores in _au_scores(U[by_preference], S[by_preference], n, *columns.values()):
-            rank[block] = np.argmax(scores, axis=-1)
+        # Q, unscored, wherever Q polls top.  Elsewhere the first candidate,
+        # in preference order, that no later one outscores: argmax's pick,
+        # as non-negative utilities give no NaN score.
+        votes = np.empty((P, R), dtype=np.int64)
+        votes[:] = order[:, 0]
+        vary = np.flatnonzero(S[np.arange(R), order[:, 0]] < S.max(axis=1))
+        ranked = order[vary]
+        rows = vary[:, None], ranked
+        for block, scores in _au_scores(U[rows], S[rows], n[vary], *columns.values()):
+            best, vote = scores[..., 0], ranked[:, 0]
+            for c in range(1, U.shape[1]):
+                better = scores[..., c] > best
+                best, vote = np.maximum(best, scores[..., c]), np.where(better, ranked[:, c], vote)
+            votes[block, vary] = vote
+        return votes
     elif family is Family.BR:
         values = _best_response_values(U, S)[by_preference]
         rank = np.broadcast_to(np.argmax(values, axis=-1), (P, R))

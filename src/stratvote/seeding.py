@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 
 
@@ -12,8 +10,11 @@ def derive_seed(master: int, *parts) -> int:
 
     Parts may be ints or strings.  Unlike ``hash()``, the result is identical
     across runs and platforms, so sampling keyed on (voter, round, ...) does
-    not depend on scheduling or interpreter state.
+    not depend on scheduling or interpreter state.  ``hashlib``, and with
+    it OpenSSL, loads on the first call: most commands derive no seed.
     """
+    import hashlib
+
     h = hashlib.sha256()
     h.update(str(int(master)).encode())
     for part in parts:

@@ -212,6 +212,24 @@ class TestSimulate:
                 {"groups": [{"family": "PRAG", "params": {"k": {"type": "value", "value": "2"}}}]},
                 "group PRAG drew a bad model for voter v001: k must be a positive integer, got '2'",
             ),
+            # A bool is not a number, for a model parameter either: each of
+            # these exited 0 and wrote the bool to the manifest.
+            (
+                {"groups": [{"family": "PRAG", "params": {
+                    "k": {"type": "choices", "values": [True]},
+                }}]},
+                "group PRAG drew a bad model for voter v001: k must be a positive integer, got True",
+            ),
+            (
+                {"groups": [{"family": "AU", "params": {
+                    "alpha": {"type": "value", "value": True},
+                    "beta": {"type": "value", "value": False},
+                }}]},
+                "group AU drew a bad model for voter v001: alpha must lie in [0, 2], got True",
+            ),
+            # scenario_weights that are not an object used to exit 3 (AttributeError).
+            ({"scenario_weights": ["A"]}, "scenario_weights must be an object, got ['A']"),
+            ({"scenario_weights": "AB"}, "scenario_weights must be an object, got 'AB'"),
         ],
         ids=[
             "prag-k-0", "prag-k-above-m", "ld-without-r", "au-alpha-above-2",
@@ -223,7 +241,8 @@ class TestSimulate:
             "cycle-scenario-weight-inf", "concentration-nan", "concentration-inf",
             "reward-past-float-range", "group-weight-past-float-range",
             "uniform-high-past-float-range",
-            "au-alpha-string", "cv-eta-list", "prag-k-string",
+            "au-alpha-string", "cv-eta-list", "prag-k-string", "prag-k-bool", "au-alpha-beta-bool",
+            "scenario-weights-list", "scenario-weights-string",
         ],
     )
     def test_bad_configs_are_data_errors(self, tmp_path, changes, message, capsys):

@@ -976,6 +976,40 @@ class TestRunsOfVoters:
         want = EvaluationReport(family.value, "loo", 0, table, *oracle)
         assert report_payload(got) == report_payload(want)
 
+    def test_an_au_task_holds_one_run_of_decisions_at_a_time(self):
+        # Each run's decision matrix is freed before the next run is
+        # decided, so a task's traced peak does not grow with its runs.
+        import tracemalloc
+
+        grid, rows = ParameterGrid.default(Family.AU), 12
+        per_run = evaluation._RUN_CELLS // (len(grid.points) * rows)  # voters
+        rng = np.random.default_rng(5)
+
+        def table(voters):
+            R = voters * rows
+            S = rng.integers(0, 1000, size=(R, 3))
+            U = np.array([rng.permutation(3) * 10.0 + 100 * j for j in range(R)])  # all distinct
+            ids = [f"v{v:03d}" for v in range(voters) for _ in range(rows)]
+            return RecordTable.from_columns(
+                ids, list(range(rows)) * voters, S.sum(axis=1), S, U, rng.integers(0, 3, R)
+            )
+
+        peaks = {}
+        for runs in (1, 2, 8):
+            task = (table(per_run * runs), grid, "loo", 0)
+            assert len(evaluation._grid_runs(task[0].voter_rows(), len(grid.points))) == runs
+            evaluation._evaluate_voters(task)  # warm numpy's caches first
+            tracemalloc.start()
+            try:
+                evaluation._evaluate_voters(task)
+                peaks[runs] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        matrix = 8 * len(grid.points) * per_run * rows  # one run's int64 decisions
+        assert peaks[1] > matrix
+        assert abs(peaks[8] - peaks[2]) < matrix / 4, peaks
+        assert abs(peaks[8] - peaks[1]) < matrix / 4, peaks
+
     def test_cv_builds_each_table_once_per_run(self, monkeypatch):
         keys = []
         real = pivot._cv_table
@@ -1135,6 +1169,7 @@ def test_voter_runs_cut_at_the_nearest_boundary(counts, k, stops):
 
 
 def test_cli_import_leaves_scipy_unloaded():
+    # Nor OpenSSL (through hashlib) nor the pivot code: each loads on first use.
     import os
     import subprocess
     import sys
@@ -1144,7 +1179,36 @@ def test_cli_import_leaves_scipy_unloaded():
     code = """
 import sys
 import stratvote.cli
-loaded = [m for m in ("scipy", "multiprocessing", "stratvote.nn") if m in sys.modules]
+lazy = ("scipy", "multiprocessing", "stratvote.nn", "hashlib", "_hashlib", "stratvote.pivot")
+loaded = [m for m in lazy if m in sys.modules]
+assert not loaded, loaded
+"""
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_cheap_families_leave_openssl_and_the_pivot_code_unloaded(tmp_path):
+    # An in-process evaluate of TRUTH through AU derives no seed and builds
+    # no pivot table, so it loads neither.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    config = {**workload_configs()["many_voters"].config(), "num_voters": 3}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    d = str(tmp_path)
+    assert cli.main(["simulate", "--config", d + "/config.json", "--seed", "1", "--out", d]) == 0
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = f"""
+import sys
+from stratvote import cli
+
+d = {d!r}
+families = "TRUTH,BR,PRAG,LD,LDLB,TMG,AU"
+argv = ["evaluate", "--data", d, "--families", families, "--jobs", "1", "--out", d + "/reports"]
+assert cli.main(argv) == 0
+loaded = [m for m in ("_hashlib", "stratvote.pivot") if m in sys.modules]
 assert not loaded, loaded
 """
     env = {**os.environ, "PYTHONPATH": str(src)}
@@ -1154,7 +1218,8 @@ assert not loaded, loaded
 def test_cv_pool_loads_scipy_before_forking():
     # Only m >= 4 tables take binomial tails from scipy, so only then is it
     # loaded once before the pool forks; m = 3 loads it nowhere.  Likewise
-    # the network code is loaded before the fork only when NN is pooled.
+    # the pivot code is loaded before the fork only when CV is pooled, and
+    # the network code and OpenSSL (NN folds derive seeds) when NN is.
     import os
     import subprocess
     import sys
@@ -1170,7 +1235,7 @@ from stratvote.models import Family
 
 class Context:
     def Pool(self, processes):
-        seen.append(("scipy.special" in sys.modules, "stratvote.nn" in sys.modules))
+        seen.append(tuple(m in sys.modules for m in lazy))
         return self
     def __enter__(self):
         return self
@@ -1183,18 +1248,19 @@ def dataset(scores):
     U = [[10.0 * k for k in range(len(scores))]] * 2
     return Dataset(RecordTable.from_columns(["a", "b"], [0, 0], [10, 10], [scores] * 2, U, [0, 0]))
 
-seen = []
+seen, lazy = [], ("scipy.special", "stratvote.nn", "stratvote.pivot", "_hashlib")
 evaluation.get_context = lambda method: Context()
 three, four = dataset((5, 3, 2)), dataset((4, 3, 2, 1))
 loo_evaluate(Family.TRUTH, ParameterGrid.default(Family.TRUTH), four, jobs=2)
 grids = [ParameterGrid.default(f, cv_etas=(4, 1000)) for f in (Family.TRUTH, Family.CV)]
 list(evaluate_families(grids, three, "loo", jobs=2))  # the tasks run in this process
-assert "scipy" not in sys.modules
+assert "scipy" not in sys.modules and "stratvote.nn" not in sys.modules
+nn_grids = [ParameterGrid.default(f) for f in (Family.TRUTH, Family.NN)]
+list(evaluate_families(nn_grids, three, "loo", jobs=2))
+# scipy loads numpy.random, and with it OpenSSL, so NN goes first.
 list(evaluate_families(grids, four, "loo", jobs=2))  # one pool, CV among its families
-assert "stratvote.nn" not in sys.modules
-grids = [ParameterGrid.default(f) for f in (Family.TRUTH, Family.NN)]
-list(evaluate_families(grids, three, "loo", jobs=2))
-assert seen == [(False, False), (False, False), (True, False), (True, True)], seen
+want = [(0, 0, 0, 0), (0, 0, 1, 0), (0, 1, 1, 1), (1, 1, 1, 1)]
+assert seen == [tuple(map(bool, w)) for w in want], seen
 """
     env = {**os.environ, "PYTHONPATH": str(src)}
     subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from scalar_deciders import (
     possible_winners,
     winner_set_utility,
 )
-from stratvote import pivot
+from stratvote import models, pivot
 from record_oracle import preference_order
 from stratvote.core import Poll, UtilityFunction
 from stratvote.models import (
@@ -29,7 +30,9 @@ from stratvote.models import (
     ParameterGrid,
     _as_rows,
     _attainability,
+    _au_scores,
     au_score,
+    check_points,
     decide,
     decide_matrix,
     undominated_set,
@@ -294,6 +297,22 @@ class TestDescriptorAndDispatch:
             ModelDescriptor(Family.CV, eta=0)
         with pytest.raises(ValueError):
             ModelDescriptor(Family.TMG, voter_type="XYZ")
+
+    @pytest.mark.parametrize(
+        "family, points, message",
+        [
+            (Family.PRAG, [{"k": True}], "k must be a positive integer, got True"),
+            (Family.PRAG, [{"k": 2}, {"k": np.True_}], "k must be a positive integer, got np.True_"),
+            (Family.LD, [{"r": 0.5}, {"r": False}], "r must lie in [0, 1], got False"),
+            (Family.CV, [{"eta": 4}, {"eta": True}], "eta must be a positive integer or 'n'"),
+            (Family.AU, [{"alpha": True, "beta": 1}], "alpha must lie in [0, 2], got True"),
+            (Family.AU, [{"alpha": 1.0, "beta": False}], "beta must be non-negative, got False"),
+        ],
+    )
+    def test_bools_are_not_numbers(self, family, points, message):
+        # A bool passed as 1 or 0 until the rules began to refuse it.
+        with pytest.raises(ValueError, match=re.escape(message)):
+            check_points(family, points)
 
     def test_missing_parameters_rejected(self):
         with pytest.raises(ValueError):
@@ -629,6 +648,112 @@ def test_decide_matrix_rejects_mismatched_shapes(family):
     ):
         with pytest.raises(ValueError, match="dimension mismatch"):
             decide_matrix(grid, U, S, n)
+
+
+def _au_argmax(U, S, n, points):
+    """AU's votes by ``np.argmax`` over the scores of every row, in preference order.
+
+    The oracle for ``decide_matrix``'s AU path, which scores only the rows
+    where a less preferred candidate polls above Q and compares the rest
+    with ``>``.
+    """
+    order = np.argsort(-U, axis=1, kind="stable")
+    by_preference = (np.arange(len(U))[:, None], order)
+    alphas, betas = [p["alpha"] for p in points], [p["beta"] for p in points]
+    rank = np.empty((len(points), len(U)), dtype=np.int64)
+    for block, scores in _au_scores(U[by_preference], S[by_preference], n, alphas, betas):
+        rank[block] = np.argmax(scores, axis=-1)
+    return order[np.arange(len(U)), rank]
+
+
+def _ulps_above(x, k):
+    for _ in range(k):
+        x = np.nextafter(x, np.inf)
+    return float(x)
+
+
+def _au_rows(m):
+    """One batch of (U, S, n) rows on ``m`` candidates, hostile to AU's skip.
+
+    Utilities come from a small set, from [0, 100], from near 1e300, or a
+    base moved a few ulps or a relative 1e-12 per candidate.  Scores come
+    from a small set, from {0, 4} (ties at the top), or within 4 of 2**62,
+    whose shares differ by less than an ulp; n is the score total, small,
+    0 or up to 2**62.
+    """
+    base = st.one_of(st.sampled_from([0.0, 10.0]), st.floats(0, 100), st.floats(1e299, 1e301))
+    steps = st.lists(st.integers(0, 3), min_size=m, max_size=m)
+    utilities = st.one_of(
+        st.lists(st.one_of(_utility, st.floats(1e299, 1e301)), min_size=m, max_size=m),
+        st.tuples(base, steps).map(lambda t: [_ulps_above(t[0], k) for k in t[1]]),
+        st.tuples(base, steps).map(lambda t: [t[0] * (1 + 1e-12 * k) for k in t[1]]),
+    )
+    small = st.tuples(
+        st.one_of(
+            st.lists(st.integers(0, 12), min_size=m, max_size=m),
+            st.lists(st.sampled_from([0, 4]), min_size=m, max_size=m),
+        ),
+        st.one_of(st.none(), st.integers(0, 60)),
+    ).map(lambda t: (t[0], sum(t[0]) if t[1] is None else t[1]))
+    huge = st.tuples(
+        st.lists(st.integers(2**62 - 4, 2**62), min_size=m, max_size=m),
+        st.one_of(st.just(2**62), st.integers(1, 2**62)),
+    )
+    row = st.tuples(utilities, st.one_of(small, huge))
+    return st.lists(row, min_size=1, max_size=6).map(
+        lambda rows: (
+            np.array([u for u, _ in rows], dtype=float),
+            np.array([s for _, (s, _) in rows], dtype=np.int64),
+            np.array([n for _, (_, n) in rows], dtype=np.int64),
+        )
+    )
+
+
+class TestAuVotesEqualTheArgmax:
+    """AU votes Q unscored where Q polls top, and compares the rest with ``>``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 6).flatmap(_au_rows))
+    @example((np.array([[0.0, 10.0, 10.0]]), np.array([[0, 0, 0]]), np.array([0])))
+    @example((np.array([[20.0, 5.0, 0.0]]), np.array([[4, 4, 0]]), np.array([8])))
+    @example((np.array([[5.0, 5.0]]), np.array([[2**62, 2**62 - 1]]), np.array([2**62])))
+    @example((np.array([[1e300, 1e300 * (1 - 1e-12)]]), np.array([[7, 7]]), np.array([14])))
+    def test_full_default_grid(self, rows):
+        points = ParameterGrid.default(Family.AU).points
+        with np.errstate(over="ignore"):  # utilities near 1e300 overflow at alpha near 2
+            want = _au_argmax(*rows, points)
+            assert np.array_equal(decide_matrix(ParameterGrid(Family.AU, points), *rows), want)
+
+    def test_scores_only_rows_where_a_less_preferred_candidate_polls_above_q(self, monkeypatch):
+        scored = []
+        real = models._au_scores
+
+        def recording(U, S, n, alphas, betas):
+            scored.extend(S.tolist())
+            return real(U, S, n, alphas, betas)
+
+        monkeypatch.setattr(models, "_au_scores", recording)
+        U = np.array([[10.0, 5.0, 0.0], [0.0, 5.0, 10.0], [10.0, 0.0, 5.0], [5.0, 10.0, 0.0]])
+        S = np.array([[5, 5, 0], [1, 2, 9], [4, 6, 1], [7, 7, 7]])
+        grid = ParameterGrid.default(Family.AU)
+        got = decide_matrix(grid, U, S, S.sum(axis=1))
+        # Rows 0, 1 and 3 have Q at the top of the poll, tied or not.
+        assert scored == [[4, 1, 6]]  # in preference order
+        assert (got[:, [0, 1, 3]] == [0, 2, 1]).all()
+        assert np.array_equal(got, _au_argmax(U, S, S.sum(axis=1), grid.points))
+        scored.clear()
+        assert (decide_matrix(grid, U[[0, 1]], S[[0, 1]], [10, 12]) == [0, 2]).all()
+        assert scored == []
+
+
+@pytest.mark.parametrize("family", [family for family in Family if family is not Family.NN])
+def test_decide_matrix_rejects_utilities_no_record_holds(family):
+    # AU compares its scores with ">", which equals argmax only without NaN:
+    # a negative utility under a fractional power, or a NaN, would make one.
+    grid = ParameterGrid(family, ParameterGrid.default(family).points[:1])
+    for bad in (-1.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="utilities must be finite and non-negative"):
+            decide_matrix(grid, [[5.0, bad, 0.0]], [[1, 8, 1]], [10])
 
 
 class TestDecideMatrixDecidesEachRowAlone:
